@@ -11,10 +11,12 @@ use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
 use sailfish_net::Vni;
+use sailfish_sim::{Topology, TopologyConfig};
 use sailfish_tables::alpm::{AlpmConfig, AlpmTable};
 use sailfish_tables::digest::DigestExactTable;
 use sailfish_tables::lpm::{Key128, Lpm128};
 use sailfish_tables::types::VmKey;
+use sailfish_xgw_h::tables::HwRoutingTable;
 
 const ROUTES: usize = 20_000;
 
@@ -83,6 +85,57 @@ fn bench_alpm_insert(h: &mut Harness) {
     group.finish();
 }
 
+fn region_routes(topology: &Topology) -> HwRoutingTable {
+    let mut table = HwRoutingTable::new(AlpmConfig::default());
+    for (key, target) in &topology.routes {
+        table.insert(*key, *target).unwrap();
+    }
+    table
+}
+
+/// The hardware routing table as the dataplane holds it: one small ALPM
+/// per VNI, every route of `TopologyConfig::region_scale()`. `build` and
+/// `drop` are the two halves of what an epoch install pays per cluster
+/// set; `lookup_per_vni` is the miss path's `tables.route_lookup_ns`.
+fn bench_hw_routing_region(h: &mut Harness) {
+    let topology = Topology::generate(TopologyConfig::region_scale());
+    let mut group = h.group("hw_routing_region");
+
+    let table = region_routes(&topology);
+    let mut rng = StdRng::seed_from_u64(3);
+    let probes: Vec<_> = (0..1024)
+        .map(|_| {
+            let vm = &topology.vms[rng.gen_range(0..topology.vms.len())];
+            (vm.vni, vm.ip)
+        })
+        .collect();
+    group.throughput_elements(probes.len() as u64);
+    group.bench_function("lookup_per_vni", |b| {
+        b.iter(|| {
+            for (vni, ip) in &probes {
+                std::hint::black_box(table.lookup(*vni, *ip));
+            }
+        })
+    });
+    drop(table);
+
+    group.throughput_elements(topology.routes.len() as u64);
+    // The built table outlives the timed call (it is parked in `built`)
+    // and the previous one is freed by the untimed set-up.
+    let built = std::cell::RefCell::new(None);
+    group.bench_function("build", |b| {
+        b.iter_batched(
+            || drop(built.borrow_mut().take()),
+            |()| *built.borrow_mut() = Some(region_routes(&topology)),
+        )
+    });
+    drop(built);
+    group.bench_function("drop", |b| {
+        b.iter_batched(|| region_routes(&topology), drop)
+    });
+    group.finish();
+}
+
 fn bench_digest_lookup(h: &mut Harness) {
     let mut group = h.group("vm_nc_lookup_100k");
     let mut table = DigestExactTable::new();
@@ -114,6 +167,7 @@ fn main() {
     let mut h = Harness::from_env("tables");
     bench_lpm_lookup(&mut h);
     bench_alpm_insert(&mut h);
+    bench_hw_routing_region(&mut h);
     bench_digest_lookup(&mut h);
     h.finish();
 }

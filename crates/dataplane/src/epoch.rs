@@ -197,8 +197,29 @@ impl EpochState {
             table_owners.insert(vpc.vni, (primary, extra));
         }
 
-        let mut clusters: Vec<ClusterTables> = (0..config.clusters)
-            .map(|c| {
+        // What each cluster is about to receive — VNIs with a route table,
+        // VM mappings that go on-chip — so its maps are sized once instead
+        // of re-hashing as they grow.
+        let stride = config.hw_vm_stride.max(1);
+        let mut sizes = vec![(0usize, 0usize); config.clusters];
+        for vpc in &topology.vpcs {
+            let Some(&(primary, extra)) = table_owners.get(&vpc.vni) else {
+                continue;
+            };
+            let (start, end) = vpc.vm_range;
+            let withheld = end.div_ceil(stride) - start.div_ceil(stride);
+            for c in std::iter::once(primary).chain(extra) {
+                if let Some((vnis, vms)) = sizes.get_mut(c) {
+                    *vnis += 1;
+                    *vms += end - start - withheld;
+                }
+            }
+        }
+
+        let mut clusters: Vec<ClusterTables> = sizes
+            .into_iter()
+            .enumerate()
+            .map(|(c, (vnis, vms))| {
                 let mut ecmp = EcmpGroup::new(config.ecmp_max);
                 for d in 0..config.devices_per_cluster {
                     if world.dead_devices.contains(&(c, d)) {
@@ -206,9 +227,14 @@ impl EpochState {
                     }
                     ecmp.add(d).expect("devices_per_cluster under the cap");
                 }
+                let mut tables = HardwareTables::default();
+                if !world.wiped_clusters.contains(&c) {
+                    tables.routes.reserve_vnis(vnis);
+                    tables.vm_nc.reserve(vms);
+                }
                 ClusterTables {
                     epoch_tag: epoch,
-                    tables: HardwareTables::default(),
+                    tables,
                     ecmp,
                 }
             })
@@ -232,7 +258,6 @@ impl EpochState {
                     .expect("topology routes are unique");
             }
         }
-        let stride = config.hw_vm_stride.max(1);
         for (i, vm) in topology.vms.iter().enumerate() {
             if i % stride == 0 {
                 continue; // stays on x86
@@ -342,16 +367,22 @@ impl EpochCell {
     /// bugs that must never reach the workers.
     pub fn publish(&self, state: EpochState) -> u64 {
         assert!(state.tags_consistent(), "staged state has torn epoch tags");
-        let mut cur = self.current.write().expect("epoch lock poisoned");
-        assert!(
-            state.epoch > cur.epoch,
-            "epoch must advance: staged {} vs published {}",
-            state.epoch,
-            cur.epoch
-        );
         let epoch = state.epoch;
-        *cur = Arc::new(state);
+        let staged = Arc::new(state);
+        let retired = {
+            let mut cur = self.current.write().expect("epoch lock poisoned");
+            assert!(
+                epoch > cur.epoch,
+                "epoch must advance: staged {epoch} vs published {}",
+                cur.epoch
+            );
+            std::mem::replace(&mut *cur, staged)
+        };
         self.swaps.fetch_add(1, Ordering::Relaxed);
+        // With no batch still pinning it this is the last reference, and
+        // freeing a region's tables takes tens of milliseconds: that must
+        // happen after the guard is gone, or every `pin` waits for it.
+        drop(retired);
         epoch
     }
 

@@ -107,6 +107,12 @@ impl<V> DigestExactTable<V> {
         }
     }
 
+    /// Makes room for `additional` more entries, so a bulk load does not
+    /// re-hash the main table as it grows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.main.reserve(additional);
+    }
+
     fn slot_key(key: &VmKey) -> SlotKey {
         let (vni, addr) = key.canonical_bits();
         match key.ip {

@@ -30,6 +30,10 @@
 #![forbid(unsafe_code)]
 
 pub mod acl;
+// The ALPM read path sits under every flow-cache miss. Its roots and
+// buckets are dense arrays reached through `get`, so no lookup, insert
+// or remove can index out of bounds — and `deny` keeps it that way.
+#[deny(clippy::indexing_slicing)]
 pub mod alpm;
 pub mod counter;
 pub mod digest;

@@ -38,6 +38,11 @@ impl VmNcTable {
         self.inner.is_empty()
     }
 
+    /// Makes room for `additional` more mappings ahead of a bulk load.
+    pub fn reserve(&mut self, additional: usize) {
+        self.inner.reserve(additional);
+    }
+
     /// Registers a VM on its hosting NC.
     pub fn insert(&mut self, vni: Vni, vm_ip: IpAddr, nc: NcAddr) -> Result<()> {
         self.inner.insert(VmKey::new(vni, vm_ip), nc)

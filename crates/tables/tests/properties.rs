@@ -79,41 +79,60 @@ fn lpm_matches_naive() {
     });
 }
 
-/// ALPM's compressed path agrees with its own authoritative trie and
-/// keeps its structural invariants, for every bucket capacity.
+/// ALPM agrees with an independently maintained trie *and* a naive scan
+/// — return values, size and lookups — and keeps its structural
+/// invariants after every single operation, for every bucket capacity.
 #[test]
 fn alpm_equivalent_and_sound() {
     check::run("alpm_equivalent_and_sound", 256, |rng| {
-        let cap = rng.gen_range(1usize..6);
+        let cap = rng.gen_range(1usize..=6);
         let ops = check::vec_of(rng, 1..100, arb_op);
         let probes: Vec<u128> = (0..20).map(|_| arb_addr(rng)).collect();
         let mut t = AlpmTable::new(AlpmConfig {
             bucket_capacity: cap,
         });
+        let mut trie = Lpm128::new();
+        let mut naive: Vec<(Key128, u32)> = Vec::new();
+        let check_lookup =
+            |t: &AlpmTable<u32>, trie: &Lpm128<u32>, naive: &[(Key128, u32)], addr| {
+                let got = t.lookup(addr).map(|(k, v)| (k.len, *v));
+                assert_eq!(got, trie.lookup(addr).map(|(k, v)| (k.len, *v)));
+                let scan = naive
+                    .iter()
+                    .filter(|(k, _)| k.contains(addr))
+                    .max_by_key(|(k, _)| k.len)
+                    .map(|(k, v)| (k.len, *v));
+                assert_eq!(got, scan);
+            };
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
-                    t.insert(k, v).unwrap();
+                    let old = t.insert(k, v).unwrap();
+                    assert_eq!(old, trie.insert(k, v));
+                    naive.retain(|(nk, _)| *nk != k);
+                    naive.push((k, v));
                 }
                 Op::Remove(k) => {
-                    t.remove(k);
+                    assert_eq!(t.remove(k), trie.remove(k));
+                    naive.retain(|(nk, _)| *nk != k);
                 }
-                Op::Lookup(addr) => {
-                    let got = t.lookup(addr).map(|(k, v)| (k.len, *v));
-                    let want = t.lookup_reference(addr).map(|(k, v)| (k.len, *v));
-                    assert_eq!(got, want);
-                }
+                Op::Lookup(addr) => check_lookup(&t, &trie, &naive, addr),
             }
+            assert_eq!(t.len(), naive.len());
+            assert!(t.audit().is_ok(), "cap {cap}: {:?}", t.audit());
         }
-        assert!(t.audit().is_ok(), "{:?}", t.audit());
         for addr in probes {
-            let got = t.lookup(addr).map(|(k, v)| (k.len, *v));
-            let want = t.lookup_reference(addr).map(|(k, v)| (k.len, *v));
-            assert_eq!(got, want);
+            check_lookup(&t, &trie, &naive, addr);
         }
         // Compression bound: first-level TCAM entries never exceed total
         // routes (each partition holds >= 1 entry).
         assert!(t.stats().tcam_entries <= t.len().max(1));
+        // A from-scratch re-carve keeps every answer.
+        t.rebuild();
+        assert!(t.audit().is_ok(), "rebuilt: {:?}", t.audit());
+        for (k, _) in &naive {
+            check_lookup(&t, &trie, &naive, k.value);
+        }
     });
 }
 

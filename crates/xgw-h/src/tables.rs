@@ -63,6 +63,11 @@ impl HwRoutingTable {
         self.len() == 0
     }
 
+    /// Makes room for `additional` more VNIs ahead of a bulk install.
+    pub fn reserve_vnis(&mut self, additional: usize) {
+        self.per_vni.reserve(additional);
+    }
+
     /// Installs a route.
     pub fn insert(
         &mut self,
