@@ -6,7 +6,7 @@
 # in-tree replacement for what used to come from crates.io). This script
 # is the single check every PR must pass:
 #
-#   ci/check.sh            # build + test + fmt + clippy + dependency policy
+#   ci/check.sh            # build + test + fmt + clippy + smokes + benchmark gate + dependency policy
 #
 # fmt and clippy skip gracefully when the component is not installed
 # (e.g. a minimal CI container); build and test never skip.
@@ -166,6 +166,14 @@ else
     echo "==> perf-floor: FAILED (BENCH_wallclock.json missing)"
     failures=$((failures + 1))
 fi
+
+# 10a. Stand-alone benchmark crate: `benchmark/` is frozen between
+#      `[benchmark]` PRs and builds against this workspace's public API,
+#      so drift in anything it imports must fail here, not in the
+#      benchmark pipeline. Its own tests, then one smoke pass per
+#      workload for the correctness gate (differential oracle, zero
+#      failed operations) — no timing is asserted.
+run_step "benchmark" bash -c 'benchmark/run.sh test && benchmark/run.sh run --smoke'
 
 # 10b. Documentation: every public item documents cleanly — broken
 #      intra-doc links or missing docs on lint-enforced crates fail.

@@ -12,14 +12,12 @@
 use sailfish_cluster::chaos::{self, ChaosConfig};
 use sailfish_cluster::controller::ClusterCapacity;
 use sailfish_cluster::region::{Region, RegionConfig};
-use sailfish_dataplane::engine;
 use sailfish_dataplane::executor::software_forwarder;
-use sailfish_dataplane::oracle::{DropClass, PathDecision};
-use sailfish_dataplane::{traffic, TableCounters};
+use sailfish_dataplane::oracle::PathDecision;
+use sailfish_dataplane::{traffic, CachedAction};
 use sailfish_sim::faults::{FaultSchedule, FaultScheduleConfig};
 use sailfish_sim::topology::{Topology, TopologyConfig};
 use sailfish_sim::workload::{generate_flows, Flow, WorkloadConfig};
-use sailfish_xgw_h::program::HwDropReason;
 use sailfish_xgw_h::tables::HardwareTables;
 use sailfish_xgw_x86::SoftwareForwarder;
 
@@ -62,28 +60,10 @@ enum DeviceView {
 }
 
 fn device_view(tables: &HardwareTables, flow: &Flow) -> DeviceView {
-    let packet = traffic::packet_for_flow(flow);
-    let mut scratch = TableCounters::default();
-    match engine::walk(tables, &packet, &mut scratch) {
-        sailfish_xgw_h::HwDecision::ToNc { packet: out, nc } => {
-            DeviceView::Terminal(PathDecision::ToNc { nc, vni: out.vni })
-        }
-        sailfish_xgw_h::HwDecision::ToRegion { region, vni } => {
-            DeviceView::Terminal(PathDecision::ToRegion { region, vni })
-        }
-        sailfish_xgw_h::HwDecision::ToIdc { idc, vni } => {
-            DeviceView::Terminal(PathDecision::ToIdc { idc, vni })
-        }
-        sailfish_xgw_h::HwDecision::PuntToX86 { .. } => DeviceView::Punt,
-        sailfish_xgw_h::HwDecision::Drop(HwDropReason::AclDeny) => {
-            DeviceView::Terminal(PathDecision::Drop(DropClass::Acl))
-        }
-        sailfish_xgw_h::HwDecision::Drop(HwDropReason::RoutingLoop) => {
-            DeviceView::Terminal(PathDecision::Drop(DropClass::RoutingLoop))
-        }
-        sailfish_xgw_h::HwDecision::Drop(HwDropReason::PuntRateLimited) => {
-            unreachable!("walk never rate-limits")
-        }
+    let walked = tables.walk(&traffic::packet_for_flow(flow), &mut ());
+    match CachedAction::from(walked).decision() {
+        Some(decided) => DeviceView::Terminal(decided),
+        None => DeviceView::Punt,
     }
 }
 

@@ -1,10 +1,11 @@
-//! The zero-allocation batch executor.
+//! The zero-allocation batch driver.
 //!
-//! [`BatchExecutor`] walks frames through the same logical pipeline as
-//! the scalar [`crate::executor::Dataplane`] — parse → flow-cache
-//! exact-match → directory/ECMP → table walk → rewrite/punt — but as
-//! per-stage loops over contiguous lanes instead of one function call
-//! per packet, in the style of capsule-like batch operators:
+//! [`BatchExecutor`] drives the same forwarding core as the
+//! frame-at-a-time [`crate::executor::Dataplane`] driver: the table walk,
+//! steering and disposition are the single definitions the crate docs
+//! list, not copies. What is specific to this driver is *how frames reach
+//! the core*: per-stage loops over contiguous lanes instead of one
+//! function call per packet, in the style of capsule-like batch operators:
 //!
 //! 1. **Parse + probe lane**: every frame is validated through the
 //!    borrowed [`FrameView`] (no owned packet build, no allocation) and
@@ -17,36 +18,39 @@
 //!    misses park their view in the pending lane.
 //! 2. **Miss loop** (empty once the cache is warm): each pending frame
 //!    re-probes (an earlier miss in the same batch may have inserted the
-//!    flow), consults the VNI directory *before* any owned parse, and
-//!    only a genuine directory-resident miss builds the owned
-//!    `GatewayPacket` for the full table walk, recording the outcome for
-//!    the rest of the flow.
-//! 3. **Apply loop** (original frame order, so punt order matches the
-//!    scalar executor byte-for-byte): bump attribution counters, charge
-//!    the virtual clock, rewrite `ToNc` frames into the batch's slab
-//!    arena — a v4 underlay takes the incremental-checksum patch
-//!    (`patch_v4`, byte-identical to `rewrite::apply` on a validated
-//!    frame), v6 takes the generic path — and queue punts through the
-//!    breaker *by frame index*: the owned punt parse happens in
-//!    [`BatchExecutor::finish`], off the hot path.
+//!    flow), is steered *before* any owned parse, and only a genuine
+//!    directory-resident miss builds the owned `GatewayPacket` for the
+//!    full table walk, recording the outcome for the rest of the flow.
+//! 3. **Apply loop** (original frame order, so punts queue — and the
+//!    stateful software tier serves them — in arrival order): bump
+//!    attribution counters, charge the virtual clock, rewrite `ToNc`
+//!    frames into the batch's slab arena — a v4 underlay takes the
+//!    incremental-checksum patch (`patch_v4`, byte-identical to
+//!    `rewrite::apply` on a validated frame), v6 takes the generic path
+//!    — and hand everything the hardware does not forward to the shared
+//!    core, queueing punts *by frame index*: the owned punt parse happens
+//!    in [`BatchExecutor::finish`], off the hot path.
 //!
-//! The epoch is pinned **once per batch**, exactly like the scalar
-//! executor's batch loop, so epoch digests match entry for entry.
+//! The epoch is pinned **once per batch**, so epoch digests match the
+//! frame-at-a-time driver's entry for entry.
 //!
 //! # Determinism contract
 //!
 //! On the same frame sequence, with a cold cache, and a flow population
-//! inside both caches' capacity, a `BatchExecutor` run reproduces the
-//! scalar executor's `RunReport` almost field-for-field: identical
-//! decision digest, epoch digests, counters, device attribution,
-//! fallback decisions and virtual time. With a *warm* cache the
-//! hit/miss split shifts (by design) but the decision digest is still
-//! identical — decisions are per-flow facts, not cache artifacts. Two
-//! scoped divergences, both asserted away in the equivalence tests:
-//! under cache-eviction pressure the hit/miss counters may differ from
-//! the no-evict scalar cache, and under a *tight* punt meter mid-batch
-//! admission timestamps differ (stage-ordered clock), which the default
-//! generous meter never exercises.
+//! inside both caches' capacity, a `BatchExecutor` run reproduces
+//! [`crate::executor::Dataplane::run_single`]'s `RunReport` field for
+//! field — decision digest, epoch digests, counters, device attribution,
+//! breaker stats, per-tier punt volumes and virtual time — because both
+//! feed one core the same events (`tests/batch_equivalence.rs` pins it,
+//! including under a DPU tier, a published SNAT offload and a live
+//! dual-ownership window). With a *warm* cache the hit/miss split shifts
+//! (by design) but the decision digest is still identical — decisions
+//! are per-flow facts, not cache artifacts. Two scoped divergences
+//! remain, both driver-shaped: under cache-eviction pressure the
+//! hit/miss counters may differ from the no-evict sharded cache, and
+//! under a *tight* punt meter mid-batch admission timestamps differ
+//! (stage-ordered clock), which the default generous meter never
+//! exercises.
 //!
 //! # Allocation contract
 //!
@@ -59,37 +63,17 @@
 use core::net::{IpAddr, Ipv4Addr};
 
 use sailfish_net::checksum;
-use sailfish_net::rss::Toeplitz;
 use sailfish_net::view::FrameView;
 use sailfish_net::wire::ethernet;
 use sailfish_net::{Error, FrameError, FrameLayer, GatewayPacket, Vni};
-use sailfish_tables::meter::Meter;
-use sailfish_xgw_h::program::HwDropReason;
-use sailfish_xgw_h::HwDecision;
 use sailfish_xgw_x86::SoftwareForwarder;
 
-use crate::breaker::{Admission, BreakerStats, PuntBreaker};
 use crate::cache::{CachedAction, FlowCache, FlowOutcome};
-use crate::counters::TableCounters;
-use crate::engine::{self, cost};
+use crate::engine::cost;
 use crate::epoch::EpochState;
-use crate::executor::{worker_for, Dataplane, DataplaneConfig, RunReport};
-use crate::oracle::{DropClass, PathDecision};
+use crate::executor::{worker_for, Dataplane, RunReport};
+use crate::ladder::{self, snat_offloaded, Ladder};
 use crate::rewrite;
-
-/// Builds the DPU middle-tier breaker for a worker, when the config
-/// carries a tier — shared by construction and `begin_run` reset.
-fn tier_breaker(config: &DataplaneConfig) -> Option<PuntBreaker> {
-    config.tier.as_ref().map(|t| {
-        PuntBreaker::named(
-            "dpu",
-            Meter::new(t.dpu_rate_bps, t.dpu_burst_bytes),
-            t.dpu_breaker.clone(),
-        )
-    })
-}
-
-use std::collections::BTreeMap;
 
 /// How many slots ahead the parse lane warms the next frames' header
 /// cache lines (see the stage-1 loop).
@@ -131,8 +115,7 @@ enum SlotState {
     DirectoryMiss,
     /// A SNAT punt served on-chip by a promoted exact-match entry in
     /// the pinned epoch's offload snapshot: no handoff, no breaker, no
-    /// fallback. `from_cache` preserves the scalar executor's hit/miss
-    /// counter split.
+    /// fallback. `from_cache` keeps the hit/miss counter split.
     SnatOffloaded {
         /// ECMP device slot for attribution (`FlowOutcome::NO_SLOT` if
         /// the cluster had no live device).
@@ -142,27 +125,12 @@ enum SlotState {
     },
 }
 
-/// Reusable per-worker state: cache, lanes, arena, accounting.
+/// Reusable per-worker state: the shared disposition core plus this
+/// driver's cache, lanes and arena. A queued punt is the global frame
+/// index; the owned parse happens at resolution time in `finish`.
 struct BatchWorker {
     cache: FlowCache,
-    counters: TableCounters,
-    breaker: PuntBreaker,
-    /// DPU middle-tier admission breaker; `None` without a configured
-    /// tier (the historical two-rung ladder).
-    dpu_breaker: Option<PuntBreaker>,
-    owner_hash: Toeplitz,
-    clock_ns: u64,
-    digest: u64,
-    /// `(epoch, digest)` accumulated batch-by-batch; a linear scan over
-    /// the handful of live epochs avoids `BTreeMap` node allocation on
-    /// the hot path.
-    epoch_digests: Vec<(u64, u64)>,
-    /// Global frame indices admitted for punt, in decision order, tagged
-    /// with the serving tier — `Some((node, process_ns))` for a DPU
-    /// spill, `None` for x86; the owned parse happens at resolution time
-    /// in `finish`.
-    punted: Vec<(u32, Option<(u16, u64)>)>,
-    device_packets: Vec<u64>,
+    ladder: Ladder<u32>,
     /// Miss lane: `(position in batch, view)` for probe misses only —
     /// empty once the cache is warm.
     pending: Vec<(u32, FrameView)>,
@@ -178,48 +146,11 @@ impl BatchWorker {
         let batch = config.batch_size.max(1);
         BatchWorker {
             cache: FlowCache::new((config.cache_shards * config.cache_shard_capacity).max(1)),
-            counters: TableCounters::default(),
-            breaker: PuntBreaker::new(
-                Meter::new(config.punt_rate_bps, config.punt_burst_bytes),
-                config.breaker.clone(),
-            ),
-            dpu_breaker: tier_breaker(config),
-            owner_hash: Toeplitz::default(),
-            clock_ns: 0,
-            digest: 0,
-            epoch_digests: Vec::with_capacity(4),
-            punted: Vec::new(),
-            device_packets: vec![0; config.clusters * config.devices_per_cluster],
+            ladder: Ladder::new(config),
             pending: Vec::with_capacity(batch),
             slots: Vec::with_capacity(batch),
             arena: Vec::new(),
         }
-    }
-
-    /// Clears per-run accounting; keeps the cache and every allocation.
-    fn begin_run(&mut self, dp: &Dataplane) {
-        let config = dp.config();
-        self.counters = TableCounters::default();
-        self.breaker = PuntBreaker::new(
-            Meter::new(config.punt_rate_bps, config.punt_burst_bytes),
-            config.breaker.clone(),
-        );
-        self.dpu_breaker = tier_breaker(config);
-        self.clock_ns = 0;
-        self.digest = 0;
-        self.epoch_digests.clear();
-        self.punted.clear();
-        self.device_packets.fill(0);
-    }
-
-    fn note_epoch_digest(&mut self, epoch: u64, digest: u64) {
-        for slot in &mut self.epoch_digests {
-            if slot.0 == epoch {
-                slot.1 = slot.1.wrapping_add(digest);
-                return;
-            }
-        }
-        self.epoch_digests.push((epoch, digest));
     }
 }
 
@@ -231,21 +162,17 @@ pub struct BatchExecutor {
     /// Frame indices per worker, rebuilt (allocation-free once warm)
     /// every run.
     partitions: Vec<Vec<u32>>,
-    devices_per_cluster: usize,
-    batch_size: usize,
 }
 
 impl BatchExecutor {
     /// Builds an executor with `workers` independent pipelines (1 for
     /// the deterministic golden mode). Each worker gets its own evicting
-    /// flow cache sized like the scalar executor's total shard capacity.
+    /// flow cache sized like the sharded cache's total capacity.
     pub fn new(dp: &Dataplane, workers: usize) -> Self {
         let workers = workers.max(1);
         BatchExecutor {
             workers: (0..workers).map(|_| BatchWorker::new(dp)).collect(),
             partitions: (0..workers).map(|_| Vec::new()).collect(),
-            devices_per_cluster: dp.config().devices_per_cluster,
-            batch_size: dp.config().batch_size.max(1),
         }
     }
 
@@ -272,7 +199,7 @@ impl BatchExecutor {
     /// [`BatchExecutor::finish`].
     pub fn execute(&mut self, dp: &Dataplane, frames: &[&[u8]]) {
         for (worker, part) in self.workers.iter_mut().zip(&mut self.partitions) {
-            worker.begin_run(dp);
+            worker.ladder.reset(dp.config());
             part.clear();
         }
         let worker_count = self.workers.len();
@@ -281,14 +208,7 @@ impl BatchExecutor {
                 (self.workers.first_mut(), self.partitions.first_mut())
             {
                 part.extend(0..frames.len() as u32);
-                run_worker(
-                    dp,
-                    worker,
-                    frames,
-                    part,
-                    self.batch_size,
-                    self.devices_per_cluster,
-                );
+                run_worker(dp, worker, frames, part);
             }
             return;
         }
@@ -297,113 +217,28 @@ impl BatchExecutor {
                 part.push(i as u32);
             }
         }
-        let devices_per_cluster = self.devices_per_cluster;
-        let batch_size = self.batch_size;
         std::thread::scope(|scope| {
             for (worker, part) in self.workers.iter_mut().zip(&self.partitions) {
-                scope.spawn(move || {
-                    run_worker(dp, worker, frames, part, batch_size, devices_per_cluster);
-                });
+                scope.spawn(move || run_worker(dp, worker, frames, part));
             }
         });
     }
 
     /// Resolves queued punts through `fallback` (serially, after the
-    /// slowest pipeline, exactly like the scalar finalize — the owned
-    /// punt parse happens here, outside the measured hot path) and
-    /// assembles the run report. Allocation is permitted here.
+    /// slowest pipeline — the owned punt parse happens here, outside the
+    /// measured hot path) and assembles the run report. Allocation is
+    /// permitted here.
     pub fn finish(&mut self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        let mut counters = TableCounters::default();
-        let mut digest = 0u64;
-        let mut epoch_digests: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut pipeline_ns = 0u64;
-        let mut device_packets =
-            vec![0u64; self.workers.first().map_or(0, |w| w.device_packets.len())];
-        let mut breaker = BreakerStats::default();
-        let mut dpu_breaker = BreakerStats::default();
-        let mut fallback_packets = 0u64;
-        let mut dpu_packets = 0u64;
-        for worker in &self.workers {
-            counters.merge(&worker.counters);
-            digest = digest.wrapping_add(worker.digest);
-            for (epoch, d) in &worker.epoch_digests {
-                let slot = epoch_digests.entry(*epoch).or_insert(0);
-                *slot = slot.wrapping_add(*d);
-            }
-            pipeline_ns = pipeline_ns.max(worker.clock_ns);
-            for (acc, d) in device_packets.iter_mut().zip(&worker.device_packets) {
-                *acc += d;
-            }
-            let s = worker.breaker.stats();
-            breaker.opened += s.opened;
-            breaker.half_opened += s.half_opened;
-            breaker.closed += s.closed;
-            breaker.shed_open += s.shed_open;
-            breaker.shed_meter += s.shed_meter;
-            if let Some(db) = &worker.dpu_breaker {
-                let s = db.stats();
-                dpu_breaker.opened += s.opened;
-                dpu_breaker.half_opened += s.half_opened;
-                dpu_breaker.closed += s.closed;
-                dpu_breaker.shed_open += s.shed_open;
-                dpu_breaker.shed_meter += s.shed_meter;
-            }
-        }
-
-        // Both software rungs resolve through the same forwarder — the
-        // DPU spill just costs the owning node's latency instead of the
-        // x86 cost — exactly like the scalar finalize.
-        let mut now_ns = pipeline_ns;
-        for worker in &self.workers {
-            for &(idx, tier_tag) in &worker.punted {
-                // Guaranteed parseable: only view-validated frames punt.
-                let Some(frame) = frames.get(idx as usize) else {
-                    continue;
-                };
-                let Ok(packet) = GatewayPacket::parse_classified(frame) else {
-                    continue;
-                };
-                let decision = match tier_tag {
-                    Some((_node, process_ns)) => {
-                        dpu_packets += 1;
-                        now_ns += process_ns;
-                        let d = PathDecision::from_software(&fallback.process(&packet, now_ns));
-                        if matches!(d, PathDecision::Drop(_)) {
-                            counters.dpu_dropped += 1;
-                        } else {
-                            counters.dpu_forwarded += 1;
-                        }
-                        d
-                    }
-                    None => {
-                        fallback_packets += 1;
-                        now_ns += cost::X86_PROCESS_NS;
-                        let d = PathDecision::from_software(&fallback.process(&packet, now_ns));
-                        if matches!(d, PathDecision::Drop(_)) {
-                            counters.fallback_dropped += 1;
-                        } else {
-                            counters.fallback_forwarded += 1;
-                        }
-                        d
-                    }
-                };
-                digest = digest.wrapping_add(decision.digest());
-            }
-        }
-
-        RunReport {
-            packets: frames.len() as u64,
-            counters,
-            decision_digest: digest,
-            epoch_digests,
-            virtual_ns: now_ns,
-            fallback_packets,
-            dpu_packets,
-            workers: self.workers.len(),
-            device_packets,
-            breaker,
-            dpu_breaker,
-        }
+        ladder::resolve(
+            self.workers.iter().map(|w| &w.ladder),
+            frames.len() as u64,
+            fallback,
+            // Guaranteed parseable: only view-validated frames punt.
+            |&idx| {
+                let frame = frames.get(idx as usize)?;
+                GatewayPacket::parse_classified(frame).ok()
+            },
+        )
     }
 
     /// Convenience: [`BatchExecutor::execute`] + [`BatchExecutor::finish`].
@@ -418,61 +253,43 @@ impl BatchExecutor {
     }
 }
 
-/// Precomputed digest for a decided (non-punt) action; punts resolve
-/// their digest at the software tier.
-fn decided_digest(action: &CachedAction) -> u64 {
-    match *action {
-        CachedAction::ToNc { nc, vni } => PathDecision::ToNc { nc, vni }.digest(),
-        CachedAction::ToRegion { region, vni } => PathDecision::ToRegion { region, vni }.digest(),
-        CachedAction::ToIdc { idc, vni } => PathDecision::ToIdc { idc, vni }.digest(),
-        CachedAction::DropAcl => PathDecision::Drop(DropClass::Acl).digest(),
-        CachedAction::DropLoop => PathDecision::Drop(DropClass::RoutingLoop).digest(),
-        CachedAction::PuntSnat | CachedAction::PuntNoRoute | CachedAction::PuntNoVm => 0,
-    }
-}
-
-fn action_of(decision: &HwDecision) -> CachedAction {
-    match decision {
-        HwDecision::ToNc { packet, nc } => CachedAction::ToNc {
-            nc: *nc,
-            vni: packet.vni,
-        },
-        HwDecision::ToRegion { region, vni } => CachedAction::ToRegion {
-            region: *region,
-            vni: *vni,
-        },
-        HwDecision::ToIdc { idc, vni } => CachedAction::ToIdc {
-            idc: *idc,
-            vni: *vni,
-        },
-        HwDecision::PuntToX86 { reason, .. } => match reason {
-            sailfish_xgw_h::PuntReason::SnatRequired => CachedAction::PuntSnat,
-            sailfish_xgw_h::PuntReason::NoHwRoute => CachedAction::PuntNoRoute,
-            sailfish_xgw_h::PuntReason::NoVmMapping => CachedAction::PuntNoVm,
-        },
-        HwDecision::Drop(HwDropReason::AclDeny) => CachedAction::DropAcl,
-        HwDecision::Drop(HwDropReason::RoutingLoop) => CachedAction::DropLoop,
-        HwDecision::Drop(HwDropReason::PuntRateLimited) => {
-            unreachable!("walk never rate-limits")
+/// Files a probe hit in the status lane: the recorded outcome, unless
+/// the pinned epoch serves the flow's SNAT punt on-chip. While a
+/// dual-ownership window is live (`dual_live`, checked once per batch)
+/// the hit is re-steered, so `dual_owner_packets` and device attribution
+/// follow the pinned epoch's owner pick, not the epoch that cached the
+/// flow; with no window live the cached slot is used untouched.
+#[inline]
+fn file_hit(
+    state: &EpochState,
+    ladder: &mut Ladder<u32>,
+    dual_live: bool,
+    mut outcome: FlowOutcome,
+    view: &FrameView,
+) -> SlotState {
+    if dual_live {
+        if let Some(steer) = ladder.steer(state, view.vni, &view.five_tuple()) {
+            outcome.slot = steer.slot;
         }
+    }
+    if snat_offloaded(state, outcome.action, view.vni, || view.five_tuple()) {
+        SlotState::SnatOffloaded {
+            slot: outcome.slot,
+            from_cache: true,
+        }
+    } else {
+        SlotState::Hit(outcome, RewriteCtx::of(view))
     }
 }
 
 /// Runs one worker's share of the frames, batch by batch.
-fn run_worker(
-    dp: &Dataplane,
-    worker: &mut BatchWorker,
-    frames: &[&[u8]],
-    indices: &[u32],
-    batch_size: usize,
-    devices_per_cluster: usize,
-) {
-    for batch in indices.chunks(batch_size) {
+fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indices: &[u32]) {
+    for batch in indices.chunks(dp.config().batch_size.max(1)) {
         // One pin per batch: every frame sees a single epoch even while
-        // installs publish concurrently — same contract as the scalar
-        // executor's batch loop.
+        // installs publish concurrently.
         let state = dp.pin();
-        worker.clock_ns += cost::BATCH_OVERHEAD_NS;
+        let dual_live = state.directory.dual_len() > 0;
+        worker.ladder.clock_ns += cost::BATCH_OVERHEAD_NS;
         worker.slots.clear();
         worker.pending.clear();
         worker.arena.clear();
@@ -501,131 +318,84 @@ fn run_worker(
             };
             match FrameView::parse(frame) {
                 Ok(view) => {
-                    worker.counters.parsed += 1;
+                    worker.ladder.counters.parsed += 1;
                     if let Some(outcome) = worker.cache.get(&view.flow_key()) {
-                        // Same logical point as the scalar executor's
-                        // cache-hit offload check.
-                        if outcome.action == CachedAction::PuntSnat
-                            && state
-                                .snat
-                                .as_deref()
-                                .is_some_and(|o| o.lookup(view.vni, &view.five_tuple()).is_some())
-                        {
-                            worker.slots.push(SlotState::SnatOffloaded {
-                                slot: outcome.slot,
-                                from_cache: true,
-                            });
-                            continue;
-                        }
-                        worker
-                            .slots
-                            .push(SlotState::Hit(outcome, RewriteCtx::of(&view)));
+                        worker.slots.push(file_hit(
+                            &state,
+                            &mut worker.ladder,
+                            dual_live,
+                            outcome,
+                            &view,
+                        ));
                     } else {
                         worker.pending.push((pos as u32, view));
                         worker.slots.push(SlotState::Pending);
                     }
                 }
                 Err(e) => {
-                    worker.counters.record_frame_error(e);
+                    worker.ladder.counters.record_frame_error(e);
                     worker.slots.push(SlotState::Error);
                 }
             }
         }
         std::hint::black_box(warmed);
-        worker.clock_ns += cost::PARSE_NS * batch.len() as u64;
+        worker.ladder.clock_ns += cost::PARSE_NS * batch.len() as u64;
 
         // Stage 2 — miss loop: the only place the owned packet model and
         // the full table walk run. Empty once the cache is warm.
         let pending = std::mem::take(&mut worker.pending);
         for &(pos, ref view) in &pending {
-            let Some(frame) = batch
-                .get(pos as usize)
-                .and_then(|idx| frames.get(*idx as usize))
-            else {
+            let (Some(frame), Some(slot)) = (
+                batch
+                    .get(pos as usize)
+                    .and_then(|idx| frames.get(*idx as usize)),
+                worker.slots.get_mut(pos as usize),
+            ) else {
                 continue;
             };
             // Re-probe: an earlier miss in this same batch may have
             // inserted the flow already (the probe in stage 1 ran before
-            // any insert). Scalar processing hits here, so the batch
-            // must too for the hit/miss split to match.
+            // any insert). Frame-at-a-time processing hits here, so the
+            // batch must too for the hit/miss split to match.
             if let Some(outcome) = worker.cache.get(&view.flow_key()) {
-                if let Some(slot) = worker.slots.get_mut(pos as usize) {
-                    *slot = if outcome.action == CachedAction::PuntSnat
-                        && state
-                            .snat
-                            .as_deref()
-                            .is_some_and(|o| o.lookup(view.vni, &view.five_tuple()).is_some())
-                    {
-                        SlotState::SnatOffloaded {
-                            slot: outcome.slot,
-                            from_cache: true,
-                        }
-                    } else {
-                        SlotState::Hit(outcome, RewriteCtx::of(view))
-                    };
-                }
+                *slot = file_hit(&state, &mut worker.ladder, dual_live, outcome, view);
                 continue;
             }
-            // Directory first, straight from the view's VNI: a
-            // directory miss never needs the owned packet model.
-            let cluster = state
-                .directory
-                .cluster_for(view.vni)
-                .and_then(|i| state.clusters.get(i).map(|c| (i, c)));
-            let Some((cluster_idx, cluster)) = cluster else {
-                if let Some(slot) = worker.slots.get_mut(pos as usize) {
-                    *slot = SlotState::DirectoryMiss;
-                }
-                continue;
-            };
-            if cluster.epoch_tag != state.epoch {
-                worker.counters.epoch_violations += 1;
-            }
-            worker.counters.cache_misses += 1;
+            // Steering first, straight from the view: a directory miss
+            // never needs the owned packet model.
             let tuple = view.five_tuple();
-            let device_slot = match cluster.ecmp.pick(&tuple) {
-                Ok(device) => (cluster_idx * devices_per_cluster + device) as u32,
-                Err(_) => FlowOutcome::NO_SLOT,
+            let Some(steer) = worker.ladder.steer(&state, view.vni, &tuple) else {
+                *slot = SlotState::DirectoryMiss;
+                continue;
             };
             // The view parsed, so the owned parse cannot fail (pinned by
             // the view-parity property tests).
             let Ok(packet) = GatewayPacket::parse_classified(frame) else {
                 continue;
             };
-            let before = worker.counters;
-            let decision = engine::walk(&cluster.tables, &packet, &mut worker.counters);
-            worker.clock_ns += engine::walk_cost_ns(&before, &worker.counters);
-            let action = action_of(&decision);
+            let action = worker.ladder.walk(&steer.cluster.tables, &packet);
             let outcome = FlowOutcome {
                 action,
-                slot: device_slot,
-                digest: decided_digest(&action),
+                slot: steer.slot,
+                digest: action.decision().map_or(0, |d| d.digest()),
             };
             worker.cache.insert(view.flow_key(), outcome);
-            if let Some(slot) = worker.slots.get_mut(pos as usize) {
-                // Same logical point as the scalar executor's post-walk
-                // offload check (after the cache insert, so later hits
-                // in this batch re-take the offload branch themselves).
-                *slot = if action == CachedAction::PuntSnat
-                    && state
-                        .snat
-                        .as_deref()
-                        .is_some_and(|o| o.lookup(view.vni, &view.five_tuple()).is_some())
-                {
-                    SlotState::SnatOffloaded {
-                        slot: device_slot,
-                        from_cache: false,
-                    }
-                } else {
-                    SlotState::Walked(outcome, RewriteCtx::of(view))
-                };
-            }
+            // The offload check comes after the cache insert, so later
+            // hits in this batch re-take the offload branch themselves.
+            *slot = if snat_offloaded(&state, action, view.vni, || tuple) {
+                SlotState::SnatOffloaded {
+                    slot: steer.slot,
+                    from_cache: false,
+                }
+            } else {
+                SlotState::Walked(outcome, RewriteCtx::of(view))
+            };
         }
         worker.pending = pending;
 
         // Stage 3 — apply loop, in original frame order so the punt
-        // queue (and therefore stateful fallback processing) matches
-        // the scalar executor exactly.
+        // queue (and therefore stateful fallback processing) follows
+        // arrival order.
         let mut batch_digest = 0u64;
         for (pos, &idx) in batch.iter().enumerate() {
             let Some(frame) = frames.get(idx as usize) else {
@@ -633,8 +403,7 @@ fn run_worker(
             };
             let (outcome, ctx, from_cache) = match worker.slots.get(pos) {
                 Some(SlotState::Hit(outcome, ctx)) => {
-                    worker.counters.cache_hits += 1;
-                    worker.clock_ns += cost::CACHE_HIT_NS;
+                    worker.ladder.cache_hit();
                     (*outcome, *ctx, true)
                 }
                 Some(SlotState::Walked(outcome, ctx)) => (*outcome, *ctx, false),
@@ -648,92 +417,30 @@ fn run_worker(
                     true,
                 ),
                 Some(&SlotState::SnatOffloaded { slot, from_cache }) => {
-                    // Mirrors the scalar `snat_offload_hit` counter walk
-                    // exactly: hit bookkeeping first (when the probe lane
-                    // resolved the flow), then the on-chip translation.
                     if from_cache {
-                        worker.counters.cache_hits += 1;
-                        worker.clock_ns += cost::CACHE_HIT_NS;
-                        worker.counters.punt_snat += 1;
+                        worker.ladder.cache_hit();
                     }
-                    if slot != FlowOutcome::NO_SLOT {
-                        if let Some(count) = worker.device_packets.get_mut(slot as usize) {
-                            *count += 1;
-                        }
-                    }
-                    worker.counters.snat_translations += 1;
-                    worker.counters.hw_forwarded += 1;
-                    worker.clock_ns += cost::REWRITE_NS;
-                    batch_digest = batch_digest.wrapping_add(PathDecision::ToInternet.digest());
+                    worker.ladder.attribute(slot);
+                    let served = worker.ladder.serve_snat_offload(from_cache);
+                    batch_digest = batch_digest.wrapping_add(served.digest());
                     continue;
                 }
                 _ => continue,
             };
-            if outcome.slot != FlowOutcome::NO_SLOT {
-                if let Some(count) = worker.device_packets.get_mut(outcome.slot as usize) {
-                    *count += 1;
-                }
-            }
+            worker.ladder.attribute(outcome.slot);
             batch_digest = batch_digest.wrapping_add(apply_outcome(
                 &state, worker, idx, frame, outcome, ctx, from_cache,
             ));
         }
-        worker.digest = worker.digest.wrapping_add(batch_digest);
-        worker.note_epoch_digest(state.epoch, batch_digest);
+        worker.ladder.note_batch(state.epoch, batch_digest);
     }
 }
 
-/// Tries the DPU middle tier for one punt-classified frame — the batch
-/// mirror of the scalar executor's `try_spill_dpu`, keyed off the same
-/// Toeplitz tuple hash so both executors place every flow identically.
-/// `Some(())` means the spill was queued; `None` falls through to x86
-/// admission (no tier, dead pool, or a shed re-route).
-fn try_spill_dpu(
-    state: &EpochState,
-    worker: &mut BatchWorker,
-    idx: u32,
-    frame: &[u8],
-) -> Option<()> {
-    let map = state.tier.as_deref()?;
-    // Punt-classified frames passed the view parser in stage 1, so this
-    // re-parse cannot fail; it runs only on the (cold) punt lane and
-    // stays allocation-free like every view parse.
-    let view = FrameView::parse(frame).ok()?;
-    let tuple_hash = worker.owner_hash.hash_tuple(&view.five_tuple());
-    let crate::tier::TierDecision::SpillDpu {
-        node,
-        process_ns,
-        rehomed,
-    } = map.place(view.vni.value(), tuple_hash)
-    else {
-        return None;
-    };
-    let dpu_breaker = worker.dpu_breaker.as_mut()?;
-    match dpu_breaker.admit(worker.clock_ns, map.byte_cost(frame.len())) {
-        Admission::Admitted => {
-            worker.clock_ns += cost::PUNT_HANDOFF_NS;
-            worker.counters.dpu_spilled += 1;
-            if rehomed {
-                worker.counters.dpu_rehomed += 1;
-            }
-            worker.punted.push((idx, Some((node, process_ns))));
-            Some(())
-        }
-        Admission::ShedMeter => {
-            worker.counters.dpu_shed_meter += 1;
-            None
-        }
-        Admission::ShedOpen => {
-            worker.counters.dpu_breaker_open += 1;
-            None
-        }
-    }
-}
-
-/// Applies one frame's outcome: arena rewrite, punt admission, counter
-/// attribution. Returns the decided digest contribution (0 for punts
-/// and errors — punts resolve at the fallback tier).
-#[allow(clippy::too_many_arguments)]
+/// Applies one frame's outcome. Forwards stay here — the arena rewrite
+/// is this driver's, and their digest was precomputed when the flow was
+/// cached; drops and punts are the shared core's. Returns the decided
+/// digest contribution (0 for punts and errors — punts resolve at the
+/// software tier).
 fn apply_outcome(
     state: &EpochState,
     worker: &mut BatchWorker,
@@ -746,58 +453,27 @@ fn apply_outcome(
     match outcome.action {
         CachedAction::ToNc { nc, vni } => {
             if let Err(e) = rewrite_into_arena(worker, frame, ctx, nc, vni) {
-                worker.counters.record_frame_error(e);
+                worker.ladder.counters.record_frame_error(e);
                 return 0;
             }
-            worker.clock_ns += cost::REWRITE_NS;
-            worker.counters.hw_forwarded += 1;
+            worker.ladder.clock_ns += cost::REWRITE_NS;
+            worker.ladder.counters.hw_forwarded += 1;
             outcome.digest
         }
         CachedAction::ToRegion { .. } | CachedAction::ToIdc { .. } => {
-            worker.counters.hw_forwarded += 1;
+            worker.ladder.counters.hw_forwarded += 1;
             outcome.digest
         }
-        CachedAction::PuntSnat | CachedAction::PuntNoRoute | CachedAction::PuntNoVm => {
-            if from_cache {
-                match outcome.action {
-                    CachedAction::PuntSnat => worker.counters.punt_snat += 1,
-                    CachedAction::PuntNoRoute => worker.counters.punt_no_route += 1,
-                    CachedAction::PuntNoVm => worker.counters.punt_no_vm += 1,
-                    _ => unreachable!(),
-                }
-            }
-            if try_spill_dpu(state, worker, idx, frame).is_some() {
-                return 0;
-            }
-            match worker.breaker.admit(worker.clock_ns, frame.len()) {
-                Admission::Admitted => {
-                    worker.clock_ns += cost::PUNT_HANDOFF_NS;
-                    worker.punted.push((idx, None));
-                    0
-                }
-                Admission::ShedMeter => {
-                    worker.clock_ns += cost::PUNT_HANDOFF_NS;
-                    worker.counters.punt_rate_limited += 1;
-                    PathDecision::Drop(DropClass::PuntRateLimited).digest()
-                }
-                Admission::ShedOpen => {
-                    worker.counters.punt_breaker_open += 1;
-                    PathDecision::Drop(DropClass::PuntRateLimited).digest()
-                }
-            }
-        }
-        CachedAction::DropAcl => {
-            if from_cache {
-                worker.counters.acl_denied += 1;
-            }
-            outcome.digest
-        }
-        CachedAction::DropLoop => {
-            if from_cache {
-                worker.counters.loop_drops += 1;
-            }
-            outcome.digest
-        }
+        action => worker
+            .ladder
+            // Punt-classified frames passed the view parser in stage 1,
+            // so this re-parse cannot fail; it runs only on the (cold)
+            // punt lane and stays allocation-free like every view parse.
+            .dispose(state, action, from_cache, frame.len(), idx, || {
+                let view = FrameView::parse(frame).ok()?;
+                Some((view.vni, view.five_tuple()))
+            })
+            .map_or(0, |decided| decided.digest()),
     }
 }
 

@@ -91,6 +91,17 @@ pub struct BreakerStats {
     pub shed_meter: u64,
 }
 
+impl BreakerStats {
+    /// Accumulates another breaker's stats (worker merge).
+    pub fn merge(&mut self, other: &BreakerStats) {
+        self.opened += other.opened;
+        self.half_opened += other.half_opened;
+        self.closed += other.closed;
+        self.shed_open += other.shed_open;
+        self.shed_meter += other.shed_meter;
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum State {
     Closed,

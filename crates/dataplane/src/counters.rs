@@ -3,120 +3,146 @@
 //! The executor counts every table interaction the way a switch pipeline
 //! exposes per-stage counters: route LPM lookups and misses, VM-NC digest
 //! hits split by resolving plane (main vs conflict table), punt causes,
-//! and flow-cache effectiveness. The counter set is `Copy` so the virtual
-//! cost model can snapshot it around a single packet walk.
+//! and flow-cache effectiveness. Every lane is declared exactly once, in
+//! the `counter_lanes!` list below; the struct, its stable-ordered
+//! [`TableCounters::fields`] view and [`TableCounters::merge`] are all
+//! generated from that list, so a new lane cannot be forgotten in one.
 
 use sailfish_net::{Error, FrameError, FrameLayer};
 
-/// Stage-by-stage dataplane counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TableCounters {
+/// Declares [`TableCounters`] from one ordered list of documented lanes.
+macro_rules! counter_lanes {
+    ($($(#[$doc:meta])* $lane:ident,)*) => {
+        /// Stage-by-stage dataplane counters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct TableCounters {
+            $($(#[$doc])* pub $lane: u64,)*
+        }
+
+        impl TableCounters {
+            /// Number of counter lanes.
+            pub const LANES: usize = [$(stringify!($lane)),*].len();
+
+            /// Stable-ordered `(name, value)` view for deterministic JSON
+            /// output.
+            pub fn fields(&self) -> [(&'static str, u64); Self::LANES] {
+                [$((stringify!($lane), self.$lane)),*]
+            }
+
+            fn fields_mut(&mut self) -> [(&'static str, &mut u64); Self::LANES] {
+                [$((stringify!($lane), &mut self.$lane)),*]
+            }
+        }
+    };
+}
+
+counter_lanes! {
     /// Frames parsed successfully into a gateway packet.
-    pub parsed: u64,
+    parsed,
     /// Frames rejected by the parser (truncated, malformed, non-VXLAN).
     /// Always the sum of the per-kind `frame_*` counters below.
-    pub parse_errors: u64,
+    parse_errors,
     /// Frames rejected because a header ran past the buffer end.
-    pub frame_truncated: u64,
+    frame_truncated,
     /// Frames rejected for inconsistent length or field encoding.
-    pub frame_malformed: u64,
+    frame_malformed,
     /// Frames rejected for an unsupported protocol or port.
-    pub frame_unsupported: u64,
+    frame_unsupported,
     /// Frames rejected by checksum verification.
-    pub frame_checksum: u64,
+    frame_checksum,
     /// Frames rejected for an out-of-range field value.
-    pub frame_out_of_range: u64,
+    frame_out_of_range,
     /// Frames rejected at the outer Ethernet layer.
-    pub layer_outer_ethernet: u64,
+    layer_outer_ethernet,
     /// Frames rejected at the outer IPv4 layer.
-    pub layer_outer_ipv4: u64,
+    layer_outer_ipv4,
     /// Frames rejected at the outer IPv6 layer.
-    pub layer_outer_ipv6: u64,
+    layer_outer_ipv6,
     /// Frames rejected at the outer UDP layer.
-    pub layer_outer_udp: u64,
+    layer_outer_udp,
     /// Frames rejected at the VXLAN layer.
-    pub layer_vxlan: u64,
+    layer_vxlan,
     /// Frames rejected at the inner Ethernet layer.
-    pub layer_inner_ethernet: u64,
+    layer_inner_ethernet,
     /// Frames rejected at the inner IPv4 layer.
-    pub layer_inner_ipv4: u64,
+    layer_inner_ipv4,
     /// Frames rejected at the inner IPv6 layer.
-    pub layer_inner_ipv6: u64,
+    layer_inner_ipv6,
     /// Frames rejected at the inner transport layer.
-    pub layer_inner_transport: u64,
+    layer_inner_transport,
     /// Packets dropped by the ACL stage.
-    pub acl_denied: u64,
+    acl_denied,
     /// Single-step LPM lookups issued against the routing table.
-    pub route_lookups: u64,
+    route_lookups,
     /// LPM lookups that matched an entry.
-    pub route_hits: u64,
+    route_hits,
     /// LPM lookups that missed (long-tail routes live on x86).
-    pub route_misses: u64,
+    route_misses,
     /// Peer-VPC hops followed (pipeline recirculations).
-    pub peer_hops: u64,
+    peer_hops,
     /// Packets dropped by the peer-chain loop bound.
-    pub loop_drops: u64,
+    loop_drops,
     /// VM-NC lookups resolved by the 32-bit digest (main) plane.
-    pub vm_hit_main: u64,
+    vm_hit_main,
     /// VM-NC lookups resolved by the exact conflict table.
-    pub vm_hit_conflict: u64,
+    vm_hit_conflict,
     /// VM-NC lookups that missed both planes.
-    pub vm_miss: u64,
+    vm_miss,
     /// Punts because the route requires stateful SNAT.
-    pub punt_snat: u64,
+    punt_snat,
     /// Punts because no hardware route matched.
-    pub punt_no_route: u64,
+    punt_no_route,
     /// Punts because the VM mapping is off-chip.
-    pub punt_no_vm: u64,
+    punt_no_vm,
     /// Punts rejected by the protective rate limiter (dropped).
-    pub punt_rate_limited: u64,
+    punt_rate_limited,
     /// Punts shed because the punt-path circuit breaker was open.
-    pub punt_breaker_open: u64,
+    punt_breaker_open,
     /// Punts admitted to the DPU middle tier (spilled, not degraded).
     /// Always `dpu_forwarded + dpu_dropped` after a run resolves.
-    pub dpu_spilled: u64,
+    dpu_spilled,
     /// Spilled packets the DPU tier forwarded.
-    pub dpu_forwarded: u64,
+    dpu_forwarded,
     /// Spilled packets the DPU tier dropped (typed software drops).
-    pub dpu_dropped: u64,
+    dpu_dropped,
     /// Punts the DPU admission meter refused — the packet *degrades to
     /// x86*, it is not dropped, so this lane is outside the disposition
     /// identity.
-    pub dpu_shed_meter: u64,
+    dpu_shed_meter,
     /// Punts refused because the DPU tier's breaker was open — degraded
     /// to x86 like `dpu_shed_meter`.
-    pub dpu_breaker_open: u64,
+    dpu_breaker_open,
     /// DPU-served packets whose consistent-hash owner was dead, served
     /// by the next live node on the ring instead (bounded-churn
     /// re-homing). Nonzero only while a DPU node-death window is active.
-    pub dpu_rehomed: u64,
+    dpu_rehomed,
     /// Packets that observed a cluster whose epoch tag disagreed with the
     /// pinned epoch — torn table state. Zero in a correct build; the
     /// epoch-consistency tests assert it stays zero.
-    pub epoch_violations: u64,
+    epoch_violations,
     /// Packets steered to a migration's secondary owner during a dual-
     /// ownership window (flow-hash parity picked the destination).
-    pub dual_owner_packets: u64,
+    dual_owner_packets,
     /// Flow-cache hits (walk skipped entirely).
-    pub cache_hits: u64,
+    cache_hits,
     /// Flow-cache misses (full table walk taken).
-    pub cache_misses: u64,
+    cache_misses,
     /// Packets forwarded by the hardware pipeline.
-    pub hw_forwarded: u64,
+    hw_forwarded,
     /// Punted packets the software fallback then forwarded.
-    pub fallback_forwarded: u64,
+    fallback_forwarded,
     /// Punted packets the software fallback then dropped.
-    pub fallback_dropped: u64,
+    fallback_dropped,
     /// SNAT packets translated in hardware via a promoted exact-match
     /// entry (the punt the offload saved).
-    pub snat_translations: u64,
+    snat_translations,
     /// Connections promoted into the SNAT offload at epoch swaps.
-    pub snat_promotions: u64,
+    snat_promotions,
     /// Connections demoted out of the SNAT offload at epoch swaps.
-    pub snat_demotions: u64,
+    snat_demotions,
     /// SNAT connection opens refused because the external port pool had
     /// no free block.
-    pub snat_port_alloc_failures: u64,
+    snat_port_alloc_failures,
 }
 
 impl TableCounters {
@@ -150,114 +176,6 @@ impl TableCounters {
             FrameLayer::InnerIpv6 => self.layer_inner_ipv6 += 1,
             FrameLayer::InnerTransport => self.layer_inner_transport += 1,
         }
-    }
-
-    /// Stable-ordered `(name, value)` view for deterministic JSON output.
-    pub fn fields(&self) -> [(&'static str, u64); 47] {
-        [
-            ("parsed", self.parsed),
-            ("parse_errors", self.parse_errors),
-            ("frame_truncated", self.frame_truncated),
-            ("frame_malformed", self.frame_malformed),
-            ("frame_unsupported", self.frame_unsupported),
-            ("frame_checksum", self.frame_checksum),
-            ("frame_out_of_range", self.frame_out_of_range),
-            ("layer_outer_ethernet", self.layer_outer_ethernet),
-            ("layer_outer_ipv4", self.layer_outer_ipv4),
-            ("layer_outer_ipv6", self.layer_outer_ipv6),
-            ("layer_outer_udp", self.layer_outer_udp),
-            ("layer_vxlan", self.layer_vxlan),
-            ("layer_inner_ethernet", self.layer_inner_ethernet),
-            ("layer_inner_ipv4", self.layer_inner_ipv4),
-            ("layer_inner_ipv6", self.layer_inner_ipv6),
-            ("layer_inner_transport", self.layer_inner_transport),
-            ("acl_denied", self.acl_denied),
-            ("route_lookups", self.route_lookups),
-            ("route_hits", self.route_hits),
-            ("route_misses", self.route_misses),
-            ("peer_hops", self.peer_hops),
-            ("loop_drops", self.loop_drops),
-            ("vm_hit_main", self.vm_hit_main),
-            ("vm_hit_conflict", self.vm_hit_conflict),
-            ("vm_miss", self.vm_miss),
-            ("punt_snat", self.punt_snat),
-            ("punt_no_route", self.punt_no_route),
-            ("punt_no_vm", self.punt_no_vm),
-            ("punt_rate_limited", self.punt_rate_limited),
-            ("punt_breaker_open", self.punt_breaker_open),
-            ("dpu_spilled", self.dpu_spilled),
-            ("dpu_forwarded", self.dpu_forwarded),
-            ("dpu_dropped", self.dpu_dropped),
-            ("dpu_shed_meter", self.dpu_shed_meter),
-            ("dpu_breaker_open", self.dpu_breaker_open),
-            ("dpu_rehomed", self.dpu_rehomed),
-            ("epoch_violations", self.epoch_violations),
-            ("dual_owner_packets", self.dual_owner_packets),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("hw_forwarded", self.hw_forwarded),
-            ("fallback_forwarded", self.fallback_forwarded),
-            ("fallback_dropped", self.fallback_dropped),
-            ("snat_translations", self.snat_translations),
-            ("snat_promotions", self.snat_promotions),
-            ("snat_demotions", self.snat_demotions),
-            ("snat_port_alloc_failures", self.snat_port_alloc_failures),
-        ]
-    }
-
-    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 47] {
-        [
-            ("parsed", &mut self.parsed),
-            ("parse_errors", &mut self.parse_errors),
-            ("frame_truncated", &mut self.frame_truncated),
-            ("frame_malformed", &mut self.frame_malformed),
-            ("frame_unsupported", &mut self.frame_unsupported),
-            ("frame_checksum", &mut self.frame_checksum),
-            ("frame_out_of_range", &mut self.frame_out_of_range),
-            ("layer_outer_ethernet", &mut self.layer_outer_ethernet),
-            ("layer_outer_ipv4", &mut self.layer_outer_ipv4),
-            ("layer_outer_ipv6", &mut self.layer_outer_ipv6),
-            ("layer_outer_udp", &mut self.layer_outer_udp),
-            ("layer_vxlan", &mut self.layer_vxlan),
-            ("layer_inner_ethernet", &mut self.layer_inner_ethernet),
-            ("layer_inner_ipv4", &mut self.layer_inner_ipv4),
-            ("layer_inner_ipv6", &mut self.layer_inner_ipv6),
-            ("layer_inner_transport", &mut self.layer_inner_transport),
-            ("acl_denied", &mut self.acl_denied),
-            ("route_lookups", &mut self.route_lookups),
-            ("route_hits", &mut self.route_hits),
-            ("route_misses", &mut self.route_misses),
-            ("peer_hops", &mut self.peer_hops),
-            ("loop_drops", &mut self.loop_drops),
-            ("vm_hit_main", &mut self.vm_hit_main),
-            ("vm_hit_conflict", &mut self.vm_hit_conflict),
-            ("vm_miss", &mut self.vm_miss),
-            ("punt_snat", &mut self.punt_snat),
-            ("punt_no_route", &mut self.punt_no_route),
-            ("punt_no_vm", &mut self.punt_no_vm),
-            ("punt_rate_limited", &mut self.punt_rate_limited),
-            ("punt_breaker_open", &mut self.punt_breaker_open),
-            ("dpu_spilled", &mut self.dpu_spilled),
-            ("dpu_forwarded", &mut self.dpu_forwarded),
-            ("dpu_dropped", &mut self.dpu_dropped),
-            ("dpu_shed_meter", &mut self.dpu_shed_meter),
-            ("dpu_breaker_open", &mut self.dpu_breaker_open),
-            ("dpu_rehomed", &mut self.dpu_rehomed),
-            ("epoch_violations", &mut self.epoch_violations),
-            ("dual_owner_packets", &mut self.dual_owner_packets),
-            ("cache_hits", &mut self.cache_hits),
-            ("cache_misses", &mut self.cache_misses),
-            ("hw_forwarded", &mut self.hw_forwarded),
-            ("fallback_forwarded", &mut self.fallback_forwarded),
-            ("fallback_dropped", &mut self.fallback_dropped),
-            ("snat_translations", &mut self.snat_translations),
-            ("snat_promotions", &mut self.snat_promotions),
-            ("snat_demotions", &mut self.snat_demotions),
-            (
-                "snat_port_alloc_failures",
-                &mut self.snat_port_alloc_failures,
-            ),
-        ]
     }
 
     /// Total punts charged to the x86 path.

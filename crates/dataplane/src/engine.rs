@@ -1,19 +1,20 @@
-//! The counted table walk.
+//! The counted table walk and its virtual cost model.
 //!
-//! [`walk`] executes the same folded-program decision logic as
-//! [`sailfish_xgw_h::XgwH::classify`], but over the table set directly and
-//! with a [`TableCounters`] update per stage: each single-step LPM lookup,
-//! each peer-VPC recirculation and each VM-NC digest probe is visible to
-//! the caller the way a switch pipeline exposes per-stage counters. A
-//! property test pins `walk` to `classify` — the two must always agree.
+//! The hardware forwarding decision has one implementation,
+//! [`HardwareTables::walk`], generic over a [`WalkSink`] that observes
+//! each table interaction. This module supplies the counting side:
+//! [`TableCounters`] is a sink — each single-step LPM lookup, each
+//! peer-VPC recirculation and each VM-NC digest probe lands in its lane
+//! the way a switch pipeline exposes per-stage counters — [`walk`] is the
+//! counted entry point, and [`cost::of`] prices each interaction on the
+//! virtual clock.
 
 use sailfish_net::GatewayPacket;
 use sailfish_tables::acl::AclAction;
 use sailfish_tables::digest::DigestLookup;
 use sailfish_tables::types::RouteTarget;
-use sailfish_xgw_h::program::{HwDropReason, PuntReason};
-use sailfish_xgw_h::tables::{HardwareTables, MAX_PEER_HOPS};
-use sailfish_xgw_h::HwDecision;
+use sailfish_xgw_h::tables::HardwareTables;
+use sailfish_xgw_h::{HwDecision, WalkEvent, WalkSink};
 
 use crate::counters::TableCounters;
 
@@ -24,6 +25,8 @@ use crate::counters::TableCounters;
 /// magnitude above a hardware stage) — they make deterministic runs
 /// comparable, not absolute predictions.
 pub mod cost {
+    use super::{DigestLookup, WalkEvent};
+
     /// Parsing a frame into the packet model.
     pub const PARSE_NS: u64 = 25;
     /// ACL evaluation.
@@ -44,119 +47,89 @@ pub mod cost {
     pub const X86_PROCESS_NS: u64 = 1600;
     /// Per-batch overhead in the multi-worker mode.
     pub const BATCH_OVERHEAD_NS: u64 = 120;
+
+    /// Virtual nanoseconds one walk interaction costs. A sink that sums
+    /// this over a walk's events has charged the whole walk.
+    pub fn of(event: WalkEvent) -> u64 {
+        match event {
+            WalkEvent::Acl(_) => ACL_NS,
+            WalkEvent::Route(_) => ROUTE_LOOKUP_NS,
+            WalkEvent::Loop => 0,
+            WalkEvent::Vm(DigestLookup::HitConflict) => VM_LOOKUP_NS + CONFLICT_PROBE_NS,
+            WalkEvent::Vm(_) => VM_LOOKUP_NS,
+        }
+    }
+}
+
+/// The counting sink: one lane per table interaction. Route misses, VM
+/// misses and SNAT-tagged routes are the three punt causes, so their
+/// `punt_*` classification lanes are bumped at the same point.
+impl WalkSink for TableCounters {
+    fn on(&mut self, event: WalkEvent) {
+        match event {
+            WalkEvent::Acl(AclAction::Deny) => self.acl_denied += 1,
+            WalkEvent::Acl(AclAction::Permit) => {}
+            WalkEvent::Route(matched) => {
+                self.route_lookups += 1;
+                match matched {
+                    None => {
+                        self.route_misses += 1;
+                        self.punt_no_route += 1;
+                    }
+                    Some(target) => {
+                        self.route_hits += 1;
+                        match target {
+                            RouteTarget::Peer(_) => self.peer_hops += 1,
+                            RouteTarget::InternetSnat => self.punt_snat += 1,
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            WalkEvent::Loop => self.loop_drops += 1,
+            WalkEvent::Vm(DigestLookup::HitMain) => self.vm_hit_main += 1,
+            WalkEvent::Vm(DigestLookup::HitConflict) => self.vm_hit_conflict += 1,
+            WalkEvent::Vm(DigestLookup::Miss) => {
+                self.vm_miss += 1;
+                self.punt_no_vm += 1;
+            }
+        }
+    }
 }
 
 /// Walks one packet through the hardware tables, counting each stage.
-/// Behaviorally identical to `XgwH::classify`.
 pub fn walk(
     tables: &HardwareTables,
     packet: &GatewayPacket,
     counters: &mut TableCounters,
 ) -> HwDecision {
-    let tuple = packet.five_tuple();
-    if tables.acl.evaluate(packet.vni, &tuple) == AclAction::Deny {
-        counters.acl_denied += 1;
-        return HwDecision::Drop(HwDropReason::AclDeny);
-    }
-
-    // Manual peer-chain resolution so each recirculation is counted.
-    let mut current = packet.vni;
-    let mut resolved = None;
-    for _ in 0..=MAX_PEER_HOPS {
-        counters.route_lookups += 1;
-        match tables.routes.lookup(current, packet.inner.dst_ip) {
-            None => {
-                counters.route_misses += 1;
-                counters.punt_no_route += 1;
-                return HwDecision::PuntToX86 {
-                    packet: *packet,
-                    reason: PuntReason::NoHwRoute,
-                };
-            }
-            Some(RouteTarget::Peer(next)) => {
-                counters.route_hits += 1;
-                counters.peer_hops += 1;
-                current = next;
-            }
-            Some(target) => {
-                counters.route_hits += 1;
-                resolved = Some((current, target));
-                break;
-            }
-        }
-    }
-    let Some((final_vni, target)) = resolved else {
-        counters.loop_drops += 1;
-        return HwDecision::Drop(HwDropReason::RoutingLoop);
-    };
-
-    match target {
-        RouteTarget::Local => {
-            let (nc, trace) = tables.vm_nc.lookup_traced(final_vni, packet.inner.dst_ip);
-            match trace {
-                DigestLookup::HitMain => counters.vm_hit_main += 1,
-                DigestLookup::HitConflict => counters.vm_hit_conflict += 1,
-                DigestLookup::Miss => counters.vm_miss += 1,
-            }
-            match nc {
-                Some(nc) => {
-                    let mut out = *packet;
-                    out.outer.dst_ip = nc.ip;
-                    out.vni = final_vni;
-                    HwDecision::ToNc { packet: out, nc }
-                }
-                None => {
-                    counters.punt_no_vm += 1;
-                    HwDecision::PuntToX86 {
-                        packet: *packet,
-                        reason: PuntReason::NoVmMapping,
-                    }
-                }
-            }
-        }
-        RouteTarget::CrossRegion(region) => HwDecision::ToRegion {
-            region,
-            vni: final_vni,
-        },
-        RouteTarget::Idc(idc) => HwDecision::ToIdc {
-            idc,
-            vni: final_vni,
-        },
-        RouteTarget::InternetSnat => {
-            counters.punt_snat += 1;
-            HwDecision::PuntToX86 {
-                packet: *packet,
-                reason: PuntReason::SnatRequired,
-            }
-        }
-        RouteTarget::Peer(_) => unreachable!("peer targets are consumed by the loop"),
-    }
-}
-
-/// Virtual nanoseconds spent by the walk stages recorded between two
-/// counter snapshots (`after - before` must be one packet's worth).
-pub fn walk_cost_ns(before: &TableCounters, after: &TableCounters) -> u64 {
-    let d = |a: u64, b: u64| a - b;
-    let mut ns = cost::ACL_NS;
-    ns += cost::ROUTE_LOOKUP_NS * d(after.route_lookups, before.route_lookups);
-    let vm_probes = d(after.vm_hit_main, before.vm_hit_main)
-        + d(after.vm_hit_conflict, before.vm_hit_conflict)
-        + d(after.vm_miss, before.vm_miss);
-    ns += cost::VM_LOOKUP_NS * vm_probes;
-    ns += cost::CONFLICT_PROBE_NS * d(after.vm_hit_conflict, before.vm_hit_conflict);
-    ns
+    tables.walk(packet, counters).into_decision(packet)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::DataplaneConfig;
+    use crate::ladder::Ladder;
     use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::{IpPrefix, Vni};
     use sailfish_tables::types::{IdcId, NcAddr, RegionId, VxlanRouteKey};
     use sailfish_util::check;
     use sailfish_util::rand::rngs::Xoshiro256pp;
     use sailfish_util::rand::Rng;
-    use sailfish_xgw_h::XgwH;
+    use sailfish_xgw_h::program::HwDropReason;
+    use sailfish_xgw_h::tables::MAX_PEER_HOPS;
+    use sailfish_xgw_h::{PuntReason, Walked, XgwH};
+
+    /// The walk's virtual cost as a closed formula over one packet's
+    /// counter lanes — what the executors used to derive by diffing
+    /// counter snapshots around each walk.
+    fn walk_cost_formula(c: &TableCounters) -> u64 {
+        cost::ACL_NS
+            + cost::ROUTE_LOOKUP_NS * c.route_lookups
+            + cost::VM_LOOKUP_NS * (c.vm_hit_main + c.vm_hit_conflict + c.vm_miss)
+            + cost::CONFLICT_PROBE_NS * c.vm_hit_conflict
+    }
 
     fn vni(v: u32) -> Vni {
         Vni::from_const(v)
@@ -255,20 +228,44 @@ mod tests {
         GatewayPacketBuilder::new(v, "10.0.0.2".parse().unwrap(), dst).build()
     }
 
+    /// There is one walk; what a sink observes must never change what it
+    /// decides, and the counting sink's lanes must stay consistent with
+    /// the decision and with the cost the executors' sink (a worker's
+    /// `Ladder`: counters + virtual clock) charges.
     #[test]
-    fn walk_agrees_with_classify() {
-        check::run("walk_agrees_with_classify", 64, |rng| {
+    fn sinks_observe_one_walk_consistently() {
+        check::run("sinks_observe_one_walk_consistently", 64, |rng| {
             let g = random_gateway(rng);
-            let mut counters = TableCounters::default();
+            let config = DataplaneConfig::default();
+            let mut priced = Ladder::<u32>::new(&config);
             for _ in 0..64 {
                 let p = random_packet(rng);
-                let expected = g.classify(&p);
-                let got = walk(&g.tables, &p, &mut counters);
-                assert!(got == expected, "walk {got:?} != classify {expected:?}");
+                let silent = g.tables.walk(&p, &mut ());
+                priced.reset(&config);
+                let counted = g.tables.walk(&p, &mut priced);
+                assert_eq!(silent, counted, "a sink changed the decision");
+                assert_eq!(
+                    walk(&g.tables, &p, &mut TableCounters::default()),
+                    g.classify(&p)
+                );
+
+                let c = &priced.counters;
+                assert_eq!(c.route_lookups, c.route_hits + c.route_misses, "{c:?}");
+                // Exactly one VM-NC lane per `Local` resolution — the
+                // only resolutions that end in `ToNc` or a NoVmMapping
+                // punt — and none otherwise.
+                let local = matches!(
+                    counted,
+                    Walked::ToNc { .. } | Walked::Punt(PuntReason::NoVmMapping)
+                );
+                assert_eq!(
+                    c.vm_hit_main + c.vm_hit_conflict + c.vm_miss,
+                    u64::from(local),
+                    "{counted:?}: {c:?}"
+                );
+                assert_eq!(c.punted(), u64::from(matches!(counted, Walked::Punt(_))));
+                assert_eq!(priced.clock_ns, walk_cost_formula(c), "{counted:?}: {c:?}");
             }
-            // The counters must have seen every packet's routing stage
-            // except ACL denies (none are configured here).
-            assert!(counters.route_lookups >= 64, "lookups {counters:?}");
         });
     }
 
@@ -328,12 +325,10 @@ mod tests {
             "10.0.0.5".parse().unwrap(),
         )
         .build();
-        let before = TableCounters::default();
-        let mut after = before;
-        walk(&g.tables, &p, &mut after);
-        let ns = walk_cost_ns(&before, &after);
+        let mut priced = Ladder::<u32>::new(&DataplaneConfig::default());
+        g.tables.walk(&p, &mut priced);
         assert_eq!(
-            ns,
+            priced.clock_ns,
             cost::ACL_NS + cost::ROUTE_LOOKUP_NS + cost::VM_LOOKUP_NS
         );
     }

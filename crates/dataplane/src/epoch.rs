@@ -24,11 +24,14 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use sailfish_cluster::lb::{EcmpGroup, VniDirectory};
-use sailfish_net::Vni;
+use sailfish_cluster::lb::{pick_owner, EcmpGroup, VniDirectory};
+use sailfish_net::rss::Toeplitz;
+use sailfish_net::{FiveTuple, Vni};
 use sailfish_sim::Topology;
 use sailfish_xgw_h::tables::HardwareTables;
 
+use crate::cache::FlowOutcome;
+use crate::counters::TableCounters;
 use crate::executor::DataplaneConfig;
 
 /// One hardware cluster inside an epoch: shared tables plus the device
@@ -42,6 +45,17 @@ pub struct ClusterTables {
     pub tables: HardwareTables,
     /// ECMP group over the cluster's live devices.
     pub ecmp: EcmpGroup,
+}
+
+/// Where the upstream fabric delivers one flow inside an epoch: the
+/// cluster whose tables serve it and the device ECMP attributes it to.
+#[derive(Debug, Clone, Copy)]
+pub struct Steer<'a> {
+    /// The serving cluster.
+    pub cluster: &'a ClusterTables,
+    /// Flattened device slot (`cluster * devices_per_cluster + device`),
+    /// or [`FlowOutcome::NO_SLOT`] when the cluster has no live device.
+    pub slot: u32,
 }
 
 /// Dataplane-visible phase of a live make-before-break VNI migration.
@@ -291,6 +305,51 @@ impl EpochState {
             snat: None,
             tier,
         }
+    }
+
+    /// Steers one flow: VNI directory → dual-window owner pick → cluster
+    /// → epoch-tag check → ECMP device. `None` means the upstream
+    /// balancer has no hardware assignment for the VNI (or the directory
+    /// points past the cluster set): the packet default-routes to the
+    /// software tier.
+    ///
+    /// During a dual-ownership migration window either owner serves the
+    /// VNI; flow-hash parity decides per flow — the same split the
+    /// region model uses — so no flow black-holes mid-move. Packets the
+    /// secondary serves are counted in `dual_owner_packets`. A cluster
+    /// stamped with a different epoch than the directory that routed
+    /// here is torn state: it must never happen, and `epoch_violations`
+    /// lets tests prove it doesn't.
+    pub fn steer(
+        &self,
+        owner_hash: &Toeplitz,
+        vni: Vni,
+        tuple: &FiveTuple,
+        devices_per_cluster: usize,
+        counters: &mut TableCounters,
+    ) -> Option<Steer<'_>> {
+        let primary = self.directory.cluster_for(vni)?;
+        let idx = match self.directory.dual_of(vni) {
+            Some(secondary) => {
+                let owner = pick_owner(owner_hash, tuple, primary, secondary);
+                if owner != primary {
+                    counters.dual_owner_packets += 1;
+                }
+                owner
+            }
+            None => primary,
+        };
+        let cluster = self.clusters.get(idx)?;
+        if cluster.epoch_tag != self.epoch {
+            counters.epoch_violations += 1;
+        }
+        let slot = cluster
+            .ecmp
+            .pick(tuple)
+            .map_or(FlowOutcome::NO_SLOT, |device| {
+                (idx * devices_per_cluster + device) as u32
+            });
+        Some(Steer { cluster, slot })
     }
 
     /// Attaches a sealed SNAT offload snapshot to this (staged, not yet

@@ -1,12 +1,20 @@
-//! The frame executor: single-threaded deterministic and multi-worker.
+//! The region dataplane and its frame-at-a-time reference driver.
 //!
 //! A [`Dataplane`] models one region's hardware tier the way the upstream
 //! fabric sees it: a VNI directory splits traffic horizontally across
 //! clusters (Fig 12), flow-hash ECMP attributes packets to devices inside
 //! a cluster, and each cluster's table set serves the walk. Packets the
-//! hardware cannot serve degrade to the XGW-x86 software forwarder, the
-//! PR 2 fallback model, behind a punt-path circuit breaker wrapping the
-//! protective punt meter.
+//! hardware cannot serve degrade to the software tiers — an optional DPU
+//! pool, then the XGW-x86 forwarder — each behind a punt-path circuit
+//! breaker wrapping its protective meter.
+//!
+//! What a packet's fate *is* lives elsewhere, once (the crate docs list
+//! where): the table walk, steering, and everything after the action is
+//! known. This module is the *driver* that feeds that core one frame at a
+//! time: an owned [`GatewayPacket`] parse per frame, the no-evict
+//! [`ShardedFlowCache`], a full-frame copy + [`rewrite::apply`] for
+//! `ToNc`, and the owned packet itself queued for a punt. [`crate::batch`]
+//! is the other driver over the same core.
 //!
 //! Table state is epoch-versioned ([`crate::epoch`]): workers pin the
 //! current [`EpochState`] once per batch, so every packet walks an
@@ -24,22 +32,19 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sailfish_cluster::lb::pick_owner;
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::wire::ethernet;
-use sailfish_net::{FiveTuple, GatewayPacket};
+use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
-use sailfish_tables::meter::Meter;
-use sailfish_xgw_h::program::HwDropReason;
-use sailfish_xgw_h::HwDecision;
 use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
-use crate::breaker::{Admission, BreakerConfig, BreakerStats, PuntBreaker};
+use crate::breaker::{BreakerConfig, BreakerStats};
 use crate::cache::{CachedAction, ShardedFlowCache};
 use crate::counters::TableCounters;
-use crate::engine::{self, cost};
+use crate::engine::cost;
 use crate::epoch::{EpochCell, EpochState};
-use crate::oracle::{DropClass, PathDecision};
+use crate::ladder::{self, snat_offloaded, Ladder};
+use crate::oracle::PathDecision;
 use crate::rewrite;
 
 /// Executor configuration.
@@ -102,39 +107,16 @@ pub struct Dataplane {
     cell: EpochCell,
 }
 
-/// A punt queued for post-pipeline resolution: the packet plus the tier
-/// that serves it — `Some((node, process_ns))` for a DPU spill, `None`
-/// for the x86 fallback. The tag is captured at placement time so
-/// resolution needs no epoch access.
-type QueuedPunt = (GatewayPacket, Option<(u16, u64)>);
-
-/// Per-worker mutable state.
+/// Per-worker mutable state: the shared disposition core plus what is
+/// specific to this driver. A queued punt is the owned packet.
 struct WorkerState {
     cache: ShardedFlowCache,
-    counters: TableCounters,
-    owner_hash: Toeplitz,
-    breaker: PuntBreaker,
-    dpu_breaker: Option<PuntBreaker>,
-    clock_ns: u64,
-    digest: u64,
-    epoch_digests: BTreeMap<u64, u64>,
-    punted: Vec<QueuedPunt>,
-    device_packets: Vec<u64>,
+    ladder: Ladder<GatewayPacket>,
     scratch: Vec<u8>,
 }
 
-/// What one frame produced inside a worker.
-enum FrameOutcome {
-    /// The frame did not parse (counted per layer/kind already).
-    ParseError,
-    /// A final decision was reached on the hardware tier.
-    Decided(PathDecision),
-    /// Queued for the software fallback.
-    Punted,
-}
-
 /// Report of one executor run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Frames offered.
     pub packets: u64,
@@ -232,418 +214,114 @@ impl Dataplane {
         self.cell.swaps()
     }
 
-    fn new_worker_state(&self) -> WorkerState {
-        WorkerState {
+    /// Applies a (possibly cache-replayed) action to the frame: `ToNc`
+    /// rewrites a copy of the frame, everything else is the shared
+    /// core's. `None` means no decision on the hardware tier — the
+    /// packet was queued for a software tier, or the rewrite rejected it.
+    fn apply_action(
+        state: &EpochState,
+        action: CachedAction,
+        frame: &[u8],
+        packet: &GatewayPacket,
+        st: &mut WorkerState,
+        from_cache: bool,
+    ) -> Option<PathDecision> {
+        if let CachedAction::ToNc { nc, vni } = action {
+            st.scratch.clear();
+            st.scratch.extend_from_slice(frame);
+            if let Err(e) = rewrite::apply(&mut st.scratch, nc, vni) {
+                // A parseable VXLAN frame always rewrites; a failure
+                // means the frame lied about its structure in a way
+                // the parser tolerated. Count it per layer/kind.
+                st.ladder.counters.record_frame_error(e);
+                return None;
+            }
+            st.ladder.clock_ns += cost::REWRITE_NS;
+        }
+        st.ladder
+            .dispose(state, action, from_cache, frame.len(), *packet, || {
+                Some((packet.vni, packet.five_tuple()))
+            })
+    }
+
+    /// Processes one frame inside a worker against the pinned epoch:
+    /// parse, steering, flow cache, table walk, rewrite/punt. Returns the
+    /// decision when the hardware tier reached one. Hostile bytes degrade
+    /// to a typed, counted parse error — never a panic, never a silent
+    /// punt.
+    fn process_frame(
+        state: &EpochState,
+        frame: &[u8],
+        st: &mut WorkerState,
+    ) -> Option<PathDecision> {
+        st.ladder.clock_ns += cost::PARSE_NS;
+        let packet = match GatewayPacket::parse_classified(frame) {
+            Ok(p) => p,
+            Err(e) => {
+                st.ladder.counters.record_frame_error(e);
+                return None;
+            }
+        };
+        st.ladder.counters.parsed += 1;
+
+        let tuple = packet.five_tuple();
+        let Some(steer) = st.ladder.steer(state, packet.vni, &tuple) else {
+            // No hardware assignment: default route to the software tier.
+            return Self::apply_action(state, CachedAction::PuntNoRoute, frame, &packet, st, true);
+        };
+        st.ladder.attribute(steer.slot);
+
+        let (action, from_cache) = match st.cache.get(packet.vni, &tuple) {
+            Some(action) => {
+                st.ladder.cache_hit();
+                (action, true)
+            }
+            None => {
+                let action = st.ladder.walk(&steer.cluster.tables, &packet);
+                st.cache.insert(packet.vni, &tuple, action);
+                (action, false)
+            }
+        };
+        if snat_offloaded(state, action, packet.vni, || tuple) {
+            return Some(st.ladder.serve_snat_offload(from_cache));
+        }
+        Self::apply_action(state, action, frame, &packet, st, from_cache)
+    }
+
+    /// Runs one worker's share of the frames; what is left afterwards is
+    /// the worker's accounting and queued punts.
+    fn run_worker(&self, frames: &[&[u8]]) -> Ladder<GatewayPacket> {
+        let mut st = WorkerState {
             cache: ShardedFlowCache::new(
                 self.config.cache_shards,
                 self.config.cache_shard_capacity,
             ),
-            counters: TableCounters::default(),
-            owner_hash: Toeplitz::default(),
-            breaker: PuntBreaker::new(
-                Meter::new(self.config.punt_rate_bps, self.config.punt_burst_bytes),
-                self.config.breaker.clone(),
-            ),
-            dpu_breaker: self.config.tier.as_ref().map(|t| {
-                PuntBreaker::named(
-                    "dpu",
-                    Meter::new(t.dpu_rate_bps, t.dpu_burst_bytes),
-                    t.dpu_breaker.clone(),
-                )
-            }),
-            clock_ns: 0,
-            digest: 0,
-            epoch_digests: BTreeMap::new(),
-            punted: Vec::new(),
-            device_packets: vec![0; self.config.clusters * self.config.devices_per_cluster],
+            ladder: Ladder::new(&self.config),
             scratch: Vec::new(),
-        }
-    }
-
-    fn action_of(decision: &HwDecision) -> CachedAction {
-        match decision {
-            HwDecision::ToNc { packet, nc } => CachedAction::ToNc {
-                nc: *nc,
-                vni: packet.vni,
-            },
-            HwDecision::ToRegion { region, vni } => CachedAction::ToRegion {
-                region: *region,
-                vni: *vni,
-            },
-            HwDecision::ToIdc { idc, vni } => CachedAction::ToIdc {
-                idc: *idc,
-                vni: *vni,
-            },
-            HwDecision::PuntToX86 { reason, .. } => match reason {
-                sailfish_xgw_h::PuntReason::SnatRequired => CachedAction::PuntSnat,
-                sailfish_xgw_h::PuntReason::NoHwRoute => CachedAction::PuntNoRoute,
-                sailfish_xgw_h::PuntReason::NoVmMapping => CachedAction::PuntNoVm,
-            },
-            HwDecision::Drop(HwDropReason::AclDeny) => CachedAction::DropAcl,
-            HwDecision::Drop(HwDropReason::RoutingLoop) => CachedAction::DropLoop,
-            HwDecision::Drop(HwDropReason::PuntRateLimited) => {
-                unreachable!("walk never rate-limits")
-            }
-        }
-    }
-
-    /// Tries to place a punt-classified packet on the DPU middle tier.
-    /// Returns the queued outcome when the tier admits it; `None` means
-    /// the packet falls through to the x86 admission path — either no
-    /// tier is configured, the pool owns no live node for the flow, or
-    /// the tier's meter/breaker shed it (a *re-route*, not a drop: the
-    /// shed counters record the event and x86 still serves the packet).
-    fn try_spill_dpu(
-        state: &EpochState,
-        frame: &[u8],
-        packet: &GatewayPacket,
-        st: &mut WorkerState,
-    ) -> Option<FrameOutcome> {
-        let map = state.tier.as_deref()?;
-        let dpu_breaker = st.dpu_breaker.as_mut()?;
-        let tuple_hash = st.owner_hash.hash_tuple(&packet.five_tuple());
-        let crate::tier::TierDecision::SpillDpu {
-            node,
-            process_ns,
-            rehomed,
-        } = map.place(packet.vni.value(), tuple_hash)
-        else {
-            return None; // pool fully dead: degrade to x86
         };
-        match dpu_breaker.admit(st.clock_ns, map.byte_cost(frame.len())) {
-            Admission::Admitted => {
-                st.clock_ns += cost::PUNT_HANDOFF_NS;
-                st.counters.dpu_spilled += 1;
-                if rehomed {
-                    st.counters.dpu_rehomed += 1;
-                }
-                st.punted.push((*packet, Some((node, process_ns))));
-                Some(FrameOutcome::Punted)
-            }
-            Admission::ShedMeter => {
-                st.counters.dpu_shed_meter += 1;
-                None
-            }
-            Admission::ShedOpen => {
-                st.counters.dpu_breaker_open += 1;
-                None
-            }
-        }
-    }
-
-    /// Applies a (possibly cache-replayed) action to the frame. When the
-    /// action comes from the cache the per-stage counters the walk would
-    /// have bumped are bumped here instead, so stage totals stay exact.
-    fn apply_action(
-        &self,
-        state: &EpochState,
-        action: CachedAction,
-        frame: &[u8],
-        packet: &GatewayPacket,
-        st: &mut WorkerState,
-        from_cache: bool,
-    ) -> FrameOutcome {
-        match action {
-            CachedAction::ToNc { nc, vni } => {
-                st.scratch.clear();
-                st.scratch.extend_from_slice(frame);
-                if let Err(e) = rewrite::apply(&mut st.scratch, nc, vni) {
-                    // A parseable VXLAN frame always rewrites; a failure
-                    // means the frame lied about its structure in a way
-                    // the parser tolerated. Count it per layer/kind.
-                    st.counters.record_frame_error(e);
-                    return FrameOutcome::ParseError;
-                }
-                st.clock_ns += cost::REWRITE_NS;
-                st.counters.hw_forwarded += 1;
-                FrameOutcome::Decided(PathDecision::ToNc { nc, vni })
-            }
-            CachedAction::ToRegion { region, vni } => {
-                st.counters.hw_forwarded += 1;
-                FrameOutcome::Decided(PathDecision::ToRegion { region, vni })
-            }
-            CachedAction::ToIdc { idc, vni } => {
-                st.counters.hw_forwarded += 1;
-                FrameOutcome::Decided(PathDecision::ToIdc { idc, vni })
-            }
-            CachedAction::PuntSnat | CachedAction::PuntNoRoute | CachedAction::PuntNoVm => {
-                if from_cache {
-                    match action {
-                        CachedAction::PuntSnat => st.counters.punt_snat += 1,
-                        CachedAction::PuntNoRoute => st.counters.punt_no_route += 1,
-                        CachedAction::PuntNoVm => st.counters.punt_no_vm += 1,
-                        _ => unreachable!(),
-                    }
-                }
-                // The degradation ladder: try the DPU middle tier first;
-                // only what it cannot serve reaches the x86 admission.
-                if let Some(out) = Self::try_spill_dpu(state, frame, packet, st) {
-                    return out;
-                }
-                match st.breaker.admit(st.clock_ns, frame.len()) {
-                    Admission::Admitted => {
-                        st.clock_ns += cost::PUNT_HANDOFF_NS;
-                        st.punted.push((*packet, None));
-                        FrameOutcome::Punted
-                    }
-                    Admission::ShedMeter => {
-                        // The handoff was attempted and the meter refused.
-                        st.clock_ns += cost::PUNT_HANDOFF_NS;
-                        st.counters.punt_rate_limited += 1;
-                        FrameOutcome::Decided(PathDecision::Drop(DropClass::PuntRateLimited))
-                    }
-                    Admission::ShedOpen => {
-                        // Open breaker: fail fast on-chip, no handoff cost.
-                        st.counters.punt_breaker_open += 1;
-                        FrameOutcome::Decided(PathDecision::Drop(DropClass::PuntRateLimited))
-                    }
-                }
-            }
-            CachedAction::DropAcl => {
-                if from_cache {
-                    st.counters.acl_denied += 1;
-                }
-                FrameOutcome::Decided(PathDecision::Drop(DropClass::Acl))
-            }
-            CachedAction::DropLoop => {
-                if from_cache {
-                    st.counters.loop_drops += 1;
-                }
-                FrameOutcome::Decided(PathDecision::Drop(DropClass::RoutingLoop))
-            }
-        }
-    }
-
-    /// Intercepts a SNAT punt when the pinned epoch carries a promoted
-    /// exact-match entry for this flow: the translation is served
-    /// on-chip and the punt (handoff, breaker, fallback) never happens.
-    /// The decision is `ToInternet`, whose digest deliberately excludes
-    /// the binding — so an offloaded decision compares equal to the one
-    /// the software fallback would have produced, and offload placement
-    /// can never change a run's decision digest.
-    ///
-    /// `punt_snat` stays a *classification* lane (walk bumps it on
-    /// misses, this path mirrors `apply_action`'s cache-hit bump), so
-    /// `punt_snat - snat_translations` is the software-served SNAT load.
-    fn snat_offload_hit(
-        state: &EpochState,
-        action: CachedAction,
-        packet: &GatewayPacket,
-        tuple: &FiveTuple,
-        st: &mut WorkerState,
-        from_cache: bool,
-    ) -> Option<FrameOutcome> {
-        if action != CachedAction::PuntSnat {
-            return None;
-        }
-        let offload = state.snat.as_deref()?;
-        offload.lookup(packet.vni, tuple)?;
-        if from_cache {
-            st.counters.punt_snat += 1;
-        }
-        st.counters.snat_translations += 1;
-        st.counters.hw_forwarded += 1;
-        st.clock_ns += cost::REWRITE_NS;
-        Some(FrameOutcome::Decided(PathDecision::ToInternet))
-    }
-
-    /// Processes one frame inside a worker against the pinned epoch:
-    /// parse, directory, ECMP attribution, flow cache, table walk,
-    /// rewrite/punt. Hostile bytes degrade to a typed, counted parse
-    /// error — never a panic, never a silent punt.
-    fn process_frame(
-        &self,
-        state: &EpochState,
-        frame: &[u8],
-        st: &mut WorkerState,
-    ) -> FrameOutcome {
-        st.clock_ns += cost::PARSE_NS;
-        let packet = match GatewayPacket::parse_classified(frame) {
-            Ok(p) => p,
-            Err(e) => {
-                st.counters.record_frame_error(e);
-                return FrameOutcome::ParseError;
-            }
-        };
-        st.counters.parsed += 1;
-
-        let tuple = packet.five_tuple();
-        let Some(primary) = state.directory.cluster_for(packet.vni) else {
-            // The upstream balancer has no hardware assignment: default
-            // route to the software tier.
-            return self.apply_action(state, CachedAction::PuntNoRoute, frame, &packet, st, true);
-        };
-        // During a dual-ownership migration window either owner serves
-        // the VNI; flow-hash parity decides per flow, the same split the
-        // region model uses, so no flow ever black-holes mid-move.
-        let cluster_idx = match state.directory.dual_of(packet.vni) {
-            Some(secondary) => {
-                let owner = pick_owner(&st.owner_hash, &tuple, primary, secondary);
-                if owner != primary {
-                    st.counters.dual_owner_packets += 1;
-                }
-                owner
-            }
-            None => primary,
-        };
-        let Some(cluster) = state.clusters.get(cluster_idx) else {
-            // Directory points past the cluster set: treat as unassigned.
-            return self.apply_action(state, CachedAction::PuntNoRoute, frame, &packet, st, true);
-        };
-        if cluster.epoch_tag != state.epoch {
-            // Torn state: the cluster belongs to a different epoch than
-            // the directory that routed us here. Must never happen; the
-            // counter lets tests prove it doesn't.
-            st.counters.epoch_violations += 1;
-        }
-        if let Ok(device) = cluster.ecmp.pick(&tuple) {
-            let slot = cluster_idx * self.config.devices_per_cluster + device;
-            if let Some(count) = st.device_packets.get_mut(slot) {
-                *count += 1;
-            }
-        }
-
-        if let Some(action) = st.cache.get(packet.vni, &tuple) {
-            st.counters.cache_hits += 1;
-            st.clock_ns += cost::CACHE_HIT_NS;
-            if let Some(out) = Self::snat_offload_hit(state, action, &packet, &tuple, st, true) {
-                return out;
-            }
-            return self.apply_action(state, action, frame, &packet, st, true);
-        }
-        st.counters.cache_misses += 1;
-        let before = st.counters;
-        let decision = engine::walk(&cluster.tables, &packet, &mut st.counters);
-        st.clock_ns += engine::walk_cost_ns(&before, &st.counters);
-        let action = Self::action_of(&decision);
-        st.cache.insert(packet.vni, &tuple, action);
-        if let Some(out) = Self::snat_offload_hit(state, action, &packet, &tuple, st, false) {
-            return out;
-        }
-        self.apply_action(state, action, frame, &packet, st, false)
-    }
-
-    fn run_worker(&self, frames: &[&[u8]]) -> WorkerState {
-        let mut st = self.new_worker_state();
         for batch in frames.chunks(self.config.batch_size.max(1)) {
             // Pin once per batch: every frame in the batch sees exactly
             // one epoch, even if an install publishes mid-run.
             let state = self.cell.pin();
-            st.clock_ns += cost::BATCH_OVERHEAD_NS;
+            st.ladder.clock_ns += cost::BATCH_OVERHEAD_NS;
             let mut batch_digest = 0u64;
             for frame in batch {
-                if let FrameOutcome::Decided(d) = self.process_frame(&state, frame, &mut st) {
-                    let dg = d.digest();
-                    st.digest = st.digest.wrapping_add(dg);
-                    batch_digest = batch_digest.wrapping_add(dg);
+                if let Some(d) = Self::process_frame(&state, frame, &mut st) {
+                    batch_digest = batch_digest.wrapping_add(d.digest());
                 }
             }
-            let slot = st.epoch_digests.entry(state.epoch).or_insert(0);
-            *slot = slot.wrapping_add(batch_digest);
+            st.ladder.note_batch(state.epoch, batch_digest);
         }
-        st
-    }
-
-    fn finalize(
-        &self,
-        states: Vec<WorkerState>,
-        fallback: &mut SoftwareForwarder,
-        packets: u64,
-        workers: usize,
-    ) -> RunReport {
-        let mut counters = TableCounters::default();
-        let mut digest = 0u64;
-        let mut epoch_digests: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut pipeline_ns = 0u64;
-        let mut device_packets = vec![0u64; self.config.clusters * self.config.devices_per_cluster];
-        let mut punted = Vec::new();
-        let mut breaker = BreakerStats::default();
-        let mut dpu_breaker = BreakerStats::default();
-        for st in states {
-            counters.merge(&st.counters);
-            digest = digest.wrapping_add(st.digest);
-            for (epoch, d) in st.epoch_digests {
-                let slot = epoch_digests.entry(epoch).or_insert(0);
-                *slot = slot.wrapping_add(d);
-            }
-            pipeline_ns = pipeline_ns.max(st.clock_ns);
-            for (acc, d) in device_packets.iter_mut().zip(&st.device_packets) {
-                *acc += d;
-            }
-            punted.extend(st.punted);
-            let s = st.breaker.stats();
-            breaker.opened += s.opened;
-            breaker.half_opened += s.half_opened;
-            breaker.closed += s.closed;
-            breaker.shed_open += s.shed_open;
-            breaker.shed_meter += s.shed_meter;
-            if let Some(db) = &st.dpu_breaker {
-                let s = db.stats();
-                dpu_breaker.opened += s.opened;
-                dpu_breaker.half_opened += s.half_opened;
-                dpu_breaker.closed += s.closed;
-                dpu_breaker.shed_open += s.shed_open;
-                dpu_breaker.shed_meter += s.shed_meter;
-            }
-        }
-
-        // The software tiers serve punts serially after the pipeline
-        // time: a DPU spill resolves through the *same* forwarder as an
-        // x86 punt (both run the full software table set), just at the
-        // owning DPU node's per-packet latency instead of the x86 cost —
-        // which is exactly why tier placement can never change a run's
-        // decision digest.
-        let mut now_ns = pipeline_ns;
-        let mut fallback_packets = 0u64;
-        let mut dpu_packets = 0u64;
-        for (packet, tier_tag) in &punted {
-            let decision = match tier_tag {
-                Some((_node, process_ns)) => {
-                    dpu_packets += 1;
-                    now_ns += process_ns;
-                    let decision = PathDecision::from_software(&fallback.process(packet, now_ns));
-                    if matches!(decision, PathDecision::Drop(_)) {
-                        counters.dpu_dropped += 1;
-                    } else {
-                        counters.dpu_forwarded += 1;
-                    }
-                    decision
-                }
-                None => {
-                    fallback_packets += 1;
-                    now_ns += cost::X86_PROCESS_NS;
-                    let decision = PathDecision::from_software(&fallback.process(packet, now_ns));
-                    if matches!(decision, PathDecision::Drop(_)) {
-                        counters.fallback_dropped += 1;
-                    } else {
-                        counters.fallback_forwarded += 1;
-                    }
-                    decision
-                }
-            };
-            digest = digest.wrapping_add(decision.digest());
-        }
-
-        RunReport {
-            packets,
-            counters,
-            decision_digest: digest,
-            epoch_digests,
-            virtual_ns: now_ns,
-            fallback_packets,
-            dpu_packets,
-            workers,
-            device_packets,
-            breaker,
-            dpu_breaker,
-        }
+        st.ladder
     }
 
     /// Runs every frame in order on one worker — the deterministic golden
     /// mode. Punted packets are resolved through `fallback` afterwards.
     pub fn run_single(&self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        let st = self.run_worker(frames);
-        self.finalize(vec![st], fallback, frames.len() as u64, 1)
+        let worker = self.run_worker(frames);
+        ladder::resolve([&worker].into_iter(), frames.len() as u64, fallback, |p| {
+            Some(*p)
+        })
     }
 
     /// Runs frames across `config.workers` scoped threads, partitioned by
@@ -658,7 +336,7 @@ impl Dataplane {
                 part.push(frame);
             }
         }
-        let states: Vec<WorkerState> = std::thread::scope(|scope| {
+        let ladders: Vec<Ladder<GatewayPacket>> = std::thread::scope(|scope| {
             let handles: Vec<_> = parts
                 .iter()
                 .map(|part| scope.spawn(move || self.run_worker(part)))
@@ -668,7 +346,7 @@ impl Dataplane {
                 .map(|h| h.join().expect("worker panicked"))
                 .collect()
         });
-        self.finalize(states, fallback, frames.len() as u64, workers)
+        ladder::resolve(ladders.iter(), frames.len() as u64, fallback, |p| Some(*p))
     }
 
     /// Decides one frame end-to-end without touching caches or the punt
@@ -683,50 +361,27 @@ impl Dataplane {
     ) -> Option<PathDecision> {
         let state = self.cell.pin();
         let packet = GatewayPacket::parse(frame).ok()?;
-        let owner_hash = Toeplitz::default();
-        let cluster = state
-            .directory
-            .cluster_for(packet.vni)
-            .map(|primary| match state.directory.dual_of(packet.vni) {
-                // Mirror the worker's dual-window owner pick so the
-                // oracle walks the very tables the pipeline walked.
-                Some(secondary) => {
-                    pick_owner(&owner_hash, &packet.five_tuple(), primary, secondary)
-                }
-                None => primary,
-            })
-            .and_then(|idx| state.clusters.get(idx));
-        let Some(cluster) = cluster else {
-            return Some(PathDecision::from_software(
-                &fallback.process(&packet, now_ns),
-            ));
+        let tuple = packet.five_tuple();
+        let mut software = || PathDecision::from_software(&fallback.process(&packet, now_ns));
+        // The workers' own steering, so the oracle walks the very tables
+        // the pipeline walked.
+        let Some(steer) = state.steer(
+            &Toeplitz::default(),
+            packet.vni,
+            &tuple,
+            self.config.devices_per_cluster,
+            &mut TableCounters::default(),
+        ) else {
+            return Some(software());
         };
-        let mut scratch = TableCounters::default();
-        Some(match engine::walk(&cluster.tables, &packet, &mut scratch) {
-            HwDecision::ToNc { packet: out, nc } => PathDecision::ToNc { nc, vni: out.vni },
-            HwDecision::ToRegion { region, vni } => PathDecision::ToRegion { region, vni },
-            HwDecision::ToIdc { idc, vni } => PathDecision::ToIdc { idc, vni },
-            HwDecision::PuntToX86 { packet, reason } => {
-                // Mirror the workers' offload check at the same logical
-                // point: a promoted SNAT flow never reaches the fallback.
-                if reason == sailfish_xgw_h::PuntReason::SnatRequired
-                    && state
-                        .snat
-                        .as_deref()
-                        .is_some_and(|o| o.lookup(packet.vni, &packet.five_tuple()).is_some())
-                {
-                    PathDecision::ToInternet
-                } else {
-                    PathDecision::from_software(&fallback.process(&packet, now_ns))
-                }
+        let action = CachedAction::from(steer.cluster.tables.walk(&packet, &mut ()));
+        Some(match action.decision() {
+            Some(decided) => decided,
+            // A promoted SNAT flow never reaches the fallback.
+            None if snat_offloaded(&state, action, packet.vni, || tuple) => {
+                PathDecision::ToInternet
             }
-            HwDecision::Drop(HwDropReason::AclDeny) => PathDecision::Drop(DropClass::Acl),
-            HwDecision::Drop(HwDropReason::RoutingLoop) => {
-                PathDecision::Drop(DropClass::RoutingLoop)
-            }
-            HwDecision::Drop(HwDropReason::PuntRateLimited) => {
-                unreachable!("walk never rate-limits")
-            }
+            None => software(),
         })
     }
 }

@@ -10,23 +10,39 @@
 //! software path whenever the hardware pipeline cannot serve a packet —
 //! the same fallback model the region simulation uses.
 //!
-//! Two executors exist over the same epoch-versioned tables:
+//! # Who decides what
 //!
-//! - the **scalar** [`executor::Dataplane`] (single-threaded deterministic
-//!   [`executor::Dataplane::run_single`] for golden tests and byte-identical
-//!   benchmark JSON, plus scoped-thread [`executor::Dataplane::run_multi`]
-//!   partitioned by outer-UDP flow entropy exactly like an underlay ECMP
-//!   fabric would), and
-//! - the **zero-allocation batch pipeline** ([`batch::BatchExecutor`]),
-//!   which walks contiguous frame lanes through per-stage loops with a
+//! Each part of a packet's fate has exactly one definition:
+//!
+//! - **the hardware walk** — ACL, bounded peer-VPC route chain, VM-NC
+//!   digest probe — is [`sailfish_xgw_h::tables::HardwareTables::walk`],
+//!   generic over a [`sailfish_xgw_h::WalkSink`]; [`engine`] supplies the
+//!   counting sink ([`TableCounters`]) and the virtual cost of each table
+//!   interaction;
+//! - **steering** — VNI directory → dual-window owner pick → cluster →
+//!   epoch-tag check → ECMP device — is [`EpochState::steer`];
+//! - **disposition** — everything after a flow's [`CachedAction`] is
+//!   known: SNAT-offload intercept, the DPU → x86 punt ladder behind its
+//!   breakers, worker merge and punt resolution into a [`RunReport`] — is
+//!   the crate-private `ladder` module;
+//! - **the independent oracle** is `xgw_x86::SoftwareForwarder`, which
+//!   shares none of the above: [`oracle::differential_run`] requires every
+//!   packet the pipeline serves to reach the same `(next-hop, rewrite)`
+//!   decision the software forwarder takes over the full table set.
+//!
+//! Two *drivers* feed that core, differing only in how frames reach it:
+//!
+//! - [`executor::Dataplane`] is the frame-at-a-time reference driver —
+//!   owned parse, no-evict sharded cache, full-frame rewrite — with the
+//!   deterministic [`executor::Dataplane::run_single`] for golden tests
+//!   and byte-identical benchmark JSON, plus scoped-thread
+//!   [`executor::Dataplane::run_multi`] partitioned by outer-UDP flow
+//!   entropy exactly like an underlay ECMP fabric would;
+//! - [`batch::BatchExecutor`] is the zero-allocation batch driver, which
+//!   walks contiguous frame lanes through per-stage loops with a
 //!   borrowed-view parser, an evicting S3-FIFO flow cache and a reusable
-//!   rewrite arena. The scalar executor stays the determinism oracle: both
-//!   produce identical decision digests on the same frames.
-//!
-//! The differential oracle ([`oracle::differential_run`]) pins the whole
-//! pipeline against the reference software forwarder: every packet the
-//! hardware executor serves must reach the same `(next-hop, rewrite)`
-//! decision `xgw_x86::SoftwareForwarder` would take.
+//!   rewrite arena. A cold batch run reproduces `run_single`'s report
+//!   field for field (`tests/batch_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,6 +67,7 @@ pub mod epoch;
 // the pipeline (per-module `allow`s carry the bounds proofs).
 #[warn(clippy::indexing_slicing)]
 pub mod executor;
+mod ladder;
 pub mod oracle;
 #[deny(clippy::indexing_slicing)]
 pub mod rewrite;

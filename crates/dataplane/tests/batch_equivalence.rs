@@ -1,27 +1,34 @@
-//! The batch pipeline is pinned to the scalar executor.
+//! The two drivers are pinned to each other.
 //!
-//! The scalar [`Dataplane`] stays the determinism oracle: on the same
-//! frame sequence a cold [`BatchExecutor`] must reproduce the scalar
+//! [`Dataplane::run_single`] is the frame-at-a-time reference driver: on
+//! the same frame sequence a cold [`BatchExecutor`] must reproduce its
 //! `RunReport` field for field — decision digest, per-epoch digests,
 //! every counter (including the per-layer `FrameError` lanes), device
-//! attribution, breaker stats and virtual time — in both single- and
-//! multi-worker modes. A warm cache may shift the hit/miss split but
-//! never the decision digest. Hostile batches (structure-aware mutants
-//! mixed with valid traffic) must produce identical per-layer error
-//! counts on both paths.
+//! attribution, both breakers' stats, per-tier punt volumes and virtual
+//! time — in both single- and multi-worker modes, and under every epoch
+//! shape the shared core reacts to: a DPU tier with a dead node, a
+//! published SNAT offload, a live dual-ownership window. A warm cache may
+//! shift the hit/miss split but never the decision digest. Hostile
+//! batches (structure-aware mutants mixed with valid traffic) must
+//! produce identical per-layer error counts on both paths.
 
 use sailfish_dataplane::batch::BatchExecutor;
+use sailfish_dataplane::chaos::{busiest_anchor, ChaosConfig};
+use sailfish_dataplane::epoch::{LiveMove, MovePhase};
 use sailfish_dataplane::executor::{software_forwarder, Dataplane, DataplaneConfig};
 use sailfish_dataplane::traffic;
-use sailfish_dataplane::RunReport;
-use sailfish_sim::{Topology, TopologyConfig, WorkloadConfig};
+use sailfish_dataplane::{EpochState, RunReport, TierConfig, WorldView};
+use sailfish_sim::conn::ConnSignal;
+use sailfish_sim::workload::FlowKind;
+use sailfish_sim::{Flow, Topology, TopologyConfig, WorkloadConfig};
+use sailfish_snat::{HybridConfig, HybridSnat};
 use sailfish_util::check;
 use sailfish_util::fuzz::{FieldSpec, FrameMutator};
 use sailfish_util::rand::Rng;
 
-fn workload(flows: usize, packets: usize, seed: u64) -> (Topology, Vec<Vec<u8>>, Vec<usize>) {
+fn workload_flows(flows: usize) -> (Topology, Vec<Flow>, Vec<Vec<u8>>) {
     let topology = Topology::generate(TopologyConfig::default());
-    let flow_set = sailfish_sim::workload::generate_flows(
+    let mut flow_set = sailfish_sim::workload::generate_flows(
         &topology,
         &WorkloadConfig {
             flows,
@@ -30,8 +37,26 @@ fn workload(flows: usize, packets: usize, seed: u64) -> (Topology, Vec<Vec<u8>>,
         },
     );
     let frames = traffic::frames_for_flows(&flow_set);
-    let sched = traffic::schedule(&flow_set[..frames.len()], packets, seed);
+    flow_set.truncate(frames.len());
+    (topology, flow_set, frames)
+}
+
+fn workload(flows: usize, packets: usize, seed: u64) -> (Topology, Vec<Vec<u8>>, Vec<usize>) {
+    let (topology, flow_set, frames) = workload_flows(flows);
+    let sched = traffic::schedule(&flow_set, packets, seed);
     (topology, frames, sched)
+}
+
+/// Runs both drivers cold over the published epoch of `dp` and requires
+/// field-for-field equal reports; returns the (shared) report.
+fn cold_pair(dp: &Dataplane, topology: &Topology, seq: &[&[u8]], what: &str) -> RunReport {
+    let mut fb_scalar = software_forwarder(topology);
+    let scalar = dp.run_single(seq, &mut fb_scalar);
+    let mut batch = BatchExecutor::new(dp, 1);
+    let mut fb_batch = software_forwarder(topology);
+    let report = batch.run(dp, seq, &mut fb_batch);
+    assert_reports_match(&scalar, &report, what);
+    report
 }
 
 /// Full-report equality: everything the scalar executor measures, the
@@ -63,8 +88,16 @@ fn assert_reports_match(scalar: &RunReport, batch: &RunReport, what: &str) {
         "{what}: breaker stats diverged"
     );
     assert_eq!(
+        scalar.dpu_breaker, batch.dpu_breaker,
+        "{what}: DPU breaker stats diverged"
+    );
+    assert_eq!(
         scalar.fallback_packets, batch.fallback_packets,
         "{what}: punt volume diverged"
+    );
+    assert_eq!(
+        scalar.dpu_packets, batch.dpu_packets,
+        "{what}: DPU spill volume diverged"
     );
     assert_eq!(
         scalar.virtual_ns, batch.virtual_ns,
@@ -82,18 +115,105 @@ fn cold_batch_reproduces_scalar_report() {
     let dp = Dataplane::build(&topology, DataplaneConfig::default());
     let seq: Vec<&[u8]> = sched.iter().map(|i| frames[*i].as_slice()).collect();
 
-    let mut fb_scalar = software_forwarder(&topology);
-    let scalar = dp.run_single(&seq, &mut fb_scalar);
-
-    let mut batch = BatchExecutor::new(&dp, 1);
-    let mut fb_batch = software_forwarder(&topology);
-    let report = batch.run(&dp, &seq, &mut fb_batch);
-
-    assert_reports_match(&scalar, &report, "single-worker cold");
+    let report = cold_pair(&dp, &topology, &seq, "single-worker cold");
     // The run must exercise real decision diversity or equality is vacuous.
     assert!(report.counters.hw_forwarded > 0, "no hardware forwards");
     assert!(report.fallback_packets > 0, "no punts exercised");
     assert!(report.counters.cache_hits > 0, "no cache hits exercised");
+}
+
+#[test]
+fn cold_batch_matches_under_a_degraded_dpu_tier() {
+    let (topology, frames, sched) = workload(900, 40_000, 23);
+    let config = DataplaneConfig {
+        tier: Some(TierConfig::default()),
+        ..DataplaneConfig::default()
+    };
+    let dp = Dataplane::build(&topology, config.clone());
+    let mut one_dead = WorldView::healthy();
+    one_dead.dead_dpus.insert(0);
+    dp.publish(EpochState::build_with_world(
+        &topology,
+        &config,
+        dp.next_epoch(),
+        &one_dead,
+    ));
+    let seq: Vec<&[u8]> = sched.iter().map(|i| frames[*i].as_slice()).collect();
+
+    let report = cold_pair(&dp, &topology, &seq, "one dead DPU node");
+    assert!(report.dpu_packets > 0, "no DPU spills exercised");
+    assert!(
+        report.counters.dpu_rehomed > 0,
+        "dead node re-homed nothing"
+    );
+}
+
+#[test]
+fn cold_batch_matches_under_a_published_snat_offload() {
+    let (topology, flows, frames) = workload_flows(900);
+    let sched = traffic::schedule(&flows, 40_000, 29);
+    let config = DataplaneConfig::default();
+    let dp = Dataplane::build(&topology, config.clone());
+
+    // Every Internet flow opens a connection in the hybrid tier; the
+    // rebalance seals the hot set for the epoch it ships in.
+    let mut hybrid = HybridSnat::new(HybridConfig {
+        promote_packets: 1,
+        ..HybridConfig::default()
+    });
+    let internet = flows
+        .iter()
+        .filter(|f| matches!(f.kind, FlowKind::Internet));
+    for (i, flow) in internet.enumerate() {
+        let now_ns = (i as u64 + 1) * 1_000;
+        hybrid.outbound(flow.vni, flow.tuple, ConnSignal::Payload, now_ns);
+    }
+    let epoch = dp.next_epoch();
+    dp.publish(EpochState::build(&topology, &config, epoch).with_snat(hybrid.rebalance(epoch)));
+    let seq: Vec<&[u8]> = sched.iter().map(|i| frames[*i].as_slice()).collect();
+
+    let report = cold_pair(&dp, &topology, &seq, "SNAT offload epoch");
+    assert!(
+        report.counters.snat_translations > 0,
+        "no offloaded translations exercised"
+    );
+}
+
+#[test]
+fn cold_batch_matches_inside_a_dual_ownership_window() {
+    let (topology, frames, sched) = workload(900, 40_000, 31);
+    let config = DataplaneConfig::default();
+    let dp = Dataplane::build(&topology, config.clone());
+    // Move the group whose flows split most evenly across both owners to
+    // the next cluster and stop in the Dual phase.
+    let chaos = ChaosConfig {
+        flows: 900,
+        ..ChaosConfig::default()
+    };
+    let (anchor, from) = busiest_anchor(&topology, &chaos, config.clusters);
+    let mut world = WorldView::healthy();
+    world.moves.insert(
+        anchor,
+        LiveMove {
+            from,
+            to: (from + 1) % config.clusters,
+            phase: MovePhase::Dual,
+        },
+    );
+    dp.publish(EpochState::build_with_world(
+        &topology,
+        &config,
+        dp.next_epoch(),
+        &world,
+    ));
+    let seq: Vec<&[u8]> = sched.iter().map(|i| frames[*i].as_slice()).collect();
+
+    let report = cold_pair(&dp, &topology, &seq, "dual-ownership window");
+    assert!(
+        report.counters.dual_owner_packets > 0,
+        "no packet took the secondary owner"
+    );
+    assert_eq!(report.counters.epoch_violations, 0);
 }
 
 #[test]

@@ -11,7 +11,9 @@
 //! - [`program::XgwH`] — the folded match-action program: parse →
 //!   service tables → VXLAN routing (split between loop pipes by VNI
 //!   parity) → VM-NC mapping → rewrite, with SNAT and long-tail traffic
-//!   punted to XGW-x86 behind a protective rate limiter (§4.2),
+//!   punted to XGW-x86 behind a protective rate limiter (§4.2); its
+//!   table walk, [`HardwareTables::walk`], is the workspace's only
+//!   implementation of the hardware forwarding decision,
 //! - [`layout`] — the pipeline placement used for the Table 4 / Fig 17
 //!   memory accounting,
 //! - per-pipe and punt statistics feeding Figs 20–22.
@@ -22,5 +24,5 @@ pub mod layout;
 pub mod program;
 pub mod tables;
 
-pub use program::{HwDecision, PuntReason, XgwH};
+pub use program::{HwDecision, PuntReason, WalkEvent, WalkSink, Walked, XgwH};
 pub use tables::HardwareTables;

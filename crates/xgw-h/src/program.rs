@@ -18,11 +18,11 @@
 use sailfish_net::{GatewayPacket, Vni};
 use sailfish_tables::acl::AclAction;
 use sailfish_tables::alpm::AlpmConfig;
+use sailfish_tables::digest::DigestLookup;
 use sailfish_tables::meter::Meter;
 use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget};
-use sailfish_tables::Error as TableError;
 
-use crate::tables::HardwareTables;
+use crate::tables::{HardwareTables, MAX_PEER_HOPS};
 
 /// Why a packet leaves for the software gateway.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,6 +81,130 @@ pub enum HwDecision {
     },
     /// Dropped in hardware.
     Drop(HwDropReason),
+}
+
+/// What one walk over the resident tables decides — the folded program
+/// up to, but not including, the punt meter. It has no variant for
+/// [`HwDropReason::PuntRateLimited`]: only [`XgwH::process`], which owns
+/// the meter, can produce that drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Walked {
+    /// Forward to the NC hosting the destination VM.
+    ToNc {
+        /// Destination server.
+        nc: NcAddr,
+        /// VNI of the final (non-peer) route match.
+        vni: Vni,
+    },
+    /// Hand off to another region.
+    ToRegion {
+        /// Destination region.
+        region: RegionId,
+        /// VNI context.
+        vni: Vni,
+    },
+    /// Hand off to an IDC over the CEN.
+    ToIdc {
+        /// Destination IDC.
+        idc: IdcId,
+        /// VNI context.
+        vni: Vni,
+    },
+    /// The hardware cannot serve the packet; XGW-x86 must.
+    Punt(PuntReason),
+    /// ACL denied the flow.
+    DropAcl,
+    /// The peer-VPC chain exceeded the recirculation bound.
+    DropLoop,
+}
+
+impl Walked {
+    /// The hardware decision this walk amounts to for `packet`: forwards
+    /// carry the rewritten packet, punts the unmodified one.
+    pub fn into_decision(self, packet: &GatewayPacket) -> HwDecision {
+        match self {
+            Walked::ToNc { nc, vni } => {
+                let mut out = *packet;
+                out.outer.dst_ip = nc.ip;
+                out.vni = vni;
+                HwDecision::ToNc { packet: out, nc }
+            }
+            Walked::ToRegion { region, vni } => HwDecision::ToRegion { region, vni },
+            Walked::ToIdc { idc, vni } => HwDecision::ToIdc { idc, vni },
+            Walked::Punt(reason) => HwDecision::PuntToX86 {
+                packet: *packet,
+                reason,
+            },
+            Walked::DropAcl => HwDecision::Drop(HwDropReason::AclDeny),
+            Walked::DropLoop => HwDecision::Drop(HwDropReason::RoutingLoop),
+        }
+    }
+}
+
+/// One table interaction of a walk, as a switch pipeline would expose it
+/// through per-stage counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkEvent {
+    /// The ACL stage ran (exactly once per walk) with this verdict.
+    Acl(AclAction),
+    /// One single-step LPM lookup and what it matched: `None` is a miss,
+    /// `Some(Peer(_))` a recirculation into the peer VPC.
+    Route(Option<RouteTarget>),
+    /// The peer chain outran [`MAX_PEER_HOPS`].
+    Loop,
+    /// The VM-NC digest probe and the plane that resolved it.
+    Vm(DigestLookup),
+}
+
+/// Observer of a walk's table interactions. `()` observes nothing and
+/// compiles away; the dataplane's stage counters are the counting sink.
+pub trait WalkSink {
+    /// Called once per table interaction, in pipeline order.
+    fn on(&mut self, event: WalkEvent);
+}
+
+impl WalkSink for () {
+    #[inline]
+    fn on(&mut self, _: WalkEvent) {}
+}
+
+impl HardwareTables {
+    /// Walks one packet through the resident tables in fold order — ACL,
+    /// the bounded peer-VPC route chain, the VM-NC digest probe —
+    /// reporting every table interaction to `sink`. Touches no runtime
+    /// statistics and no meter.
+    pub fn walk<S: WalkSink>(&self, packet: &GatewayPacket, sink: &mut S) -> Walked {
+        let verdict = self.acl.evaluate(packet.vni, &packet.five_tuple());
+        sink.on(WalkEvent::Acl(verdict));
+        if verdict == AclAction::Deny {
+            return Walked::DropAcl;
+        }
+        let dst = packet.inner.dst_ip;
+        let mut vni = packet.vni;
+        // Each peer hop is a pipeline recirculation, so the chain is
+        // followed one single-step lookup at a time.
+        for _ in 0..=MAX_PEER_HOPS {
+            let matched = self.routes.lookup(vni, dst);
+            sink.on(WalkEvent::Route(matched));
+            match matched {
+                None => return Walked::Punt(PuntReason::NoHwRoute),
+                Some(RouteTarget::Peer(next)) => vni = next,
+                Some(RouteTarget::Local) => {
+                    let (nc, trace) = self.vm_nc.lookup_traced(vni, dst);
+                    sink.on(WalkEvent::Vm(trace));
+                    return match nc {
+                        Some(nc) => Walked::ToNc { nc, vni },
+                        None => Walked::Punt(PuntReason::NoVmMapping),
+                    };
+                }
+                Some(RouteTarget::CrossRegion(region)) => return Walked::ToRegion { region, vni },
+                Some(RouteTarget::Idc(idc)) => return Walked::ToIdc { idc, vni },
+                Some(RouteTarget::InternetSnat) => return Walked::Punt(PuntReason::SnatRequired),
+            }
+        }
+        sink.on(WalkEvent::Loop);
+        Walked::DropLoop
+    }
 }
 
 /// Per-gateway runtime statistics.
@@ -218,92 +342,37 @@ impl XgwH {
     /// would take, without touching counters or the punt meter. Used by
     /// the fluid region simulation, which does its own rate accounting.
     pub fn classify(&self, packet: &GatewayPacket) -> HwDecision {
-        let tuple = packet.five_tuple();
-        if self.tables.acl.evaluate(packet.vni, &tuple) == AclAction::Deny {
-            return HwDecision::Drop(HwDropReason::AclDeny);
-        }
-        let resolution = match self.tables.routes.resolve(packet.vni, packet.inner.dst_ip) {
-            Ok(r) => r,
-            Err(TableError::RoutingLoop) => return HwDecision::Drop(HwDropReason::RoutingLoop),
-            Err(_) => {
-                return HwDecision::PuntToX86 {
-                    packet: *packet,
-                    reason: PuntReason::NoHwRoute,
-                }
-            }
-        };
-        match resolution.target {
-            RouteTarget::Local => {
-                match self
-                    .tables
-                    .vm_nc
-                    .lookup(resolution.final_vni, packet.inner.dst_ip)
-                {
-                    Some(nc) => {
-                        let mut out = *packet;
-                        out.outer.dst_ip = nc.ip;
-                        out.vni = resolution.final_vni;
-                        HwDecision::ToNc { packet: out, nc }
-                    }
-                    None => HwDecision::PuntToX86 {
-                        packet: *packet,
-                        reason: PuntReason::NoVmMapping,
-                    },
-                }
-            }
-            RouteTarget::CrossRegion(region) => HwDecision::ToRegion {
-                region,
-                vni: resolution.final_vni,
-            },
-            RouteTarget::Idc(idc) => HwDecision::ToIdc {
-                idc,
-                vni: resolution.final_vni,
-            },
-            RouteTarget::InternetSnat => HwDecision::PuntToX86 {
-                packet: *packet,
-                reason: PuntReason::SnatRequired,
-            },
-            RouteTarget::Peer(_) => unreachable!("resolve() never returns Peer"),
-        }
+        self.tables.walk(packet, &mut ()).into_decision(packet)
     }
 
     /// Processes one packet through the folded program, updating per-pipe
     /// counters and charging the punt rate limiter.
     pub fn process(&mut self, packet: &GatewayPacket, now_ns: u64) -> HwDecision {
         let bytes = packet.wire_len() as u64;
-        // Step 1: ingress outer pipe — accounting (ACL runs in classify).
+        // Step 1: ingress outer pipe — accounting (ACL runs in the walk).
         let outer = Self::outer_pipe_for(packet);
         self.stats.pipe_packets[outer] += 1;
         self.stats.pipe_bytes[outer] += bytes;
-        let decision = self.classify(packet);
+        let walked = self.tables.walk(packet, &mut ());
 
         // Step 2 accounting: the loop pipe chosen by VNI parity carries
         // everything that got past the ACL.
-        if !matches!(decision, HwDecision::Drop(HwDropReason::AclDeny)) {
+        if walked != Walked::DropAcl {
             let loop_pipe = Self::loop_pipe_for(packet.vni);
             self.stats.pipe_packets[loop_pipe] += 1;
             self.stats.pipe_bytes[loop_pipe] += bytes;
         }
 
-        match decision {
-            HwDecision::Drop(HwDropReason::AclDeny) => {
-                self.stats.acl_dropped += 1;
-                decision
-            }
-            HwDecision::Drop(HwDropReason::RoutingLoop) => {
-                self.stats.loop_dropped += 1;
-                decision
-            }
-            HwDecision::Drop(HwDropReason::PuntRateLimited) => {
-                unreachable!("classify never rate-limits")
-            }
-            HwDecision::PuntToX86 { packet, reason } => self.punt(&packet, reason, now_ns),
-            forwarded => {
+        match walked {
+            Walked::DropAcl => self.stats.acl_dropped += 1,
+            Walked::DropLoop => self.stats.loop_dropped += 1,
+            Walked::Punt(reason) => return self.punt(packet, reason, now_ns),
+            Walked::ToNc { .. } | Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
                 self.stats.forwarded_packets += 1;
                 self.stats.forwarded_bytes += bytes;
-                forwarded
             }
         }
+        walked.into_decision(packet)
     }
 }
 

@@ -13,25 +13,15 @@ use sailfish_net::Vni;
 use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::alpm::{AlpmConfig, AlpmStats};
 use sailfish_tables::counter::CounterArray;
-use sailfish_tables::error::{Error, Result};
+use sailfish_tables::error::Result;
 use sailfish_tables::pooled::PooledAlpm;
 use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
 use sailfish_tables::vm_nc::VmNcTable;
 
-/// Maximum peer-VPC hops in hardware; mirrors the software bound.
+/// Maximum peer-VPC hops in hardware; mirrors the software bound. Each
+/// hop is a pipeline recirculation, so [`HardwareTables::walk`] bounds
+/// the chain tightly.
 pub const MAX_PEER_HOPS: usize = 8;
-
-/// Result of the hardware routing stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HwResolution {
-    /// VNI of the final (non-peer) match.
-    pub final_vni: Vni,
-    /// Terminal target.
-    pub target: RouteTarget,
-    /// Peer hops followed (each one is a pipeline recirculation in
-    /// hardware, so the program bounds it tightly).
-    pub hops: usize,
-}
 
 /// The hardware VXLAN routing table: per-VNI pooled ALPM.
 ///
@@ -93,25 +83,6 @@ impl HwRoutingTable {
     /// Single-step LPM within one VNI, through the compressed path.
     pub fn lookup(&self, vni: Vni, dst: IpAddr) -> Option<RouteTarget> {
         self.per_vni.get(&vni)?.lookup(dst).map(|(_, t)| *t)
-    }
-
-    /// Full resolution following peer chains.
-    pub fn resolve(&self, vni: Vni, dst: IpAddr) -> Result<HwResolution> {
-        let mut current = vni;
-        for hops in 0..=MAX_PEER_HOPS {
-            match self.lookup(current, dst) {
-                None => return Err(Error::NotFound),
-                Some(RouteTarget::Peer(next)) => current = next,
-                Some(target) => {
-                    return Ok(HwResolution {
-                        final_vni: current,
-                        target,
-                        hops,
-                    })
-                }
-            }
-        }
-        Err(Error::RoutingLoop)
     }
 
     /// Physical-layout statistics with **VNI grouping**.
@@ -292,15 +263,39 @@ impl Default for HardwareTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{WalkEvent, WalkSink, Walked};
+    use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::IpPrefix;
 
     fn key(vni: u32, p: &str) -> VxlanRouteKey {
         VxlanRouteKey::new(Vni::from_const(vni), p.parse::<IpPrefix>().unwrap())
     }
 
+    /// Records the single-step route lookups of a walk.
+    #[derive(Default)]
+    struct RouteSteps(Vec<Option<RouteTarget>>);
+
+    impl WalkSink for RouteSteps {
+        fn on(&mut self, event: WalkEvent) {
+            if let WalkEvent::Route(matched) = event {
+                self.0.push(matched);
+            }
+        }
+    }
+
+    fn packet(vni: u32, dst: &str) -> sailfish_net::GatewayPacket {
+        GatewayPacketBuilder::new(
+            Vni::from_const(vni),
+            "10.0.0.2".parse().unwrap(),
+            dst.parse().unwrap(),
+        )
+        .build()
+    }
+
     #[test]
     fn resolve_through_compressed_path() {
-        let mut t = HwRoutingTable::new(AlpmConfig { bucket_capacity: 2 });
+        let mut tables = HardwareTables::new(AlpmConfig { bucket_capacity: 2 });
+        let t = &mut tables.routes;
         t.insert(
             key(1, "192.168.0.0/16"),
             RouteTarget::Peer(Vni::from_const(2)),
@@ -314,28 +309,46 @@ mod tests {
                 .unwrap();
         }
         t.audit().unwrap();
-        let r = t
-            .resolve(Vni::from_const(1), "192.168.3.4".parse().unwrap())
-            .unwrap();
-        assert_eq!(r.final_vni, Vni::from_const(2));
-        assert_eq!(r.target, RouteTarget::Local);
-        assert_eq!(r.hops, 1);
         let stats = t.alpm_stats();
         assert!(stats.tcam_entries > 0);
         assert!(stats.tcam_entries < t.len());
+
+        let nc = NcAddr::new("10.1.1.12".parse().unwrap());
+        tables
+            .add_vm(Vni::from_const(2), "192.168.3.4".parse().unwrap(), nc)
+            .unwrap();
+        let mut steps = RouteSteps::default();
+        // One peer hop, then the final match in the peer's VNI.
+        assert_eq!(
+            tables.walk(&packet(1, "192.168.3.4"), &mut steps),
+            Walked::ToNc {
+                nc,
+                vni: Vni::from_const(2)
+            }
+        );
+        assert_eq!(
+            steps.0,
+            [
+                Some(RouteTarget::Peer(Vni::from_const(2))),
+                Some(RouteTarget::Local)
+            ]
+        );
     }
 
     #[test]
     fn routing_loop_bounded() {
-        let mut t = HwRoutingTable::default();
+        let mut tables = HardwareTables::default();
+        let t = &mut tables.routes;
         t.insert(key(1, "10.0.0.0/8"), RouteTarget::Peer(Vni::from_const(2)))
             .unwrap();
         t.insert(key(2, "10.0.0.0/8"), RouteTarget::Peer(Vni::from_const(1)))
             .unwrap();
+        let mut steps = RouteSteps::default();
         assert_eq!(
-            t.resolve(Vni::from_const(1), "10.1.1.1".parse().unwrap()),
-            Err(Error::RoutingLoop)
+            tables.walk(&packet(1, "10.1.1.1"), &mut steps),
+            Walked::DropLoop
         );
+        assert_eq!(steps.0.len(), MAX_PEER_HOPS + 1);
     }
 
     #[test]
