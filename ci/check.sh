@@ -175,6 +175,21 @@ fi
 #      failed operations) — no timing is asserted.
 run_step "benchmark" bash -c 'benchmark/run.sh test && benchmark/run.sh run --smoke'
 
+# 10a'. `hot_path` never enters the batch executor's miss stage, so the
+#       wall-clock smoke above cannot see an allocation there: one traced
+#       `miss_walk` pass (counting allocator on) must come out correct
+#       with zero allocations per packet.
+miss_walk_allocs() {
+    local line
+    line=$(benchmark/run.sh run --smoke --workload miss_walk --trace 1 | tail -n 1) || return 1
+    case "${line}" in
+        *'"correct":true'*'"batch.allocs_per_pkt":{"value":0,'*) return 0 ;;
+    esac
+    echo "want \"correct\":true and batch.allocs_per_pkt 0, got: ${line}"
+    return 1
+}
+run_step "benchmark-miss-stage-allocs" miss_walk_allocs
+
 # 10b. Documentation: every public item documents cleanly — broken
 #      intra-doc links or missing docs on lint-enforced crates fail.
 run_step "doc" env RUSTDOCFLAGS="-D warnings" \

@@ -10,7 +10,8 @@ use sailfish_util::bench::Harness;
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
-use sailfish_net::Vni;
+use sailfish_net::rss::Toeplitz;
+use sailfish_net::{FiveTuple, IpProtocol, Vni};
 use sailfish_sim::{Topology, TopologyConfig};
 use sailfish_tables::alpm::{AlpmConfig, AlpmTable};
 use sailfish_tables::digest::DigestExactTable;
@@ -163,11 +164,86 @@ fn bench_digest_lookup(h: &mut Harness) {
     group.finish();
 }
 
+/// What a region install pays for the VM-NC plane: 462k inserts into a
+/// pre-sized digest table (one hash and one probe of a far-larger-than-
+/// cache main plane each), in the region's key shape — sequential hosts
+/// under 25k VNIs, a quarter of them v6 and digest-compressed.
+fn bench_digest_insert(h: &mut Harness) {
+    const ENTRIES: u32 = 462_000;
+    let keys: Vec<VmKey> = (0..ENTRIES)
+        .map(|i| {
+            let host = i / 25_000;
+            let ip = if i % 4 == 0 {
+                core::net::IpAddr::V6(core::net::Ipv6Addr::from(
+                    0x2001_0db8u128 << 96 | u128::from(host),
+                ))
+            } else {
+                core::net::IpAddr::V4(core::net::Ipv4Addr::from(0x0a00_0000 | host))
+            };
+            VmKey::new(Vni::from_const(1 + i % 25_000), ip)
+        })
+        .collect();
+    let mut group = h.group("digest");
+    group.throughput_elements(u64::from(ENTRIES));
+    group.bench_function("insert_462k", |b| {
+        b.iter(|| {
+            let mut table = DigestExactTable::new();
+            table.reserve(keys.len());
+            for (i, k) in keys.iter().enumerate() {
+                table.insert(*k, i).unwrap();
+            }
+            std::hint::black_box(table.stats())
+        })
+    });
+    group.finish();
+}
+
+/// The steering hash of a flow-cache miss (ECMP device pick, dual-owner
+/// pick, DPU placement): 12 input bytes for a v4 tuple, 36 for v6.
+fn bench_toeplitz(h: &mut Harness) {
+    let hasher = Toeplitz::default();
+    let tuples = |v6: bool| -> Vec<FiveTuple> {
+        (0..1024u32)
+            .map(|i| {
+                let (src, dst): (core::net::IpAddr, core::net::IpAddr) = if v6 {
+                    (
+                        core::net::Ipv6Addr::from(0x2001_0db8u128 << 96 | u128::from(i)).into(),
+                        core::net::Ipv6Addr::from(0x2001_0db9u128 << 96 | u128::from(i * 7)).into(),
+                    )
+                } else {
+                    (
+                        core::net::Ipv4Addr::from(0x0a00_0000 | i).into(),
+                        core::net::Ipv4Addr::from(0x0a80_0000 | (i * 7)).into(),
+                    )
+                };
+                FiveTuple::new(src, dst, IpProtocol::Tcp, 1024 + i as u16, 443)
+            })
+            .collect()
+    };
+    let mut group = h.group("toeplitz");
+    group.throughput_elements(1024);
+    for (name, set) in [
+        ("hash_tuple_v4", tuples(false)),
+        ("hash_tuple_v6", tuples(true)),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for t in &set {
+                    std::hint::black_box(hasher.hash_tuple(t));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut h = Harness::from_env("tables");
     bench_lpm_lookup(&mut h);
     bench_alpm_insert(&mut h);
     bench_hw_routing_region(&mut h);
     bench_digest_lookup(&mut h);
+    bench_digest_insert(&mut h);
+    bench_toeplitz(&mut h);
     h.finish();
 }

@@ -94,15 +94,7 @@ impl Scale {
 /// one software rung or shed by a meter/breaker.
 fn three_tier_identity(run: &RunReport) -> bool {
     let c = &run.counters;
-    let decided = c.hw_forwarded + c.acl_denied + c.loop_drops + c.punted();
-    let punt_served = c.dpu_forwarded
-        + c.dpu_dropped
-        + c.fallback_forwarded
-        + c.fallback_dropped
-        + c.punt_rate_limited
-        + c.punt_breaker_open;
-    c.parsed == decided
-        && c.punted() == punt_served
+    c.unaccounted() == (0, 0)
         && c.dpu_spilled == c.dpu_forwarded + c.dpu_dropped
         && c.parse_errors == 0
 }

@@ -11,8 +11,7 @@
 //! via a load balancer"), then flow-hash ECMP choosing the *device*
 //! within the cluster.
 
-use std::collections::HashMap;
-
+use sailfish_net::hash::MixMap;
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::{FiveTuple, Vni};
 
@@ -126,10 +125,15 @@ pub fn pick_owner(hasher: &Toeplitz, tuple: &FiveTuple, primary: usize, secondar
 /// During an elastic re-shard a VNI can temporarily have a *second*
 /// owner (`Dual` phase of the make-before-break sequence): the primary
 /// map keeps the old owner until `promote` retargets it in one step.
+///
+/// Every packet the flow cache misses probes it, and the controller
+/// provisions its keys, so both maps hash VNIs with the fixed-key
+/// [`sailfish_net::hash::MixState`] — which also makes two directories
+/// built from one plan iterate in the same order.
 #[derive(Debug, Clone, Default)]
 pub struct VniDirectory {
-    map: HashMap<Vni, usize>,
-    dual: HashMap<Vni, usize>,
+    map: MixMap<Vni, usize>,
+    dual: MixMap<Vni, usize>,
 }
 
 impl VniDirectory {

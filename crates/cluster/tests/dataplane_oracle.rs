@@ -60,7 +60,7 @@ enum DeviceView {
 }
 
 fn device_view(tables: &HardwareTables, flow: &Flow) -> DeviceView {
-    let walked = tables.walk(&traffic::packet_for_flow(flow), &mut ());
+    let walked = tables.walk(flow.vni, &flow.tuple, &mut ());
     match CachedAction::from(walked).decision() {
         Some(decided) => DeviceView::Terminal(decided),
         None => DeviceView::Punt,

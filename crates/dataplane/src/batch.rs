@@ -16,11 +16,26 @@
 //!    drop into the error lane as typed `FrameError`s, counted per kind
 //!    *and* per layer, and never branch the later loops. Only probe
 //!    misses park their view in the pending lane.
-//! 2. **Miss loop** (empty once the cache is warm): each pending frame
-//!    re-probes (an earlier miss in the same batch may have inserted the
-//!    flow), is steered *before* any owned parse, and only a genuine
-//!    directory-resident miss builds the owned `GatewayPacket` for the
-//!    full table walk, recording the outcome for the rest of the flow.
+//! 2. **Miss stage** (empty once the cache is warm), a short software
+//!    pipeline over the batch's pending lane. A miss is a chain of
+//!    *dependent* memory levels — directory bucket → per-VNI table handle
+//!    and VM-NC slot → ALPM roots → ALPM bucket — each a likely DRAM miss
+//!    at region scale, and walking one frame to completion before the
+//!    next starts pays them back to back. So `warm_misses` first runs the
+//!    whole lane through the levels *one level per loop*, a group of
+//!    frames at a time, carrying each frame's handle forward in a stack
+//!    lane: the loads of one level are independent across frames and
+//!    overlap, the way XGW-H keeps many packets in flight through a
+//!    fixed-depth pipeline. That pass calls the same level functions
+//!    `HwRoutingTable::lookup` is composed of and throws every result
+//!    away — it counts, charges, caches and allocates nothing. The
+//!    **miss loop** proper then runs in lane order over warm lines: each
+//!    frame re-probes (an earlier miss in the same batch may have
+//!    inserted the flow), is steered, and walks the tables keyed by the
+//!    `(vni, five_tuple)` its view already parsed — no owned
+//!    `GatewayPacket` is built on this path — recording the outcome for
+//!    the rest of the flow. Only a frame's *first* hop is warmed: a peer
+//!    chain's later hops depend on the route the first one matches.
 //! 3. **Apply loop** (original frame order, so punts queue — and the
 //!    stateful software tier serves them — in arrival order): bump
 //!    attribution counters, charge the virtual clock, rewrite `ToNc`
@@ -66,6 +81,10 @@ use sailfish_net::checksum;
 use sailfish_net::view::FrameView;
 use sailfish_net::wire::ethernet;
 use sailfish_net::{Error, FrameError, FrameLayer, GatewayPacket, Vni};
+use sailfish_tables::alpm::AlpmTable;
+use sailfish_tables::pooled::plane_addr;
+use sailfish_tables::types::RouteTarget;
+use sailfish_xgw_h::tables::HardwareTables;
 use sailfish_xgw_x86::SoftwareForwarder;
 
 use crate::cache::{CachedAction, FlowCache, FlowOutcome};
@@ -78,6 +97,12 @@ use crate::rewrite;
 /// How many slots ahead the parse lane warms the next frames' header
 /// cache lines (see the stage-1 loop).
 const PARSE_LOOKAHEAD: usize = 2;
+
+/// How many pending misses `warm_misses` carries through the walk's
+/// memory levels together: enough independent loads in flight to cover a
+/// DRAM miss, few enough that the first frame's lines are still in L1
+/// when the miss loop reaches it.
+const WARM_GROUP: usize = 16;
 
 /// Frame-local facts the apply loop needs for an in-arena rewrite:
 /// where the VXLAN header sits, where the rewrite region ends (the inner
@@ -341,16 +366,15 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
         std::hint::black_box(warmed);
         worker.ladder.clock_ns += cost::PARSE_NS * batch.len() as u64;
 
-        // Stage 2 — miss loop: the only place the owned packet model and
-        // the full table walk run. Empty once the cache is warm.
+        // Stage 2 — miss stage: warm the lane level by level, then the
+        // in-order miss loop, the only place the full table walk runs.
+        // Empty once the cache is warm.
         let pending = std::mem::take(&mut worker.pending);
+        if !pending.is_empty() {
+            warm_misses(&state, &pending);
+        }
         for &(pos, ref view) in &pending {
-            let (Some(frame), Some(slot)) = (
-                batch
-                    .get(pos as usize)
-                    .and_then(|idx| frames.get(*idx as usize)),
-                worker.slots.get_mut(pos as usize),
-            ) else {
+            let Some(slot) = worker.slots.get_mut(pos as usize) else {
                 continue;
             };
             // Re-probe: an earlier miss in this same batch may have
@@ -361,19 +385,14 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                 *slot = file_hit(&state, &mut worker.ladder, dual_live, outcome, view);
                 continue;
             }
-            // Steering first, straight from the view: a directory miss
-            // never needs the owned packet model.
+            // Steering and the walk are keyed by what the view parsed:
+            // no owned packet model on the miss path.
             let tuple = view.five_tuple();
             let Some(steer) = worker.ladder.steer(&state, view.vni, &tuple) else {
                 *slot = SlotState::DirectoryMiss;
                 continue;
             };
-            // The view parsed, so the owned parse cannot fail (pinned by
-            // the view-parity property tests).
-            let Ok(packet) = GatewayPacket::parse_classified(frame) else {
-                continue;
-            };
-            let action = worker.ladder.walk(&steer.cluster.tables, &packet);
+            let action = worker.ladder.walk(&steer.cluster.tables, view.vni, &tuple);
             let outcome = FlowOutcome {
                 action,
                 slot: steer.slot,
@@ -433,6 +452,56 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
             ));
         }
         worker.ladder.note_batch(state.epoch, batch_digest);
+    }
+}
+
+/// Runs a batch's pending misses through the memory levels of the walk's
+/// first hop, one level per loop over a [`WARM_GROUP`] of frames, so the
+/// (likely DRAM) loads of a level overlap across frames instead of
+/// queueing behind one frame's dependent chain. Each level is the piece
+/// of [`sailfish_xgw_h::tables::HwRoutingTable::lookup`] it warms, called
+/// on the pinned epoch and discarded: nothing is counted, charged, cached
+/// or allocated, so the miss loop that follows observes only warmer
+/// lines. Out of line because, inlined, its register pressure costs the
+/// parse and apply loops of `run_worker` on batches that never miss.
+#[inline(never)]
+fn warm_misses(state: &EpochState, pending: &[(u32, FrameView)]) {
+    use std::hint::black_box;
+    for group in pending.chunks(WARM_GROUP) {
+        // Level 1 — directory bucket: the serving cluster's tables. (In
+        // a dual-ownership window some flows are served by the second
+        // owner; warming the primary's is still only a hint.)
+        let mut tables: [Option<&HardwareTables>; WARM_GROUP] = [None; WARM_GROUP];
+        for (lane, (_, view)) in tables.iter_mut().zip(group) {
+            *lane = state
+                .directory
+                .cluster_for(view.vni)
+                .and_then(|c| state.clusters.get(c))
+                .map(|c| &c.tables);
+        }
+        // Level 2 — the per-VNI index bucket holding the table handle,
+        // and the VM-NC slot, which needs nothing but `(vni, dst)`.
+        let mut planes: [Option<(&AlpmTable<RouteTarget>, u128)>; WARM_GROUP] = [None; WARM_GROUP];
+        for ((lane, tables), (_, view)) in planes.iter_mut().zip(tables).zip(group) {
+            let Some(tables) = tables else { continue };
+            let dst = view.five_tuple().dst_ip;
+            black_box(tables.vm_nc.lookup_traced(view.vni, dst));
+            *lane = tables
+                .routes
+                .table(view.vni)
+                .map(|table| (table.plane(dst.is_ipv4()), plane_addr(dst)));
+        }
+        // Level 3 — ALPM first level: the roots array.
+        let mut roots: [Option<usize>; WARM_GROUP] = [None; WARM_GROUP];
+        for (lane, plane) in roots.iter_mut().zip(planes) {
+            *lane = plane.and_then(|(plane, addr)| plane.deepest_root(addr, 128));
+        }
+        // Level 4 — ALPM second level: the owning root's bucket.
+        for (root, plane) in roots.into_iter().zip(planes) {
+            if let (Some(root), Some((plane, addr))) = (root, plane) {
+                black_box(plane.match_in(root, addr));
+            }
+        }
     }
 }
 

@@ -706,18 +706,9 @@ pub fn run_schedule(
         let run = dp.run_single(&seq, &mut fallback);
         let c = &run.counters;
 
-        // Invariant 1: no black hole. Two exact accounting identities,
-        // checked as absolute differences so a broken identity reports a
-        // violation instead of underflowing.
-        let decided = c.hw_forwarded + c.acl_denied + c.loop_drops + c.punted();
-        let unaccounted = c.parsed.abs_diff(decided);
-        let punt_served = c.dpu_forwarded
-            + c.dpu_dropped
-            + c.fallback_forwarded
-            + c.fallback_dropped
-            + c.punt_rate_limited
-            + c.punt_breaker_open;
-        let punt_residue = c.punted().abs_diff(punt_served);
+        // Invariant 1: no black hole — the two exact accounting
+        // identities of `TableCounters::unaccounted`.
+        let (unaccounted, punt_residue) = c.unaccounted();
         if unaccounted != 0 || punt_residue != 0 || c.parse_errors != 0 {
             report.violations.push(InvariantViolation {
                 slot,

@@ -182,6 +182,32 @@ impl TableCounters {
     pub fn punted(&self) -> u64 {
         self.punt_snat + self.punt_no_route + self.punt_no_vm
     }
+
+    /// The no-black-hole accounting identity over a resolved run, as the
+    /// packets it cannot explain: `(undecided, unserved)`, both zero in a
+    /// correct run. Every parsed frame ends in exactly one disposition —
+    /// forwarded in hardware, dropped with a reason, or classified as a
+    /// punt — and every punt is served by exactly one software rung,
+    /// translated on-chip by the SNAT offload, or shed by a counted
+    /// meter/breaker. Absolute differences, so a broken identity reports
+    /// a count instead of underflowing.
+    pub fn unaccounted(&self) -> (u64, u64) {
+        let classified = self.hw_forwarded + self.acl_denied + self.loop_drops + self.punted();
+        // An offloaded SNAT packet sits in both `punt_snat` (a
+        // classification lane) and `hw_forwarded`.
+        let decided = classified.saturating_sub(self.snat_translations);
+        let served = self.dpu_forwarded
+            + self.dpu_dropped
+            + self.fallback_forwarded
+            + self.fallback_dropped
+            + self.punt_rate_limited
+            + self.punt_breaker_open
+            + self.snat_translations;
+        (
+            self.parsed.abs_diff(decided),
+            self.punted().abs_diff(served),
+        )
+    }
 }
 
 #[cfg(test)]

@@ -103,7 +103,9 @@ pub fn walk(
     packet: &GatewayPacket,
     counters: &mut TableCounters,
 ) -> HwDecision {
-    tables.walk(packet, counters).into_decision(packet)
+    tables
+        .walk(packet.vni, &packet.five_tuple(), counters)
+        .into_decision(packet)
 }
 
 #[cfg(test)]
@@ -240,9 +242,9 @@ mod tests {
             let mut priced = Ladder::<u32>::new(&config);
             for _ in 0..64 {
                 let p = random_packet(rng);
-                let silent = g.tables.walk(&p, &mut ());
+                let silent = g.tables.walk(p.vni, &p.five_tuple(), &mut ());
                 priced.reset(&config);
-                let counted = g.tables.walk(&p, &mut priced);
+                let counted = g.tables.walk(p.vni, &p.five_tuple(), &mut priced);
                 assert_eq!(silent, counted, "a sink changed the decision");
                 assert_eq!(
                     walk(&g.tables, &p, &mut TableCounters::default()),
@@ -326,7 +328,7 @@ mod tests {
         )
         .build();
         let mut priced = Ladder::<u32>::new(&DataplaneConfig::default());
-        g.tables.walk(&p, &mut priced);
+        g.tables.walk(p.vni, &p.five_tuple(), &mut priced);
         assert_eq!(
             priced.clock_ns,
             cost::ACL_NS + cost::ROUTE_LOOKUP_NS + cost::VM_LOOKUP_NS

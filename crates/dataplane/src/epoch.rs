@@ -468,6 +468,27 @@ mod tests {
         assert_eq!(state.clusters.len(), DataplaneConfig::default().clusters);
     }
 
+    /// The directory, the per-VNI index and the digest planes hash with a
+    /// fixed key, so two builds of one topology are the same maps in the
+    /// same iteration order (`Debug` prints a map in that order) —
+    /// something the per-map random SipHash keys never gave.
+    #[test]
+    fn two_builds_of_one_topology_iterate_alike() {
+        let topo = topology();
+        let config = DataplaneConfig::default();
+        let a = EpochState::build(&topo, &config, 1);
+        let b = EpochState::build(&topo, &config, 1);
+        assert_eq!(format!("{:?}", a.directory), format!("{:?}", b.directory));
+        for (ca, cb) in a.clusters.iter().zip(&b.clusters) {
+            assert!(!ca.tables.routes.is_empty() && !ca.tables.vm_nc.is_empty());
+            assert_eq!(
+                format!("{:?}", ca.tables.routes),
+                format!("{:?}", cb.tables.routes)
+            );
+            assert!(ca.tables.vm_nc.iter().eq(cb.tables.vm_nc.iter()));
+        }
+    }
+
     #[test]
     fn publish_swaps_and_enforces_monotonic_epochs() {
         let topo = topology();

@@ -277,7 +277,7 @@ impl Dataplane {
                 (action, true)
             }
             None => {
-                let action = st.ladder.walk(&steer.cluster.tables, &packet);
+                let action = st.ladder.walk(&steer.cluster.tables, packet.vni, &tuple);
                 st.cache.insert(packet.vni, &tuple, action);
                 (action, false)
             }
@@ -374,7 +374,7 @@ impl Dataplane {
         ) else {
             return Some(software());
         };
-        let action = CachedAction::from(steer.cluster.tables.walk(&packet, &mut ()));
+        let action = CachedAction::from(steer.cluster.tables.walk(packet.vni, &tuple, &mut ()));
         Some(match action.decision() {
             Some(decided) => decided,
             // A promoted SNAT flow never reaches the fallback.

@@ -188,9 +188,14 @@ impl<T: Copy> Ladder<T> {
 
     /// Accounts one flow-cache miss: the full table walk, counted per
     /// stage and priced on the virtual clock as it runs.
-    pub(crate) fn walk(&mut self, tables: &HardwareTables, packet: &GatewayPacket) -> CachedAction {
+    pub(crate) fn walk(
+        &mut self,
+        tables: &HardwareTables,
+        vni: Vni,
+        tuple: &FiveTuple,
+    ) -> CachedAction {
         self.counters.cache_misses += 1;
-        tables.walk(packet, self).into()
+        tables.walk(vni, tuple, self).into()
     }
 
     /// Accounts a SNAT punt the epoch's offload served on-chip (see

@@ -10,7 +10,9 @@
 //! published SNAT offload, a live dual-ownership window. A warm cache may
 //! shift the hit/miss split but never the decision digest. Hostile
 //! batches (structure-aware mutants mixed with valid traffic) must
-//! produce identical per-layer error counts on both paths.
+//! produce identical per-layer error counts on both paths. Every compared
+//! report must also satisfy the no-black-hole accounting identity: a
+//! frame counted as parsed ends in exactly one disposition lane.
 
 use sailfish_dataplane::batch::BatchExecutor;
 use sailfish_dataplane::chaos::{busiest_anchor, ChaosConfig};
@@ -107,6 +109,13 @@ fn assert_reports_match(scalar: &RunReport, batch: &RunReport, what: &str) {
         scalar.packets, batch.packets,
         "{what}: packet count diverged"
     );
+    for (driver, report) in [("scalar", scalar), ("batch", batch)] {
+        assert_eq!(
+            report.counters.unaccounted(),
+            (0, 0),
+            "{what}: {driver} driver black-holed packets (undecided, unserved)"
+        );
+    }
 }
 
 #[test]
@@ -214,6 +223,61 @@ fn cold_batch_matches_inside_a_dual_ownership_window() {
         "no packet took the secondary owner"
     );
     assert_eq!(report.counters.epoch_violations, 0);
+}
+
+/// One batch built against the miss stage's assumptions: the warm pass
+/// sees each pending frame's *first* hop in the *primary* owner's tables
+/// and nothing else, so everything it does not cover must still come out
+/// of the miss loop exactly as the frame-at-a-time driver decides it.
+#[test]
+fn one_batch_of_awkward_misses_matches_scalar() {
+    let (topology, flows, frames) = workload_flows(900);
+    let dp = Dataplane::build(&topology, DataplaneConfig::default());
+    let is_v6 = |f: &Flow| f.tuple.dst_ip.is_ipv6();
+    let pick = |what: &str, want: &dyn Fn(&Flow) -> bool| -> usize {
+        flows
+            .iter()
+            .position(want)
+            .unwrap_or_else(|| panic!("workload has no {what} flow"))
+    };
+    let first = pick("intra-VPC v4", &|f| {
+        matches!(f.kind, FlowKind::IntraVpc) && !is_v6(f)
+    });
+    let second = pick("second intra-VPC v4", &|f| {
+        matches!(f.kind, FlowKind::IntraVpc) && !is_v6(f) && f.vni != flows[first].vni
+    });
+    // Its second hop runs in the peer's VNI, which the warm pass never
+    // touched.
+    let peered = pick("cross-VPC", &|f| matches!(f.kind, FlowKind::CrossVpc));
+    let v6 = pick("v6 destination", &is_v6);
+    // A VNI no cluster owns: the directory level yields nothing to carry
+    // forward and the frame default-routes to software.
+    let mut stray = traffic::packet_for_flow(&flows[first]);
+    stray.vni = sailfish_net::Vni::from_const(0xfe_dcba);
+    let stray = stray.emit().unwrap();
+    let hostile = &frames[second][..60];
+
+    let seq: Vec<&[u8]> = vec![
+        &frames[first],
+        &frames[second],
+        // Probed in stage 1 before `first` is inserted, so it parks in
+        // the pending lane, is warmed a second time, and must then hit
+        // on the re-probe like the frame-at-a-time driver does.
+        &frames[first],
+        &frames[peered],
+        &stray,
+        &frames[v6],
+        hostile,
+    ];
+    assert!(seq.len() <= dp.config().batch_size, "must stay one batch");
+
+    let report = cold_pair(&dp, &topology, &seq, "awkward misses");
+    let c = &report.counters;
+    assert_eq!(c.cache_hits, 1, "the duplicate is a re-probe hit");
+    assert_eq!(c.cache_misses, 4, "first, second, peered, v6 each walk");
+    assert!(c.peer_hops >= 1, "no peer chain walked");
+    assert_eq!(c.parse_errors, 1, "the truncated frame is a counted error");
+    assert!(c.punt_no_route >= 1, "the stray VNI default-routes to x86");
 }
 
 #[test]

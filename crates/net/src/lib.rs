@@ -26,6 +26,8 @@
 //!   `GatewayPacket::parse_classified`,
 //! - [`flow::FiveTuple`]: the flow key used by RSS and SNAT,
 //! - [`rss`]: the Toeplitz hash used by NICs for receive-side scaling,
+//! - [`hash`]: the fixed-key hasher of the control-plane-provisioned
+//!   tables (VNI directory, per-VNI index, digest planes),
 //! - [`checksum`]: Internet checksum helpers shared by the wire types.
 
 #![forbid(unsafe_code)]
@@ -33,6 +35,7 @@
 pub mod checksum;
 pub mod error;
 pub mod flow;
+pub mod hash;
 pub mod mac;
 // The wire and packet hot paths parse hostile bytes; panicking slice math
 // is a lint error there (escalated to deny by CI's `-D warnings`). Impl

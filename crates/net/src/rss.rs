@@ -18,60 +18,95 @@ pub const MICROSOFT_KEY: [u8; 40] = [
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ];
 
+/// The longest input a 40-byte key can hash: each input bit selects a
+/// 32-bit key window, and the last full window starts at bit 36 × 8 − 1.
+/// An IPv6 4-tuple is exactly this long.
+const MAX_INPUT: usize = 36;
+
+/// Per-position contribution tables: `windows[i][b]` is the XOR of the
+/// key windows selected by the set bits of byte value `b` at input
+/// position `i`, so a hash is one load and one XOR per input byte.
+type Windows = [[u32; 256]; MAX_INPUT];
+
+const fn windows_of(key: &[u8; 40]) -> Windows {
+    let mut table = [[0u32; 256]; MAX_INPUT];
+    let mut i = 0;
+    while i < MAX_INPUT {
+        // The eight windows opening inside key byte `i` all sit in the
+        // 40 bits of key bytes `i..i + 5`.
+        let bits = (key[i] as u64) << 32
+            | (key[i + 1] as u64) << 24
+            | (key[i + 2] as u64) << 16
+            | (key[i + 3] as u64) << 8
+            | key[i + 4] as u64;
+        let mut byte = 1usize;
+        while byte < 256 {
+            // Everything but the lowest set bit is already filled in.
+            let low = byte & byte.wrapping_neg();
+            let window = (bits >> (1 + low.trailing_zeros())) as u32;
+            table[i][byte] = table[i][byte ^ low] ^ window;
+            byte += 1;
+        }
+        i += 1;
+    }
+    table
+}
+
+/// The default key's tables, shared by every [`Toeplitz::default`].
+static MICROSOFT_WINDOWS: Windows = windows_of(&MICROSOFT_KEY);
+
 /// A Toeplitz hasher parameterized by a 40-byte secret key.
 ///
 /// A 40-byte key supports inputs up to 36 bytes (IPv6 5-tuples), matching
 /// real NIC constraints.
 #[derive(Debug, Clone)]
 pub struct Toeplitz {
-    key: [u8; 40],
+    windows: KeyWindows,
+}
+
+/// The default key borrows the one static table set — a default hasher
+/// costs nothing to build, clone or embed (ECMP groups and workers hold
+/// one each) — and a custom key owns its 36 KiB.
+#[derive(Debug, Clone)]
+enum KeyWindows {
+    Microsoft,
+    Custom(Box<Windows>),
 }
 
 impl Default for Toeplitz {
     fn default() -> Self {
-        Toeplitz { key: MICROSOFT_KEY }
+        Toeplitz {
+            windows: KeyWindows::Microsoft,
+        }
     }
 }
 
 impl Toeplitz {
     /// Builds a hasher with a custom key.
     pub fn new(key: [u8; 40]) -> Self {
-        Toeplitz { key }
+        Toeplitz {
+            windows: KeyWindows::Custom(Box::new(windows_of(&key))),
+        }
     }
 
-    /// Hashes an arbitrary input byte string (at most 36 bytes, the IPv6
-    /// 4-tuple size; longer inputs would run off the end of the key).
+    /// Hashes an input byte string: for each set bit of the input (MSB
+    /// first), XORs in the 32-bit window of the key starting at that bit
+    /// position.
     ///
-    /// For each set bit of the input (MSB first), XORs in the 32-bit window
-    /// of the key starting at that bit position.
+    /// Only the first 36 bytes (the IPv6 4-tuple size) take part: past
+    /// them the key has no full window left to select, so longer inputs
+    /// hash as their 36-byte prefix.
     pub fn hash_bytes(&self, input: &[u8]) -> u32 {
-        assert!(
-            input.len() * 8 + 32 <= self.key.len() * 8,
-            "input of {} bytes exceeds the {}-byte Toeplitz key",
-            input.len(),
-            self.key.len()
-        );
-        let key = &self.key;
-        // 64-bit register; the top 32 bits are the current key window.
-        let mut window = u64::from(u32::from_be_bytes([key[0], key[1], key[2], key[3]])) << 32
-            | u64::from(u32::from_be_bytes([key[4], key[5], key[6], key[7]]));
-        let mut next_key_byte = 8;
-        let mut result = 0u32;
-        for &byte in input {
-            for bit in (0..8).rev() {
-                if byte >> bit & 1 == 1 {
-                    result ^= (window >> 32) as u32;
-                }
-                window <<= 1;
-            }
-            // After 8 shifts the low byte of the register is free; refill it
-            // with the next key byte while any remain.
-            if next_key_byte < key.len() {
-                window |= u64::from(key[next_key_byte]);
-                next_key_byte += 1;
-            }
-        }
-        result
+        let windows = match &self.windows {
+            KeyWindows::Microsoft => &MICROSOFT_WINDOWS,
+            KeyWindows::Custom(windows) => &**windows,
+        };
+        windows
+            .iter()
+            .zip(input)
+            .fold(0, |hash, (position, &byte)| {
+                hash ^ position[usize::from(byte)]
+            })
     }
 
     /// Hashes a 5-tuple the way a dual-stack NIC does: source address,
@@ -211,9 +246,60 @@ mod tests {
         t.queue_for(&tuple, 0);
     }
 
+    /// The specification's bit-serial form, kept as the oracle for the
+    /// table form: shift a 64-bit register through the key one input bit
+    /// at a time.
+    fn hash_bit_serial(key: &[u8; 40], input: &[u8]) -> u32 {
+        let mut window = u64::from_be_bytes(key[..8].try_into().unwrap());
+        let mut next_key_byte = 8;
+        let mut result = 0u32;
+        for &byte in input {
+            for bit in (0..8).rev() {
+                if byte >> bit & 1 == 1 {
+                    result ^= (window >> 32) as u32;
+                }
+                window <<= 1;
+            }
+            if next_key_byte < key.len() {
+                window |= u64::from(key[next_key_byte]);
+                next_key_byte += 1;
+            }
+        }
+        result
+    }
+
     #[test]
-    #[should_panic(expected = "Toeplitz key")]
-    fn oversized_input_panics() {
-        Toeplitz::default().hash_bytes(&[0u8; 37]);
+    fn table_form_matches_bit_serial_oracle_for_every_length() {
+        use sailfish_util::rand::Rng;
+        sailfish_util::check::run("toeplitz_table_vs_bit_serial", 64, |rng| {
+            let mut key = [0u8; 40];
+            key.iter_mut().for_each(|b| *b = rng.gen());
+            let hasher = Toeplitz::new(key);
+            for len in 0..=MAX_INPUT {
+                let input: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                assert_eq!(
+                    hasher.hash_bytes(&input),
+                    hash_bit_serial(&key, &input),
+                    "len {len}"
+                );
+            }
+        });
+        let input: Vec<u8> = (0..MAX_INPUT as u8).collect();
+        assert_eq!(
+            Toeplitz::default().hash_bytes(&input),
+            hash_bit_serial(&MICROSOFT_KEY, &input)
+        );
+    }
+
+    #[test]
+    fn oversized_input_hashes_as_its_36_byte_prefix() {
+        let t = Toeplitz::default();
+        let mut input = [0xa5u8; 64];
+        let prefix = t.hash_bytes(&input[..MAX_INPUT]);
+        assert_eq!(t.hash_bytes(&input[..37]), prefix);
+        input[40] ^= 0xff;
+        assert_eq!(t.hash_bytes(&input), prefix);
+        input[35] ^= 1;
+        assert_ne!(t.hash_bytes(&input), prefix);
     }
 }

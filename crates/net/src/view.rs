@@ -65,8 +65,9 @@ impl FlowKey {
     }
 
     /// A fast 64-bit mix of the key for open-addressing indexes. Not
-    /// Toeplitz — the batch path deliberately avoids the bit-serial RSS
-    /// hash; determinism, not compatibility, is the requirement.
+    /// Toeplitz — a cache index needs all 64 bits mixed, not RSS
+    /// placement; determinism, not compatibility, is the requirement.
+    /// [`crate::hash::MixState`] is the same recipe behind `BuildHasher`.
     #[inline]
     pub fn mix(&self) -> u64 {
         const K: u64 = 0x9e37_79b9_7f4a_7c15;

@@ -242,16 +242,25 @@ impl<T: Clone> AlpmTable<T> {
         Some(removed)
     }
 
-    /// Longest-prefix lookup through the compressed (TCAM + bucket) path.
+    /// Longest-prefix lookup through the compressed path: the first-level
+    /// search ([`AlpmTable::deepest_root`]) then the second-level match
+    /// ([`AlpmTable::match_in`]). The two are public so a caller with many
+    /// independent lookups in hand can run each level across all of them.
     pub fn lookup(&self, addr: u128) -> Option<(Key128, &T)> {
-        let i = self.deepest_root(addr, 128)?;
-        self.bucket(i)
+        self.match_in(self.deepest_root(addr, 128)?, addr)
+    }
+
+    /// Second level ("SRAM"): the longest entry of partition `root`'s
+    /// bucket matching `addr`, else the partition's replicated default.
+    /// `root` is what [`AlpmTable::deepest_root`] returned for `addr`.
+    pub fn match_in(&self, root: usize, addr: u128) -> Option<(Key128, &T)> {
+        self.bucket(root)
             .iter()
             .filter(|(k, _)| matches(k, addr))
             .max_by_key(|(k, _)| k.len)
             .map(|(k, v)| (*k, v))
             .or_else(|| {
-                let (k, v) = self.roots.get(i)?.default.as_ref()?;
+                let (k, v) = self.roots.get(root)?.default.as_ref()?;
                 Some((*k, v))
             })
     }
@@ -351,15 +360,16 @@ impl<T: Clone> AlpmTable<T> {
         self.slots.get(self.bucket_range(i)).unwrap_or(&[])
     }
 
-    /// The deepest root covering the prefix `value/len` — the owner of a
-    /// route with that key, or with `len == 128` of an address.
+    /// First level ("TCAM"): the deepest root covering the prefix
+    /// `value/len` — the owner of a route with that key, or with
+    /// `len == 128` of an address.
     ///
     /// Every root covering the prefix sorts at or before it, shallowest
     /// first, and every root between the deepest of them and the prefix is
     /// a descendant of that deepest one. So the last root at or before the
     /// prefix is the answer or lies below it, and walking up from there
     /// the first root that covers the prefix is the deepest that does.
-    fn deepest_root(&self, value: u128, len: u8) -> Option<usize> {
+    pub fn deepest_root(&self, value: u128, len: u8) -> Option<usize> {
         let covers = |r: &Root<T>| r.key.len <= len && matches(&r.key, value);
         if self.roots.len() <= LINEAR_ROOTS {
             return self.roots.iter().rposition(covers);

@@ -176,10 +176,20 @@ impl<T: Clone> PooledAlpm<T> {
         table.remove(plane_key(prefix))
     }
 
+    /// The family plane lookups of that family run against.
+    pub fn plane(&self, v4: bool) -> &AlpmTable<T> {
+        if v4 {
+            &self.v4
+        } else {
+            &self.v6
+        }
+    }
+
     /// Longest-prefix lookup through the compressed path.
     pub fn lookup(&self, addr: IpAddr) -> Option<(u8, &T)> {
-        let table = if addr.is_ipv4() { &self.v4 } else { &self.v6 };
-        table.lookup(plane_addr(addr)).map(|(k, v)| (k.len, v))
+        self.plane(addr.is_ipv4())
+            .lookup(plane_addr(addr))
+            .map(|(k, v)| (k.len, v))
     }
 
     /// Pooled ALPM layout statistics (both planes summed — they share the

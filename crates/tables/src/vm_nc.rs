@@ -55,6 +55,10 @@ impl VmNcTable {
 
     /// Finds the NC hosting a VM, reporting which digest plane resolved
     /// the key (main vs conflict table) for dataplane counters.
+    //
+    // Always inlined so the key never round-trips through memory; see
+    // `DigestExactTable::get_traced`.
+    #[inline(always)]
     pub fn lookup_traced(&self, vni: Vni, vm_ip: IpAddr) -> (Option<NcAddr>, DigestLookup) {
         let (v, trace) = self.inner.get_traced(&VmKey::new(vni, vm_ip));
         (v.copied(), trace)

@@ -9,10 +9,13 @@ use sailfish_util::check;
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::Rng;
 
-use sailfish_net::Vni;
+use core::net::IpAddr;
+
+use sailfish_net::{IpPrefix, Vni};
 use sailfish_tables::alpm::{AlpmConfig, AlpmTable};
 use sailfish_tables::digest::DigestExactTable;
 use sailfish_tables::lpm::{Key128, Lpm128};
+use sailfish_tables::pooled::{plane_addr, PooledAlpm, PooledPrefixMap};
 use sailfish_tables::tcam::{Tcam, TcamEntry};
 use sailfish_tables::types::VmKey;
 
@@ -82,6 +85,9 @@ fn lpm_matches_naive() {
 /// ALPM agrees with an independently maintained trie *and* a naive scan
 /// — return values, size and lookups — and keeps its structural
 /// invariants after every single operation, for every bucket capacity.
+/// Lookups go through the two public levels (`deepest_root`, then
+/// `match_in`) the batch miss path runs separately, and must equal their
+/// composition `lookup`.
 #[test]
 fn alpm_equivalent_and_sound() {
     check::run("alpm_equivalent_and_sound", 256, |rng| {
@@ -95,7 +101,11 @@ fn alpm_equivalent_and_sound() {
         let mut naive: Vec<(Key128, u32)> = Vec::new();
         let check_lookup =
             |t: &AlpmTable<u32>, trie: &Lpm128<u32>, naive: &[(Key128, u32)], addr| {
-                let got = t.lookup(addr).map(|(k, v)| (k.len, *v));
+                let got = t
+                    .deepest_root(addr, 128)
+                    .and_then(|root| t.match_in(root, addr))
+                    .map(|(k, v)| (k.len, *v));
+                assert_eq!(got, t.lookup(addr).map(|(k, v)| (k.len, *v)));
                 assert_eq!(got, trie.lookup(addr).map(|(k, v)| (k.len, *v)));
                 let scan = naive
                     .iter()
@@ -132,6 +142,47 @@ fn alpm_equivalent_and_sound() {
         assert!(t.audit().is_ok(), "rebuilt: {:?}", t.audit());
         for (k, _) in &naive {
             check_lookup(&t, &trie, &naive, k.value);
+        }
+    });
+}
+
+/// The dual-stack table walked level by level — family plane, first
+/// level, second level — agrees with the trie-backed pooled map and with
+/// its own `lookup`, and an address never matches the other family.
+#[test]
+fn pooled_alpm_levels_match_pooled_trie() {
+    check::run("pooled_alpm_levels_match_pooled_trie", 128, |rng| {
+        let arb_prefix = |rng: &mut StdRng| -> IpPrefix {
+            if rng.gen_bool(0.5) {
+                let addr = core::net::Ipv4Addr::from(rng.gen_range(0..1u32 << 12) << 20);
+                IpPrefix::new(addr.into(), rng.gen_range(0..=12)).unwrap()
+            } else {
+                let addr = core::net::Ipv6Addr::from(rng.gen_range(0..1u128 << 12) << 116);
+                IpPrefix::new(addr.into(), rng.gen_range(0..=12)).unwrap()
+            }
+        };
+        let mut alpm = PooledAlpm::new(AlpmConfig {
+            bucket_capacity: rng.gen_range(1usize..=6),
+        });
+        let mut map = PooledPrefixMap::new();
+        for i in 0..rng.gen_range(1..120u32) {
+            let prefix = arb_prefix(rng);
+            assert_eq!(alpm.insert(prefix, i).unwrap(), map.insert(prefix, i));
+        }
+        for _ in 0..40 {
+            let addr: IpAddr = if rng.gen_bool(0.5) {
+                core::net::Ipv4Addr::from(rng.gen::<u32>()).into()
+            } else {
+                core::net::Ipv6Addr::from(rng.gen::<u128>()).into()
+            };
+            let plane = alpm.plane(addr.is_ipv4());
+            let bits = plane_addr(addr);
+            let got = plane
+                .deepest_root(bits, 128)
+                .and_then(|root| plane.match_in(root, bits))
+                .map(|(k, v)| (k.len, *v));
+            assert_eq!(got, alpm.lookup(addr).map(|(l, v)| (l, *v)), "{addr}");
+            assert_eq!(got, map.lookup(addr).map(|(l, v)| (l, *v)), "{addr}");
         }
     });
 }

@@ -15,7 +15,7 @@
 //! "rate limiting is necessary at XGW-H before forwarding the traffic to
 //! XGW-x86 for overload protection" (§4.2).
 
-use sailfish_net::{GatewayPacket, Vni};
+use sailfish_net::{FiveTuple, GatewayPacket, Vni};
 use sailfish_tables::acl::AclAction;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::digest::DigestLookup;
@@ -173,14 +173,17 @@ impl HardwareTables {
     /// the bounded peer-VPC route chain, the VM-NC digest probe —
     /// reporting every table interaction to `sink`. Touches no runtime
     /// statistics and no meter.
-    pub fn walk<S: WalkSink>(&self, packet: &GatewayPacket, sink: &mut S) -> Walked {
-        let verdict = self.acl.evaluate(packet.vni, &packet.five_tuple());
+    ///
+    /// The key is the VNI and the tenant 5-tuple — all the program reads
+    /// of a packet — so a caller holding a borrowed
+    /// [`sailfish_net::FrameView`] walks without building the owned model.
+    pub fn walk<S: WalkSink>(&self, mut vni: Vni, tuple: &FiveTuple, sink: &mut S) -> Walked {
+        let verdict = self.acl.evaluate(vni, tuple);
         sink.on(WalkEvent::Acl(verdict));
         if verdict == AclAction::Deny {
             return Walked::DropAcl;
         }
-        let dst = packet.inner.dst_ip;
-        let mut vni = packet.vni;
+        let dst = tuple.dst_ip;
         // Each peer hop is a pipeline recirculation, so the chain is
         // followed one single-step lookup at a time.
         for _ in 0..=MAX_PEER_HOPS {
@@ -323,6 +326,10 @@ impl XgwH {
         }
     }
 
+    fn walk(&self, packet: &GatewayPacket) -> Walked {
+        self.tables.walk(packet.vni, &packet.five_tuple(), &mut ())
+    }
+
     fn punt(&mut self, packet: &GatewayPacket, reason: PuntReason, now_ns: u64) -> HwDecision {
         let bytes = packet.wire_len();
         if self.punt_meter.offer(now_ns, bytes) {
@@ -342,7 +349,7 @@ impl XgwH {
     /// would take, without touching counters or the punt meter. Used by
     /// the fluid region simulation, which does its own rate accounting.
     pub fn classify(&self, packet: &GatewayPacket) -> HwDecision {
-        self.tables.walk(packet, &mut ()).into_decision(packet)
+        self.walk(packet).into_decision(packet)
     }
 
     /// Processes one packet through the folded program, updating per-pipe
@@ -353,7 +360,7 @@ impl XgwH {
         let outer = Self::outer_pipe_for(packet);
         self.stats.pipe_packets[outer] += 1;
         self.stats.pipe_bytes[outer] += bytes;
-        let walked = self.tables.walk(packet, &mut ());
+        let walked = self.walk(packet);
 
         // Step 2 accounting: the loop pipe chosen by VNI parity carries
         // everything that got past the ACL.

@@ -5,10 +5,9 @@
 //! VM-NC mapping table (digest-compressed, §4.4), plus the per-SLA service
 //! tables (ACL, meters, counters).
 
-use std::collections::HashMap;
-
 use core::net::IpAddr;
 
+use sailfish_net::hash::MixMap;
 use sailfish_net::Vni;
 use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::alpm::{AlpmConfig, AlpmStats};
@@ -28,9 +27,11 @@ pub const MAX_PEER_HOPS: usize = 8;
 /// Keeping one compressed table per VNI mirrors the physical layout —
 /// the VNI is an exact-match component of the key, so partitions never
 /// span VPCs, and "the VPC is the smallest split granularity" (§4.4).
+/// The controller provisions the VNIs, so the index hashes them with the
+/// fixed-key [`sailfish_net::hash::MixState`].
 #[derive(Debug, Default)]
 pub struct HwRoutingTable {
-    per_vni: HashMap<Vni, PooledAlpm<RouteTarget>>,
+    per_vni: MixMap<Vni, PooledAlpm<RouteTarget>>,
     alpm_config: AlpmConfig,
 }
 
@@ -38,7 +39,7 @@ impl HwRoutingTable {
     /// Creates an empty table with the given ALPM partition size.
     pub fn new(alpm_config: AlpmConfig) -> Self {
         HwRoutingTable {
-            per_vni: HashMap::new(),
+            per_vni: MixMap::default(),
             alpm_config,
         }
     }
@@ -80,9 +81,14 @@ impl HwRoutingTable {
         old
     }
 
+    /// The VNI's compressed table — the exact-match half of the key.
+    pub fn table(&self, vni: Vni) -> Option<&PooledAlpm<RouteTarget>> {
+        self.per_vni.get(&vni)
+    }
+
     /// Single-step LPM within one VNI, through the compressed path.
     pub fn lookup(&self, vni: Vni, dst: IpAddr) -> Option<RouteTarget> {
-        self.per_vni.get(&vni)?.lookup(dst).map(|(_, t)| *t)
+        self.table(vni)?.lookup(dst).map(|(_, t)| *t)
     }
 
     /// Physical-layout statistics with **VNI grouping**.
@@ -292,6 +298,14 @@ mod tests {
         .build()
     }
 
+    fn walk(
+        tables: &HardwareTables,
+        packet: &sailfish_net::GatewayPacket,
+        sink: &mut RouteSteps,
+    ) -> Walked {
+        tables.walk(packet.vni, &packet.five_tuple(), sink)
+    }
+
     #[test]
     fn resolve_through_compressed_path() {
         let mut tables = HardwareTables::new(AlpmConfig { bucket_capacity: 2 });
@@ -320,7 +334,7 @@ mod tests {
         let mut steps = RouteSteps::default();
         // One peer hop, then the final match in the peer's VNI.
         assert_eq!(
-            tables.walk(&packet(1, "192.168.3.4"), &mut steps),
+            walk(&tables, &packet(1, "192.168.3.4"), &mut steps),
             Walked::ToNc {
                 nc,
                 vni: Vni::from_const(2)
@@ -345,7 +359,7 @@ mod tests {
             .unwrap();
         let mut steps = RouteSteps::default();
         assert_eq!(
-            tables.walk(&packet(1, "10.1.1.1"), &mut steps),
+            walk(&tables, &packet(1, "10.1.1.1"), &mut steps),
             Walked::DropLoop
         );
         assert_eq!(steps.0.len(), MAX_PEER_HOPS + 1);

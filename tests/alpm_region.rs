@@ -7,14 +7,19 @@
 //!   Table 3 artifact is derived from — so a drift in the partition policy
 //!   (carve, split-on-overflow, the rebuild trigger, default replication)
 //!   fails here, at its source, rather than as a JSON diff;
-//! - a **differential** — `HwRoutingTable::lookup` against the logical
+//! - a **differential** — `HwRoutingTable::lookup`, walked level by
+//!   level the way the batch miss path warms it (`table` → `plane` →
+//!   `deepest_root` → `match_in`), against the logical
 //!   `VxlanRoutingTable` (one independent `Lpm128` per VNI and family), fed
 //!   the same routes, on every route's network address and on 50 000
 //!   seeded VM addresses.
 
 use std::sync::OnceLock;
 
+use core::net::IpAddr;
+
 use sailfish::prelude::*;
+use sailfish_tables::pooled::plane_addr;
 use sailfish_tables::vxlan_route::VxlanRoutingTable;
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
@@ -49,6 +54,19 @@ fn region_layout_is_pinned() {
     );
 }
 
+/// One single-step lookup as its four levels, checked against their
+/// composition.
+fn lookup_by_levels(table: &HwRoutingTable, vni: Vni, dst: IpAddr) -> Option<RouteTarget> {
+    let by_levels = table.table(vni).and_then(|per_vni| {
+        let plane = per_vni.plane(dst.is_ipv4());
+        let addr = plane_addr(dst);
+        let root = plane.deepest_root(addr, 128)?;
+        plane.match_in(root, addr).map(|(_, target)| *target)
+    });
+    assert_eq!(by_levels, table.lookup(vni, dst), "{vni} {dst}");
+    by_levels
+}
+
 #[test]
 fn region_lookups_match_per_vni_tries() {
     let (topology, table) = region();
@@ -62,7 +80,7 @@ fn region_lookups_match_per_vni_tries() {
     for (key, _) in &topology.routes {
         let dst = key.prefix.addr();
         assert_eq!(
-            table.lookup(key.vni, dst),
+            lookup_by_levels(table, key.vni, dst),
             oracle.lookup(key.vni, dst),
             "{key:?}"
         );
@@ -76,7 +94,7 @@ fn region_lookups_match_per_vni_tries() {
         // a miss or a default route).
         let other = topology.vpcs[rng.gen_range(0..topology.vpcs.len())].vni;
         for vni in [vm.vni, other] {
-            let got = table.lookup(vni, vm.ip);
+            let got = lookup_by_levels(table, vni, vm.ip);
             assert_eq!(got, oracle.lookup(vni, vm.ip), "{vni} {}", vm.ip);
             hits += usize::from(got.is_some());
         }
