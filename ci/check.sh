@@ -178,17 +178,28 @@ run_step "benchmark" bash -c 'benchmark/run.sh test && benchmark/run.sh run --sm
 # 10a'. `hot_path` never enters the batch executor's miss stage, so the
 #       wall-clock smoke above cannot see an allocation there: one traced
 #       `miss_walk` pass (counting allocator on) must come out correct
-#       with zero allocations per packet.
-miss_walk_allocs() {
-    local line
-    line=$(benchmark/run.sh run --smoke --workload miss_walk --trace 1 | tail -n 1) || return 1
-    case "${line}" in
-        *'"correct":true'*'"batch.allocs_per_pkt":{"value":0,'*) return 0 ;;
-    esac
-    echo "want \"correct\":true and batch.allocs_per_pkt 0, got: ${line}"
-    return 1
+#       with zero allocations per packet. `churn` is the one workload
+#       that builds an epoch *beside* traffic: its traced pass must also
+#       be correct, allocation-free per packet, and free of torn epochs.
+traced_smoke() {
+    local workload="$1"
+    shift
+    local line want
+    line=$(benchmark/run.sh run --smoke --workload "${workload}" --trace 1 | tail -n 1) || return 1
+    for want in '"correct":true' "$@"; do
+        case "${line}" in
+            *"${want}"*) ;;
+            *)
+                echo "${workload}: want ${want}, got: ${line}"
+                return 1
+                ;;
+        esac
+    done
 }
-run_step "benchmark-miss-stage-allocs" miss_walk_allocs
+run_step "benchmark-miss-stage-allocs" traced_smoke miss_walk \
+    '"batch.allocs_per_pkt":{"value":0,'
+run_step "benchmark-churn-install" traced_smoke churn \
+    '"batch.allocs_per_pkt":{"value":0,' '"epoch.violations":{"value":0,'
 
 # 10b. Documentation: every public item documents cleanly — broken
 #      intra-doc links or missing docs on lint-enforced crates fail.

@@ -10,6 +10,7 @@ use sailfish_util::bench::Harness;
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
+use sailfish_dataplane::{DataplaneConfig, EpochState};
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::{FiveTuple, IpProtocol, Vni};
 use sailfish_sim::{Topology, TopologyConfig};
@@ -164,13 +165,10 @@ fn bench_digest_lookup(h: &mut Harness) {
     group.finish();
 }
 
-/// What a region install pays for the VM-NC plane: 462k inserts into a
-/// pre-sized digest table (one hash and one probe of a far-larger-than-
-/// cache main plane each), in the region's key shape — sequential hosts
-/// under 25k VNIs, a quarter of them v6 and digest-compressed.
-fn bench_digest_insert(h: &mut Harness) {
-    const ENTRIES: u32 = 462_000;
-    let keys: Vec<VmKey> = (0..ENTRIES)
+/// 462k keys in the region's shape — sequential hosts under 25k VNIs, a
+/// quarter of them v6 and digest-compressed.
+fn region_shaped_keys() -> Vec<(VmKey, usize)> {
+    (0..462_000u32)
         .map(|i| {
             let host = i / 25_000;
             let ip = if i % 4 == 0 {
@@ -180,20 +178,74 @@ fn bench_digest_insert(h: &mut Harness) {
             } else {
                 core::net::IpAddr::V4(core::net::Ipv4Addr::from(0x0a00_0000 | host))
             };
-            VmKey::new(Vni::from_const(1 + i % 25_000), ip)
+            (VmKey::new(Vni::from_const(1 + i % 25_000), ip), i as usize)
         })
-        .collect();
+        .collect()
+}
+
+/// What filling the VM-NC plane costs, both ways: `bulk_462k` is what a
+/// region install pays (one `from_run`: hash, counting sort, slots
+/// streamed out once); `insert_462k` is the incremental path the
+/// controller's per-device installs still take, into a pre-sized table.
+/// `lookup_region_independent` is the 400k-probe loop the slot layout
+/// was sized with: every probe a different key, nothing to reuse.
+fn bench_digest_fill(h: &mut Harness) {
+    let run = region_shaped_keys();
     let mut group = h.group("digest");
-    group.throughput_elements(u64::from(ENTRIES));
+    group.throughput_elements(run.len() as u64);
+    group.bench_function("bulk_462k", |b| {
+        b.iter(|| std::hint::black_box(DigestExactTable::from_run(&run).unwrap().stats()))
+    });
     group.bench_function("insert_462k", |b| {
         b.iter(|| {
             let mut table = DigestExactTable::new();
-            table.reserve(keys.len());
-            for (i, k) in keys.iter().enumerate() {
-                table.insert(*k, i).unwrap();
+            table.reserve(run.len());
+            for (k, v) in &run {
+                table.insert(*k, *v).unwrap();
             }
             std::hint::black_box(table.stats())
         })
+    });
+
+    let table = DigestExactTable::from_run(&run).unwrap();
+    let mut rng = StdRng::seed_from_u64(4);
+    let probes: Vec<VmKey> = (0..400_000)
+        .map(|_| run[rng.gen_range(0..run.len())].0)
+        .collect();
+    group.throughput_elements(probes.len() as u64);
+    group.bench_function("lookup_region_independent", |b| {
+        b.iter(|| {
+            for key in &probes {
+                std::hint::black_box(table.get_traced(key));
+            }
+        })
+    });
+    group.finish();
+}
+
+/// One region epoch, the way an install pays for it: `build_region` with
+/// the previous state still live (its tables are what the workers read
+/// meanwhile), `drop_region` the retired state's free.
+fn bench_epoch_region(h: &mut Harness) {
+    let topology = Topology::generate(TopologyConfig::region_scale());
+    let config = DataplaneConfig::default();
+    let mut group = h.group("epoch");
+    // The state a build replaces is parked in `retired` and freed by the
+    // untimed set-up of the next call.
+    let live = std::cell::RefCell::new(None);
+    let retired = std::cell::RefCell::new(None);
+    group.bench_function("build_region", |b| {
+        b.iter_batched(
+            || drop(retired.borrow_mut().take()),
+            |()| {
+                let staged = EpochState::build(&topology, &config, 1);
+                *retired.borrow_mut() = live.replace(Some(staged));
+            },
+        )
+    });
+    drop((live, retired));
+    group.bench_function("drop_region", |b| {
+        b.iter_batched(|| EpochState::build(&topology, &config, 1), drop)
     });
     group.finish();
 }
@@ -243,7 +295,8 @@ fn main() {
     bench_alpm_insert(&mut h);
     bench_hw_routing_region(&mut h);
     bench_digest_lookup(&mut h);
-    bench_digest_insert(&mut h);
+    bench_digest_fill(&mut h);
+    bench_epoch_region(&mut h);
     bench_toeplitz(&mut h);
     h.finish();
 }

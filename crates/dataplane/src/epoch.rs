@@ -25,9 +25,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use sailfish_cluster::lb::{pick_owner, EcmpGroup, VniDirectory};
+use sailfish_net::hash::MixMap;
 use sailfish_net::rss::Toeplitz;
-use sailfish_net::{FiveTuple, Vni};
+use sailfish_net::{FiveTuple, IpPrefix, Vni};
+use sailfish_sim::topology::{VmRecord, Vpc};
 use sailfish_sim::Topology;
+use sailfish_tables::types::{NcAddr, RouteTarget, VmKey};
 use sailfish_xgw_h::tables::HardwareTables;
 
 use crate::cache::FlowOutcome;
@@ -171,80 +174,92 @@ impl EpochState {
     /// Builds a region state under a degraded [`WorldView`]. This is the
     /// staging half of an install: the state is assembled off to the side
     /// and only becomes visible via [`EpochCell::publish`].
+    ///
+    /// The build is staged so that every table is built once, from one
+    /// contiguous run, while it is the only thing in cache:
+    ///
+    /// 1. **Place** — one pass over the VPCs decides which cluster serves
+    ///    each and which second cluster holds its tables during a live
+    ///    move, filling the directory and a member list per cluster.
+    /// 2. **Group** — the routes are bucketed by owning VPC (a stable
+    ///    counting sort, so each per-VNI table receives its routes in
+    ///    topology order and its ALPM carves exactly as route-by-route
+    ///    insertion would); a VPC's VMs are already contiguous
+    ///    ([`sailfish_sim::topology::Vpc::vm_range`]).
+    /// 3. **Fill** — cluster by cluster, VPC by VPC: one
+    ///    [`sailfish_xgw_h::tables::HwRoutingTable::install_vni`] per
+    ///    VPC, then the cluster's whole VM run in one
+    ///    [`HardwareTables::load_vms`].
+    ///
+    /// It never panics on a degenerate input. With no clusters, or no
+    /// devices in them, nothing is placed: the directory stays empty,
+    /// [`EpochState::steer`] finds no cluster and every VNI default-routes
+    /// to the software tier. Devices beyond `ecmp_max` stay out of their
+    /// cluster's group. A VM run the table refuses (a VM listed twice)
+    /// leaves that cluster without on-chip VM mappings — its packets punt
+    /// to x86, none black-holes.
     pub fn build_with_world(
         topology: &Topology,
         config: &DataplaneConfig,
         epoch: u64,
         world: &WorldView,
     ) -> Self {
-        assert!(config.clusters > 0 && config.devices_per_cluster > 0);
         let mut directory = VniDirectory::new();
-        // VNI → (primary owner, optional second table holder). During a
-        // live move both owners carry the group's tables so either can
-        // serve a flow; outside a move the pair is just (home, None).
-        let mut table_owners: BTreeMap<Vni, (usize, Option<usize>)> = BTreeMap::new();
-        for vpc in &topology.vpcs {
-            let anchor = match vpc.peer {
-                Some(peer) => vpc.vni.min(peer),
-                None => vpc.vni,
-            };
-            let home = anchor.value() as usize % config.clusters;
-            let (primary, dual, extra) = match world.moves.get(&anchor) {
-                Some(mv) => match mv.phase {
-                    MovePhase::Announce => (mv.from, None, Some(mv.to)),
-                    MovePhase::Dual => (mv.from, Some(mv.to), Some(mv.to)),
-                    MovePhase::Commit => (mv.to, None, Some(mv.from)),
-                    MovePhase::Drain => (mv.to, None, None),
-                },
-                None => (home, None, None),
-            };
-            if world.unassigned_clusters.contains(&primary) {
-                continue; // the VNI falls back to the software tier
-            }
-            directory.assign(vpc.vni, primary);
-            if let Some(s) = dual {
-                if s != primary && !world.unassigned_clusters.contains(&s) {
-                    directory.begin_dual(vpc.vni, s);
-                }
-            }
-            let extra = extra.filter(|c| *c != primary && !world.unassigned_clusters.contains(c));
-            table_owners.insert(vpc.vni, (primary, extra));
-        }
+        let owners = place_vpcs(topology, config, world, &mut directory);
 
-        // What each cluster is about to receive — VNIs with a route table,
-        // VM mappings that go on-chip — so its maps are sized once instead
-        // of re-hashing as they grow.
-        let stride = config.hw_vm_stride.max(1);
-        let mut sizes = vec![(0usize, 0usize); config.clusters];
-        for vpc in &topology.vpcs {
-            let Some(&(primary, extra)) = table_owners.get(&vpc.vni) else {
+        // What each cluster is about to receive: its VPCs, in topology
+        // order.
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.clusters];
+        for (i, owner) in owners.iter().enumerate() {
+            let Some((primary, extra)) = *owner else {
                 continue;
             };
-            let (start, end) = vpc.vm_range;
-            let withheld = end.div_ceil(stride) - start.div_ceil(stride);
             for c in std::iter::once(primary).chain(extra) {
-                if let Some((vnis, vms)) = sizes.get_mut(c) {
-                    *vnis += 1;
-                    *vms += end - start - withheld;
+                // An owner outside the cluster set has no tables: x86
+                // serves it.
+                if let Some(vpcs) = members.get_mut(c) {
+                    vpcs.push(i);
                 }
             }
         }
+        let routes = RouteRuns::group(topology);
 
-        let mut clusters: Vec<ClusterTables> = sizes
+        // One run buffer for every cluster, with room for any of them
+        // (untouched room costs nothing).
+        let mut vm_run: Vec<(VmKey, NcAddr)> = Vec::with_capacity(topology.vms.len());
+        let stride = config.hw_vm_stride.max(1);
+        let clusters: Vec<ClusterTables> = members
             .into_iter()
             .enumerate()
-            .map(|(c, (vnis, vms))| {
+            .map(|(c, vpcs)| {
                 let mut ecmp = EcmpGroup::new(config.ecmp_max);
                 for d in 0..config.devices_per_cluster {
                     if world.dead_devices.contains(&(c, d)) {
                         continue;
                     }
-                    ecmp.add(d).expect("devices_per_cluster under the cap");
+                    if ecmp.add(d).is_err() {
+                        break; // the group is at its cap
+                    }
                 }
                 let mut tables = HardwareTables::default();
                 if !world.wiped_clusters.contains(&c) {
-                    tables.routes.reserve_vnis(vnis);
-                    tables.vm_nc.reserve(vms);
+                    tables.routes.reserve_vnis(vpcs.len());
+                    vm_run.clear();
+                    for i in vpcs {
+                        let Some(vpc) = topology.vpcs.get(i) else {
+                            continue;
+                        };
+                        // Prefixes are canonical by type; nothing here
+                        // can be refused.
+                        let _ = tables.routes.install_vni(vpc.vni, routes.of(i));
+                        vm_run.extend(
+                            on_chip_vms(topology, vpc, stride)
+                                .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc)),
+                        );
+                    }
+                    // A refused run (a VM listed twice) leaves the plane
+                    // empty: the cluster's VM lookups miss and punt.
+                    let _ = tables.load_vms(&vm_run);
                 }
                 ClusterTables {
                     epoch_tag: epoch,
@@ -253,45 +268,6 @@ impl EpochState {
                 }
             })
             .collect();
-
-        for (key, target) in &topology.routes {
-            let Some(&(primary, extra)) = table_owners.get(&key.vni) else {
-                continue; // VNI withdrawn from hardware
-            };
-            for c in std::iter::once(primary).chain(extra) {
-                if world.wiped_clusters.contains(&c) {
-                    continue;
-                }
-                let Some(cluster) = clusters.get_mut(c) else {
-                    continue; // owner outside the cluster set: x86 serves it
-                };
-                cluster
-                    .tables
-                    .routes
-                    .insert(*key, *target)
-                    .expect("topology routes are unique");
-            }
-        }
-        for (i, vm) in topology.vms.iter().enumerate() {
-            if i % stride == 0 {
-                continue; // stays on x86
-            }
-            let Some(&(primary, extra)) = table_owners.get(&vm.vni) else {
-                continue;
-            };
-            for c in std::iter::once(primary).chain(extra) {
-                if world.wiped_clusters.contains(&c) {
-                    continue;
-                }
-                let Some(cluster) = clusters.get_mut(c) else {
-                    continue;
-                };
-                cluster
-                    .tables
-                    .add_vm(vm.vni, vm.ip, vm.nc)
-                    .expect("topology VMs are unique");
-            }
-        }
 
         let tier = config
             .tier
@@ -390,6 +366,139 @@ impl EpochState {
     }
 }
 
+/// Stage one of a build: the `(primary owner, second table holder)` of
+/// every VPC, `None` where the VPC has no hardware service, with the
+/// directory filled to match. VNIs are assigned so peered VPCs co-locate
+/// (their chains must resolve without leaving the cluster). During a
+/// live move both owners carry the group's tables so either can serve a
+/// flow; outside a move the pair is just `(home, None)`.
+fn place_vpcs(
+    topology: &Topology,
+    config: &DataplaneConfig,
+    world: &WorldView,
+    directory: &mut VniDirectory,
+) -> Vec<Option<(usize, Option<usize>)>> {
+    let place = |vpc: &Vpc| {
+        if config.devices_per_cluster == 0 {
+            return None; // nothing could serve it
+        }
+        let anchor = match vpc.peer {
+            Some(peer) => vpc.vni.min(peer),
+            None => vpc.vni,
+        };
+        // No clusters, no home.
+        let home = (anchor.value() as usize).checked_rem(config.clusters)?;
+        let (primary, dual, extra) = match world.moves.get(&anchor) {
+            Some(mv) => match mv.phase {
+                MovePhase::Announce => (mv.from, None, Some(mv.to)),
+                MovePhase::Dual => (mv.from, Some(mv.to), Some(mv.to)),
+                MovePhase::Commit => (mv.to, None, Some(mv.from)),
+                MovePhase::Drain => (mv.to, None, None),
+            },
+            None => (home, None, None),
+        };
+        if world.unassigned_clusters.contains(&primary) {
+            return None; // the VNI falls back to the software tier
+        }
+        directory.assign(vpc.vni, primary);
+        if let Some(s) = dual {
+            if s != primary && !world.unassigned_clusters.contains(&s) {
+                directory.begin_dual(vpc.vni, s);
+            }
+        }
+        let extra = extra.filter(|c| *c != primary && !world.unassigned_clusters.contains(c));
+        Some((primary, extra))
+    };
+    topology.vpcs.iter().map(place).collect()
+}
+
+/// The VM mappings of one VPC that go on-chip: every one but each
+/// `stride`-th of the region's, which stays on x86.
+fn on_chip_vms<'a>(
+    topology: &'a Topology,
+    vpc: &Vpc,
+    stride: usize,
+) -> impl Iterator<Item = &'a VmRecord> {
+    let (start, end) = vpc.vm_range;
+    let vms = topology.vms.get(start..end).unwrap_or(&[]);
+    (start..)
+        .zip(vms)
+        .filter(move |(i, _)| i % stride != 0)
+        .map(|(_, vm)| vm)
+}
+
+/// Stage two of a build: the topology's routes bucketed by owning VPC,
+/// each bucket in topology order.
+struct RouteRuns {
+    /// `starts[v]..starts[v + 1]` is VPC `v`'s stretch of `runs`; the
+    /// stretch after the last VPC's holds the routes of unknown VNIs.
+    starts: Vec<usize>,
+    runs: Vec<(IpPrefix, RouteTarget)>,
+}
+
+impl RouteRuns {
+    fn group(topology: &Topology) -> Self {
+        let unknown = topology.vpcs.len();
+        let mut index: MixMap<Vni, usize> = MixMap::default();
+        index.reserve(unknown);
+        for (i, vpc) in topology.vpcs.iter().enumerate() {
+            index.insert(vpc.vni, i);
+        }
+        // A VPC's routes mostly arrive back to back: remember the last
+        // answer and probe the index once per stretch.
+        let mut last = None;
+        let vpc_of: Vec<usize> = topology
+            .routes
+            .iter()
+            .map(|(key, _)| match last {
+                Some((vni, vpc)) if vni == key.vni => vpc,
+                _ => {
+                    let vpc = index.get(&key.vni).copied().unwrap_or(unknown);
+                    last = Some((key.vni, vpc));
+                    vpc
+                }
+            })
+            .collect();
+
+        // Stable counting sort.
+        let mut starts = vec![0usize; unknown + 2];
+        for vpc in &vpc_of {
+            if let Some(n) = starts.get_mut(vpc + 1) {
+                *n += 1;
+            }
+        }
+        let mut seen = 0;
+        for n in &mut starts {
+            seen += *n;
+            *n = seen;
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0usize; vpc_of.len()];
+        for (route, vpc) in vpc_of.into_iter().enumerate() {
+            if let Some(n) = next.get_mut(vpc) {
+                if let Some(slot) = order.get_mut(*n) {
+                    *slot = route;
+                }
+                *n += 1;
+            }
+        }
+        let runs = order
+            .into_iter()
+            .filter_map(|route| topology.routes.get(route))
+            .map(|(key, target)| (key.prefix, *target))
+            .collect();
+        RouteRuns { starts, runs }
+    }
+
+    /// VPC `vpc`'s routes, as its routing table takes them.
+    fn of(&self, vpc: usize) -> &[(IpPrefix, RouteTarget)] {
+        match (self.starts.get(vpc), self.starts.get(vpc + 1)) {
+            (Some(&from), Some(&to)) => self.runs.get(from..to).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+}
+
 /// The swap point between the control plane and the packet workers.
 ///
 /// Deterministic single-worker runs and scoped multi-worker runs share
@@ -468,10 +577,11 @@ mod tests {
         assert_eq!(state.clusters.len(), DataplaneConfig::default().clusters);
     }
 
-    /// The directory, the per-VNI index and the digest planes hash with a
-    /// fixed key, so two builds of one topology are the same maps in the
-    /// same iteration order (`Debug` prints a map in that order) —
-    /// something the per-map random SipHash keys never gave.
+    /// The directory and the per-VNI index hash with a fixed key, and a
+    /// digest plane's slot order is a function of its key set, so two
+    /// builds of one topology are the same tables in the same iteration
+    /// order (`Debug` prints a map in that order) — something the
+    /// per-map random SipHash keys never gave.
     #[test]
     fn two_builds_of_one_topology_iterate_alike() {
         let topo = topology();

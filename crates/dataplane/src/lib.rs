@@ -61,6 +61,9 @@ pub mod cache;
 pub mod chaos;
 pub mod counters;
 pub mod engine;
+// The epoch builder runs on every install against whatever topology,
+// config and world it is handed; no index in it may be taken on trust.
+#[deny(clippy::indexing_slicing)]
 pub mod epoch;
 // Hot paths touching raw frame bytes must prove every slice: the lint
 // rejects unchecked indexing so truncated or hostile frames cannot panic

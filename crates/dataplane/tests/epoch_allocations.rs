@@ -3,10 +3,17 @@
 //! `EpochState::build` runs on every install, recovery and re-shard
 //! phase, and whatever it allocates the retiring epoch later frees — at
 //! region scale that free used to be most of an install. The budget here
-//! is a count, not a timing, so it repeats exactly: at most
-//! [`ALLOCATIONS_PER_ROUTE`] heap allocations per installed route, at the
-//! default scale and at region scale. The pointer-trie ALPM this replaced
-//! made 24.
+//! is a count, not a timing, so it repeats exactly, and it has two parts:
+//!
+//! - at most [`ALLOCATIONS_PER_ROUTE`] heap allocations per installed
+//!   route, at the default scale and at region scale (measured 0.77 and
+//!   0.53: two arrays per family plane of each per-VNI table, sized from
+//!   the VNI's route run; the pointer-trie ALPM made 24, route-by-route
+//!   growth 0.68);
+//! - at most [`VM_PLANE_ALLOCATIONS_PER_CLUSTER`] for a cluster's whole
+//!   VM-NC plane — the slot array and the bulk build's three scratch
+//!   arrays, plus the builder's one run buffer — *however many VMs there
+//!   are*: 5 000 or 459 000, the count is the same.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +21,8 @@ use std::cell::Cell;
 use sailfish_dataplane::{DataplaneConfig, EpochState};
 use sailfish_sim::{Topology, TopologyConfig};
 
-const ALLOCATIONS_PER_ROUTE: u64 = 3;
+const ALLOCATIONS_PER_ROUTE: u64 = 1;
+const VM_PLANE_ALLOCATIONS_PER_CLUSTER: u64 = 5;
 
 struct CountingAllocator;
 
@@ -59,11 +67,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocations_per_build(config: TopologyConfig) -> (u64, u64) {
-    let topology = Topology::generate(config);
-    let dataplane = DataplaneConfig::default();
+/// `(allocations, routes installed)` of one build of `topology`.
+fn allocations_per_build(topology: &Topology, dataplane: &DataplaneConfig) -> (u64, u64) {
     let before = ALLOCATIONS.with(Cell::get);
-    let state = EpochState::build(&topology, &dataplane, 1);
+    let state = EpochState::build(topology, dataplane, 1);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     let routes: usize = state.clusters.iter().map(|c| c.tables.routes.len()).sum();
     assert_eq!(routes, topology.routes.len(), "every route installed once");
@@ -72,15 +79,38 @@ fn allocations_per_build(config: TopologyConfig) -> (u64, u64) {
 
 #[test]
 fn epoch_build_stays_within_its_allocation_budget() {
+    let dataplane = DataplaneConfig::default();
+    // Stride 1 withholds every VM mapping from the chip: what is left is
+    // the build without its VM-NC planes.
+    let without_vms = DataplaneConfig {
+        hw_vm_stride: 1,
+        ..DataplaneConfig::default()
+    };
+    let mut vm_plane = Vec::new();
     for (scale, config) in [
         ("default", TopologyConfig::default()),
         ("region", TopologyConfig::region_scale()),
     ] {
-        let (allocations, routes) = allocations_per_build(config);
-        println!("{scale}: {allocations} allocations for {routes} routes");
+        let topology = Topology::generate(config);
+        let (allocations, routes) = allocations_per_build(&topology, &dataplane);
+        let (bare, _) = allocations_per_build(&topology, &without_vms);
+        println!(
+            "{scale}: {allocations} allocations for {routes} routes and {} VMs, {bare} without the VM planes",
+            topology.vms.len()
+        );
         assert!(
             allocations <= ALLOCATIONS_PER_ROUTE * routes,
             "{scale}: {allocations} allocations for {routes} routes"
         );
+        assert!(
+            allocations - bare <= VM_PLANE_ALLOCATIONS_PER_CLUSTER * dataplane.clusters as u64,
+            "{scale}: {} allocations for the VM planes",
+            allocations - bare
+        );
+        vm_plane.push(allocations - bare);
     }
+    assert!(
+        vm_plane.windows(2).all(|w| w[0] == w[1]),
+        "VM-plane allocations grew with the VM count: {vm_plane:?}"
+    );
 }

@@ -1,9 +1,10 @@
 //! A fixed-key hasher for control-plane-provisioned tables.
 //!
-//! The VNI directory, the per-VNI route-table index and the VM-NC digest
-//! planes are `HashMap`s whose keys the controller installs — VNIs, and
-//! `(family, VNI, 32-bit address)` slots — and every table miss probes
-//! two or three of them. `std`'s default SipHash-1-3 is keyed per process
+//! The VNI directory, the per-VNI route-table index and the VM-NC
+//! conflict plane are `HashMap`s whose keys the controller installs, and
+//! the VM-NC main plane is a slot array addressed by the same hash of its
+//! `(family, VNI, 32-bit address)` tags; every table miss probes two or
+//! three of them. `std`'s default SipHash-1-3 is keyed per process
 //! to survive attacker-chosen keys; these tables have none (the paper's
 //! digest plane is itself an unkeyed hash with a conflict table behind
 //! it, §4.4), so they pay ≈20 ns a probe for protection they cannot use,
@@ -12,10 +13,10 @@
 //! [`MixState`] is the replacement: the multiply-mix of
 //! [`crate::view::FlowKey::mix`] behind the `Hasher` interface. Same
 //! rationale — determinism, not compatibility — and the same finalizer,
-//! because hashbrown reads a hash from both ends: the low bits pick the
-//! bucket group and the top seven are the in-group tag, and a bare
-//! multiply leaves the low bits of a product depending only on the low
-//! bits of the key.
+//! because hashbrown reads a hash from both ends (the low bits pick the
+//! bucket group and the top seven are the in-group tag) and the slot
+//! array scales the whole word, and a bare multiply leaves the low bits
+//! of a product depending only on the low bits of the key.
 //!
 //! **Do not** reach for it where a key comes off the wire (flow tuples,
 //! SNAT sessions): an unkeyed hash lets a sender aim every flow at one
@@ -45,8 +46,8 @@ impl BuildHasher for MixState {
 }
 
 /// One multiply-mix round per word written, an avalanche on `finish`.
-/// The fixed-width writes the provisioned keys use (`bool`, `u32`, enum
-/// discriminants and length prefixes) take one round each; everything
+/// The fixed-width writes the provisioned keys use (`bool`, `u32`, `u64`,
+/// enum discriminants and length prefixes) take one round each; everything
 /// else goes through `write`.
 #[derive(Debug, Clone, Copy)]
 pub struct MixHasher(u64);
@@ -95,6 +96,11 @@ impl Hasher for MixHasher {
     #[inline]
     fn write_u32(&mut self, v: u32) {
         self.round(u64::from(v));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.round(v);
     }
 
     #[inline]

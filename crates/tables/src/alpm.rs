@@ -150,6 +150,12 @@ impl<T: Clone> AlpmTable<T> {
         self.slots.is_empty()
     }
 
+    /// Makes room for `additional` more routes, so a run of inserts does
+    /// not regrow the bucket array under them.
+    pub fn reserve(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
+    }
+
     /// Inserts a route; replacing an existing identical prefix returns the
     /// old value.
     pub fn insert(&mut self, key: Key128, value: T) -> Result<Option<T>> {

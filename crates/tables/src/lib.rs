@@ -36,6 +36,10 @@ pub mod acl;
 #[deny(clippy::indexing_slicing)]
 pub mod alpm;
 pub mod counter;
+// The VM-NC plane is the other table under every flow-cache miss, and an
+// epoch install builds it from whatever topology it is handed: slots are
+// reached through `get` here too.
+#[deny(clippy::indexing_slicing)]
 pub mod digest;
 pub mod error;
 pub mod exact;

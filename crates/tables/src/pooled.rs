@@ -156,6 +156,12 @@ impl<T: Clone> PooledAlpm<T> {
         self.len() == 0
     }
 
+    /// Makes room for `v4` and `v6` more prefixes in their planes.
+    pub fn reserve(&mut self, v4: usize, v6: usize) {
+        self.v4.reserve(v4);
+        self.v6.reserve(v6);
+    }
+
     /// Inserts a prefix.
     pub fn insert(&mut self, prefix: IpPrefix, value: T) -> Result<Option<T>> {
         let table = if prefix.is_v4() {

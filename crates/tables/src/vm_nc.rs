@@ -28,6 +28,15 @@ impl VmNcTable {
         Self::default()
     }
 
+    /// Builds the table from a run of mappings in one go — what an
+    /// epoch install does per cluster. Equal to inserting them in order
+    /// into a table with room reserved; a VM appearing twice is an error.
+    pub fn from_run(run: &[(VmKey, NcAddr)]) -> Result<Self> {
+        Ok(VmNcTable {
+            inner: DigestExactTable::from_run(run)?,
+        })
+    }
+
     /// Number of VM mappings.
     pub fn len(&self) -> usize {
         self.inner.len()
@@ -36,11 +45,6 @@ impl VmNcTable {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
-    }
-
-    /// Makes room for `additional` more mappings ahead of a bulk load.
-    pub fn reserve(&mut self, additional: usize) {
-        self.inner.reserve(additional);
     }
 
     /// Registers a VM on its hosting NC.

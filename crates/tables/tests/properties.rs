@@ -13,7 +13,8 @@ use core::net::IpAddr;
 
 use sailfish_net::{IpPrefix, Vni};
 use sailfish_tables::alpm::{AlpmConfig, AlpmTable};
-use sailfish_tables::digest::DigestExactTable;
+use sailfish_tables::digest::{digest32, DigestExactTable, DigestLookup, DigestStats};
+use sailfish_tables::error::Error;
 use sailfish_tables::lpm::{Key128, Lpm128};
 use sailfish_tables::pooled::{plane_addr, PooledAlpm, PooledPrefixMap};
 use sailfish_tables::tcam::{Tcam, TcamEntry};
@@ -252,5 +253,198 @@ fn digest_table_matches_hashmap() {
             assert_eq!(digest.get(key), Some(want));
         }
         assert_eq!(digest.len(), first_wins.len());
+    });
+}
+
+/// The key pool of the digest differential: a few hundred ordinary keys
+/// of both families, v6 pairs whose digests *do* collide (found the way
+/// the unit tests find them: the first repeats among 600k digests), and
+/// for each colliding pair the v4 key whose address is that digest —
+/// same 32 address bits, other family label.
+fn digest_key_pool() -> &'static [VmKey] {
+    static POOL: std::sync::OnceLock<Vec<VmKey>> = std::sync::OnceLock::new();
+    POOL.get_or_init(|| {
+        let v4 = |vni: u32, addr: u32| {
+            VmKey::new(
+                Vni::from_const(vni),
+                IpAddr::V4(core::net::Ipv4Addr::from(addr)),
+            )
+        };
+        let v6 = |vni: u32, addr: u128| {
+            VmKey::new(
+                Vni::from_const(vni),
+                IpAddr::V6(core::net::Ipv6Addr::from(addr)),
+            )
+        };
+        let mut pool = Vec::new();
+        for i in 0..120u32 {
+            pool.push(v4(1 + i % 5, 0x0a00_0000 | (i / 5)));
+            pool.push(v6(1 + i % 5, 0x2001_0db8 << 96 | u128::from(i / 5)));
+        }
+        let mut seen = std::collections::HashMap::new();
+        let mut pairs = 0;
+        for addr in 0..600_000u128 {
+            let digest = digest32(1, addr);
+            if let Some(first) = seen.insert(digest, addr) {
+                pool.extend([v6(1, first), v6(1, addr), v4(1, digest)]);
+                pairs += 1;
+                if pairs == 8 {
+                    break;
+                }
+            }
+        }
+        assert!(pairs >= 4, "birthday paradox: ~42 collisions in 600k keys");
+        pool
+    })
+}
+
+/// Whether two keys compete for one main-table entry, worked out from the
+/// paper's description rather than the table's tag: same VNI, same
+/// family, same 32 address bits (raw for v4, the digest for v6).
+fn same_compressed_key(a: &VmKey, b: &VmKey) -> bool {
+    let bits = |k: &VmKey| match k.ip {
+        IpAddr::V4(ip) => (false, u32::from(ip)),
+        IpAddr::V6(ip) => (true, digest32(k.vni.value(), u128::from(ip))),
+    };
+    a.vni == b.vni && bits(a) == bits(b)
+}
+
+/// The trivially-correct model: a list scanned end to end, each entry
+/// remembering which plane first-come-first-kept put it in.
+#[derive(Default)]
+struct NaiveDigest {
+    entries: Vec<(VmKey, u32, DigestLookup)>,
+}
+
+impl NaiveDigest {
+    fn insert(&mut self, key: VmKey, value: u32) -> Result<(), Error> {
+        if self.entries.iter().any(|(k, _, _)| *k == key) {
+            return Err(Error::Duplicate);
+        }
+        let taken = self
+            .entries
+            .iter()
+            .any(|(k, _, plane)| *plane == DigestLookup::HitMain && same_compressed_key(k, &key));
+        let plane = if taken {
+            DigestLookup::HitConflict
+        } else {
+            DigestLookup::HitMain
+        };
+        self.entries.push((key, value, plane));
+        Ok(())
+    }
+
+    fn remove(&mut self, key: &VmKey) -> Option<u32> {
+        let at = self.entries.iter().position(|(k, _, _)| k == key)?;
+        Some(self.entries.remove(at).1)
+    }
+
+    fn get_traced(&self, key: &VmKey) -> (Option<&u32>, DigestLookup) {
+        match self.entries.iter().find(|(k, _, _)| k == key) {
+            Some((_, value, plane)) => (Some(value), *plane),
+            None => (None, DigestLookup::Miss),
+        }
+    }
+
+    fn stats(&self) -> DigestStats {
+        let main = self
+            .entries
+            .iter()
+            .filter(|(_, _, plane)| *plane == DigestLookup::HitMain)
+            .count();
+        DigestStats {
+            main_entries: main,
+            conflict_entries: self.entries.len() - main,
+        }
+    }
+}
+
+/// The flat digest plane against the naive scan, op for op: a bulk build
+/// from a run (which must equal, slot for slot, a table with room
+/// reserved and the same run inserted one by one), then interleaved
+/// inserts, removes and traced lookups over a pool dense in collisions
+/// and v4/v6 aliases, starting from tables of capacity 0, 1 and 2 as
+/// well, and growing through several array lengths. Return values,
+/// `len`, `stats()` and the plane every probe resolved in must agree,
+/// and the layout audit must pass, after every single operation.
+#[test]
+fn digest_table_agrees_with_naive_scan_op_for_op() {
+    let pool = digest_key_pool();
+    check::run(
+        "digest_table_agrees_with_naive_scan_op_for_op",
+        192,
+        |rng| {
+            let pick = |rng: &mut StdRng| pool[rng.gen_range(0..pool.len())];
+            // A run without repeats, up to a third of the pool.
+            let mut run: Vec<(VmKey, u32)> = Vec::new();
+            for _ in 0..rng.gen_range(0..pool.len() / 3) {
+                let key = pick(rng);
+                if run.iter().all(|(k, _)| *k != key) {
+                    run.push((key, rng.gen()));
+                }
+            }
+            let mut table = DigestExactTable::from_run(&run).unwrap();
+            let mut naive = NaiveDigest::default();
+            let mut one_by_one = DigestExactTable::new();
+            one_by_one.reserve(run.len());
+            for (key, value) in &run {
+                naive.insert(*key, *value).unwrap();
+                one_by_one.insert(*key, *value).unwrap();
+            }
+            assert_eq!(table, one_by_one, "bulk vs inserted, slot for slot");
+            if run.is_empty() {
+                // The smallest arrays there are.
+                table.reserve(rng.gen_range(0..=2));
+            }
+
+            let agree = |table: &DigestExactTable<u32>, naive: &NaiveDigest| {
+                assert!(table.audit().is_ok(), "{:?}", table.audit());
+                assert_eq!(table.len(), naive.entries.len());
+                assert_eq!(table.is_empty(), naive.entries.is_empty());
+                assert_eq!(table.stats(), naive.stats());
+            };
+            agree(&table, &naive);
+            for _ in 0..rng.gen_range(1..400) {
+                let key = pick(rng);
+                match check::one_of(rng, 4) {
+                    0 | 1 => {
+                        let value = rng.gen();
+                        assert_eq!(table.insert(key, value), naive.insert(key, value));
+                    }
+                    2 => assert_eq!(table.remove(&key), naive.remove(&key)),
+                    _ => {
+                        assert_eq!(table.get_traced(&key), naive.get_traced(&key));
+                        assert_eq!(table.get(&key), naive.get_traced(&key).0);
+                    }
+                }
+                agree(&table, &naive);
+            }
+            for key in pool {
+                assert_eq!(table.get_traced(key), naive.get_traced(key), "{key}");
+            }
+            let mut listed: Vec<(VmKey, u32)> = table.iter().map(|(k, v)| (*k, *v)).collect();
+            let mut expected: Vec<(VmKey, u32)> =
+                naive.entries.iter().map(|(k, v, _)| (*k, *v)).collect();
+            let order = |(k, _): &(VmKey, u32)| (k.vni, k.ip);
+            listed.sort_by_key(order);
+            expected.sort_by_key(order);
+            assert_eq!(listed, expected);
+        },
+    );
+}
+
+/// A repeated key anywhere in a run fails the bulk build, as the second
+/// `insert` would have.
+#[test]
+fn digest_bulk_build_rejects_repeats() {
+    let pool = digest_key_pool();
+    check::run("digest_bulk_build_rejects_repeats", 64, |rng| {
+        let len = rng.gen_range(2..80);
+        let mut run: Vec<(VmKey, u32)> = pool.iter().take(len).map(|k| (*k, 0)).collect();
+        let (from, to) = (rng.gen_range(0..len), rng.gen_range(0..len));
+        if from != to {
+            run[to].0 = run[from].0;
+            assert_eq!(DigestExactTable::from_run(&run), Err(Error::Duplicate));
+        }
     });
 }

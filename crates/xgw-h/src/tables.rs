@@ -8,13 +8,13 @@
 use core::net::IpAddr;
 
 use sailfish_net::hash::MixMap;
-use sailfish_net::Vni;
+use sailfish_net::{IpPrefix, Vni};
 use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::alpm::{AlpmConfig, AlpmStats};
 use sailfish_tables::counter::CounterArray;
 use sailfish_tables::error::Result;
 use sailfish_tables::pooled::PooledAlpm;
-use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
+use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
 use sailfish_tables::vm_nc::VmNcTable;
 
 /// Maximum peer-VPC hops in hardware; mirrors the software bound. Each
@@ -69,6 +69,27 @@ impl HwRoutingTable {
             .entry(key.vni)
             .or_insert_with(|| PooledAlpm::new(self.alpm_config))
             .insert(key.prefix, target)
+    }
+
+    /// Installs one VNI's routes in one go, in the run's order: one index
+    /// probe for the whole run, both planes sized from it, and the small
+    /// per-VNI table built while it is still in cache. The layout is the
+    /// one [`HwRoutingTable::insert`] builds route by route. An empty run
+    /// creates no table.
+    pub fn install_vni(&mut self, vni: Vni, run: &[(IpPrefix, RouteTarget)]) -> Result<()> {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let table = self
+            .per_vni
+            .entry(vni)
+            .or_insert_with(|| PooledAlpm::new(self.alpm_config));
+        let v4 = run.iter().filter(|(prefix, _)| prefix.is_v4()).count();
+        table.reserve(v4, run.len() - v4);
+        for (prefix, target) in run {
+            table.insert(*prefix, *target)?;
+        }
+        Ok(())
     }
 
     /// Removes a route.
@@ -253,6 +274,14 @@ impl HardwareTables {
         }
     }
 
+    /// Replaces the VM-NC table with one built from a cluster's whole run
+    /// of mappings (see [`VmNcTable::from_run`]). On error the table is
+    /// left as it was.
+    pub fn load_vms(&mut self, run: &[(VmKey, NcAddr)]) -> Result<()> {
+        self.vm_nc = VmNcTable::from_run(run)?;
+        Ok(())
+    }
+
     /// Convenience: register a VM (route + mapping already split by the
     /// controller; this only touches the mapping table).
     pub fn add_vm(&mut self, vni: Vni, vm_ip: IpAddr, nc: NcAddr) -> Result<()> {
@@ -271,7 +300,6 @@ mod tests {
     use super::*;
     use crate::program::{WalkEvent, WalkSink, Walked};
     use sailfish_net::packet::GatewayPacketBuilder;
-    use sailfish_net::IpPrefix;
 
     fn key(vni: u32, p: &str) -> VxlanRouteKey {
         VxlanRouteKey::new(Vni::from_const(vni), p.parse::<IpPrefix>().unwrap())
