@@ -36,7 +36,6 @@ const BINS: &[&str] = &[
     "snat_sweep",
     "tier_sweep",
     "dataplane_bench",
-    "dataplane_wallclock_bench",
     "ablation_alpm_depth",
     "ablation_folding",
     "ablation_cache_vs_prealloc",

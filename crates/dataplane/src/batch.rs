@@ -1,11 +1,12 @@
-//! The zero-allocation batch driver.
+//! The zero-allocation batch driver — the dataplane's only driver.
 //!
-//! [`BatchExecutor`] drives the same forwarding core as the
-//! frame-at-a-time [`crate::executor::Dataplane`] driver: the table walk,
-//! steering and disposition are the single definitions the crate docs
-//! list, not copies. What is specific to this driver is *how frames reach
-//! the core*: per-stage loops over contiguous lanes instead of one
-//! function call per packet, in the style of capsule-like batch operators:
+//! [`BatchExecutor`] feeds frames to the forwarding core the crate docs
+//! list (table walk, steering, disposition) and is what
+//! [`crate::executor::Dataplane::run_single`] and
+//! [`crate::executor::Dataplane::run_multi`] run. What is specific to it
+//! is *how frames reach the core*: per-stage loops over contiguous lanes
+//! instead of one function call per packet, in the style of capsule-like
+//! batch operators:
 //!
 //! 1. **Parse + probe lane**: every frame is validated through the
 //!    borrowed [`FrameView`] (no owned packet build, no allocation) and
@@ -34,53 +35,53 @@
 //!    inserted the flow), is steered, and walks the tables keyed by the
 //!    `(vni, five_tuple)` its view already parsed — no owned
 //!    `GatewayPacket` is built on this path — recording the outcome for
-//!    the rest of the flow. Only a frame's *first* hop is warmed: a peer
-//!    chain's later hops depend on the route the first one matches.
+//!    the rest of the flow and the walk's virtual cost in the frame's
+//!    slot. Only a frame's *first* hop is warmed: a peer chain's later
+//!    hops depend on the route the first one matches.
 //! 3. **Apply loop** (original frame order, so punts queue — and the
-//!    stateful software tier serves them — in arrival order): bump
-//!    attribution counters, charge the virtual clock, rewrite `ToNc`
-//!    frames into the batch's slab arena — a v4 underlay takes the
-//!    incremental-checksum patch (`patch_v4`, byte-identical to
-//!    `rewrite::apply` on a validated frame), v6 takes the generic path
-//!    — and hand everything the hardware does not forward to the shared
-//!    core, queueing punts *by frame index*: the owned punt parse happens
-//!    in [`BatchExecutor::finish`], off the hot path.
+//!    stateful software tier serves them — in arrival order): charge the
+//!    frame's parse and walk to the virtual clock, bump attribution
+//!    counters, rewrite `ToNc` frames into the batch's slab arena — a v4
+//!    underlay takes the incremental-checksum patch (`patch_v4`,
+//!    byte-identical to `rewrite::apply` on a validated frame), v6 takes
+//!    the generic path — and hand everything the hardware does not
+//!    forward to the shared core, queueing punts *by frame index*: the
+//!    owned punt parse happens in [`BatchExecutor::finish`], off the hot
+//!    path.
 //!
-//! The epoch is pinned **once per batch**, so epoch digests match the
-//! frame-at-a-time driver's entry for entry.
+//! The epoch is pinned **once per batch**.
 //!
 //! # Determinism contract
 //!
-//! On the same frame sequence, with a cold cache, and a flow population
-//! inside both caches' capacity, a `BatchExecutor` run reproduces
-//! [`crate::executor::Dataplane::run_single`]'s `RunReport` field for
-//! field — decision digest, epoch digests, counters, device attribution,
-//! breaker stats, per-tier punt volumes and virtual time — because both
-//! feed one core the same events (`tests/batch_equivalence.rs` pins it,
-//! including under a DPU tier, a published SNAT offload and a live
-//! dual-ownership window). With a *warm* cache the hit/miss split shifts
-//! (by design) but the decision digest is still identical — decisions
-//! are per-flow facts, not cache artifacts. Two scoped divergences
-//! remain, both driver-shaped: under cache-eviction pressure the
-//! hit/miss counters may differ from the no-evict sharded cache, and
-//! under a *tight* punt meter mid-batch admission timestamps differ
-//! (stage-ordered clock), which the default generous meter never
-//! exercises.
+//! Stages 1 and 2 only *record* what a frame costs; stage 3 charges it
+//! to the virtual clock at the frame's own position (error frames
+//! included), before the frame reaches a breaker. So every punt
+//! admission, x86 and DPU alike, reads the clock that processing the same
+//! batches frame by frame would read.
+//!
+//! That makes runs **batch-size invariant**: on the same frames, with a
+//! cold cache, a flow population inside its capacity and meters that do
+//! not shed, any `batch_size` yields the same `RunReport` field for field
+//! except `virtual_ns`, which moves by exactly [`cost::BATCH_OVERHEAD_NS`]
+//! per batch (`tests/batch_equivalence.rs` pins it under a DPU tier, a
+//! SNAT offload, a dual-ownership window and hostile frames). The
+//! decision digest is also independent of the worker count and of a warm
+//! cache, which shifts only the hit/miss split — decisions are per-flow
+//! facts, not cache artifacts.
 //!
 //! # Allocation contract
 //!
 //! After construction plus one warm-up run, [`BatchExecutor::execute`]
 //! performs **zero heap allocation**: lanes, arena, cache, punt queue
-//! and partition buffers all retain capacity across runs. The wall-clock
-//! bench enforces 0 allocations/packet in its steady-state loop with a
-//! counting allocator.
+//! and partition buffers all retain capacity across runs. The benchmark's
+//! traced passes enforce 0 allocations/packet with a counting allocator.
 
 use core::net::{IpAddr, Ipv4Addr};
 
 use sailfish_net::checksum;
 use sailfish_net::view::FrameView;
 use sailfish_net::wire::ethernet;
-use sailfish_net::{Error, FrameError, FrameLayer, GatewayPacket, Vni};
+use sailfish_net::{Error, FrameError, FrameLayer, Vni};
 use sailfish_tables::alpm::AlpmTable;
 use sailfish_tables::pooled::plane_addr;
 use sailfish_tables::types::RouteTarget;
@@ -134,8 +135,9 @@ enum SlotState {
     Hit(FlowOutcome, RewriteCtx),
     /// Probation: a probe miss awaiting the miss loop.
     Pending,
-    /// Miss resolved by the full walk this batch.
-    Walked(FlowOutcome, RewriteCtx),
+    /// Miss resolved by the full walk this batch, with the walk's
+    /// virtual cost (charged in the apply loop).
+    Walked(FlowOutcome, RewriteCtx, u64),
     /// The VNI directory has no cluster: default-route to software.
     DirectoryMiss,
     /// A SNAT punt served on-chip by a promoted exact-match entry in
@@ -147,15 +149,27 @@ enum SlotState {
         slot: u32,
         /// Whether the flow was resolved by the probe lane.
         from_cache: bool,
+        /// Virtual cost of the walk this batch ran for it (0 on a hit).
+        walk_ns: u64,
     },
 }
 
-/// Reusable per-worker state: the shared disposition core plus this
-/// driver's cache, lanes and arena. A queued punt is the global frame
-/// index; the owned parse happens at resolution time in `finish`.
+impl SlotState {
+    /// Virtual cost of the table walk the miss loop ran for this frame.
+    fn walk_ns(&self) -> u64 {
+        match *self {
+            SlotState::Walked(_, _, ns) | SlotState::SnatOffloaded { walk_ns: ns, .. } => ns,
+            _ => 0,
+        }
+    }
+}
+
+/// Reusable per-worker state: the disposition core plus this driver's
+/// cache, lanes and arena. A queued punt is the global frame index; the
+/// owned parse happens at resolution time in `finish`.
 struct BatchWorker {
     cache: FlowCache,
-    ladder: Ladder<u32>,
+    ladder: Ladder,
     /// Miss lane: `(position in batch, view)` for probe misses only —
     /// empty once the cache is warm.
     pending: Vec<(u32, FrameView)>,
@@ -170,7 +184,7 @@ impl BatchWorker {
         let config = dp.config();
         let batch = config.batch_size.max(1);
         BatchWorker {
-            cache: FlowCache::new((config.cache_shards * config.cache_shard_capacity).max(1)),
+            cache: FlowCache::new(config.cache_shards * config.cache_shard_capacity),
             ladder: Ladder::new(config),
             pending: Vec::with_capacity(batch),
             slots: Vec::with_capacity(batch),
@@ -192,18 +206,13 @@ pub struct BatchExecutor {
 impl BatchExecutor {
     /// Builds an executor with `workers` independent pipelines (1 for
     /// the deterministic golden mode). Each worker gets its own evicting
-    /// flow cache sized like the sharded cache's total capacity.
+    /// flow cache of `cache_shards * cache_shard_capacity` flows.
     pub fn new(dp: &Dataplane, workers: usize) -> Self {
         let workers = workers.max(1);
         BatchExecutor {
             workers: (0..workers).map(|_| BatchWorker::new(dp)).collect(),
             partitions: (0..workers).map(|_| Vec::new()).collect(),
         }
-    }
-
-    /// Pipeline workers in this executor.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Drops all cached flows (keeps allocations) — for cold-start runs.
@@ -254,16 +263,7 @@ impl BatchExecutor {
     /// measured hot path) and assembles the run report. Allocation is
     /// permitted here.
     pub fn finish(&mut self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        ladder::resolve(
-            self.workers.iter().map(|w| &w.ladder),
-            frames.len() as u64,
-            fallback,
-            // Guaranteed parseable: only view-validated frames punt.
-            |&idx| {
-                let frame = frames.get(idx as usize)?;
-                GatewayPacket::parse_classified(frame).ok()
-            },
-        )
+        ladder::resolve(self.workers.iter().map(|w| &w.ladder), frames, fallback)
     }
 
     /// Convenience: [`BatchExecutor::execute`] + [`BatchExecutor::finish`].
@@ -287,7 +287,7 @@ impl BatchExecutor {
 #[inline]
 fn file_hit(
     state: &EpochState,
-    ladder: &mut Ladder<u32>,
+    ladder: &mut Ladder,
     dual_live: bool,
     mut outcome: FlowOutcome,
     view: &FrameView,
@@ -301,6 +301,7 @@ fn file_hit(
         SlotState::SnatOffloaded {
             slot: outcome.slot,
             from_cache: true,
+            walk_ns: 0,
         }
     } else {
         SlotState::Hit(outcome, RewriteCtx::of(view))
@@ -364,11 +365,11 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
             }
         }
         std::hint::black_box(warmed);
-        worker.ladder.clock_ns += cost::PARSE_NS * batch.len() as u64;
 
         // Stage 2 — miss stage: warm the lane level by level, then the
         // in-order miss loop, the only place the full table walk runs.
-        // Empty once the cache is warm.
+        // Empty once the cache is warm. A walk's cost is recorded in its
+        // slot, not charged: the apply loop charges it in frame order.
         let pending = std::mem::take(&mut worker.pending);
         if !pending.is_empty() {
             warm_misses(&state, &pending);
@@ -379,8 +380,8 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
             };
             // Re-probe: an earlier miss in this same batch may have
             // inserted the flow already (the probe in stage 1 ran before
-            // any insert). Frame-at-a-time processing hits here, so the
-            // batch must too for the hit/miss split to match.
+            // any insert). A batch of one would hit here, so every batch
+            // must, or the hit/miss split would depend on the batch size.
             if let Some(outcome) = worker.cache.get(&view.flow_key()) {
                 *slot = file_hit(&state, &mut worker.ladder, dual_live, outcome, view);
                 continue;
@@ -392,7 +393,7 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                 *slot = SlotState::DirectoryMiss;
                 continue;
             };
-            let action = worker.ladder.walk(&steer.cluster.tables, view.vni, &tuple);
+            let (action, walk_ns) = worker.ladder.walk(&steer.cluster.tables, view.vni, &tuple);
             let outcome = FlowOutcome {
                 action,
                 slot: steer.slot,
@@ -405,28 +406,35 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                 SlotState::SnatOffloaded {
                     slot: steer.slot,
                     from_cache: false,
+                    walk_ns,
                 }
             } else {
-                SlotState::Walked(outcome, RewriteCtx::of(view))
+                SlotState::Walked(outcome, RewriteCtx::of(view), walk_ns)
             };
         }
         worker.pending = pending;
 
         // Stage 3 — apply loop, in original frame order so the punt
         // queue (and therefore stateful fallback processing) follows
-        // arrival order.
+        // arrival order. Each frame's parse and walk are charged here,
+        // at its own position, so a breaker admission reads the clock
+        // frame-by-frame processing would.
         let mut batch_digest = 0u64;
         for (pos, &idx) in batch.iter().enumerate() {
+            let Some(slot) = worker.slots.get(pos) else {
+                continue;
+            };
+            worker.ladder.clock_ns += cost::PARSE_NS + slot.walk_ns();
             let Some(frame) = frames.get(idx as usize) else {
                 continue;
             };
-            let (outcome, ctx, from_cache) = match worker.slots.get(pos) {
-                Some(SlotState::Hit(outcome, ctx)) => {
+            let (outcome, ctx, from_cache) = match slot {
+                SlotState::Hit(outcome, ctx) => {
                     worker.ladder.cache_hit();
                     (*outcome, *ctx, true)
                 }
-                Some(SlotState::Walked(outcome, ctx)) => (*outcome, *ctx, false),
-                Some(SlotState::DirectoryMiss) => (
+                SlotState::Walked(outcome, ctx, _) => (*outcome, *ctx, false),
+                SlotState::DirectoryMiss => (
                     FlowOutcome {
                         action: CachedAction::PuntNoRoute,
                         slot: FlowOutcome::NO_SLOT,
@@ -435,7 +443,9 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                     RewriteCtx::default(),
                     true,
                 ),
-                Some(&SlotState::SnatOffloaded { slot, from_cache }) => {
+                &SlotState::SnatOffloaded {
+                    slot, from_cache, ..
+                } => {
                     if from_cache {
                         worker.ladder.cache_hit();
                     }
@@ -444,7 +454,7 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                     batch_digest = batch_digest.wrapping_add(served.digest());
                     continue;
                 }
-                _ => continue,
+                SlotState::Error | SlotState::Pending => continue,
             };
             worker.ladder.attribute(outcome.slot);
             batch_digest = batch_digest.wrapping_add(apply_outcome(
@@ -507,7 +517,7 @@ fn warm_misses(state: &EpochState, pending: &[(u32, FrameView)]) {
 
 /// Applies one frame's outcome. Forwards stay here — the arena rewrite
 /// is this driver's, and their digest was precomputed when the flow was
-/// cached; drops and punts are the shared core's. Returns the decided
+/// cached; drops and punts are the ladder's. Returns the decided
 /// digest contribution (0 for punts and errors — punts resolve at the
 /// software tier).
 fn apply_outcome(

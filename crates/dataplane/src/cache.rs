@@ -1,26 +1,21 @@
-//! Flow caches for the scalar and batch executors.
+//! The dataplane's flow cache.
 //!
 //! Gateways front the table pipeline with an exact-match flow cache: the
 //! first packet of a flow takes the full walk, later packets replay the
-//! recorded action. Two implementations live here:
-//!
-//! - [`ShardedFlowCache`]: the scalar executor's no-evict sharded map
-//!   (insertion fails when a shard is full). Shards are selected by the
-//!   same Toeplitz hash the underlay RSS uses. Kept as-is — it is the
-//!   behavior the differential oracle and the committed artifacts pin.
-//! - [`FlowCache`]: the batch hot path's evicting cache, an S3-FIFO
-//!   (small probationary FIFO + main FIFO + ghost fingerprints) over a
-//!   preallocated slab. It survives millions of flows within a bounded
-//!   footprint, never allocates after construction, and its one-hit
-//!   wonders churn through the small queue without displacing the hot
-//!   working set in main. Eviction order is a pure function of the
-//!   operation sequence, so batch runs stay deterministic.
+//! recorded outcome. [`FlowCache`] is the one cache every
+//! [`crate::batch`] worker owns: an S3-FIFO (small probationary FIFO +
+//! main FIFO + ghost fingerprints) over a preallocated slab. It survives
+//! millions of flows within a bounded footprint, never allocates after
+//! construction, and its one-hit wonders churn through the small queue
+//! without displacing the hot working set in main. Eviction order is a
+//! pure function of the operation sequence, so runs stay deterministic.
+//! No input panics it: a zero capacity is clamped to one, and the queue
+//! pops are checked rather than assumed.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use sailfish_net::rss::Toeplitz;
 use sailfish_net::view::FlowKey;
-use sailfish_net::{FiveTuple, Vni};
+use sailfish_net::Vni;
 use sailfish_tables::types::{IdcId, NcAddr, RegionId};
 
 /// The replayable outcome of a table walk for one flow.
@@ -57,71 +52,6 @@ pub enum CachedAction {
     DropAcl,
     /// Drop: peer-chain loop bound.
     DropLoop,
-}
-
-/// An exact-match `(VNI, inner 5-tuple)` → action cache split into shards.
-#[derive(Debug)]
-pub struct ShardedFlowCache {
-    shards: Vec<HashMap<(Vni, FiveTuple), CachedAction>>,
-    capacity_per_shard: usize,
-    hasher: Toeplitz,
-}
-
-impl ShardedFlowCache {
-    /// Creates a cache with `shards` shards of `capacity_per_shard` flows.
-    pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedFlowCache {
-            shards: (0..shards).map(|_| HashMap::new()).collect(),
-            capacity_per_shard,
-            hasher: Toeplitz::default(),
-        }
-    }
-
-    fn shard_for(&self, tuple: &FiveTuple) -> usize {
-        self.hasher.hash_tuple(tuple) as usize % self.shards.len()
-    }
-
-    /// Looks up the cached action for a flow.
-    pub fn get(&self, vni: Vni, tuple: &FiveTuple) -> Option<CachedAction> {
-        self.shards[self.shard_for(tuple)]
-            .get(&(vni, *tuple))
-            .copied()
-    }
-
-    /// Records an action; returns `false` (and stores nothing) when the
-    /// flow's shard is full.
-    pub fn insert(&mut self, vni: Vni, tuple: &FiveTuple, action: CachedAction) -> bool {
-        let idx = self.shard_for(tuple);
-        let shard = &mut self.shards[idx];
-        if shard.len() >= self.capacity_per_shard && !shard.contains_key(&(vni, *tuple)) {
-            return false;
-        }
-        shard.insert((vni, *tuple), action);
-        true
-    }
-
-    /// Total cached flows.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Whether no flow is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached flow (table update invalidation).
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-    }
-
-    /// Per-shard occupancy, for balance diagnostics.
-    pub fn occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.len()).collect()
-    }
 }
 
 /// The replayable outcome the batch pipeline caches per flow: the action
@@ -191,10 +121,11 @@ impl FlowCache {
     /// Maximum per-entry frequency (2 bits, as in the S3-FIFO paper).
     const FREQ_MAX: u8 = 3;
 
-    /// Creates a cache bounding residency to `capacity` flows. All
-    /// storage is allocated here, up front.
+    /// Creates a cache bounding residency to `capacity` flows (a zero
+    /// capacity is clamped to one). All storage is allocated here, up
+    /// front.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flow cache needs capacity");
+        let capacity = capacity.max(1);
         let index_len = (capacity * 2).next_power_of_two();
         FlowCache {
             slab: Vec::with_capacity(capacity),
@@ -242,9 +173,7 @@ impl FlowCache {
             self.slab[slot as usize].outcome = outcome;
             return;
         }
-        while self.len() >= self.capacity {
-            self.evict_one();
-        }
+        while self.len() >= self.capacity && self.evict_one() {}
         let hash = key.mix();
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -278,62 +207,68 @@ impl FlowCache {
         }
     }
 
-    /// Evicts exactly one resident entry per the S3-FIFO policy.
-    fn evict_one(&mut self) {
+    /// Evicts exactly one resident entry per the S3-FIFO policy. Returns
+    /// `false` only when both queues are empty, i.e. nothing is resident.
+    fn evict_one(&mut self) -> bool {
         loop {
             if self.small.len() >= self.small_target {
-                let slot = self.small.pop_front().expect("small non-empty");
-                let entry = self.slab[slot as usize];
-                if entry.freq > 0 {
-                    // Re-hit during probation: promote instead of evicting.
-                    self.main.push_back(slot);
-                    continue;
-                }
-                // One-hit wonder: leave only a ghost fingerprint behind.
-                let ghost_pos = entry.hash as usize & (self.ghost.len() - 1);
-                self.ghost[ghost_pos] = entry.hash;
-                self.release(slot, entry.hash);
-                return;
-            }
-            match self.main.pop_front() {
-                Some(slot) => {
-                    let freq = self.slab[slot as usize].freq;
-                    if freq > 0 {
-                        // Second chance: decay and recycle to the tail.
-                        self.slab[slot as usize].freq = freq - 1;
+                if let Some(slot) = self.small.pop_front() {
+                    if self.slab[slot as usize].freq > 0 {
+                        // Re-hit during probation: promote instead of evicting.
                         self.main.push_back(slot);
                         continue;
                     }
-                    let hash = self.slab[slot as usize].hash;
-                    self.release(slot, hash);
-                    return;
-                }
-                // Main empty: fall through to draining small regardless
-                // of the target (only possible at tiny capacities).
-                None => {
-                    let slot = self.small.pop_front().expect("cache non-empty");
-                    let entry = self.slab[slot as usize];
-                    let ghost_pos = entry.hash as usize & (self.ghost.len() - 1);
-                    self.ghost[ghost_pos] = entry.hash;
-                    self.release(slot, entry.hash);
-                    return;
+                    self.evict_to_ghost(slot);
+                    return true;
                 }
             }
+            let Some(slot) = self.main.pop_front() else {
+                // Main empty: drain small regardless of the target (only
+                // possible at tiny capacities).
+                let Some(slot) = self.small.pop_front() else {
+                    return false;
+                };
+                self.evict_to_ghost(slot);
+                return true;
+            };
+            let entry = &mut self.slab[slot as usize];
+            if entry.freq > 0 {
+                // Second chance: decay and recycle to the tail.
+                entry.freq -= 1;
+                self.main.push_back(slot);
+                continue;
+            }
+            let hash = entry.hash;
+            self.release(slot, hash);
+            return true;
         }
     }
 
-    /// Returns a slab slot to the free list and unlinks it from the index.
+    /// Evicts a one-hit wonder from `small`, leaving only its ghost
+    /// fingerprint behind.
+    fn evict_to_ghost(&mut self, slot: u32) {
+        let hash = self.slab[slot as usize].hash;
+        let ghost_pos = hash as usize & (self.ghost.len() - 1);
+        self.ghost[ghost_pos] = hash;
+        self.release(slot, hash);
+    }
+
+    /// Returns a slab slot to the free list and unlinks it from the index
+    /// (a resident slot sits on its hash's probe chain, which ends at the
+    /// first empty index entry).
     fn release(&mut self, slot: u32, hash: u64) {
         let mask = self.index.len() - 1;
         let mut pos = hash as usize & mask;
         loop {
             match self.index[pos] {
-                s if s == slot => break,
-                INDEX_EMPTY => unreachable!("resident entry missing from index"),
+                s if s == slot => {
+                    self.index_remove(pos);
+                    break;
+                }
+                INDEX_EMPTY => break,
                 _ => pos = (pos + 1) & mask,
             }
         }
-        self.index_remove(pos);
         self.free.push(slot);
     }
 
@@ -430,7 +365,7 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sailfish_net::IpProtocol;
+    use sailfish_net::{FiveTuple, IpProtocol};
 
     fn tuple(i: u32) -> FiveTuple {
         FiveTuple::new(
@@ -440,32 +375,6 @@ mod tests {
             1000 + (i % 100) as u16,
             80,
         )
-    }
-
-    #[test]
-    fn insert_get_round_trip() {
-        let mut c = ShardedFlowCache::new(4, 16);
-        let v = Vni::from_const(7);
-        let t = tuple(1);
-        assert!(c.get(v, &t).is_none());
-        assert!(c.insert(v, &t, CachedAction::PuntSnat));
-        assert_eq!(c.get(v, &t), Some(CachedAction::PuntSnat));
-        // Same tuple under another VNI is a distinct flow.
-        assert!(c.get(Vni::from_const(8), &t).is_none());
-    }
-
-    #[test]
-    fn full_shard_rejects_new_flows_but_updates_existing() {
-        let mut c = ShardedFlowCache::new(1, 8);
-        let v = Vni::from_const(1);
-        for i in 0..8 {
-            assert!(c.insert(v, &tuple(i), CachedAction::PuntNoRoute));
-        }
-        assert!(!c.insert(v, &tuple(99), CachedAction::PuntNoRoute));
-        assert_eq!(c.len(), 8);
-        // Updating a resident flow is always allowed.
-        assert!(c.insert(v, &tuple(0), CachedAction::DropAcl));
-        assert_eq!(c.get(v, &tuple(0)), Some(CachedAction::DropAcl));
     }
 
     fn key(i: u32) -> FlowKey {
@@ -537,21 +446,5 @@ mod tests {
         assert!(c.get(&key(0)).is_none());
         c.insert(key(0), outcome(0));
         assert_eq!(c.get(&key(0)), Some(outcome(0)));
-    }
-
-    #[test]
-    fn shards_spread_flows() {
-        let mut c = ShardedFlowCache::new(8, 10_000);
-        let v = Vni::from_const(1);
-        for i in 0..4_000 {
-            c.insert(v, &tuple(i), CachedAction::PuntSnat);
-        }
-        let occ = c.occupancy();
-        assert_eq!(occ.iter().sum::<usize>(), 4_000);
-        for (i, o) in occ.iter().enumerate() {
-            assert!(*o > 100, "shard {i} got {o}");
-        }
-        c.clear();
-        assert!(c.is_empty());
     }
 }

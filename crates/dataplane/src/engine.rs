@@ -111,6 +111,7 @@ pub fn walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CachedAction;
     use crate::executor::DataplaneConfig;
     use crate::ladder::Ladder;
     use sailfish_net::packet::GatewayPacketBuilder;
@@ -124,8 +125,7 @@ mod tests {
     use sailfish_xgw_h::{PuntReason, Walked, XgwH};
 
     /// The walk's virtual cost as a closed formula over one packet's
-    /// counter lanes — what the executors used to derive by diffing
-    /// counter snapshots around each walk.
+    /// counter lanes.
     fn walk_cost_formula(c: &TableCounters) -> u64 {
         cost::ACL_NS
             + cost::ROUTE_LOOKUP_NS * c.route_lookups
@@ -232,20 +232,24 @@ mod tests {
 
     /// There is one walk; what a sink observes must never change what it
     /// decides, and the counting sink's lanes must stay consistent with
-    /// the decision and with the cost the executors' sink (a worker's
-    /// `Ladder`: counters + virtual clock) charges.
+    /// the decision and with the cost a worker's `Ladder` prices the walk
+    /// at.
     #[test]
     fn sinks_observe_one_walk_consistently() {
         check::run("sinks_observe_one_walk_consistently", 64, |rng| {
             let g = random_gateway(rng);
             let config = DataplaneConfig::default();
-            let mut priced = Ladder::<u32>::new(&config);
+            let mut priced = Ladder::new(&config);
             for _ in 0..64 {
                 let p = random_packet(rng);
                 let silent = g.tables.walk(p.vni, &p.five_tuple(), &mut ());
                 priced.reset(&config);
-                let counted = g.tables.walk(p.vni, &p.five_tuple(), &mut priced);
-                assert_eq!(silent, counted, "a sink changed the decision");
+                let (action, walk_ns) = priced.walk(&g.tables, p.vni, &p.five_tuple());
+                assert_eq!(
+                    CachedAction::from(silent),
+                    action,
+                    "a sink changed the decision"
+                );
                 assert_eq!(
                     walk(&g.tables, &p, &mut TableCounters::default()),
                     g.classify(&p)
@@ -257,16 +261,16 @@ mod tests {
                 // only resolutions that end in `ToNc` or a NoVmMapping
                 // punt — and none otherwise.
                 let local = matches!(
-                    counted,
+                    silent,
                     Walked::ToNc { .. } | Walked::Punt(PuntReason::NoVmMapping)
                 );
                 assert_eq!(
                     c.vm_hit_main + c.vm_hit_conflict + c.vm_miss,
                     u64::from(local),
-                    "{counted:?}: {c:?}"
+                    "{silent:?}: {c:?}"
                 );
-                assert_eq!(c.punted(), u64::from(matches!(counted, Walked::Punt(_))));
-                assert_eq!(priced.clock_ns, walk_cost_formula(c), "{counted:?}: {c:?}");
+                assert_eq!(c.punted(), u64::from(matches!(silent, Walked::Punt(_))));
+                assert_eq!(walk_ns, walk_cost_formula(c), "{silent:?}: {c:?}");
             }
         });
     }
@@ -327,10 +331,10 @@ mod tests {
             "10.0.0.5".parse().unwrap(),
         )
         .build();
-        let mut priced = Ladder::<u32>::new(&DataplaneConfig::default());
-        g.tables.walk(p.vni, &p.five_tuple(), &mut priced);
+        let (_, walk_ns) =
+            Ladder::new(&DataplaneConfig::default()).walk(&g.tables, p.vni, &p.five_tuple());
         assert_eq!(
-            priced.clock_ns,
+            walk_ns,
             cost::ACL_NS + cost::ROUTE_LOOKUP_NS + cost::VM_LOOKUP_NS
         );
     }

@@ -1,4 +1,5 @@
-//! The region dataplane and its frame-at-a-time reference driver.
+//! The region dataplane: its configuration, its run report, and the
+//! oracle's per-frame view of it.
 //!
 //! A [`Dataplane`] models one region's hardware tier the way the upstream
 //! fabric sees it: a VNI directory splits traffic horizontally across
@@ -9,25 +10,13 @@
 //! breaker wrapping its protective meter.
 //!
 //! What a packet's fate *is* lives elsewhere, once (the crate docs list
-//! where): the table walk, steering, and everything after the action is
-//! known. This module is the *driver* that feeds that core one frame at a
-//! time: an owned [`GatewayPacket`] parse per frame, the no-evict
-//! [`ShardedFlowCache`], a full-frame copy + [`rewrite::apply`] for
-//! `ToNc`, and the owned packet itself queued for a punt. [`crate::batch`]
-//! is the other driver over the same core.
-//!
-//! Table state is epoch-versioned ([`crate::epoch`]): workers pin the
-//! current [`EpochState`] once per batch, so every packet walks an
-//! entirely-old or entirely-new table set even while installs publish new
-//! epochs concurrently. Hardware decisions are digested **per epoch**
+//! where), and [`crate::batch`] is the one driver that feeds frames to
+//! it: [`Dataplane::run_single`] and [`Dataplane::run_multi`] are cold
+//! runs of a [`BatchExecutor`]. Table state is epoch-versioned
+//! ([`crate::epoch`]): workers pin the current [`EpochState`] once per
+//! batch, and hardware decisions are digested per epoch
 //! ([`RunReport::epoch_digests`]) so the oracle can pin each epoch's
 //! decision multiset independently.
-//!
-//! Determinism contract: [`Dataplane::run_single`] and
-//! [`Dataplane::run_multi`] produce the **same decision digest** for the
-//! same frame sequence — the multiset of per-packet decisions is
-//! independent of worker partitioning — while their virtual-time Mpps
-//! differ (that difference *is* the measurement).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,16 +27,15 @@ use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
 use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
+use crate::batch::BatchExecutor;
 use crate::breaker::{BreakerConfig, BreakerStats};
-use crate::cache::{CachedAction, ShardedFlowCache};
+use crate::cache::CachedAction;
 use crate::counters::TableCounters;
-use crate::engine::cost;
 use crate::epoch::{EpochCell, EpochState};
-use crate::ladder::{self, snat_offloaded, Ladder};
+use crate::ladder::snat_offloaded;
 use crate::oracle::PathDecision;
-use crate::rewrite;
 
-/// Executor configuration.
+/// Dataplane configuration.
 #[derive(Debug, Clone)]
 pub struct DataplaneConfig {
     /// Hardware clusters in the region.
@@ -66,9 +54,14 @@ pub struct DataplaneConfig {
     pub punt_burst_bytes: u64,
     /// Punt-path circuit breaker over the meter.
     pub breaker: BreakerConfig,
-    /// Flow-cache shards per worker.
+    /// Factor of each worker's flow-cache capacity: a worker's S3-FIFO
+    /// [`crate::FlowCache`] holds `cache_shards * cache_shard_capacity`
+    /// flows. The cache is not sharded; the two fields survive because
+    /// the stand-alone benchmark reads both, and merging them into one
+    /// waits for a change to that benchmark.
     pub cache_shards: usize,
-    /// Flow capacity per shard (no-evict).
+    /// The other factor of each worker's flow-cache capacity (see
+    /// [`DataplaneConfig::cache_shards`]).
     pub cache_shard_capacity: usize,
     /// Worker threads in [`Dataplane::run_multi`].
     pub workers: usize,
@@ -105,14 +98,6 @@ impl Default for DataplaneConfig {
 pub struct Dataplane {
     config: DataplaneConfig,
     cell: EpochCell,
-}
-
-/// Per-worker mutable state: the shared disposition core plus what is
-/// specific to this driver. A queued punt is the owned packet.
-struct WorkerState {
-    cache: ShardedFlowCache,
-    ladder: Ladder<GatewayPacket>,
-    scratch: Vec<u8>,
 }
 
 /// Report of one executor run.
@@ -214,139 +199,20 @@ impl Dataplane {
         self.cell.swaps()
     }
 
-    /// Applies a (possibly cache-replayed) action to the frame: `ToNc`
-    /// rewrites a copy of the frame, everything else is the shared
-    /// core's. `None` means no decision on the hardware tier — the
-    /// packet was queued for a software tier, or the rewrite rejected it.
-    fn apply_action(
-        state: &EpochState,
-        action: CachedAction,
-        frame: &[u8],
-        packet: &GatewayPacket,
-        st: &mut WorkerState,
-        from_cache: bool,
-    ) -> Option<PathDecision> {
-        if let CachedAction::ToNc { nc, vni } = action {
-            st.scratch.clear();
-            st.scratch.extend_from_slice(frame);
-            if let Err(e) = rewrite::apply(&mut st.scratch, nc, vni) {
-                // A parseable VXLAN frame always rewrites; a failure
-                // means the frame lied about its structure in a way
-                // the parser tolerated. Count it per layer/kind.
-                st.ladder.counters.record_frame_error(e);
-                return None;
-            }
-            st.ladder.clock_ns += cost::REWRITE_NS;
-        }
-        st.ladder
-            .dispose(state, action, from_cache, frame.len(), *packet, || {
-                Some((packet.vni, packet.five_tuple()))
-            })
-    }
-
-    /// Processes one frame inside a worker against the pinned epoch:
-    /// parse, steering, flow cache, table walk, rewrite/punt. Returns the
-    /// decision when the hardware tier reached one. Hostile bytes degrade
-    /// to a typed, counted parse error — never a panic, never a silent
-    /// punt.
-    fn process_frame(
-        state: &EpochState,
-        frame: &[u8],
-        st: &mut WorkerState,
-    ) -> Option<PathDecision> {
-        st.ladder.clock_ns += cost::PARSE_NS;
-        let packet = match GatewayPacket::parse_classified(frame) {
-            Ok(p) => p,
-            Err(e) => {
-                st.ladder.counters.record_frame_error(e);
-                return None;
-            }
-        };
-        st.ladder.counters.parsed += 1;
-
-        let tuple = packet.five_tuple();
-        let Some(steer) = st.ladder.steer(state, packet.vni, &tuple) else {
-            // No hardware assignment: default route to the software tier.
-            return Self::apply_action(state, CachedAction::PuntNoRoute, frame, &packet, st, true);
-        };
-        st.ladder.attribute(steer.slot);
-
-        let (action, from_cache) = match st.cache.get(packet.vni, &tuple) {
-            Some(action) => {
-                st.ladder.cache_hit();
-                (action, true)
-            }
-            None => {
-                let action = st.ladder.walk(&steer.cluster.tables, packet.vni, &tuple);
-                st.cache.insert(packet.vni, &tuple, action);
-                (action, false)
-            }
-        };
-        if snat_offloaded(state, action, packet.vni, || tuple) {
-            return Some(st.ladder.serve_snat_offload(from_cache));
-        }
-        Self::apply_action(state, action, frame, &packet, st, from_cache)
-    }
-
-    /// Runs one worker's share of the frames; what is left afterwards is
-    /// the worker's accounting and queued punts.
-    fn run_worker(&self, frames: &[&[u8]]) -> Ladder<GatewayPacket> {
-        let mut st = WorkerState {
-            cache: ShardedFlowCache::new(
-                self.config.cache_shards,
-                self.config.cache_shard_capacity,
-            ),
-            ladder: Ladder::new(&self.config),
-            scratch: Vec::new(),
-        };
-        for batch in frames.chunks(self.config.batch_size.max(1)) {
-            // Pin once per batch: every frame in the batch sees exactly
-            // one epoch, even if an install publishes mid-run.
-            let state = self.cell.pin();
-            st.ladder.clock_ns += cost::BATCH_OVERHEAD_NS;
-            let mut batch_digest = 0u64;
-            for frame in batch {
-                if let Some(d) = Self::process_frame(&state, frame, &mut st) {
-                    batch_digest = batch_digest.wrapping_add(d.digest());
-                }
-            }
-            st.ladder.note_batch(state.epoch, batch_digest);
-        }
-        st.ladder
-    }
-
-    /// Runs every frame in order on one worker — the deterministic golden
-    /// mode. Punted packets are resolved through `fallback` afterwards.
+    /// Runs every frame in order on one worker with a cold cache — the
+    /// deterministic golden mode. Punted packets are resolved through
+    /// `fallback` afterwards.
     pub fn run_single(&self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        let worker = self.run_worker(frames);
-        ladder::resolve([&worker].into_iter(), frames.len() as u64, fallback, |p| {
-            Some(*p)
-        })
+        BatchExecutor::new(self, 1).run(self, frames, fallback)
     }
 
-    /// Runs frames across `config.workers` scoped threads, partitioned by
-    /// outer-UDP flow entropy (what an underlay ECMP fabric hashes).
-    /// Decision digest matches [`Dataplane::run_single`] on the same
-    /// frames; virtual time reflects the slowest worker.
+    /// Runs frames across `config.workers` scoped threads with cold
+    /// caches, partitioned by outer-UDP flow entropy (what an underlay
+    /// ECMP fabric hashes). Decision digest matches
+    /// [`Dataplane::run_single`] on the same frames; virtual time reflects
+    /// the slowest worker.
     pub fn run_multi(&self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
-        let workers = self.config.workers.max(1);
-        let mut parts: Vec<Vec<&[u8]>> = (0..workers).map(|_| Vec::new()).collect();
-        for frame in frames {
-            if let Some(part) = parts.get_mut(worker_for(frame, workers)) {
-                part.push(frame);
-            }
-        }
-        let ladders: Vec<Ladder<GatewayPacket>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .map(|part| scope.spawn(move || self.run_worker(part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        ladder::resolve(ladders.iter(), frames.len() as u64, fallback, |p| Some(*p))
+        BatchExecutor::new(self, self.config.workers).run(self, frames, fallback)
     }
 
     /// Decides one frame end-to-end without touching caches or the punt
@@ -448,7 +314,8 @@ mod tests {
         assert_eq!(single.packets, multi.packets);
         assert_eq!(single.counters.parse_errors, 0);
         assert_eq!(single.counters.parsed, seq.len() as u64);
-        // Stage totals are partition-independent too (no-evict cache).
+        // Stage totals are partition-independent too (every worker's
+        // cache holds all its flows).
         assert_eq!(single.counters.punted(), multi.counters.punted());
         assert_eq!(
             single.counters.hw_forwarded + single.counters.fallback_forwarded,

@@ -1,4 +1,4 @@
-//! The per-worker disposition core both executors drive.
+//! The per-worker disposition core the batch driver runs.
 //!
 //! Sailfish's XGW-H runs one program and degrades what it cannot serve
 //! to the software tiers behind one protective limiter (§4.2). A
@@ -9,7 +9,8 @@
 //! of what happens to a packet once its flow's [`CachedAction`] is known:
 //!
 //! - [`Ladder::walk`] turns a cache miss into an action (the counted
-//!   hardware walk, priced on the clock as it runs);
+//!   hardware walk) and prices it, for the driver to charge at the
+//!   frame's own position in arrival order;
 //! - [`snat_offloaded`] / [`Ladder::serve_snat_offload`] intercept SNAT
 //!   punts the pinned epoch serves on-chip;
 //! - [`Ladder::dispose`] counts the action and, for punts, places it on
@@ -17,10 +18,9 @@
 //! - [`resolve`] merges the workers and serves the queued punts through
 //!   the software forwarder into a [`RunReport`].
 //!
-//! The executors are *drivers* over this core. They differ only in how
-//! they parse, cache and rewrite, and in what they queue for a punt (`T`:
-//! the owned packet for the scalar driver, a frame index for the batch
-//! driver, which defers the owned parse to resolution).
+//! [`crate::batch`] is the driver over this core: it decides how frames
+//! are parsed, cached and rewritten, and queues a punt as its frame
+//! index, so the owned packet parse happens only at resolution.
 
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::{FiveTuple, GatewayPacket, Vni};
@@ -92,7 +92,7 @@ pub(crate) fn snat_offloaded(
 type ServedBy = Option<(u16, u64)>;
 
 /// One worker's accounting and degradation ladder; see the module docs.
-pub(crate) struct Ladder<T> {
+pub(crate) struct Ladder {
     pub(crate) counters: TableCounters,
     pub(crate) clock_ns: u64,
     devices_per_cluster: usize,
@@ -101,8 +101,8 @@ pub(crate) struct Ladder<T> {
     breaker: PuntBreaker,
     /// `None` without a configured tier (the two-rung ladder).
     dpu_breaker: Option<PuntBreaker>,
-    /// Admitted punts in decision order.
-    punted: Vec<(T, ServedBy)>,
+    /// Admitted punts in decision order, by frame index.
+    punted: Vec<(u32, ServedBy)>,
     digest: u64,
     /// `(epoch, digest)` accumulated batch by batch; a linear scan over
     /// the handful of live epochs keeps the hot path allocation-free.
@@ -125,7 +125,7 @@ fn breakers(config: &DataplaneConfig) -> (PuntBreaker, Option<PuntBreaker>) {
     )
 }
 
-impl<T: Copy> Ladder<T> {
+impl Ladder {
     pub(crate) fn new(config: &DataplaneConfig) -> Self {
         let (breaker, dpu_breaker) = breakers(config);
         Ladder {
@@ -187,15 +187,21 @@ impl<T: Copy> Ladder<T> {
     }
 
     /// Accounts one flow-cache miss: the full table walk, counted per
-    /// stage and priced on the virtual clock as it runs.
+    /// stage. Returns the action and the walk's virtual cost, which the
+    /// driver charges to the clock at the frame's own position.
     pub(crate) fn walk(
         &mut self,
         tables: &HardwareTables,
         vni: Vni,
         tuple: &FiveTuple,
-    ) -> CachedAction {
+    ) -> (CachedAction, u64) {
         self.counters.cache_misses += 1;
-        tables.walk(vni, tuple, self).into()
+        let mut priced = PricedWalk {
+            counters: &mut self.counters,
+            ns: 0,
+        };
+        let action = tables.walk(vni, tuple, &mut priced).into();
+        (action, priced.ns)
     }
 
     /// Accounts a SNAT punt the epoch's offload served on-chip (see
@@ -226,7 +232,7 @@ impl<T: Copy> Ladder<T> {
     /// admission for whatever it cannot serve.
     ///
     /// Returns the decision when one is final on the hardware tier;
-    /// `None` when `token` was queued for a software tier. `flow` is
+    /// `None` when frame `idx` was queued for a software tier. `flow` is
     /// only evaluated when the epoch runs a DPU tier.
     pub(crate) fn dispose(
         &mut self,
@@ -234,7 +240,7 @@ impl<T: Copy> Ladder<T> {
         action: CachedAction,
         from_cache: bool,
         frame_len: usize,
-        token: T,
+        idx: u32,
         flow: impl FnOnce() -> Option<(Vni, FiveTuple)>,
     ) -> Option<PathDecision> {
         let lane = match action {
@@ -256,13 +262,13 @@ impl<T: Copy> Ladder<T> {
         if let Some(dropped) = action.decision() {
             return Some(dropped);
         }
-        if self.try_spill_dpu(state, frame_len, token, flow) {
+        if self.try_spill_dpu(state, frame_len, idx, flow) {
             return None;
         }
         match self.breaker.admit(self.clock_ns, frame_len) {
             Admission::Admitted => {
                 self.clock_ns += cost::PUNT_HANDOFF_NS;
-                self.punted.push((token, None));
+                self.punted.push((idx, None));
                 None
             }
             Admission::ShedMeter => {
@@ -288,7 +294,7 @@ impl<T: Copy> Ladder<T> {
         &mut self,
         state: &EpochState,
         frame_len: usize,
-        token: T,
+        idx: u32,
         flow: impl FnOnce() -> Option<(Vni, FiveTuple)>,
     ) -> bool {
         let (Some(map), Some(dpu_breaker)) = (state.tier.as_deref(), self.dpu_breaker.as_mut())
@@ -313,7 +319,7 @@ impl<T: Copy> Ladder<T> {
                 if rehomed {
                     self.counters.dpu_rehomed += 1;
                 }
-                self.punted.push((token, Some((node, process_ns))));
+                self.punted.push((idx, Some((node, process_ns))));
                 true
             }
             Admission::ShedMeter => {
@@ -341,11 +347,16 @@ impl<T: Copy> Ladder<T> {
     }
 }
 
-/// The executors' walk sink: every table interaction is counted *and*
-/// priced on the worker's virtual clock.
-impl<T> WalkSink for Ladder<T> {
+/// The driver's walk sink: every table interaction is counted in the
+/// worker's lanes, and its virtual cost summed.
+struct PricedWalk<'a> {
+    counters: &'a mut TableCounters,
+    ns: u64,
+}
+
+impl WalkSink for PricedWalk<'_> {
     fn on(&mut self, event: WalkEvent) {
-        self.clock_ns += cost::of(event);
+        self.ns += cost::of(event);
         self.counters.on(event);
     }
 }
@@ -357,16 +368,15 @@ impl<T> WalkSink for Ladder<T> {
 /// DPU spill resolves through the *same* forwarder as an x86 punt (both
 /// run the full software table set), just at the owning DPU node's
 /// per-packet latency instead of the x86 cost — which is exactly why
-/// tier placement can never change a run's decision digest. `packet_of`
-/// recovers the owned packet from a queued token.
-pub(crate) fn resolve<'a, T: 'a>(
-    workers: impl Iterator<Item = &'a Ladder<T>> + Clone,
-    packets: u64,
+/// tier placement can never change a run's decision digest. A queued
+/// punt's owned packet is parsed here, from its index into `frames`.
+pub(crate) fn resolve<'a>(
+    workers: impl Iterator<Item = &'a Ladder> + Clone,
+    frames: &[&[u8]],
     fallback: &mut SoftwareForwarder,
-    packet_of: impl Fn(&T) -> Option<GatewayPacket>,
 ) -> RunReport {
     let mut report = RunReport {
-        packets,
+        packets: frames.len() as u64,
         device_packets: vec![0; workers.clone().next().map_or(0, |w| w.device_packets.len())],
         ..RunReport::default()
     };
@@ -388,8 +398,12 @@ pub(crate) fn resolve<'a, T: 'a>(
         }
     }
 
-    for (token, served_by) in workers.flat_map(|w| &w.punted) {
-        let Some(packet) = packet_of(token) else {
+    for (idx, served_by) in workers.flat_map(|w| &w.punted) {
+        // Only view-validated frames punt, so this parse cannot fail.
+        let Some(Ok(packet)) = frames
+            .get(*idx as usize)
+            .map(|frame| GatewayPacket::parse_classified(frame))
+        else {
             continue;
         };
         let (served, process_ns, forwarded, dropped) = match served_by {

@@ -25,24 +25,19 @@
 //!   known: SNAT-offload intercept, the DPU → x86 punt ladder behind its
 //!   breakers, worker merge and punt resolution into a [`RunReport`] — is
 //!   the crate-private `ladder` module;
+//! - **the driver** — how frames reach all of that: borrowed-view parse,
+//!   the evicting S3-FIFO [`FlowCache`], the miss pipeline, the arena
+//!   rewrite and the per-frame virtual clock — is
+//!   [`batch::BatchExecutor`]. [`executor::Dataplane::run_single`] (one
+//!   worker, the deterministic mode for golden tests and byte-identical
+//!   benchmark JSON) and [`executor::Dataplane::run_multi`] (scoped
+//!   threads partitioned by outer-UDP flow entropy, exactly like an
+//!   underlay ECMP fabric) are cold runs of it. Its reports are
+//!   batch-size invariant (`tests/batch_equivalence.rs`);
 //! - **the independent oracle** is `xgw_x86::SoftwareForwarder`, which
 //!   shares none of the above: [`oracle::differential_run`] requires every
 //!   packet the pipeline serves to reach the same `(next-hop, rewrite)`
 //!   decision the software forwarder takes over the full table set.
-//!
-//! Two *drivers* feed that core, differing only in how frames reach it:
-//!
-//! - [`executor::Dataplane`] is the frame-at-a-time reference driver —
-//!   owned parse, no-evict sharded cache, full-frame rewrite — with the
-//!   deterministic [`executor::Dataplane::run_single`] for golden tests
-//!   and byte-identical benchmark JSON, plus scoped-thread
-//!   [`executor::Dataplane::run_multi`] partitioned by outer-UDP flow
-//!   entropy exactly like an underlay ECMP fabric would;
-//! - [`batch::BatchExecutor`] is the zero-allocation batch driver, which
-//!   walks contiguous frame lanes through per-stage loops with a
-//!   borrowed-view parser, an evicting S3-FIFO flow cache and a reusable
-//!   rewrite arena. A cold batch run reproduces `run_single`'s report
-//!   field for field (`tests/batch_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,10 +60,9 @@ pub mod engine;
 // config and world it is handed; no index in it may be taken on trust.
 #[deny(clippy::indexing_slicing)]
 pub mod epoch;
-// Hot paths touching raw frame bytes must prove every slice: the lint
-// rejects unchecked indexing so truncated or hostile frames cannot panic
-// the pipeline (per-module `allow`s carry the bounds proofs).
-#[warn(clippy::indexing_slicing)]
+// Config, report and the oracle's per-frame view: the outer-UDP peek
+// reads hostile bytes, so no index in it may be taken on trust.
+#[deny(clippy::indexing_slicing)]
 pub mod executor;
 mod ladder;
 pub mod oracle;

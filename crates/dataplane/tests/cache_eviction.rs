@@ -11,6 +11,11 @@
 //!    touched during probation survives a scan of arbitrarily many
 //!    one-hit-wonder flows — every hot key must still be resident.
 //!
+//! Capacities of one and two take the eviction loop's corner branches
+//! (probation at its one-entry target, an empty main queue) on almost
+//! every insert, so they get their own cases; a zero capacity is clamped
+//! to one.
+//!
 //! All properties run under `sailfish_util::check` so failures replay
 //! from a printed seed.
 
@@ -157,4 +162,62 @@ fn scan_cannot_evict_hot_working_set() {
         }
         assert!(cache.len() <= cache.capacity());
     });
+}
+
+#[test]
+fn capacities_one_and_two_evict_without_losing_the_new_key() {
+    check::run("cache_tiny_capacity", 32, |rng| {
+        for capacity in [1usize, 2] {
+            let mut cache = FlowCache::new(capacity);
+            let key_space = rng.gen_range(1..8u64);
+            for _ in 0..rng.gen_range(10..500usize) {
+                let id = rng.gen_range(0..key_space);
+                if rng.gen_bool(0.4) {
+                    let _ = cache.get(&key(id));
+                } else {
+                    cache.insert(key(id), outcome(id));
+                    assert_eq!(
+                        cache.peek(&key(id)),
+                        Some(outcome(id)),
+                        "capacity {capacity}: the inserted key is not resident"
+                    );
+                }
+                assert!(cache.len() <= capacity, "capacity {capacity} overfilled");
+            }
+        }
+    });
+}
+
+#[test]
+fn capacity_two_keeps_a_hot_key_through_a_scan() {
+    let mut cache = FlowCache::new(2);
+    cache.insert(key(0), outcome(0));
+    assert!(cache.get(&key(0)).is_some());
+    // Fresh one-hit keys only ever recycle the one-entry probation queue
+    // once the re-hit key has been promoted to main.
+    for id in 1..200 {
+        cache.insert(key(id), outcome(id));
+        assert_eq!(cache.peek(&key(0)), Some(outcome(0)), "after {id} inserts");
+        assert_eq!(cache.peek(&key(id)), Some(outcome(id)));
+    }
+    assert_eq!(cache.len(), 2);
+}
+
+#[test]
+fn capacity_one_holds_exactly_the_last_insert() {
+    // Zero is clamped to one, not rejected.
+    for requested in [0usize, 1] {
+        let mut cache = FlowCache::new(requested);
+        assert_eq!(cache.capacity(), 1);
+        cache.insert(key(0), outcome(0));
+        // A re-hit entry gets its second chance in main and is still
+        // evicted: there is no room for it beside the new key.
+        assert!(cache.get(&key(0)).is_some());
+        for id in 1..50 {
+            cache.insert(key(id), outcome(id));
+            assert_eq!(cache.len(), 1);
+            assert_eq!(cache.peek(&key(id)), Some(outcome(id)));
+            assert!(cache.peek(&key(id - 1)).is_none());
+        }
+    }
 }

@@ -9,11 +9,11 @@
 //! `Copy` bundle of offsets and integers, so a batch of frames can be
 //! validated into a preallocated lane with zero per-packet allocation.
 //!
-//! The equivalence is load-bearing: the batch executor counts parse
-//! failures per layer/kind through this type while the scalar executor
-//! counts them through `parse_classified`, and the differential tests
-//! require the two tallies to be identical over hostile corpora. A
-//! property test (`net/tests/view_parity.rs`) pins `FrameView::parse`
+//! The equivalence is load-bearing: the batch executor accepts frames
+//! and counts parse failures per layer/kind through this type, while its
+//! punt resolution, the differential oracle and the software forwarder
+//! parse the same frames through `parse_classified` — a frame the view
+//! accepts must parse there too, with the same fields. A property test (`net/tests/view_parity.rs`) pins `FrameView::parse`
 //! to `parse_classified` error-for-error across truncations and
 //! structure-aware mutants.
 
@@ -28,8 +28,8 @@ use crate::wire::{ipv4, ipv6, tcp, udp, vxlan};
 /// The exact-match flow identity used by the batch flow cache.
 ///
 /// Injective with respect to `(Vni, FiveTuple)`: two frames produce the
-/// same `FlowKey` iff the scalar executor would use the same
-/// `(vni, five_tuple)` cache key. IPv4 addresses are zero-extended into
+/// same `FlowKey` iff their owned packets have the same
+/// `(vni, five_tuple)`. IPv4 addresses are zero-extended into
 /// the `u128` lanes and disambiguated from real IPv6 addresses by the
 /// family bit packed into `meta`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,7 +45,7 @@ pub struct FlowKey {
 }
 
 impl FlowKey {
-    /// Builds the key from its scalar-side identity.
+    /// Builds the key from a flow's owned `(vni, five_tuple)` identity.
     pub fn from_tuple(vni: Vni, tuple: &FiveTuple) -> FlowKey {
         let (src, dst, v6) = match (tuple.src_ip, tuple.dst_ip) {
             (IpAddr::V4(s), IpAddr::V4(d)) => {
@@ -419,8 +419,8 @@ impl FrameView {
         })
     }
 
-    /// The cache key of this frame's flow. Equal for two frames iff the
-    /// scalar `(vni, five_tuple)` cache key is equal.
+    /// The cache key of this frame's flow. Equal for two frames iff
+    /// their owned `(vni, five_tuple)` identities are equal.
     #[inline]
     pub fn flow_key(&self) -> FlowKey {
         FlowKey {
@@ -434,7 +434,7 @@ impl FrameView {
         }
     }
 
-    /// Reconstructs the scalar-side flow tuple (slow; test/miss-path use).
+    /// Reconstructs the owned flow tuple (slow; test/miss-path use).
     #[inline]
     pub fn five_tuple(&self) -> FiveTuple {
         let (src, dst) = if self.inner_v6 {
@@ -486,7 +486,7 @@ mod tests {
         assert_eq!(
             v.flow_key(),
             FlowKey::from_tuple(p.vni, &p.five_tuple()),
-            "view key must equal the scalar identity"
+            "view key must equal the owned identity"
         );
         assert!(!v.outer_v6 && !v.inner_v6);
         assert_eq!(usize::from(v.inner_eth), 14 + 20 + 8 + 8);
