@@ -30,36 +30,33 @@ run_step() {
     fi
 }
 
-# Runs a seeded smoke command twice and requires its artifact to come out
-# byte-identical — the workspace-wide determinism contract. Usage:
+# Runs a seeded smoke command twice and requires the artifact directory
+# it writes to come out byte-identical — the workspace-wide determinism
+# contract. Usage:
 #
-#   determinism_gate <name> <artifact> <cmd...>
+#   determinism_gate <name> <dir> <cmd...>
 #
-# The command runs once (as a normal gated step), the artifact is
-# stashed, the command runs again, and the two artifacts are cmp'd.
+# The command runs once (as a normal gated step), the directory is
+# stashed, the command runs again, and the two copies are compared file
+# by file.
 determinism_gate() {
     local name="$1"
-    local artifact="$2"
+    local dir="$2"
     shift 2
     run_step "${name}" "$@"
-    if [ ! -f "${artifact}" ]; then
-        echo "==> ${name}-determinism: FAILED (${artifact} missing)"
-        failures=$((failures + 1))
-        return
-    fi
     local stash
-    stash="/tmp/sailfish_$(echo "${name}" | tr -c 'a-zA-Z0-9' '_')run1"
-    cp "${artifact}" "${stash}"
+    stash="$(mktemp -d)"
+    cp -R "${dir}/." "${stash}"
     run_step "${name}-rerun" "$@"
     echo
-    echo "==> ${name}-determinism: comparing the two runs of ${artifact}"
-    if cmp -s "${stash}" "${artifact}"; then
+    echo "==> ${name}-determinism: comparing the two runs of ${dir}/"
+    if diff -r -q "${stash}" "${dir}"; then
         echo "==> ${name}-determinism: OK (byte-identical)"
     else
         echo "==> ${name}-determinism: FAILED (runs differ)"
         failures=$((failures + 1))
     fi
-    rm -f "${stash}"
+    rm -rf "${stash}"
 }
 
 # 1. Offline release build — proves dependency resolution needs no network.
@@ -82,59 +79,14 @@ else
     echo "==> clippy: SKIPPED (clippy not installed)"
 fi
 
-# 5. Static-analyzer smoke: every shipped layout must verify clean and
-#    the known-bad corpus must fire its pinned codes.
-determinism_gate "verify-smoke" experiments/verify_report.txt \
-    cargo run --release --offline -q -p sailfish-bench --bin sailfish-verify
-
-# 5b. Plan-time world-verifier smoke: staged installs and re-shard plans
-#     must prove clean, the known-bad world corpus must fire its pinned
-#     codes, delta re-verification must stay O(delta), and the chaos
-#     soundness differential must report zero unflagged escapes.
-determinism_gate "verify-world-smoke" experiments/verify_world_report.txt \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin verify_world_sweep -- --tiny
-
-# 6. Fault-injection smoke: the chaos sweep must run clean (zero
-#    invariant violations, every fault recovered) at tiny scale.
-determinism_gate "chaos-smoke" experiments/fault_injection.json \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin fault_injection_sweep -- --tiny
-
-# 7. Live-executor chaos smoke: fault schedules replayed against the
-#    packet-level dataplane must hold all three invariants (no black
-#    hole, bounded fallback, oracle agreement after every epoch swap).
-determinism_gate "chaos-dataplane-smoke" experiments/chaos_dataplane.json \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin chaos_dataplane_sweep -- --tiny
-
-# 7b. Elastic re-shard smoke: scripted make-before-break migrations
-#     under live traffic and per-phase faults must commit or roll back
-#     cleanly (zero violations, rollback from every pre-commit phase).
-determinism_gate "reshard-smoke" experiments/reshard.json \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin reshard_sweep -- --tiny
-
-# 7c. Stateful SNAT smoke: the hybrid connection-tracking tier must
-#     agree with its naive reference, the port-pool alert must precede
-#     the first dropped connection, and the published offload epoch must
-#     leave the decision digest byte-identical.
-determinism_gate "snat-smoke" experiments/snat.json \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin snat_sweep -- --tiny
-
-# 7d. Three-tier ladder smoke: the DPU middle tier must keep decision
-#     digests byte-identical, absorb the punt stream, fail over with
-#     bounded churn, and fire per-tier alerts before breakers open.
-determinism_gate "tier-smoke" experiments/tier.json \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin tier_sweep -- --tiny
-
-# 8. Dataplane smoke: the behavioral executor must hold the differential
-#    oracle at tiny scale.
-determinism_gate "dataplane-smoke" BENCH_dataplane.json \
-    cargo run --release --offline -q -p sailfish-bench \
-    --bin dataplane_bench -- --tiny
+# 5. Reproduction smoke: every experiment at --tiny scale must hold all
+#    its claims (the static analyzers' layouts verify clean and their
+#    known-bad corpora fire their pinned codes; the chaos, re-shard, SNAT
+#    and tier sweeps hold their invariants; Fig 18's executor agrees with
+#    the differential oracle), and two runs must write byte-identical
+#    experiments/ directories.
+determinism_gate "repro-smoke" experiments \
+    cargo run --release --offline -q -p sailfish-bench --bin repro -- --tiny
 
 # 10a. Stand-alone benchmark crate: `benchmark/` is frozen between
 #      `[benchmark]` PRs and builds against this workspace's public API,

@@ -929,7 +929,7 @@ pub fn verify_plan(
 }
 
 /// A known-bad world/plan with the diagnostics it must provoke. Doubles
-/// as golden-test fixtures and as the `verify_world_sweep` demo corpus.
+/// as golden-test fixtures and as the `verify_world` experiment's demo corpus.
 #[derive(Debug, Clone)]
 pub struct WorldCorpusCase {
     /// Stable case name.

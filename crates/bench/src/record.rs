@@ -1,15 +1,15 @@
 //! Machine-readable experiment records.
 //!
-//! Every reproduction binary appends its paper-vs-measured comparison to
-//! `experiments/<id>.json` in the workspace root, which backs
-//! `EXPERIMENTS.md`. Records serialize through the in-tree
+//! Every experiment returns its paper-vs-measured comparison; `repro`
+//! writes it to `experiments/<id>.json` in the workspace root, which
+//! backs `EXPERIMENTS.md`. Records serialize through the in-tree
 //! `sailfish_util::json` writer (the workspace builds offline with no
 //! external crates), keeping the layout the existing files use.
 
-use std::fs;
+use std::fmt;
 use std::path::PathBuf;
 
-use sailfish_util::json::{Json, JsonError};
+use sailfish_util::json::Json;
 
 /// One compared quantity.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,33 +33,6 @@ impl Comparison {
             ("holds".to_string(), Json::from(self.holds)),
         ])
     }
-
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let field = |key: &str| {
-            v.get(key).cloned().ok_or_else(|| JsonError {
-                message: format!("comparison missing field '{key}'"),
-                offset: 0,
-            })
-        };
-        let text = |key: &str| -> Result<String, JsonError> {
-            field(key)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| JsonError {
-                    message: format!("comparison field '{key}' is not a string"),
-                    offset: 0,
-                })
-        };
-        Ok(Comparison {
-            metric: text("metric")?,
-            paper: text("paper")?,
-            measured: text("measured")?,
-            holds: field("holds")?.as_bool().ok_or_else(|| JsonError {
-                message: "comparison field 'holds' is not a bool".to_string(),
-                offset: 0,
-            })?,
-        })
-    }
 }
 
 /// A full experiment record.
@@ -71,6 +44,9 @@ pub struct ExperimentRecord {
     pub title: String,
     /// The comparisons.
     pub comparisons: Vec<Comparison>,
+    /// Rendered diagnostics `repro` writes beside the record as
+    /// `<id>_report.txt` (the static analyzers'); not part of the JSON.
+    pub report: Option<String>,
 }
 
 impl ExperimentRecord {
@@ -80,7 +56,13 @@ impl ExperimentRecord {
             id: id.into(),
             title: title.into(),
             comparisons: Vec::new(),
+            report: None,
         }
+    }
+
+    /// Whether every claim holds.
+    pub fn holds(&self) -> bool {
+        self.comparisons.iter().all(|c| c.holds)
     }
 
     /// Adds a comparison row.
@@ -112,35 +94,6 @@ impl ExperimentRecord {
         ])
     }
 
-    /// Parses a record from JSON text.
-    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(text)?;
-        let str_field = |key: &str| -> Result<String, JsonError> {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| JsonError {
-                    message: format!("record missing string field '{key}'"),
-                    offset: 0,
-                })
-        };
-        let comparisons = v
-            .get("comparisons")
-            .and_then(Json::as_array)
-            .ok_or_else(|| JsonError {
-                message: "record missing array field 'comparisons'".to_string(),
-                offset: 0,
-            })?
-            .iter()
-            .map(Comparison::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ExperimentRecord {
-            id: str_field("id")?,
-            title: str_field("title")?,
-            comparisons,
-        })
-    }
-
     /// Directory the records land in (workspace `experiments/`).
     pub fn output_dir() -> PathBuf {
         // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
@@ -150,33 +103,70 @@ impl ExperimentRecord {
         p.push("experiments");
         p
     }
+}
 
-    /// Writes the record and prints the comparison summary.
-    pub fn finish(&self) {
-        let dir = Self::output_dir();
-        let _ = fs::create_dir_all(&dir);
-        let path = dir.join(format!("{}.json", self.id));
-        if let Err(e) = fs::write(&path, self.to_json().to_pretty()) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-        println!("\n[{}] paper vs measured:", self.id);
-        let mut all_hold = true;
+/// The paper-vs-measured table.
+impl fmt::Display for ExperimentRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "[{}] paper vs measured:", self.id)?;
         for c in &self.comparisons {
             let mark = if c.holds { "OK " } else { "DIVERGES" };
-            println!(
+            writeln!(
+                f,
                 "  [{mark}] {:<42} paper: {:<22} measured: {}",
                 c.metric, c.paper, c.measured
-            );
-            all_hold &= c.holds;
+            )?;
         }
-        println!(
+        write!(
+            f,
             "  => {}",
-            if all_hold {
+            if self.holds() {
                 "all claims hold"
             } else {
                 "some claims diverge (see EXPERIMENTS.md)"
             }
-        );
+        )
+    }
+}
+
+/// Claims holding and claims made across a run's records: `repro`'s
+/// summary line and its exit rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Summary {
+    /// Claims that hold.
+    pub holding: usize,
+    /// Claims made.
+    pub total: usize,
+    /// Records counted.
+    pub records: usize,
+}
+
+impl Summary {
+    /// Tallies `records`.
+    pub fn of(records: &[ExperimentRecord]) -> Self {
+        Summary {
+            holding: records
+                .iter()
+                .map(|r| r.comparisons.iter().filter(|c| c.holds).count())
+                .sum(),
+            total: records.iter().map(|r| r.comparisons.len()).sum(),
+            records: records.len(),
+        }
+    }
+
+    /// The run passes only if every claim holds.
+    pub fn passed(&self) -> bool {
+        self.holding == self.total
+    }
+}
+
+impl fmt::Display for Summary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{} claims hold across {} experiments",
+            self.holding, self.total, self.records
+        )
     }
 }
 
@@ -185,24 +175,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_round_trip() {
-        let mut r = ExperimentRecord::new("test", "Test record");
-        r.compare("m", "1", "1.02", true);
-        let json = r.to_json().to_pretty();
-        let back = ExperimentRecord::from_json_str(&json).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.comparisons.len(), 1);
-        assert_eq!(back.id, "test");
-    }
+    fn one_diverging_claim_fails_the_run() {
+        let mut good = ExperimentRecord::new("good", "Holds");
+        good.compare("a", "1", "1", true)
+            .compare("b", "2", "2", true);
+        let mut bad = ExperimentRecord::new("bad", "Diverges");
+        bad.compare("c", "3", "3", true)
+            .compare("d", "4", "9", false);
 
-    #[test]
-    fn malformed_records_are_rejected() {
-        assert!(ExperimentRecord::from_json_str("{}").is_err());
-        assert!(ExperimentRecord::from_json_str("[1, 2]").is_err());
-        assert!(ExperimentRecord::from_json_str(
-            r#"{"id": "x", "title": "t", "comparisons": [{}]}"#
-        )
-        .is_err());
+        let passing = Summary::of(std::slice::from_ref(&good));
+        assert!(passing.passed());
+        assert_eq!(passing.to_string(), "2/2 claims hold across 1 experiments");
+
+        let failing = Summary::of(&[good, bad.clone()]);
+        assert!(!failing.passed());
+        assert!(!bad.holds());
+        assert_eq!(failing.to_string(), "3/4 claims hold across 2 experiments");
+        assert!(bad.to_string().contains("[DIVERGES] d"));
     }
 
     #[test]

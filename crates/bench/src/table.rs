@@ -1,4 +1,4 @@
-//! Plain-text table/series printing for the reproduction binaries.
+//! Plain-text table/series printing for the experiments.
 
 /// Prints a fixed-width table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {

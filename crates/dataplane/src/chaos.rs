@@ -42,7 +42,7 @@ use sailfish_cluster::controller::InstallPolicy;
 use sailfish_cluster::monitor::{evaluate_tier_shares, Alert, WaterLevels};
 use sailfish_net::Vni;
 use sailfish_sim::faults::{FaultEvent, FaultKind, FaultSchedule, InstallFault};
-use sailfish_sim::workload::{self, WorkloadConfig};
+use sailfish_sim::workload::{self, Flow, WorkloadConfig};
 use sailfish_sim::Topology;
 use sailfish_xgw_h::HwDecision;
 
@@ -336,7 +336,8 @@ impl ChaosReport {
 /// The world the faults active at one slot imply, plus the traffic storm
 /// multiplier and any install fault blocking publishes. `dpu_nodes` is
 /// the configured pool size (0 without a tier — the DPU fault kinds then
-/// land in the view but the epoch builder ignores them).
+/// land in the view but the epoch builder ignores them). With zero
+/// clusters a cluster fault names nothing and degrades nothing.
 fn world_of(
     active: &[&FaultEvent],
     clusters: usize,
@@ -351,13 +352,17 @@ fn world_of(
             | FaultKind::PortDegradation {
                 cluster, device, ..
             } => {
-                world.dead_devices.insert((cluster % clusters, device));
+                if let Some(cluster) = cluster.checked_rem(clusters) {
+                    world.dead_devices.insert((cluster, device));
+                }
             }
             FaultKind::ClusterFailure { cluster } => {
-                world.unassigned_clusters.insert(cluster % clusters);
+                world
+                    .unassigned_clusters
+                    .extend(cluster.checked_rem(clusters));
             }
             FaultKind::TableCorruption { cluster, .. } => {
-                world.wiped_clusters.insert(cluster % clusters);
+                world.wiped_clusters.extend(cluster.checked_rem(clusters));
             }
             FaultKind::InstallFailure { fault, .. } => {
                 install = Some(fault);
@@ -399,24 +404,12 @@ pub fn run_schedule(
         .as_ref()
         .map_or(0usize, |t| usize::from(t.pool.nodes));
     let dp = Dataplane::build(topology, dp_config);
-
-    // Traffic pool: Zipf flows, one wire frame per flow.
-    let flows = workload::generate_flows(
-        topology,
-        &WorkloadConfig {
-            seed: cfg.traffic_seed,
-            flows: cfg.flows.max(1),
-            internet_share: 0.01,
-            ..WorkloadConfig::default()
-        },
-    );
-    let frames = traffic::frames_for_flows(&flows);
-    let flows = flows.get(..frames.len()).unwrap_or(&flows);
+    let (flows, frames, anchor_of) = flow_pool(topology, cfg);
 
     // Classify every flow against the healthy epoch once: which cluster
     // serves it, and whether the healthy hardware punts it anyway
-    // (withheld VM mapping, SNAT, no hardware route). The blast-radius
-    // bound is computed from this classification.
+    // (withheld VM mapping, SNAT, no hardware route, no cluster at all).
+    // The blast-radius bound is computed from this classification.
     let healthy = dp.pin();
     let flow_cluster: Vec<Option<usize>> = flows
         .iter()
@@ -424,17 +417,6 @@ pub fn run_schedule(
         .collect();
     // Peer-group anchor per flow, so the blast-radius bound can widen to
     // every owner of a mid-migration group.
-    let anchor_of: BTreeMap<Vni, Vni> = topology
-        .vpcs
-        .iter()
-        .map(|vpc| {
-            let anchor = match vpc.peer {
-                Some(peer) => vpc.vni.min(peer),
-                None => vpc.vni,
-            };
-            (vpc.vni, anchor)
-        })
-        .collect();
     let flow_anchor: Vec<Option<Vni>> = flows
         .iter()
         .map(|f| anchor_of.get(&f.vni).copied())
@@ -442,43 +424,36 @@ pub fn run_schedule(
     let healthy_punt: Vec<bool> = flows
         .iter()
         .zip(&flow_cluster)
-        .map(|(flow, cluster)| match cluster {
-            None => true,
-            Some(c) => {
-                let packet = traffic::packet_for_flow(flow);
-                let mut scratch = TableCounters::default();
-                let tables = healthy
-                    .clusters
-                    .get(*c)
-                    .map(|cl| &cl.tables)
-                    .expect("healthy directory stays in range");
-                matches!(
-                    engine::walk(tables, &packet, &mut scratch),
-                    HwDecision::PuntToX86 { .. }
-                )
-            }
+        .map(|(flow, cluster)| {
+            let Some(served) = cluster.and_then(|c| healthy.clusters.get(c)) else {
+                return true;
+            };
+            let packet = traffic::packet_for_flow(flow);
+            let mut scratch = TableCounters::default();
+            matches!(
+                engine::walk(&served.tables, &packet, &mut scratch),
+                HwDecision::PuntToX86 { .. }
+            )
         })
         .collect();
     drop(healthy);
 
     // Plan-time gate over the scripted moves: each migration is verified
     // against the abstract anchor world (one unit per peer-group anchor,
-    // home `anchor % clusters` — the epoch builder's own rule) before it
-    // may reach a published world. A rejected move is excluded from the
-    // replay unless `cfg.replay_rejected` deliberately lets it through
-    // (the soundness differential's ungated arm).
+    // home `anchor % clusters` — the epoch builder's own rule; with zero
+    // clusters no anchor has a home) before it may reach a published
+    // world. A rejected move is excluded from the replay unless
+    // `cfg.replay_rejected` deliberately lets it through (the soundness
+    // differential's ungated arm).
     let mut rejected = vec![false; cfg.reshard.len()];
     let mut static_rejects: Vec<StaticReject> = Vec::new();
     if !cfg.reshard.is_empty() {
         let mut anchor_world = WorldModel::new("chaos-anchors", clusters);
         let anchors: BTreeSet<Vni> = anchor_of.values().copied().collect();
         for anchor in &anchors {
-            anchor_world.add_unit(
-                u64::from(anchor.value()),
-                1,
-                1,
-                anchor.value() as usize % clusters,
-            );
+            if let Some(home) = (anchor.value() as usize).checked_rem(clusters) {
+                anchor_world.add_unit(u64::from(anchor.value()), 1, 1, home);
+            }
         }
         let certificate = trusted_certificate(&anchor_world);
         // Capacity is not the dataplane harness's concern (the epoch
@@ -518,7 +493,7 @@ pub fn run_schedule(
     }
 
     // Oracle probe slice, fixed across the run.
-    let probe_idx = traffic::schedule(flows, cfg.probe_frames.max(1), cfg.traffic_seed ^ 0xA11CE);
+    let probe_idx = traffic::schedule(&flows, cfg.probe_frames.max(1), cfg.traffic_seed ^ 0xA11CE);
     let probe: Vec<&[u8]> = probe_idx
         .iter()
         .filter_map(|i| frames.get(*i).map(|f| f.as_slice()))
@@ -693,7 +668,7 @@ pub fn run_schedule(
         // Drive the slot's Zipf traffic slice.
         let count = ((cfg.frames_per_slot.max(1) as f64) * storm) as usize;
         let sched = traffic::schedule(
-            flows,
+            &flows,
             count,
             cfg.traffic_seed
                 .wrapping_add((slot + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
@@ -859,15 +834,14 @@ fn record_attempts(faults: &mut [FaultOutcome], event: &FaultEvent, attempts: u3
     }
 }
 
-/// The anchor whose peer group splits most evenly across the two owners
-/// under the dual-window flow-hash parity — so dual-window assertions
-/// (and the chaos sweep's scripted-move arms) always observe traffic on
-/// both sides. Returns the anchor and its home cluster under the epoch
-/// builder's `anchor % clusters` rule. Deterministic for a given
-/// topology and traffic seed.
-pub fn busiest_anchor(topology: &Topology, cfg: &ChaosConfig, clusters: usize) -> (Vni, usize) {
-    use sailfish_net::rss::Toeplitz;
-    let flows = workload::generate_flows(
+/// The harness's traffic pool: `cfg`'s seeded Zipf flows, one wire frame
+/// per flow, and each VPC's peer-group anchor (the smaller VNI of a
+/// peered pair — the key the epoch builder groups by).
+fn flow_pool(
+    topology: &Topology,
+    cfg: &ChaosConfig,
+) -> (Vec<Flow>, Vec<Vec<u8>>, BTreeMap<Vni, Vni>) {
+    let mut flows = workload::generate_flows(
         topology,
         &WorkloadConfig {
             seed: cfg.traffic_seed,
@@ -877,17 +851,30 @@ pub fn busiest_anchor(topology: &Topology, cfg: &ChaosConfig, clusters: usize) -
         },
     );
     let frames = traffic::frames_for_flows(&flows);
-    let anchor_of: BTreeMap<Vni, Vni> = topology
+    flows.truncate(frames.len());
+    let anchor_of = topology
         .vpcs
         .iter()
-        .map(|vpc| {
-            let anchor = match vpc.peer {
-                Some(peer) => vpc.vni.min(peer),
-                None => vpc.vni,
-            };
-            (vpc.vni, anchor)
-        })
+        .map(|vpc| (vpc.vni, vpc.peer.map_or(vpc.vni, |peer| vpc.vni.min(peer))))
         .collect();
+    (flows, frames, anchor_of)
+}
+
+/// The `n` anchors whose peer groups split most evenly across the two
+/// owners under the dual-window flow-hash parity, best first — so
+/// dual-window assertions (and scripted-move arms) always observe
+/// traffic on both sides. Each comes with its home cluster under the
+/// epoch builder's `anchor % clusters` rule; with zero clusters no anchor
+/// has a home and the list is empty. Deterministic for a given topology
+/// and traffic seed.
+pub fn ranked_anchors(
+    topology: &Topology,
+    cfg: &ChaosConfig,
+    clusters: usize,
+    n: usize,
+) -> Vec<(Vni, usize)> {
+    use sailfish_net::rss::Toeplitz;
+    let (flows, frames, anchor_of) = flow_pool(topology, cfg);
     let hasher = Toeplitz::default();
     let mut parity: BTreeMap<Vni, (usize, usize)> = BTreeMap::new();
     for (flow, frame) in flows.iter().zip(&frames) {
@@ -904,12 +891,25 @@ pub fn busiest_anchor(topology: &Topology, cfg: &ChaosConfig, clusters: usize) -
             slot.1 += 1;
         }
     }
-    let (anchor, _) = parity
+    let mut ranked: Vec<(Vni, (usize, usize))> = parity.into_iter().collect();
+    ranked.sort_by_key(|&(a, (even, odd))| std::cmp::Reverse((even.min(odd), even + odd, a)));
+    ranked
         .into_iter()
-        .max_by_key(|(a, (even, odd))| (*even.min(odd), even + odd, *a))
-        .expect("workload covers some VPC");
-    let from = anchor.value() as usize % clusters;
-    (anchor, from)
+        .filter_map(|(a, _)| Some((a, (a.value() as usize).checked_rem(clusters)?)))
+        .take(n)
+        .collect()
+}
+
+/// The best of [`ranked_anchors`]; `None` when the workload touches no
+/// VPC or there is no cluster to home it on.
+pub fn busiest_anchor(
+    topology: &Topology,
+    cfg: &ChaosConfig,
+    clusters: usize,
+) -> Option<(Vni, usize)> {
+    ranked_anchors(topology, cfg, clusters, 1)
+        .into_iter()
+        .next()
 }
 
 #[cfg(test)]
@@ -1043,7 +1043,7 @@ mod tests {
         let topology = Topology::generate(TopologyConfig::default());
         let mut cfg = quick_cfg();
         let clusters = DataplaneConfig::default().clusters;
-        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters);
+        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters).unwrap();
         let to = (from + 1) % clusters;
         cfg.reshard = vec![ScriptedMove {
             anchor,
@@ -1085,7 +1085,7 @@ mod tests {
         let topology = Topology::generate(TopologyConfig::default());
         let mut cfg = quick_cfg();
         let clusters = DataplaneConfig::default().clusters;
-        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters);
+        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters).unwrap();
         let to = (from + 1) % clusters;
         cfg.reshard = vec![ScriptedMove {
             anchor,
@@ -1114,7 +1114,7 @@ mod tests {
         let topology = Topology::generate(TopologyConfig::default());
         let mut cfg = quick_cfg();
         let clusters = DataplaneConfig::default().clusters;
-        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters);
+        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters).unwrap();
         // Destination outside the cluster set: from Commit on the
         // directory would point into the void.
         cfg.reshard = vec![ScriptedMove {
@@ -1152,7 +1152,7 @@ mod tests {
         let topology = Topology::generate(TopologyConfig::default());
         let mut cfg = quick_cfg();
         let clusters = DataplaneConfig::default().clusters;
-        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters);
+        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters).unwrap();
         cfg.reshard = vec![ScriptedMove {
             anchor,
             from,
@@ -1181,7 +1181,7 @@ mod tests {
         let topology = Topology::generate(TopologyConfig::default());
         let mut cfg = quick_cfg();
         let clusters = DataplaneConfig::default().clusters;
-        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters);
+        let (anchor, from) = busiest_anchor(&topology, &cfg, clusters).unwrap();
         let to = (from + 1) % clusters;
         cfg.reshard = vec![ScriptedMove {
             anchor,

@@ -267,7 +267,7 @@ fn cold_batch_matches_inside_a_dual_ownership_window() {
         flows: 900,
         ..ChaosConfig::default()
     };
-    let (anchor, from) = busiest_anchor(&topology, &chaos, config.clusters);
+    let (anchor, from) = busiest_anchor(&topology, &chaos, config.clusters).unwrap();
     let mut world = WorldView::healthy();
     world.moves.insert(
         anchor,

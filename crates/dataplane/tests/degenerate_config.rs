@@ -9,9 +9,11 @@
 //! way every packet is accounted for — the no-black-hole identity
 //! `TableCounters::unaccounted()` stays at `(0, 0)`.
 
+use sailfish_dataplane::chaos::{self, ChaosConfig};
 use sailfish_dataplane::executor::{software_forwarder, Dataplane, DataplaneConfig};
-use sailfish_dataplane::{traffic, RunReport};
+use sailfish_dataplane::{traffic, RunReport, TierConfig};
 use sailfish_net::Vni;
+use sailfish_sim::faults::{FaultSchedule, FaultScheduleConfig};
 use sailfish_sim::{Topology, TopologyConfig, WorkloadConfig};
 
 fn run(config: DataplaneConfig) -> (Dataplane, RunReport) {
@@ -58,6 +60,38 @@ fn zero_clusters_default_route_everything_to_software() {
     });
     assert!(dp.pin().clusters.is_empty());
     assert_software_only(&dp, &report);
+}
+
+/// The chaos harness replays faults that name clusters a zero-cluster
+/// region does not have: each degrades nothing, and every slot still
+/// accounts for every packet.
+#[test]
+fn chaos_schedule_over_zero_clusters_accounts_for_every_packet() {
+    let topology = Topology::generate(TopologyConfig::default());
+    let schedule = FaultSchedule::generate(&FaultScheduleConfig {
+        slots: 24,
+        clusters: DataplaneConfig::default().clusters,
+        devices_per_cluster: DataplaneConfig::default().devices_per_cluster,
+        fault_rate: 0.5,
+        ..FaultScheduleConfig::default()
+    });
+    assert_eq!(schedule.kinds_present().len(), 9);
+    let config = DataplaneConfig {
+        clusters: 0,
+        tier: Some(TierConfig::default()),
+        ..DataplaneConfig::default()
+    };
+    let cfg = ChaosConfig {
+        flows: 300,
+        frames_per_slot: 800,
+        probe_frames: 400,
+        ..ChaosConfig::default()
+    };
+    let report = chaos::run_schedule(&topology, config, &cfg, &schedule);
+    assert_eq!(report.slots.len(), 24);
+    for slot in &report.slots {
+        assert_eq!(slot.unaccounted, 0, "slot {}", slot.slot);
+    }
 }
 
 #[test]

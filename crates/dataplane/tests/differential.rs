@@ -5,7 +5,7 @@
 //! same normalized `(next-hop, rewrite)` decision as the reference
 //! XGW-x86 forwarder over the full table set. The tier-1 run here covers
 //! tens of thousands of scheduled packets across every decision class;
-//! the ≥1M-packet run lives in `dataplane_bench` (release mode).
+//! the ≥1M-packet run is Fig 18's measured section (`repro fig18`).
 
 use sailfish_dataplane::executor::{software_forwarder, Dataplane, DataplaneConfig};
 use sailfish_dataplane::oracle::differential_run;

@@ -14,7 +14,7 @@
 //! - [`connection_storm`] — a festival-open burst of NEW connections
 //!   against one tenant, the workload side of
 //!   [`crate::faults::FaultKind::ConnectionStorm`], shared by the chaos
-//!   harness and the `snat_sweep` experiment so storm generation is not
+//!   harness and the `snat` experiment so storm generation is not
 //!   re-implemented ad hoc.
 //!
 //! Events name connections by their forward (private-side) 5-tuple; the
@@ -221,7 +221,7 @@ pub fn generate_connection_events(config: &ConnWorkloadConfig) -> Vec<ConnEvent>
 /// Every open is a fresh 5-tuple, so each one demands a port allocation —
 /// the adversarial input for port-block exhaustion. Shared by the chaos
 /// harness (via [`crate::faults::FaultKind::ConnectionStorm`]) and the
-/// `snat_sweep` experiment.
+/// `snat` experiment.
 pub fn connection_storm(
     seed: u64,
     tenant: Vni,

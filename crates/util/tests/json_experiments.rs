@@ -1,6 +1,6 @@
 //! Round-trip tests of the in-tree JSON reader/writer against every
-//! real experiment record in `experiments/*.json` — the files the bench
-//! binaries write and `repro_all` summarizes.
+//! real experiment record in `experiments/*.json` — the files the `repro`
+//! binary writes and summarizes.
 
 use std::path::PathBuf;
 
