@@ -14,7 +14,7 @@ use sailfish_cluster::controller::ClusterCapacity;
 use sailfish_cluster::region::{Region, RegionConfig};
 use sailfish_dataplane::executor::software_forwarder;
 use sailfish_dataplane::oracle::PathDecision;
-use sailfish_dataplane::{traffic, CachedAction};
+use sailfish_dataplane::traffic;
 use sailfish_sim::faults::{FaultSchedule, FaultScheduleConfig};
 use sailfish_sim::topology::{Topology, TopologyConfig};
 use sailfish_sim::workload::{generate_flows, Flow, WorkloadConfig};
@@ -61,7 +61,7 @@ enum DeviceView {
 
 fn device_view(tables: &HardwareTables, flow: &Flow) -> DeviceView {
     let walked = tables.walk(flow.vni, &flow.tuple, &mut ());
-    match CachedAction::from(walked).decision() {
+    match PathDecision::from_walk(walked) {
         Some(decided) => DeviceView::Terminal(decided),
         None => DeviceView::Punt,
     }

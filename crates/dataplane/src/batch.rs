@@ -41,13 +41,14 @@
 //! 3. **Apply loop** (original frame order, so punts queue — and the
 //!    stateful software tier serves them — in arrival order): charge the
 //!    frame's parse and walk to the virtual clock, bump attribution
-//!    counters, rewrite `ToNc` frames into the batch's slab arena — a v4
-//!    underlay takes the incremental-checksum patch (`patch_v4`,
-//!    byte-identical to `rewrite::apply` on a validated frame), v6 takes
-//!    the generic path — and hand everything the hardware does not
-//!    forward to the shared core, queueing punts *by frame index*: the
-//!    owned punt parse happens in [`BatchExecutor::finish`], off the hot
-//!    path.
+//!    counters, rewrite `ToNc` frames into the batch's slab arena through
+//!    [`crate::rewrite`], the one header rewrite, keyed by the offsets the
+//!    frame's view validated in stage 1 — a v4 underlay copies only the
+//!    header region and takes the incremental-checksum patch, v6 copies
+//!    the whole frame and refills its UDP checksum — and hand everything
+//!    the hardware does not forward to the shared core, queueing punts
+//!    *by frame index*: the owned punt parse happens in
+//!    [`BatchExecutor::finish`], off the hot path.
 //!
 //! The epoch is pinned **once per batch**.
 //!
@@ -76,24 +77,22 @@
 //! and partition buffers all retain capacity across runs. The benchmark's
 //! traced passes enforce 0 allocations/packet with a counting allocator.
 
-use core::net::{IpAddr, Ipv4Addr};
-
-use sailfish_net::checksum;
 use sailfish_net::view::FrameView;
-use sailfish_net::wire::ethernet;
-use sailfish_net::{Error, FrameError, FrameLayer, Vni};
+use sailfish_net::{FrameError, Vni};
 use sailfish_tables::alpm::AlpmTable;
 use sailfish_tables::pooled::plane_addr;
 use sailfish_tables::types::RouteTarget;
 use sailfish_xgw_h::tables::HardwareTables;
+use sailfish_xgw_h::{PuntReason, Walked};
 use sailfish_xgw_x86::SoftwareForwarder;
 
-use crate::cache::{CachedAction, FlowCache, FlowOutcome};
+use crate::cache::{FlowCache, FlowOutcome};
 use crate::engine::cost;
 use crate::epoch::EpochState;
 use crate::executor::{worker_for, Dataplane, RunReport};
 use crate::ladder::{self, snat_offloaded, Ladder};
-use crate::rewrite;
+use crate::oracle::PathDecision;
+use crate::rewrite::{self, RewriteCtx};
 
 /// How many slots ahead the parse lane warms the next frames' header
 /// cache lines (see the stage-1 loop).
@@ -104,26 +103,6 @@ const PARSE_LOOKAHEAD: usize = 2;
 /// DRAM miss, few enough that the first frame's lines are still in L1
 /// when the miss loop reaches it.
 const WARM_GROUP: usize = 16;
-
-/// Frame-local facts the apply loop needs for an in-arena rewrite:
-/// where the VXLAN header sits, where the rewrite region ends (the inner
-/// Ethernet offset), and which underlay family delimits it.
-#[derive(Debug, Clone, Copy, Default)]
-struct RewriteCtx {
-    vxlan: u16,
-    inner_eth: u16,
-    outer_v6: bool,
-}
-
-impl RewriteCtx {
-    fn of(view: &FrameView) -> Self {
-        RewriteCtx {
-            vxlan: view.vxlan,
-            inner_eth: view.inner_eth,
-            outer_v6: view.outer_v6,
-        }
-    }
-}
 
 /// Where a frame stands after the per-batch stage loops.
 #[derive(Debug, Clone, Copy)]
@@ -397,7 +376,7 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
             let outcome = FlowOutcome {
                 action,
                 slot: steer.slot,
-                digest: action.decision().map_or(0, |d| d.digest()),
+                digest: PathDecision::from_walk(action).map_or(0, |d| d.digest()),
             };
             worker.cache.insert(view.flow_key(), outcome);
             // The offload check comes after the cache insert, so later
@@ -436,7 +415,7 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                 SlotState::Walked(outcome, ctx, _) => (*outcome, *ctx, false),
                 SlotState::DirectoryMiss => (
                     FlowOutcome {
-                        action: CachedAction::PuntNoRoute,
+                        action: Walked::Punt(PuntReason::NoHwRoute),
                         slot: FlowOutcome::NO_SLOT,
                         digest: 0,
                     },
@@ -530,7 +509,7 @@ fn apply_outcome(
     from_cache: bool,
 ) -> u64 {
     match outcome.action {
-        CachedAction::ToNc { nc, vni } => {
+        Walked::ToNc { nc, vni } => {
             if let Err(e) = rewrite_into_arena(worker, frame, ctx, nc, vni) {
                 worker.ladder.counters.record_frame_error(e);
                 return 0;
@@ -539,7 +518,7 @@ fn apply_outcome(
             worker.ladder.counters.hw_forwarded += 1;
             outcome.digest
         }
-        CachedAction::ToRegion { .. } | CachedAction::ToIdc { .. } => {
+        Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
             worker.ladder.counters.hw_forwarded += 1;
             outcome.digest
         }
@@ -556,13 +535,12 @@ fn apply_outcome(
     }
 }
 
-/// Copies the frame into the batch's slab arena and rewrites it there in
-/// place — TTL decrement, destination rewrite, VNI stamp. A v4 underlay
-/// takes [`patch_v4`]; a v6 underlay takes the generic `rewrite::apply`
-/// path (UDP checksum refill included). The only post-parse error — a
-/// v6-homed NC under a v4 underlay — matches `rewrite::apply`'s exactly.
-/// The arena retains capacity across batches, so this is heap-free once
-/// warm.
+/// Copies the frame's rewrite region ([`RewriteCtx::region`]) into the
+/// batch's slab arena and rewrites it there in place. Over a v4 underlay
+/// only the headers land in the arena — the tenant payload is never
+/// copied, exactly like a scatter-gather TX ring pairing a rewritten
+/// header segment with the original payload buffer. The arena retains
+/// capacity across batches, so this is heap-free once warm.
 fn rewrite_into_arena(
     worker: &mut BatchWorker,
     frame: &[u8],
@@ -571,134 +549,108 @@ fn rewrite_into_arena(
     vni: Vni,
 ) -> Result<(), FrameError> {
     let start = worker.arena.len();
-    if ctx.outer_v6 {
-        // The generic path revalidates layer delimiters, so it needs the
-        // whole datagram in the arena.
-        worker.arena.extend_from_slice(frame);
-        let Some(out) = worker.arena.get_mut(start..) else {
-            return Ok(());
-        };
-        return rewrite::apply(out, nc, vni);
-    }
-    let IpAddr::V4(nc_v4) = nc.ip else {
-        // A v6-homed NC cannot terminate a v4 underlay frame — the same
-        // typed reject `rewrite::apply` produces.
-        return Err(FrameError::new(FrameLayer::OuterIpv4, Error::Malformed));
-    };
-    // Header-split emit: only the rewrite region (everything before the
-    // inner Ethernet header) lands in the arena — the tenant payload is
-    // never copied, exactly like a scatter-gather TX ring pairing a
-    // rewritten header segment with the original payload buffer. Every
-    // byte the v4 patch touches (TTL, checksum, dst, VNI) sits below
-    // `inner_eth` by construction of the view.
-    worker
-        .arena
-        .extend_from_slice(frame.get(..usize::from(ctx.inner_eth)).unwrap_or(frame));
+    worker.arena.extend_from_slice(ctx.region(frame));
     let Some(out) = worker.arena.get_mut(start..) else {
         return Ok(());
     };
-    patch_v4(out, usize::from(ctx.vxlan), nc_v4, vni);
-    Ok(())
-}
-
-/// In-place v4 rewrite of a frame that already passed [`FrameView`]
-/// validation: TTL decrement and destination rewrite with RFC 1624
-/// incremental checksum patches, then the VNI stamp at the validated
-/// VXLAN offset. Byte-identical to `rewrite::apply` on the same frame
-/// (the unit tests pin this), minus the per-layer revalidation the view
-/// already performed.
-fn patch_v4(frame: &mut [u8], vxlan: usize, nc_v4: Ipv4Addr, vni: Vni) {
-    let Some(ip) = frame.get_mut(ethernet::HEADER_LEN..) else {
-        return;
-    };
-    // TTL decrement; a zero TTL is left untouched, like `decrement_ttl`.
-    if let (Some(&ttl), Some(&proto)) = (ip.get(8), ip.get(9)) {
-        if ttl > 0 {
-            let old_word = u16::from_be_bytes([ttl, proto]);
-            let new_word = u16::from_be_bytes([ttl - 1, proto]);
-            if let Some(b) = ip.get_mut(8) {
-                *b = ttl - 1;
-            }
-            patch_ip_sum(ip, |sum| {
-                checksum::incremental_update(sum, old_word, new_word)
-            });
-        }
-    }
-    // Destination rewrite with the slice form of the same patch.
-    if let Some(dst) = ip.get_mut(16..20) {
-        let mut old = [0u8; 4];
-        old.copy_from_slice(dst);
-        dst.copy_from_slice(&nc_v4.octets());
-        patch_ip_sum(ip, |sum| {
-            checksum::incremental_update_slice(sum, &old, &nc_v4.octets())
-        });
-    }
-    // VNI stamp into the VXLAN header the view delimited.
-    let v = vni.value();
-    if let Some(b) = frame.get_mut(vxlan + 4..vxlan + 7) {
-        b.copy_from_slice(&[(v >> 16) as u8, (v >> 8) as u8, v as u8]);
-    }
-}
-
-/// Applies `patch` to the IPv4 header checksum field in place.
-fn patch_ip_sum(ip: &mut [u8], patch: impl FnOnce(u16) -> u16) {
-    if let Some(cs) = ip
-        .get_mut(10..12)
-        .and_then(|b| <&mut [u8; 2]>::try_from(b).ok())
-    {
-        *cs = patch(u16::from_be_bytes(*cs)).to_be_bytes();
-    }
+    rewrite::in_place(out, ctx, nc, vni)
 }
 
 #[cfg(test)]
 #[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use sailfish_net::packet::GatewayPacketBuilder;
-    use sailfish_tables::types::NcAddr;
+    use crate::executor::{software_forwarder, DataplaneConfig};
+    use crate::traffic::packet_for_flow;
+    use sailfish_net::wire::{ethernet, ipv4};
+    use sailfish_net::GatewayPacket;
+    use sailfish_sim::{Topology, TopologyConfig, WorkloadConfig};
 
-    /// The arena fast patch must be byte-identical to `rewrite::apply`
-    /// on every view-validated v4 frame, including the TTL=0 no-op.
+    /// Forwards the two frames `frames` makes from the packet of a flow
+    /// the tables send to an NC, and returns the arena's bytes as hex.
+    fn arena_after_forward(frames: impl FnOnce(GatewayPacket) -> [Vec<u8>; 2]) -> String {
+        let topology = Topology::generate(TopologyConfig::default());
+        let flows = sailfish_sim::workload::generate_flows(
+            &topology,
+            &WorkloadConfig {
+                flows: 64,
+                internet_share: 0.0,
+                ..WorkloadConfig::default()
+            },
+        );
+        let dp = Dataplane::build(&topology, DataplaneConfig::default());
+        let mut fallback = software_forwarder(&topology);
+        let packet = flows
+            .iter()
+            .map(packet_for_flow)
+            .find(|p| {
+                matches!(
+                    dp.decide_one(&p.emit().unwrap(), &mut fallback, 0),
+                    Some(PathDecision::ToNc { .. })
+                )
+            })
+            .expect("a flow forwards to an NC");
+        let [a, b] = frames(packet);
+        let mut exec = BatchExecutor::new(&dp, 1);
+        let report = exec.run(&dp, &[&a, &b], &mut fallback);
+        assert_eq!(report.counters.hw_forwarded, 2);
+        exec.workers[0]
+            .arena
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// Golden bytes of a v4-underlay forward: the arena holds only each
+    /// frame's header region (through the VXLAN header), with the TTL
+    /// decremented, the destination set to the NC and the header checksum
+    /// patched incrementally. The second frame arrives with TTL 0, which
+    /// the rewrite leaves at 0.
     #[test]
-    fn patch_v4_matches_generic_rewrite_bytes() {
-        for ttl_zero in [false, true] {
-            let packet = GatewayPacketBuilder::new(
-                Vni::from_const(7001),
-                "192.168.4.2".parse().unwrap(),
-                "192.168.9.9".parse().unwrap(),
-            )
-            .build();
-            let mut frame = packet.emit().unwrap();
-            if ttl_zero {
-                // Zero the outer TTL and re-fill the header checksum so
-                // the frame still parses.
-                frame[ethernet::HEADER_LEN + 8] = 0;
-                let mut ip = sailfish_net::wire::ipv4::Packet::new_unchecked(
-                    &mut frame[ethernet::HEADER_LEN..],
-                );
-                ip.fill_checksum();
-            }
-            let view = FrameView::parse(&frame).expect("emitted frame parses");
-            let nc = NcAddr {
-                ip: "10.77.1.3".parse().unwrap(),
-            };
-            let vni = Vni::from_const(4242);
+    fn v4_underlay_forward_matches_golden_bytes() {
+        const GOLDEN: &str = concat!(
+            "02000000000b02000000000a08004500056a000040003f111ede0aff00010ac0",
+            "01e6dfae12b505560000080000000003f30002000000000b02000000000a0800",
+            "4500056a0000400000115dde0aff00010ac001e6dfae12b50556000008000000",
+            "0003f300",
+        );
+        let hex = arena_after_forward(|packet| {
+            let frame = packet.emit().unwrap();
+            let mut ttl_zero = frame.clone();
+            ttl_zero[ethernet::HEADER_LEN + 8] = 0;
+            ipv4::Packet::new_unchecked(&mut ttl_zero[ethernet::HEADER_LEN..]).fill_checksum();
+            [frame, ttl_zero]
+        });
+        assert_eq!(hex, GOLDEN);
+    }
 
-            let mut generic = frame.clone();
-            rewrite::apply(&mut generic, nc, vni).unwrap();
-
-            let mut patched = frame.clone();
-            let IpAddr::V4(v4) = nc.ip else {
-                unreachable!()
-            };
-            patch_v4(&mut patched, usize::from(view.vxlan), v4, vni);
-
-            assert_eq!(generic, patched, "ttl_zero={ttl_zero}");
-            // And the patched checksum still verifies.
-            let ip =
-                sailfish_net::wire::ipv4::Packet::new_checked(&patched[ethernet::HEADER_LEN..])
-                    .unwrap();
-            assert!(ip.verify_checksum());
-        }
+    /// Golden bytes of a v6-underlay forward: the arena holds each whole
+    /// rewritten frame (hop limit decremented, destination set to the NC's
+    /// v4-mapped address, VNI stamped, outer UDP checksum refilled). The
+    /// second frame arrives with hop limit 0, which the rewrite leaves at
+    /// 0.
+    #[test]
+    fn v6_underlay_forward_matches_golden_bytes() {
+        const GOLDEN: &str = concat!(
+            "02000000000b02000000000a86dd600000000056113f20010db800ff00000000",
+            "00000000000100000000000000000000ffff0ac001e6dfae12b5005664010800",
+            "00000003f3000200000000020200000000010800450000380000400040062663",
+            "0a10000d0a100031f6d61f900000000000000000501000000000000000000000",
+            "00000000000000000000000002000000000b02000000000a86dd600000000056",
+            "110020010db800ff0000000000000000000100000000000000000000ffff0ac0",
+            "01e6dfae12b500566401080000000003f3000200000000020200000000010800",
+            "4500003800004000400626630a10000d0a100031f6d61f900000000000000000",
+            "501000000000000000000000000000000000000000000000",
+        );
+        let hex = arena_after_forward(|mut packet| {
+            packet.outer.src_ip = "2001:db8:ff::1".parse().unwrap();
+            packet.outer.dst_ip = "2001:db8:ff::2".parse().unwrap();
+            packet.inner.payload_len = 16;
+            let frame = packet.emit().unwrap();
+            let mut hop_zero = frame.clone();
+            hop_zero[ethernet::HEADER_LEN + 7] = 0;
+            [frame, hop_zero]
+        });
+        assert_eq!(hex, GOLDEN);
     }
 }

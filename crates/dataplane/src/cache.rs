@@ -15,51 +15,21 @@
 use std::collections::VecDeque;
 
 use sailfish_net::view::FlowKey;
-use sailfish_net::Vni;
-use sailfish_tables::types::{IdcId, NcAddr, RegionId};
+use sailfish_xgw_h::Walked;
 
-/// The replayable outcome of a table walk for one flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachedAction {
-    /// Forward to an NC after rewrite.
-    ToNc {
-        /// Destination server.
-        nc: NcAddr,
-        /// Rewritten VNI.
-        vni: Vni,
-    },
-    /// Hand off to another region.
-    ToRegion {
-        /// Destination region.
-        region: RegionId,
-        /// VNI context.
-        vni: Vni,
-    },
-    /// Hand off to an IDC.
-    ToIdc {
-        /// Destination IDC.
-        idc: IdcId,
-        /// VNI context.
-        vni: Vni,
-    },
-    /// Punt: the route needs stateful SNAT.
-    PuntSnat,
-    /// Punt: no hardware route.
-    PuntNoRoute,
-    /// Punt: VM mapping off-chip.
-    PuntNoVm,
-    /// Drop: ACL deny.
-    DropAcl,
-    /// Drop: peer-chain loop bound.
-    DropLoop,
-}
+/// The former name of the cached walk result, now [`Walked`] itself.
+/// The alias survives because the stand-alone benchmark names
+/// `CachedAction::DropAcl`; dropping it waits for a change to that
+/// benchmark.
+pub type CachedAction = Walked;
 
-/// The replayable outcome the batch pipeline caches per flow: the action
-/// plus everything needed to skip the walk entirely on a hit.
+/// The replayable outcome the batch pipeline caches per flow: what the
+/// table walk decided plus everything needed to skip the walk entirely on
+/// a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowOutcome {
-    /// The recorded table-walk action.
-    pub action: CachedAction,
+    /// What the flow's table walk decided.
+    pub action: Walked,
     /// Flattened ECMP device slot (`cluster_idx * devices_per_cluster +
     /// device`), or [`FlowOutcome::NO_SLOT`] when the flow never reached
     /// device selection (directory miss).
@@ -365,7 +335,8 @@ impl FlowCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sailfish_net::{FiveTuple, IpProtocol};
+    use sailfish_net::{FiveTuple, IpProtocol, Vni};
+    use sailfish_xgw_h::PuntReason;
 
     fn tuple(i: u32) -> FiveTuple {
         FiveTuple::new(
@@ -383,10 +354,16 @@ mod tests {
 
     fn outcome(i: u32) -> FlowOutcome {
         FlowOutcome {
-            action: CachedAction::PuntSnat,
+            action: Walked::Punt(PuntReason::SnatRequired),
             slot: i,
             digest: u64::from(i) * 17,
         }
+    }
+
+    /// Caching the walk result itself must not widen the slab entry.
+    #[test]
+    fn flow_outcome_does_not_grow() {
+        assert_eq!(core::mem::size_of::<FlowOutcome>(), 40);
     }
 
     #[test]

@@ -29,7 +29,6 @@ use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
 use crate::batch::BatchExecutor;
 use crate::breaker::{BreakerConfig, BreakerStats};
-use crate::cache::CachedAction;
 use crate::counters::TableCounters;
 use crate::epoch::{EpochCell, EpochState};
 use crate::ladder::snat_offloaded;
@@ -240,8 +239,8 @@ impl Dataplane {
         ) else {
             return Some(software());
         };
-        let action = CachedAction::from(steer.cluster.tables.walk(packet.vni, &tuple, &mut ()));
-        Some(match action.decision() {
+        let action = steer.cluster.tables.walk(packet.vni, &tuple, &mut ());
+        Some(match PathDecision::from_walk(action) {
             Some(decided) => decided,
             // A promoted SNAT flow never reaches the fallback.
             None if snat_offloaded(&state, action, packet.vni, || tuple) => {

@@ -6,7 +6,7 @@
 //! virtual clock, device attribution, decision digests and the
 //! degradation ladder itself — optional DPU middle tier, then x86, each
 //! rung behind its own [`PuntBreaker`] — and holds the only definitions
-//! of what happens to a packet once its flow's [`CachedAction`] is known:
+//! of what happens to a packet once its flow's [`Walked`] result is known:
 //!
 //! - [`Ladder::walk`] turns a cache miss into an action (the counted
 //!   hardware walk) and prices it, for the driver to charge at the
@@ -30,43 +30,13 @@ use sailfish_xgw_h::{PuntReason, WalkEvent, WalkSink, Walked};
 use sailfish_xgw_x86::SoftwareForwarder;
 
 use crate::breaker::{Admission, PuntBreaker};
-use crate::cache::{CachedAction, FlowOutcome};
+use crate::cache::FlowOutcome;
 use crate::counters::TableCounters;
 use crate::engine::cost;
 use crate::epoch::{EpochState, Steer};
 use crate::executor::{DataplaneConfig, RunReport};
 use crate::oracle::{DropClass, PathDecision};
 use crate::tier::TierDecision;
-
-impl From<Walked> for CachedAction {
-    fn from(walked: Walked) -> Self {
-        match walked {
-            Walked::ToNc { nc, vni } => CachedAction::ToNc { nc, vni },
-            Walked::ToRegion { region, vni } => CachedAction::ToRegion { region, vni },
-            Walked::ToIdc { idc, vni } => CachedAction::ToIdc { idc, vni },
-            Walked::Punt(PuntReason::SnatRequired) => CachedAction::PuntSnat,
-            Walked::Punt(PuntReason::NoHwRoute) => CachedAction::PuntNoRoute,
-            Walked::Punt(PuntReason::NoVmMapping) => CachedAction::PuntNoVm,
-            Walked::DropAcl => CachedAction::DropAcl,
-            Walked::DropLoop => CachedAction::DropLoop,
-        }
-    }
-}
-
-impl CachedAction {
-    /// The final decision replaying this action yields on the hardware
-    /// tier; `None` for punts, which a software tier decides.
-    pub fn decision(self) -> Option<PathDecision> {
-        match self {
-            CachedAction::ToNc { nc, vni } => Some(PathDecision::ToNc { nc, vni }),
-            CachedAction::ToRegion { region, vni } => Some(PathDecision::ToRegion { region, vni }),
-            CachedAction::ToIdc { idc, vni } => Some(PathDecision::ToIdc { idc, vni }),
-            CachedAction::DropAcl => Some(PathDecision::Drop(DropClass::Acl)),
-            CachedAction::DropLoop => Some(PathDecision::Drop(DropClass::RoutingLoop)),
-            CachedAction::PuntSnat | CachedAction::PuntNoRoute | CachedAction::PuntNoVm => None,
-        }
-    }
-}
 
 /// Whether the pinned epoch serves this SNAT punt on-chip: it carries a
 /// promoted exact-match entry for the flow, so the translation happens
@@ -75,11 +45,11 @@ impl CachedAction {
 #[inline]
 pub(crate) fn snat_offloaded(
     state: &EpochState,
-    action: CachedAction,
+    action: Walked,
     vni: Vni,
     tuple: impl FnOnce() -> FiveTuple,
 ) -> bool {
-    action == CachedAction::PuntSnat
+    action == Walked::Punt(PuntReason::SnatRequired)
         && state
             .snat
             .as_deref()
@@ -194,13 +164,13 @@ impl Ladder {
         tables: &HardwareTables,
         vni: Vni,
         tuple: &FiveTuple,
-    ) -> (CachedAction, u64) {
+    ) -> (Walked, u64) {
         self.counters.cache_misses += 1;
         let mut priced = PricedWalk {
             counters: &mut self.counters,
             ns: 0,
         };
-        let action = tables.walk(vni, tuple, &mut priced).into();
+        let action = tables.walk(vni, tuple, &mut priced);
         (action, priced.ns)
     }
 
@@ -237,29 +207,27 @@ impl Ladder {
     pub(crate) fn dispose(
         &mut self,
         state: &EpochState,
-        action: CachedAction,
+        action: Walked,
         from_cache: bool,
         frame_len: usize,
         idx: u32,
         flow: impl FnOnce() -> Option<(Vni, FiveTuple)>,
     ) -> Option<PathDecision> {
         let lane = match action {
-            CachedAction::ToNc { .. }
-            | CachedAction::ToRegion { .. }
-            | CachedAction::ToIdc { .. } => {
+            Walked::ToNc { .. } | Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
                 self.counters.hw_forwarded += 1;
-                return action.decision();
+                return PathDecision::from_walk(action);
             }
-            CachedAction::DropAcl => &mut self.counters.acl_denied,
-            CachedAction::DropLoop => &mut self.counters.loop_drops,
-            CachedAction::PuntSnat => &mut self.counters.punt_snat,
-            CachedAction::PuntNoRoute => &mut self.counters.punt_no_route,
-            CachedAction::PuntNoVm => &mut self.counters.punt_no_vm,
+            Walked::DropAcl => &mut self.counters.acl_denied,
+            Walked::DropLoop => &mut self.counters.loop_drops,
+            Walked::Punt(PuntReason::SnatRequired) => &mut self.counters.punt_snat,
+            Walked::Punt(PuntReason::NoHwRoute) => &mut self.counters.punt_no_route,
+            Walked::Punt(PuntReason::NoVmMapping) => &mut self.counters.punt_no_vm,
         };
         if from_cache {
             *lane += 1;
         }
-        if let Some(dropped) = action.decision() {
+        if let Some(dropped) = PathDecision::from_walk(action) {
             return Some(dropped);
         }
         if self.try_spill_dpu(state, frame_len, idx, flow) {

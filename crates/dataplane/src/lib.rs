@@ -21,7 +21,7 @@
 //!   interaction;
 //! - **steering** — VNI directory → dual-window owner pick → cluster →
 //!   epoch-tag check → ECMP device — is [`EpochState::steer`];
-//! - **disposition** — everything after a flow's [`CachedAction`] is
+//! - **disposition** — everything after a flow's [`sailfish_xgw_h::Walked`] result is
 //!   known: SNAT-offload intercept, the DPU → x86 punt ladder behind its
 //!   breakers, worker merge and punt resolution into a [`RunReport`] — is
 //!   the crate-private `ladder` module;
@@ -73,7 +73,7 @@ pub mod traffic;
 
 pub use batch::BatchExecutor;
 pub use breaker::{Admission, BreakerConfig, BreakerState, BreakerStats, PuntBreaker};
-pub use cache::{CachedAction, FlowCache, FlowOutcome};
+pub use cache::{FlowCache, FlowOutcome};
 pub use chaos::{ChaosConfig, ChaosReport, FaultOutcome, InvariantViolation, SlotRecord};
 pub use counters::TableCounters;
 pub use epoch::{EpochCell, EpochState, WorldView};

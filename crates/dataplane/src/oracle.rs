@@ -10,6 +10,7 @@
 
 use sailfish_net::{GatewayPacket, Vni};
 use sailfish_tables::types::{IdcId, NcAddr, RegionId};
+use sailfish_xgw_h::Walked;
 use sailfish_xgw_x86::{Decision, DropReason};
 
 use crate::executor::Dataplane;
@@ -65,6 +66,19 @@ pub enum PathDecision {
 }
 
 impl PathDecision {
+    /// The final decision a hardware walk result yields; `None` for
+    /// punts, which a software tier decides.
+    pub fn from_walk(walked: Walked) -> Option<PathDecision> {
+        match walked {
+            Walked::ToNc { nc, vni } => Some(PathDecision::ToNc { nc, vni }),
+            Walked::ToRegion { region, vni } => Some(PathDecision::ToRegion { region, vni }),
+            Walked::ToIdc { idc, vni } => Some(PathDecision::ToIdc { idc, vni }),
+            Walked::DropAcl => Some(PathDecision::Drop(DropClass::Acl)),
+            Walked::DropLoop => Some(PathDecision::Drop(DropClass::RoutingLoop)),
+            Walked::Punt(_) => None,
+        }
+    }
+
     /// Maps a software-forwarder decision into the normalized form.
     pub fn from_software(decision: &Decision) -> PathDecision {
         match decision {

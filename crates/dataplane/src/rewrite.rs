@@ -1,124 +1,139 @@
-//! In-place header rewrite and re-encapsulation.
+//! The gateway's one header rewrite.
 //!
 //! After the table walk decides `ToNc { nc, vni }`, the wire frame is
-//! rewritten the way the egress pipe does it (Fig 2): decrement the outer
-//! TTL/hop limit, point the outer destination at the hosting NC, and stamp
-//! the destination VPC's VNI into the VXLAN header. Over IPv4 underlays
-//! both changes patch the header checksum incrementally (RFC 1624 Eqn. 3,
-//! see `sailfish_net::checksum`); over IPv6 the mandatory outer UDP
-//! checksum is refilled across the datagram.
+//! rewritten the way the egress deparser does it (Fig 2): decrement the
+//! outer TTL/hop limit, point the outer destination at the hosting NC, and
+//! stamp the destination VPC's VNI into the VXLAN header. Over IPv4
+//! underlays both IP header changes patch the header checksum
+//! incrementally (RFC 1624 Eqn. 3, the `ipv4::Packet` setters); over
+//! IPv6 the mandatory outer UDP checksum is refilled across the datagram.
 //!
-//! Every byte access is bounds-checked: a frame that is shorter than its
-//! headers claim (hostile IHL, short buffer, lying UDP length) degrades to
-//! a typed [`FrameError`], never a panic. Header regions are delimited by
-//! the validated length fields, so trailing bytes past the declared packet
-//! end are never interpreted as headers.
+//! The rewrite validates nothing itself: it is keyed by the offsets
+//! [`FrameView::parse`] validated (a crate-private `RewriteCtx`). [`apply`]
+//! is that parse followed by the rewrite; the batch driver, which already
+//! holds the view, rewrites its arena copy through `in_place`. Every byte
+//! access is still bounds-checked, so a buffer shorter than its context
+//! claims is left partly unwritten, never a panic.
 
-use core::net::IpAddr;
+use core::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use sailfish_net::wire::ethernet::{self, EtherType};
-use sailfish_net::wire::{ipv4, ipv6, udp, vxlan};
+use sailfish_net::view::FrameView;
+use sailfish_net::wire::{ethernet, ipv4, ipv6, udp};
 use sailfish_net::{Error, FrameError, FrameLayer, Vni};
 use sailfish_tables::types::NcAddr;
 
-/// Rewrites `frame` in place for delivery to `nc` under `vni`.
+/// Validates `frame` and rewrites it in place for delivery to `nc` under
+/// `vni`.
 ///
-/// The frame must be a VXLAN-in-UDP packet as produced by
-/// [`sailfish_net::GatewayPacket::emit`]. Fails with a typed
-/// [`FrameError`] naming the offending layer: `Malformed` at the outer IP
-/// layer when the NC address family does not match an IPv4 underlay, and
-/// `Truncated`/`Malformed` when the frame is shorter or less consistent
-/// than its headers claim.
+/// Fails with the [`FrameError`] of [`FrameView::parse`] for a frame the
+/// gateway would not accept, and with `Malformed` at the outer IPv4 layer
+/// when a v6-homed NC meets an IPv4 underlay.
 pub fn apply(frame: &mut [u8], nc: NcAddr, vni: Vni) -> Result<(), FrameError> {
-    let ethertype = ethernet::Frame::new_checked(&*frame)
-        .map_err(|e| FrameError::new(FrameLayer::OuterEthernet, e))?
-        .ethertype();
-    match ethertype {
-        EtherType::Ipv4 => apply_v4(frame, nc, vni),
-        EtherType::Ipv6 => apply_v6(frame, nc, vni),
-        _ => Err(FrameError::new(
-            FrameLayer::OuterEthernet,
-            Error::Unsupported,
-        )),
+    let view = FrameView::parse(frame)?;
+    in_place(frame, RewriteCtx::of(&view), nc, vni)
+}
+
+/// The frame-local facts a rewrite is keyed by, taken from the view that
+/// validated the frame: where the VXLAN header sits, where the rewrite
+/// region ends (the inner Ethernet offset), and the underlay family.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RewriteCtx {
+    vxlan: u16,
+    inner_eth: u16,
+    outer_v6: bool,
+}
+
+impl RewriteCtx {
+    pub(crate) fn of(view: &FrameView) -> Self {
+        RewriteCtx {
+            vxlan: view.vxlan,
+            inner_eth: view.inner_eth,
+            outer_v6: view.outer_v6,
+        }
+    }
+
+    /// The prefix of `frame` the rewrite reads and writes. Over IPv4 it
+    /// ends at the inner Ethernet header, so a header-split emit never
+    /// copies the tenant payload; over IPv6 it is the whole frame, whose
+    /// outer UDP checksum covers the payload.
+    pub(crate) fn region<'f>(&self, frame: &'f [u8]) -> &'f [u8] {
+        if self.outer_v6 {
+            frame
+        } else {
+            frame.get(..usize::from(self.inner_eth)).unwrap_or(frame)
+        }
     }
 }
 
-fn apply_v4(frame: &mut [u8], nc: NcAddr, vni: Vni) -> Result<(), FrameError> {
+/// Rewrites a view-validated frame — or its [`RewriteCtx::region`] — in
+/// place for delivery to `nc` under `vni`. The only error is a v6-homed
+/// NC under an IPv4 underlay; a v4-homed NC is reached over an IPv6
+/// underlay through its v4-mapped address.
+pub(crate) fn in_place(
+    frame: &mut [u8],
+    ctx: RewriteCtx,
+    nc: NcAddr,
+    vni: Vni,
+) -> Result<(), FrameError> {
+    let vxlan = usize::from(ctx.vxlan);
+    if ctx.outer_v6 {
+        let nc_v6 = match nc.ip {
+            IpAddr::V6(a) => a,
+            IpAddr::V4(a) => a.to_ipv6_mapped(),
+        };
+        v6(frame, vxlan, nc_v6, vni);
+        return Ok(());
+    }
     let IpAddr::V4(nc_v4) = nc.ip else {
-        // A v6-homed NC cannot terminate a v4 underlay frame.
         return Err(FrameError::new(FrameLayer::OuterIpv4, Error::Malformed));
     };
-    let ip_bytes = frame
-        .get_mut(ethernet::HEADER_LEN..)
-        .ok_or(FrameError::new(FrameLayer::OuterIpv4, Error::Truncated))?;
-    let (header_len, total_len) = {
-        let ip = ipv4::Packet::new_checked(&*ip_bytes)
-            .map_err(|e| FrameError::new(FrameLayer::OuterIpv4, e))?;
-        (ip.header_len(), ip.total_len() as usize)
-    };
-    {
-        let mut ip = ipv4::Packet::new_unchecked(&mut *ip_bytes);
+    v4(frame, vxlan, nc_v4, vni);
+    Ok(())
+}
+
+/// The IPv4-underlay rewrite: TTL decrement (zero left alone) and
+/// destination rewrite, each patching the header checksum incrementally,
+/// then the VNI stamp. The outer UDP checksum stays zero over IPv4
+/// underlays, the emit convention.
+fn v4(frame: &mut [u8], vxlan: usize, nc_v4: Ipv4Addr, vni: Vni) {
+    let header = ethernet::HEADER_LEN..ethernet::HEADER_LEN + ipv4::HEADER_LEN;
+    if let Some(ip) = frame.get_mut(header) {
+        let mut ip = ipv4::Packet::new_unchecked(ip);
         ip.decrement_ttl();
         ip.rewrite_dst_addr(nc_v4);
     }
-    // Outer UDP checksum stays zero over IPv4 underlays (emit() convention),
-    // so only the VXLAN VNI needs stamping. The datagram region is delimited
-    // by the validated IP total length, not the buffer end.
-    let udp_bytes = ip_bytes
-        .get_mut(header_len..total_len)
-        .ok_or(FrameError::new(FrameLayer::OuterUdp, Error::Truncated))?;
-    let udp_total = udp::Datagram::new_checked(&*udp_bytes)
-        .map_err(|e| FrameError::new(FrameLayer::OuterUdp, e))?
-        .len() as usize;
-    let vx_bytes = udp_bytes
-        .get_mut(udp::HEADER_LEN..udp_total)
-        .ok_or(FrameError::new(FrameLayer::Vxlan, Error::Truncated))?;
-    let mut vx =
-        vxlan::Header::new_checked(vx_bytes).map_err(|e| FrameError::new(FrameLayer::Vxlan, e))?;
-    vx.set_vni(vni);
-    Ok(())
+    stamp_vni(frame, vxlan, vni);
 }
 
-fn apply_v6(frame: &mut [u8], nc: NcAddr, vni: Vni) -> Result<(), FrameError> {
-    let nc_v6 = match nc.ip {
-        IpAddr::V6(a) => a,
-        // NCs are v4-homed; a v6 underlay reaches them via the mapped form.
-        IpAddr::V4(a) => a.to_ipv6_mapped(),
+/// The IPv6-underlay rewrite: hop-limit decrement (zero left alone),
+/// destination rewrite and VNI stamp, then the mandatory outer UDP
+/// checksum refilled over the datagram its length field delimits.
+fn v6(frame: &mut [u8], vxlan: usize, nc_v6: Ipv6Addr, vni: Vni) {
+    let header = ethernet::HEADER_LEN..ethernet::HEADER_LEN + ipv6::HEADER_LEN;
+    let Some(ip) = frame.get_mut(header) else {
+        return;
     };
-    let ip_bytes = frame
-        .get_mut(ethernet::HEADER_LEN..)
-        .ok_or(FrameError::new(FrameLayer::OuterIpv6, Error::Truncated))?;
-    let (src, payload_len) = {
-        let mut ip = ipv6::Packet::new_checked(&mut *ip_bytes)
-            .map_err(|e| FrameError::new(FrameLayer::OuterIpv6, e))?;
-        let hop = ip.hop_limit();
-        if hop > 0 {
-            ip.set_hop_limit(hop - 1);
-        }
-        ip.set_dst_addr(nc_v6);
-        (ip.src_addr(), ip.payload_len() as usize)
-    };
-    // The datagram region is delimited by the validated IPv6 payload length.
-    let udp_bytes = ip_bytes
-        .get_mut(ipv6::HEADER_LEN..ipv6::HEADER_LEN + payload_len)
-        .ok_or(FrameError::new(FrameLayer::OuterUdp, Error::Truncated))?;
-    let udp_total = udp::Datagram::new_checked(&*udp_bytes)
-        .map_err(|e| FrameError::new(FrameLayer::OuterUdp, e))?
-        .len() as usize;
-    {
-        let vx_bytes = udp_bytes
-            .get_mut(udp::HEADER_LEN..udp_total)
-            .ok_or(FrameError::new(FrameLayer::Vxlan, Error::Truncated))?;
-        let mut vx = vxlan::Header::new_checked(vx_bytes)
-            .map_err(|e| FrameError::new(FrameLayer::Vxlan, e))?;
-        vx.set_vni(vni);
+    let mut ip = ipv6::Packet::new_unchecked(ip);
+    let hop = ip.hop_limit();
+    if hop > 0 {
+        ip.set_hop_limit(hop - 1);
     }
-    // The v6 outer UDP checksum covers the rewritten addresses and VNI:
-    // refill it over the whole datagram. The length was validated by
-    // `new_checked` above, so the unchecked view is safe.
-    let mut u = udp::Datagram::new_unchecked(udp_bytes);
-    u.fill_checksum_v6(src, nc_v6);
-    Ok(())
+    ip.set_dst_addr(nc_v6);
+    let src = ip.src_addr();
+    stamp_vni(frame, vxlan, vni);
+    let udp_bytes = vxlan
+        .checked_sub(udp::HEADER_LEN)
+        .and_then(|at| frame.get_mut(at..));
+    if let Some(Ok(mut datagram)) = udp_bytes.map(udp::Datagram::new_checked) {
+        datagram.fill_checksum_v6(src, nc_v6);
+    }
+}
+
+/// Stamps `vni` into the VXLAN header at offset `vxlan`.
+fn stamp_vni(frame: &mut [u8], vxlan: usize, vni: Vni) {
+    if let Some(b) = frame.get_mut(vxlan + 4..vxlan + 7) {
+        b.copy_from_slice(&vni.to_be_bytes());
+    }
 }
 
 #[cfg(test)]
@@ -240,8 +255,8 @@ mod tests {
 
     /// Regression: a hostile IHL that walks the UDP/VXLAN offsets past the
     /// buffer end used to panic in the slice math. The IP header itself is
-    /// consistent (IHL == total length == buffer), so only the hardened
-    /// UDP delimiting catches it.
+    /// consistent (IHL == total length == buffer, checksum valid), so only
+    /// the hardened UDP delimiting catches it.
     #[test]
     fn v4_hostile_ihl_overruns_are_rejected() {
         let mut frame = sample_v4().emit().unwrap();
@@ -251,6 +266,7 @@ mod tests {
         frame[ethernet::HEADER_LEN] = 0x4f; // version 4, IHL 15 (60 bytes)
         frame[ethernet::HEADER_LEN + 2..ethernet::HEADER_LEN + 4]
             .copy_from_slice(&60u16.to_be_bytes());
+        ipv4::Packet::new_unchecked(&mut frame[ethernet::HEADER_LEN..]).fill_checksum();
         let got = apply(&mut frame, nc("10.1.1.12"), Vni::from_const(9));
         assert_eq!(
             got,
@@ -272,5 +288,35 @@ mod tests {
             got,
             Err(FrameError::new(FrameLayer::Vxlan, Error::Truncated))
         );
+    }
+
+    /// A zero TTL is left alone, and the destination patch alone still
+    /// leaves a verifying header checksum.
+    #[test]
+    fn v4_zero_ttl_is_left_alone() {
+        let mut frame = sample_v4().emit().unwrap();
+        frame[ethernet::HEADER_LEN + 8] = 0;
+        ipv4::Packet::new_unchecked(&mut frame[ethernet::HEADER_LEN..]).fill_checksum();
+        apply(&mut frame, nc("10.1.1.12"), Vni::from_const(5)).unwrap();
+        let ip = ipv4::Packet::new_checked(&frame[ethernet::HEADER_LEN..]).unwrap();
+        assert_eq!(ip.ttl(), 0);
+        assert!(ip.verify_checksum());
+    }
+
+    /// Rewriting only the v4 header-split region yields exactly the
+    /// rewritten whole frame's prefix: nothing past the inner Ethernet
+    /// header is touched.
+    #[test]
+    fn v4_region_rewrite_matches_whole_frame() {
+        let frame = sample_v4().emit().unwrap();
+        let ctx = RewriteCtx::of(&FrameView::parse(&frame).unwrap());
+        let (nc, vni) = (nc("10.1.1.12"), Vni::from_const(77));
+        let mut whole = frame.clone();
+        in_place(&mut whole, ctx, nc, vni).unwrap();
+        let mut region = ctx.region(&frame).to_vec();
+        assert!(region.len() < frame.len());
+        in_place(&mut region, ctx, nc, vni).unwrap();
+        assert_eq!(region, whole[..region.len()]);
+        assert_eq!(whole[region.len()..], frame[region.len()..]);
     }
 }

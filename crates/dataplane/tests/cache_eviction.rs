@@ -21,10 +21,11 @@
 
 use std::collections::HashMap;
 
-use sailfish_dataplane::cache::{CachedAction, FlowCache, FlowOutcome};
+use sailfish_dataplane::cache::{FlowCache, FlowOutcome};
 use sailfish_net::view::FlowKey;
 use sailfish_util::check;
 use sailfish_util::rand::Rng;
+use sailfish_xgw_h::{PuntReason, Walked};
 
 /// A synthetic flow key from a dense id (distinct ids → distinct keys).
 fn key(id: u64) -> FlowKey {
@@ -39,9 +40,9 @@ fn key(id: u64) -> FlowKey {
 fn outcome(id: u64) -> FlowOutcome {
     FlowOutcome {
         action: if id.is_multiple_of(2) {
-            CachedAction::PuntSnat
+            Walked::Punt(PuntReason::SnatRequired)
         } else {
-            CachedAction::DropAcl
+            Walked::DropAcl
         },
         slot: (id % 64) as u32,
         digest: id.wrapping_mul(0x9e37_79b9),

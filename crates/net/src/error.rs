@@ -82,8 +82,10 @@ impl FrameLayer {
 
 /// A typed frame-parse failure: which layer rejected the frame and why.
 ///
-/// Produced by [`crate::packet::GatewayPacket::parse_classified`] and the
-/// rewrite engine so hostile bytes degrade to a counted drop-with-reason.
+/// Produced by [`crate::view::FrameView::parse`] — the one frame
+/// validator, which [`crate::packet::GatewayPacket::parse_classified`] and
+/// the dataplane's rewrite also run — so hostile bytes degrade to a
+/// counted drop-with-reason.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameError {
     /// The layer that rejected the frame.

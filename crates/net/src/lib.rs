@@ -21,9 +21,10 @@
 //!
 //! - [`vni::Vni`]: 24-bit VXLAN network identifier (the VPC id),
 //! - [`prefix`]: masked IPv4/IPv6 prefixes with containment tests,
-//! - [`view::FrameView`]: a borrowed, allocation-free validation of a
-//!   full VXLAN frame for the batch hot path, error-identical to
-//!   `GatewayPacket::parse_classified`,
+//! - [`view::FrameView`]: the one frame validator — a borrowed,
+//!   allocation-free parse of a full VXLAN frame for the batch hot path,
+//!   which `GatewayPacket::parse_classified` also runs before reading the
+//!   owned fields,
 //! - [`flow::FiveTuple`]: the flow key used by RSS and SNAT,
 //! - [`rss`]: the Toeplitz hash used by NICs for receive-side scaling,
 //! - [`hash`]: the fixed-key hasher of the control-plane-provisioned
@@ -31,6 +32,9 @@
 //! - [`checksum`]: Internet checksum helpers shared by the wire types.
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()` (see clippy.toml `disallowed-methods`);
+// CI's `-D warnings` escalates this to deny.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod checksum;
 pub mod error;

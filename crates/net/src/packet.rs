@@ -4,15 +4,19 @@
 //! it arrives at the cloud gateway (Fig 2): outer Ethernet/IP/UDP headers,
 //! the VXLAN header carrying the VNI, and the inner Ethernet/IP/transport
 //! headers of the tenant packet. The simulators forward this compact
-//! representation on the fast path; [`GatewayPacket::emit`] and
-//! [`GatewayPacket::parse`] convert to and from real wire bytes using the
-//! [`crate::wire`] views, and tests assert the round trip is lossless.
+//! representation on the fast path; [`GatewayPacket::emit`] writes real
+//! wire bytes through the [`crate::wire`] views, and
+//! [`GatewayPacket::parse`] reads them back: it validates through
+//! [`crate::view::FrameView`], the crate's one frame validator, then reads
+//! the remaining owned fields at the offsets the view validated. Tests
+//! assert the round trip is lossless.
 
-use core::net::IpAddr;
+use core::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use crate::error::{Error, FrameError, FrameLayer, Result};
+use crate::error::{Error, FrameError, Result};
 use crate::flow::{FiveTuple, IpProtocol};
 use crate::mac::MacAddr;
+use crate::view::FrameView;
 use crate::vni::Vni;
 use crate::wire::ethernet::{self, EtherType};
 use crate::wire::{ipv4, ipv6, tcp, udp, vxlan};
@@ -64,11 +68,6 @@ impl InnerHeaders {
             self.src_port,
             self.dst_port,
         )
-    }
-
-    /// Whether inner addresses share one family (wire-emittable).
-    pub fn is_well_formed(&self) -> bool {
-        self.src_ip.is_ipv4() == self.dst_ip.is_ipv4()
     }
 }
 
@@ -128,12 +127,8 @@ impl GatewayPacket {
     // every layer offset below is a component of that sum.
     #[allow(clippy::indexing_slicing)]
     pub fn emit(&self) -> Result<Vec<u8>> {
-        if !self.inner.is_well_formed() {
-            return Err(Error::Malformed);
-        }
-        if self.outer.src_ip.is_ipv4() != self.outer.dst_ip.is_ipv4() {
-            return Err(Error::Malformed);
-        }
+        let inner = AddrPair::of(self.inner.src_ip, self.inner.dst_ip)?;
+        let outer = AddrPair::of(self.outer.src_ip, self.outer.dst_ip)?;
 
         let total = self.wire_len();
         let mut buf = vec![0u8; total];
@@ -143,19 +138,15 @@ impl GatewayPacket {
             let mut eth = ethernet::Frame::new_unchecked(&mut buf[..]);
             eth.set_src_mac(self.outer.src_mac);
             eth.set_dst_mac(self.outer.dst_mac);
-            eth.set_ethertype(if self.outer.src_ip.is_ipv4() {
-                EtherType::Ipv4
-            } else {
-                EtherType::Ipv6
-            });
+            eth.set_ethertype(outer.ethertype());
         }
 
         // Outer IP.
         let outer_ip_start = ethernet::HEADER_LEN;
         let outer_udp_len = udp::HEADER_LEN + vxlan::HEADER_LEN + self.inner_wire_len();
         let outer_udp_start;
-        match (self.outer.src_ip, self.outer.dst_ip) {
-            (IpAddr::V4(src), IpAddr::V4(dst)) => {
+        match outer {
+            AddrPair::V4(src, dst) => {
                 outer_udp_start = outer_ip_start + ipv4::HEADER_LEN;
                 let mut ip = ipv4::Packet::new_unchecked(&mut buf[outer_ip_start..]);
                 ip.set_version_and_header_len();
@@ -167,7 +158,7 @@ impl GatewayPacket {
                 ip.set_dst_addr(dst);
                 ip.fill_checksum();
             }
-            (IpAddr::V6(src), IpAddr::V6(dst)) => {
+            AddrPair::V6(src, dst) => {
                 outer_udp_start = outer_ip_start + ipv6::HEADER_LEN;
                 let mut ip = ipv6::Packet::new_unchecked(&mut buf[outer_ip_start..]);
                 ip.set_version();
@@ -177,7 +168,6 @@ impl GatewayPacket {
                 ip.set_src_addr(src);
                 ip.set_dst_addr(dst);
             }
-            _ => unreachable!("family mismatch checked above"),
         }
 
         // Outer UDP (checksum left zero, as VXLAN senders commonly do over
@@ -203,19 +193,15 @@ impl GatewayPacket {
             let mut eth = ethernet::Frame::new_unchecked(&mut buf[inner_eth_start..]);
             eth.set_src_mac(self.inner.src_mac);
             eth.set_dst_mac(self.inner.dst_mac);
-            eth.set_ethertype(if self.inner.src_ip.is_ipv4() {
-                EtherType::Ipv4
-            } else {
-                EtherType::Ipv6
-            });
+            eth.set_ethertype(inner.ethertype());
         }
 
         // Inner IP.
         let inner_ip_start = inner_eth_start + ethernet::HEADER_LEN;
         let inner_l4_total = self.inner_l4_len() + self.inner.payload_len;
         let inner_l4_start;
-        match (self.inner.src_ip, self.inner.dst_ip) {
-            (IpAddr::V4(src), IpAddr::V4(dst)) => {
+        match inner {
+            AddrPair::V4(src, dst) => {
                 inner_l4_start = inner_ip_start + ipv4::HEADER_LEN;
                 let mut ip = ipv4::Packet::new_unchecked(&mut buf[inner_ip_start..]);
                 ip.set_version_and_header_len();
@@ -227,7 +213,7 @@ impl GatewayPacket {
                 ip.set_dst_addr(dst);
                 ip.fill_checksum();
             }
-            (IpAddr::V6(src), IpAddr::V6(dst)) => {
+            AddrPair::V6(src, dst) => {
                 inner_l4_start = inner_ip_start + ipv6::HEADER_LEN;
                 let mut ip = ipv6::Packet::new_unchecked(&mut buf[inner_ip_start..]);
                 ip.set_version();
@@ -237,7 +223,6 @@ impl GatewayPacket {
                 ip.set_src_addr(src);
                 ip.set_dst_addr(dst);
             }
-            _ => unreachable!("family mismatch checked above"),
         }
 
         // Inner transport header: ports occupy the first four bytes in both
@@ -260,7 +245,7 @@ impl GatewayPacket {
         }
 
         // Fill the mandatory outer UDP checksum for IPv6 underlays.
-        if let (IpAddr::V6(src), IpAddr::V6(dst)) = (self.outer.src_ip, self.outer.dst_ip) {
+        if let AddrPair::V6(src, dst) = outer {
             let mut u = udp::Datagram::new_unchecked(&mut buf[outer_udp_start..]);
             u.fill_checksum_v6(src, dst);
         }
@@ -281,169 +266,92 @@ impl GatewayPacket {
     /// Parses wire bytes into a `GatewayPacket`, reporting the layer that
     /// rejected a hostile frame.
     ///
-    /// Beyond the structural checks every wire view performs, the hardened
-    /// parse rejects: IPv4 fragments (outer and inner), frames whose IPv4
-    /// header checksum does not verify, IPv6-underlay frames whose
-    /// mandatory outer UDP checksum is absent or wrong, nonzero outer UDP
-    /// checksums over IPv4 that do not verify, and VXLAN headers with
-    /// reserved flag bits set.
+    /// Validation is [`FrameView::parse`]'s — the owned packet accepts and
+    /// rejects exactly the frames the batch hot path does. The fields the
+    /// view does not carry (MACs, outer addresses, the inner payload
+    /// length) are then read at the offsets it validated.
     pub fn parse_classified(data: &[u8]) -> core::result::Result<GatewayPacket, FrameError> {
-        use FrameLayer as L;
-        let eth =
-            ethernet::Frame::new_checked(data).map_err(|e| FrameError::new(L::OuterEthernet, e))?;
-        let outer_src_mac = eth.src_mac();
-        let outer_dst_mac = eth.dst_mac();
-
-        let (outer_src_ip, outer_dst_ip, ip_payload): (IpAddr, IpAddr, &[u8]) =
-            match eth.ethertype() {
-                EtherType::Ipv4 => {
-                    let ip = ipv4::Packet::new_checked(eth.payload())
-                        .map_err(|e| FrameError::new(L::OuterIpv4, e))?;
-                    if !ip.verify_checksum() {
-                        return Err(FrameError::new(L::OuterIpv4, Error::Checksum));
-                    }
-                    if ip.is_fragment() {
-                        return Err(FrameError::new(L::OuterIpv4, Error::Malformed));
-                    }
-                    if ip.protocol() != IpProtocol::Udp {
-                        return Err(FrameError::new(L::OuterIpv4, Error::Unsupported));
-                    }
-                    let (s, d) = (ip.src_addr(), ip.dst_addr());
-                    let hl = ip.header_len();
-                    let tl = ip.total_len() as usize;
-                    let payload = eth
-                        .payload()
-                        .get(hl..tl)
-                        .ok_or(FrameError::new(L::OuterIpv4, Error::Truncated))?;
-                    (s.into(), d.into(), payload)
-                }
-                EtherType::Ipv6 => {
-                    let ip = ipv6::Packet::new_checked(eth.payload())
-                        .map_err(|e| FrameError::new(L::OuterIpv6, e))?;
-                    if ip.next_header() != IpProtocol::Udp {
-                        return Err(FrameError::new(L::OuterIpv6, Error::Unsupported));
-                    }
-                    let (s, d) = (ip.src_addr(), ip.dst_addr());
-                    let total = ipv6::HEADER_LEN + ip.payload_len() as usize;
-                    let payload = eth
-                        .payload()
-                        .get(ipv6::HEADER_LEN..total)
-                        .ok_or(FrameError::new(L::OuterIpv6, Error::Truncated))?;
-                    (s.into(), d.into(), payload)
-                }
-                _ => return Err(FrameError::new(L::OuterEthernet, Error::Unsupported)),
-            };
-
-        let u =
-            udp::Datagram::new_checked(ip_payload).map_err(|e| FrameError::new(L::OuterUdp, e))?;
-        if u.dst_port() != vxlan::VXLAN_UDP_PORT {
-            return Err(FrameError::new(L::OuterUdp, Error::Unsupported));
-        }
-        // Over IPv4 a zero outer UDP checksum means "not computed"; a
-        // nonzero one must verify. Over IPv6 the checksum is mandatory.
-        let checksum_ok = match (outer_src_ip, outer_dst_ip) {
-            (IpAddr::V4(s), IpAddr::V4(d)) => u.verify_checksum_v4(s, d),
-            (IpAddr::V6(s), IpAddr::V6(d)) => u.verify_checksum_v6(s, d),
-            _ => false,
+        let view = FrameView::parse(data)?;
+        // The outer addresses: source then destination, from byte 8 of an
+        // IPv6 header or byte 12 of an IPv4 one.
+        let (src_ip, dst_ip) = if view.outer_v6 {
+            (read::<16>(data, 22).into(), read::<16>(data, 38).into())
+        } else {
+            (read::<4>(data, 26).into(), read::<4>(data, 30).into())
         };
-        if !checksum_ok {
-            return Err(FrameError::new(L::OuterUdp, Error::Checksum));
-        }
-        let udp_src_port = u.src_port();
-        let udp_total = u.len() as usize;
-        let vx_bytes = ip_payload
-            .get(udp::HEADER_LEN..udp_total)
-            .ok_or(FrameError::new(L::OuterUdp, Error::Truncated))?;
-        let vx = vxlan::Header::new_checked(vx_bytes).map_err(|e| FrameError::new(L::Vxlan, e))?;
-        if vx.has_unknown_flags() {
-            return Err(FrameError::new(L::Vxlan, Error::Malformed));
-        }
-        let vni = vx.vni();
-
-        // Inner frame.
-        let inner = vx.payload();
-        let ieth = ethernet::Frame::new_checked(inner)
-            .map_err(|e| FrameError::new(L::InnerEthernet, e))?;
-        let inner_src_mac = ieth.src_mac();
-        let inner_dst_mac = ieth.dst_mac();
-        let (inner_src_ip, inner_dst_ip, protocol, l4): (IpAddr, IpAddr, IpProtocol, &[u8]) =
-            match ieth.ethertype() {
-                EtherType::Ipv4 => {
-                    let ip = ipv4::Packet::new_checked(ieth.payload())
-                        .map_err(|e| FrameError::new(L::InnerIpv4, e))?;
-                    if !ip.verify_checksum() {
-                        return Err(FrameError::new(L::InnerIpv4, Error::Checksum));
-                    }
-                    if ip.is_fragment() {
-                        return Err(FrameError::new(L::InnerIpv4, Error::Malformed));
-                    }
-                    let l4 = ieth
-                        .payload()
-                        .get(ip.header_len()..ip.total_len() as usize)
-                        .ok_or(FrameError::new(L::InnerIpv4, Error::Truncated))?;
-                    (
-                        ip.src_addr().into(),
-                        ip.dst_addr().into(),
-                        ip.protocol(),
-                        l4,
-                    )
-                }
-                EtherType::Ipv6 => {
-                    let ip = ipv6::Packet::new_checked(ieth.payload())
-                        .map_err(|e| FrameError::new(L::InnerIpv6, e))?;
-                    let total = ipv6::HEADER_LEN + ip.payload_len() as usize;
-                    let l4 = ieth
-                        .payload()
-                        .get(ipv6::HEADER_LEN..total)
-                        .ok_or(FrameError::new(L::InnerIpv6, Error::Truncated))?;
-                    (
-                        ip.src_addr().into(),
-                        ip.dst_addr().into(),
-                        ip.next_header(),
-                        l4,
-                    )
-                }
-                _ => return Err(FrameError::new(L::InnerEthernet, Error::Unsupported)),
-            };
-
-        let (src_port, dst_port, payload_len) = match protocol {
-            IpProtocol::Udp => {
-                let iu = udp::Datagram::new_checked(l4)
-                    .map_err(|e| FrameError::new(L::InnerTransport, e))?;
-                (
-                    iu.src_port(),
-                    iu.dst_port(),
-                    iu.len() as usize - udp::HEADER_LEN,
-                )
-            }
-            IpProtocol::Tcp => {
-                let t = tcp::Segment::new_checked(l4)
-                    .map_err(|e| FrameError::new(L::InnerTransport, e))?;
-                (t.src_port(), t.dst_port(), t.payload().len())
-            }
-            _ => (0, 0, l4.len()),
-        };
-
+        let inner_eth = usize::from(view.inner_eth);
+        let tuple = view.five_tuple();
         Ok(GatewayPacket {
             outer: OuterHeaders {
-                src_mac: outer_src_mac,
-                dst_mac: outer_dst_mac,
-                src_ip: outer_src_ip,
-                dst_ip: outer_dst_ip,
-                udp_src_port,
+                src_mac: MacAddr(read(data, 6)),
+                dst_mac: MacAddr(read(data, 0)),
+                src_ip,
+                dst_ip,
+                udp_src_port: view.outer_udp_src,
             },
-            vni,
+            vni: view.vni,
             inner: InnerHeaders {
-                src_mac: inner_src_mac,
-                dst_mac: inner_dst_mac,
-                src_ip: inner_src_ip,
-                dst_ip: inner_dst_ip,
-                protocol,
-                src_port,
-                dst_port,
-                payload_len,
+                src_mac: MacAddr(read(data, inner_eth + 6)),
+                dst_mac: MacAddr(read(data, inner_eth)),
+                src_ip: tuple.src_ip,
+                dst_ip: tuple.dst_ip,
+                protocol: tuple.protocol,
+                src_port: tuple.src_port,
+                dst_port: tuple.dst_port,
+                payload_len: payload_len(data, &view),
             },
         })
+    }
+}
+
+/// An IP header's source and destination addresses, of one family.
+#[derive(Clone, Copy)]
+pub(crate) enum AddrPair {
+    V4(Ipv4Addr, Ipv4Addr),
+    V6(Ipv6Addr, Ipv6Addr),
+}
+
+impl AddrPair {
+    /// Pairs `src` with `dst`; mixed families have no wire form.
+    fn of(src: IpAddr, dst: IpAddr) -> Result<AddrPair> {
+        match (src, dst) {
+            (IpAddr::V4(s), IpAddr::V4(d)) => Ok(AddrPair::V4(s, d)),
+            (IpAddr::V6(s), IpAddr::V6(d)) => Ok(AddrPair::V6(s, d)),
+            _ => Err(Error::Malformed),
+        }
+    }
+
+    /// The Ethernet type of a header carrying these addresses.
+    fn ethertype(self) -> EtherType {
+        match self {
+            AddrPair::V4(..) => EtherType::Ipv4,
+            AddrPair::V6(..) => EtherType::Ipv6,
+        }
+    }
+}
+
+/// The `N` bytes at `at`. Callers read only inside layers
+/// [`FrameView::parse`] validated, so the zero fallback is never taken.
+fn read<const N: usize>(data: &[u8], at: usize) -> [u8; N] {
+    data.get(at..at + N)
+        .and_then(|b| b.try_into().ok())
+        .unwrap_or([0; N])
+}
+
+/// The inner application payload length: the UDP length field less its
+/// header, the TCP segment less its data offset, or the whole transport
+/// segment for portless protocols.
+fn payload_len(data: &[u8], view: &FrameView) -> usize {
+    let (l4, l4_len) = (usize::from(view.inner_l4), usize::from(view.inner_l4_len));
+    match IpProtocol::from(view.protocol) {
+        IpProtocol::Udp => {
+            usize::from(u16::from_be_bytes(read(data, l4 + 4))).saturating_sub(udp::HEADER_LEN)
+        }
+        IpProtocol::Tcp => {
+            let [offset] = read(data, l4 + 12);
+            l4_len.saturating_sub(usize::from(offset >> 4) * 4)
+        }
+        _ => l4_len,
     }
 }
 
@@ -464,8 +372,8 @@ impl GatewayPacketBuilder {
                 outer: OuterHeaders {
                     src_mac: MacAddr::from_id(0xa),
                     dst_mac: MacAddr::from_id(0xb),
-                    src_ip: "10.255.0.1".parse().unwrap(),
-                    dst_ip: "10.255.0.2".parse().unwrap(),
+                    src_ip: Ipv4Addr::new(10, 255, 0, 1).into(),
+                    dst_ip: Ipv4Addr::new(10, 255, 0, 2).into(),
                     udp_src_port: 49152,
                 },
                 vni,
@@ -572,6 +480,50 @@ mod tests {
         .build();
         let q = GatewayPacket::parse(&p.emit().unwrap()).unwrap();
         assert_eq!(p, q);
+    }
+
+    /// `parse_classified(emit(p)) == p` over every emittable shape —
+    /// {v4, v6} outer × {v4, v6} inner × {UDP, TCP, ICMP} × payload
+    /// lengths — with seeded addresses, MACs, ports and VNIs.
+    #[test]
+    fn emit_parse_round_trip_every_shape() {
+        use sailfish_util::rand::rngs::StdRng;
+        use sailfish_util::rand::{Rng, SeedableRng};
+
+        fn addr(rng: &mut StdRng, v6: bool) -> IpAddr {
+            if v6 {
+                Ipv6Addr::from(rng.gen::<u128>()).into()
+            } else {
+                Ipv4Addr::from(rng.gen::<u32>()).into()
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut shapes = 0;
+        for outer_v6 in [false, true] {
+            for inner_v6 in [false, true] {
+                for protocol in [IpProtocol::Udp, IpProtocol::Tcp, IpProtocol::Icmp] {
+                    for payload_len in [0usize, 1, 17, 64, 1400, 9000] {
+                        let vni = Vni::new(rng.gen_range(0..=Vni::MAX)).unwrap();
+                        let (src, dst) = (addr(&mut rng, inner_v6), addr(&mut rng, inner_v6));
+                        let mut p = GatewayPacketBuilder::new(vni, src, dst)
+                            .outer_ips(addr(&mut rng, outer_v6), addr(&mut rng, outer_v6))
+                            .transport(protocol, rng.gen(), rng.gen())
+                            .payload_len(payload_len)
+                            .build();
+                        p.outer.udp_src_port = rng.gen();
+                        p.outer.src_mac = MacAddr::from_id(rng.gen());
+                        p.outer.dst_mac = MacAddr::from_id(rng.gen());
+                        p.inner.src_mac = MacAddr::from_id(rng.gen());
+                        p.inner.dst_mac = MacAddr::from_id(rng.gen());
+                        let bytes = p.emit().unwrap();
+                        assert_eq!(bytes.len(), p.wire_len());
+                        assert_eq!(GatewayPacket::parse_classified(&bytes), Ok(p), "{p:?}");
+                        shapes += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(shapes, 2 * 2 * 3 * 6);
     }
 
     #[test]

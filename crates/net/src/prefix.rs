@@ -197,11 +197,12 @@ impl IpPrefix {
         }
     }
 
-    /// A host route for `addr`.
+    /// A host route for `addr` (a full-length prefix has no host bits
+    /// to zero).
     pub fn host(addr: IpAddr) -> Self {
         match addr {
-            IpAddr::V4(a) => IpPrefix::V4(Ipv4Prefix::new(a, 32).unwrap()),
-            IpAddr::V6(a) => IpPrefix::V6(Ipv6Prefix::new(a, 128).unwrap()),
+            IpAddr::V4(addr) => IpPrefix::V4(Ipv4Prefix { addr, len: 32 }),
+            IpAddr::V6(addr) => IpPrefix::V6(Ipv6Prefix { addr, len: 128 }),
         }
     }
 

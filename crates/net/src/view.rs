@@ -1,26 +1,34 @@
-//! Borrowed frame views for the batch hot path.
+//! Borrowed frame views: the gateway's one frame validator.
 //!
-//! [`FrameView::parse`] validates a VXLAN-in-UDP frame with **exactly**
-//! the checks, in exactly the order, of
-//! [`crate::packet::GatewayPacket::parse_classified`], but extracts only
-//! the handful of fields the batch pipeline needs — layer offsets, the
-//! VNI, and the inner 5-tuple material — without building the owned
-//! packet model. The view borrows nothing and allocates nothing: it is a
-//! `Copy` bundle of offsets and integers, so a batch of frames can be
-//! validated into a preallocated lane with zero per-packet allocation.
+//! [`FrameView::parse`] validates a VXLAN-in-UDP frame and extracts the
+//! handful of fields the batch pipeline needs — layer offsets, the VNI,
+//! and the inner 5-tuple material — without building the owned packet
+//! model. The view borrows nothing and allocates nothing: it is a `Copy`
+//! bundle of offsets and integers, so a batch of frames can be validated
+//! into a preallocated lane with zero per-packet allocation.
 //!
-//! The equivalence is load-bearing: the batch executor accepts frames
-//! and counts parse failures per layer/kind through this type, while its
-//! punt resolution, the differential oracle and the software forwarder
-//! parse the same frames through `parse_classified` — a frame the view
-//! accepts must parse there too, with the same fields. A property test (`net/tests/view_parity.rs`) pins `FrameView::parse`
-//! to `parse_classified` error-for-error across truncations and
-//! structure-aware mutants.
+//! No other code validates a frame. The owned
+//! [`crate::packet::GatewayPacket::parse_classified`] is this parse
+//! followed by a read of the remaining fields at the offsets the view
+//! validated, and the dataplane's header rewrite is keyed by the same
+//! offsets — so the batch hot path, punt resolution, the differential
+//! oracle and the software forwarder accept and reject exactly the same
+//! frames, with the same typed [`FrameError`].
+//!
+//! Two paths sit behind `parse`, picked by the frame's shape:
+//! [`FrameView::parse_fast`] takes the canonical v4-in-v4 frame every
+//! conformant vSwitch emits, and the layered [`FrameView::parse_full`]
+//! takes everything else (v6 underlay or overlay, IP options, nonzero
+//! outer UDP checksums, hostile frames) and types every reject. A
+//! property test (`net/tests/view_parity.rs`) pins that the fast path
+//! accepts only frames the layered validator accepts, with an identical
+//! view, across truncations and structure-aware mutants.
 
 use core::net::IpAddr;
 
 use crate::error::{Error, FrameError, FrameLayer};
 use crate::flow::{FiveTuple, IpProtocol};
+use crate::packet::AddrPair;
 use crate::vni::Vni;
 use crate::wire::ethernet::{self, EtherType};
 use crate::wire::{ipv4, ipv6, tcp, udp, vxlan};
@@ -92,7 +100,7 @@ fn addr_bits(addr: IpAddr) -> u128 {
 /// A validated, borrowed view of one VXLAN-in-UDP frame: layer offsets
 /// plus the fields the batch pipeline reads. All offsets index into the
 /// original frame buffer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameView {
     /// Whether the outer IP header is IPv6.
     pub outer_v6: bool,
@@ -104,6 +112,11 @@ pub struct FrameView {
     pub vxlan: u16,
     /// Offset of the inner Ethernet header (end of the rewrite region).
     pub inner_eth: u16,
+    /// Offset of the inner transport header.
+    pub(crate) inner_l4: u16,
+    /// Length of the inner transport segment, as the inner IP length
+    /// field delimits it.
+    pub(crate) inner_l4_len: u16,
     /// Outer UDP source port (underlay flow entropy).
     pub outer_udp_src: u16,
     /// The VXLAN network identifier.
@@ -123,12 +136,13 @@ pub struct FrameView {
 impl FrameView {
     /// Validates `data` and extracts the view.
     ///
-    /// Performs the identical validation sequence of
-    /// [`crate::packet::GatewayPacket::parse_classified`] — including
-    /// outer/inner IPv4 header checksums, fragment rejection, the outer
-    /// UDP checksum policy (zero accepted over v4, mandatory over v6),
-    /// the VXLAN port/flag checks and inner transport delimiting — and
-    /// returns the same `FrameError` for the same hostile frame.
+    /// Beyond the structural checks every wire view performs, rejects
+    /// IPv4 fragments (outer and inner), IPv4 headers whose checksum does
+    /// not verify, IPv6-underlay frames whose mandatory outer UDP
+    /// checksum is absent or wrong, nonzero outer UDP checksums over IPv4
+    /// that do not verify, non-VXLAN UDP ports and VXLAN headers with
+    /// reserved flag bits set. The error names the layer that rejected
+    /// the frame.
     #[inline]
     pub fn parse(data: &[u8]) -> Result<FrameView, FrameError> {
         if let Some(view) = Self::parse_fast(data) {
@@ -142,10 +156,10 @@ impl FrameView {
     /// VXLAN I flag — the shape every conformant vSwitch emits. Performs
     /// the full validation (both IPv4 header checksums included) with
     /// flat constant-offset reads; **any** deviation returns `None` and
-    /// the layered validator decides instead. Never accepts a frame
-    /// [`FrameView::parse_full`] would reject, and extracts identical
-    /// fields when it accepts — the truncation-sweep and fuzz parity
-    /// suites pin both properties.
+    /// [`FrameView::parse`] asks the layered validator instead. Never
+    /// accepts a frame [`FrameView::parse_full`] would reject, and
+    /// extracts an identical view when it accepts — the truncation-sweep
+    /// and fuzz parity suites pin both properties.
     //
     // Bounds proven: every constant index below is < 92, inside the
     // length-checked prefix array; the region checks (`total_len`,
@@ -153,7 +167,7 @@ impl FrameView {
     // its declared layer exactly as the layered parser requires.
     #[allow(clippy::indexing_slicing)]
     #[inline]
-    fn parse_fast(data: &[u8]) -> Option<FrameView> {
+    pub fn parse_fast(data: &[u8]) -> Option<FrameView> {
         // Minimum canonical stack: 14 (eth) + 20 (IPv4) + 8 (UDP) +
         // 8 (VXLAN) + 14 (eth) + 20 (IPv4) + 8 (UDP) = 92 bytes.
         let head: &[u8; 92] = data.get(..92)?.try_into().ok()?;
@@ -247,11 +261,10 @@ impl FrameView {
             outer_udp: 34,
             vxlan: 42,
             inner_eth: 50,
+            inner_l4: 84,
+            inner_l4_len: inner_total as u16 - 20,
             outer_udp_src: be16(head[34], head[35]),
-            vni: Vni::new(
-                u32::from(head[46]) << 16 | u32::from(head[47]) << 8 | u32::from(head[48]),
-            )
-            .ok()?,
+            vni: Vni::from_be_bytes([head[46], head[47], head[48]]),
             inner_src: u128::from(u32::from_be_bytes([head[76], head[77], head[78], head[79]])),
             inner_dst: u128::from(u32::from_be_bytes([head[80], head[81], head[82], head[83]])),
             protocol,
@@ -264,15 +277,10 @@ impl FrameView {
     /// declines (v6 underlay/overlay, IP options, fragments, nonzero
     /// outer-UDP checksums, hostile frames) and produces the typed
     /// [`FrameError`] for rejects.
-    fn parse_full(data: &[u8]) -> Result<FrameView, FrameError> {
+    pub fn parse_full(data: &[u8]) -> Result<FrameView, FrameError> {
         use FrameLayer as L;
         let eth =
             ethernet::Frame::new_checked(data).map_err(|e| FrameError::new(L::OuterEthernet, e))?;
-
-        enum OuterAddrs {
-            V4(core::net::Ipv4Addr, core::net::Ipv4Addr),
-            V6(core::net::Ipv6Addr, core::net::Ipv6Addr),
-        }
         let (outer_addrs, ip_payload, ip_payload_off) = match eth.ethertype() {
             EtherType::Ipv4 => {
                 let ip = ipv4::Packet::new_checked(eth.payload())
@@ -288,13 +296,12 @@ impl FrameView {
                 }
                 let hl = ip.header_len();
                 let tl = ip.total_len() as usize;
-                let addrs = (ip.src_addr(), ip.dst_addr());
                 let payload = eth
                     .payload()
                     .get(hl..tl)
                     .ok_or(FrameError::new(L::OuterIpv4, Error::Truncated))?;
                 (
-                    OuterAddrs::V4(addrs.0, addrs.1),
+                    AddrPair::V4(ip.src_addr(), ip.dst_addr()),
                     payload,
                     ethernet::HEADER_LEN + hl,
                 )
@@ -306,13 +313,12 @@ impl FrameView {
                     return Err(FrameError::new(L::OuterIpv6, Error::Unsupported));
                 }
                 let total = ipv6::HEADER_LEN + ip.payload_len() as usize;
-                let addrs = (ip.src_addr(), ip.dst_addr());
                 let payload = eth
                     .payload()
                     .get(ipv6::HEADER_LEN..total)
                     .ok_or(FrameError::new(L::OuterIpv6, Error::Truncated))?;
                 (
-                    OuterAddrs::V6(addrs.0, addrs.1),
+                    AddrPair::V6(ip.src_addr(), ip.dst_addr()),
                     payload,
                     ethernet::HEADER_LEN + ipv6::HEADER_LEN,
                 )
@@ -325,9 +331,11 @@ impl FrameView {
         if u.dst_port() != vxlan::VXLAN_UDP_PORT {
             return Err(FrameError::new(L::OuterUdp, Error::Unsupported));
         }
+        // Over IPv4 a zero outer UDP checksum means "not computed"; a
+        // nonzero one must verify. Over IPv6 the checksum is mandatory.
         let (outer_v6, checksum_ok) = match outer_addrs {
-            OuterAddrs::V4(s, d) => (false, u.verify_checksum_v4(s, d)),
-            OuterAddrs::V6(s, d) => (true, u.verify_checksum_v6(s, d)),
+            AddrPair::V4(s, d) => (false, u.verify_checksum_v4(s, d)),
+            AddrPair::V6(s, d) => (true, u.verify_checksum_v6(s, d)),
         };
         if !checksum_ok {
             return Err(FrameError::new(L::OuterUdp, Error::Checksum));
@@ -347,47 +355,49 @@ impl FrameView {
         let inner_eth_off = ip_payload_off + udp::HEADER_LEN + vxlan::HEADER_LEN;
         let ieth = ethernet::Frame::new_checked(inner)
             .map_err(|e| FrameError::new(L::InnerEthernet, e))?;
-        let (inner_v6, inner_src, inner_dst, protocol, l4): (bool, u128, u128, u8, &[u8]) =
-            match ieth.ethertype() {
-                EtherType::Ipv4 => {
-                    let ip = ipv4::Packet::new_checked(ieth.payload())
-                        .map_err(|e| FrameError::new(L::InnerIpv4, e))?;
-                    if !ip.verify_checksum() {
-                        return Err(FrameError::new(L::InnerIpv4, Error::Checksum));
-                    }
-                    if ip.is_fragment() {
-                        return Err(FrameError::new(L::InnerIpv4, Error::Malformed));
-                    }
-                    let l4 = ieth
-                        .payload()
-                        .get(ip.header_len()..ip.total_len() as usize)
-                        .ok_or(FrameError::new(L::InnerIpv4, Error::Truncated))?;
-                    (
-                        false,
-                        u128::from(u32::from(ip.src_addr())),
-                        u128::from(u32::from(ip.dst_addr())),
-                        ip.protocol().number(),
-                        l4,
-                    )
+        let inner_ip_off = inner_eth_off + ethernet::HEADER_LEN;
+        let (inner_v6, inner_src, inner_dst, protocol, l4, l4_off) = match ieth.ethertype() {
+            EtherType::Ipv4 => {
+                let ip = ipv4::Packet::new_checked(ieth.payload())
+                    .map_err(|e| FrameError::new(L::InnerIpv4, e))?;
+                if !ip.verify_checksum() {
+                    return Err(FrameError::new(L::InnerIpv4, Error::Checksum));
                 }
-                EtherType::Ipv6 => {
-                    let ip = ipv6::Packet::new_checked(ieth.payload())
-                        .map_err(|e| FrameError::new(L::InnerIpv6, e))?;
-                    let total = ipv6::HEADER_LEN + ip.payload_len() as usize;
-                    let l4 = ieth
-                        .payload()
-                        .get(ipv6::HEADER_LEN..total)
-                        .ok_or(FrameError::new(L::InnerIpv6, Error::Truncated))?;
-                    (
-                        true,
-                        u128::from(ip.src_addr()),
-                        u128::from(ip.dst_addr()),
-                        ip.next_header().number(),
-                        l4,
-                    )
+                if ip.is_fragment() {
+                    return Err(FrameError::new(L::InnerIpv4, Error::Malformed));
                 }
-                _ => return Err(FrameError::new(L::InnerEthernet, Error::Unsupported)),
-            };
+                let l4 = ieth
+                    .payload()
+                    .get(ip.header_len()..ip.total_len() as usize)
+                    .ok_or(FrameError::new(L::InnerIpv4, Error::Truncated))?;
+                (
+                    false,
+                    u128::from(u32::from(ip.src_addr())),
+                    u128::from(u32::from(ip.dst_addr())),
+                    ip.protocol().number(),
+                    l4,
+                    inner_ip_off + ip.header_len(),
+                )
+            }
+            EtherType::Ipv6 => {
+                let ip = ipv6::Packet::new_checked(ieth.payload())
+                    .map_err(|e| FrameError::new(L::InnerIpv6, e))?;
+                let total = ipv6::HEADER_LEN + ip.payload_len() as usize;
+                let l4 = ieth
+                    .payload()
+                    .get(ipv6::HEADER_LEN..total)
+                    .ok_or(FrameError::new(L::InnerIpv6, Error::Truncated))?;
+                (
+                    true,
+                    u128::from(ip.src_addr()),
+                    u128::from(ip.dst_addr()),
+                    ip.next_header().number(),
+                    l4,
+                    inner_ip_off + ipv6::HEADER_LEN,
+                )
+            }
+            _ => return Err(FrameError::new(L::InnerEthernet, Error::Unsupported)),
+        };
 
         let (src_port, dst_port) = match IpProtocol::from(protocol) {
             IpProtocol::Udp => {
@@ -409,6 +419,8 @@ impl FrameView {
             outer_udp: ip_payload_off as u16,
             vxlan: (ip_payload_off + udp::HEADER_LEN) as u16,
             inner_eth: inner_eth_off as u16,
+            inner_l4: l4_off as u16,
+            inner_l4_len: l4.len() as u16,
             outer_udp_src,
             vni,
             inner_src,
@@ -490,6 +502,13 @@ mod tests {
         );
         assert!(!v.outer_v6 && !v.inner_v6);
         assert_eq!(usize::from(v.inner_eth), 14 + 20 + 8 + 8);
+    }
+
+    /// The inner-L4 offsets the owned parse reads ride in the padding of
+    /// the one-cache-line view: it must not grow.
+    #[test]
+    fn view_fits_one_cache_line() {
+        assert_eq!(core::mem::size_of::<FrameView>(), 64);
     }
 
     #[test]

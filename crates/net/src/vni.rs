@@ -33,6 +33,17 @@ impl Vni {
         Self::new(value).expect("VNI literal wider than 24 bits")
     }
 
+    /// Reads a VNI from its three big-endian wire bytes (always in
+    /// range).
+    pub const fn from_be_bytes(bytes: [u8; 3]) -> Self {
+        Vni((bytes[0] as u32) << 16 | (bytes[1] as u32) << 8 | bytes[2] as u32)
+    }
+
+    /// The three big-endian wire bytes of the VNI.
+    pub const fn to_be_bytes(&self) -> [u8; 3] {
+        [(self.0 >> 16) as u8, (self.0 >> 8) as u8, self.0 as u8]
+    }
+
     /// Returns the numeric value.
     pub const fn value(&self) -> u32 {
         self.0
@@ -80,6 +91,13 @@ mod tests {
     fn parity() {
         assert_eq!(Vni::from_const(4).parity(), 0);
         assert_eq!(Vni::from_const(5).parity(), 1);
+    }
+
+    #[test]
+    fn wire_bytes_round_trip() {
+        let vni = Vni::from_const(0x12_3456);
+        assert_eq!(vni.to_be_bytes(), [0x12, 0x34, 0x56]);
+        assert_eq!(Vni::from_be_bytes(vni.to_be_bytes()), vni);
     }
 
     #[test]

@@ -69,9 +69,7 @@ impl<T: AsRef<[u8]>> Header<T> {
     /// The VXLAN network identifier.
     pub fn vni(&self) -> Vni {
         let d = self.buffer.as_ref();
-        let value = u32::from(d[4]) << 16 | u32::from(d[5]) << 8 | u32::from(d[6]);
-        // 24 bits by construction; cannot fail.
-        Vni::new(value).unwrap()
+        Vni::from_be_bytes([d[4], d[5], d[6]])
     }
 
     /// Encapsulated payload (the inner Ethernet frame).
@@ -97,11 +95,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Header<T> {
 
     /// Sets the VNI.
     pub fn set_vni(&mut self, vni: Vni) {
-        let v = vni.value();
-        let d = self.buffer.as_mut();
-        d[4] = (v >> 16) as u8;
-        d[5] = (v >> 8) as u8;
-        d[6] = v as u8;
+        self.buffer.as_mut()[4..7].copy_from_slice(&vni.to_be_bytes());
     }
 
     /// Mutable encapsulated payload.

@@ -1,14 +1,17 @@
-//! `FrameView::parse` is pinned to `GatewayPacket::parse_classified`.
+//! The canonical-frame fast path is pinned to the layered validator.
 //!
-//! The batch hot path validates frames through the borrowed
-//! [`sailfish_net::view::FrameView`] while punt resolution, the
-//! differential oracle and the software forwarder use the owned packet
-//! model; the digests only agree if the two parsers accept and reject the
-//! *same* frames with the *same* typed error. This suite sweeps valid frames, every truncation prefix, and
-//! structure-aware mutants, requiring bit-identical classification.
+//! [`FrameView::parse`] is the gateway's only frame validator: the batch
+//! hot path, the owned `GatewayPacket` parse, punt resolution and the
+//! header rewrite all run it. Behind it sit two paths —
+//! `FrameView::parse_fast`, flat constant-offset reads for the canonical
+//! v4-in-v4 shape, and the layered `FrameView::parse_full`, which decides
+//! every other frame and types every reject. They agree only if the fast
+//! path never accepts a frame the layered validator rejects and, when it
+//! accepts, extracts the identical view. This suite sweeps valid frames,
+//! every truncation prefix and structure-aware mutants for exactly that.
 
-use sailfish_net::packet::{GatewayPacket, GatewayPacketBuilder};
-use sailfish_net::view::{FlowKey, FrameView};
+use sailfish_net::packet::GatewayPacketBuilder;
+use sailfish_net::view::FrameView;
 use sailfish_net::{IpProtocol, Vni};
 use sailfish_util::fuzz::{FieldSpec, FrameMutator};
 use sailfish_util::rand::rngs::StdRng;
@@ -71,47 +74,40 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-/// Asserts the two parsers classify `frame` identically; on acceptance,
-/// the extracted view fields must match the packet model.
-fn assert_parity(frame: &[u8], what: &str) {
-    match (
-        GatewayPacket::parse_classified(frame),
-        FrameView::parse(frame),
-    ) {
-        (Ok(p), Ok(v)) => {
-            assert_eq!(v.vni, p.vni, "{what}: vni");
-            assert_eq!(v.outer_udp_src, p.outer.udp_src_port, "{what}: udp src");
-            assert_eq!(v.five_tuple(), p.five_tuple(), "{what}: tuple");
-            assert_eq!(
-                v.flow_key(),
-                FlowKey::from_tuple(p.vni, &p.five_tuple()),
-                "{what}: flow key"
-            );
-            assert_eq!(v.outer_v6, p.outer.src_ip.is_ipv6(), "{what}: outer fam");
-            assert_eq!(v.inner_v6, p.inner.src_ip.is_ipv6(), "{what}: inner fam");
-        }
-        (Err(pe), Err(ve)) => {
-            assert_eq!(pe, ve, "{what}: divergent FrameError");
-        }
-        (p, v) => panic!("{what}: acceptance diverged: packet={p:?} view={v:?}"),
-    }
+/// Asserts that when the fast path accepts `frame`, the layered validator
+/// accepts it with an identical view; returns whether the fast path took
+/// it.
+fn assert_parity(frame: &[u8], what: &str) -> bool {
+    let Some(fast) = FrameView::parse_fast(frame) else {
+        return false;
+    };
+    assert_eq!(
+        FrameView::parse_full(frame),
+        Ok(fast),
+        "{what}: fast path diverged from the layered validator"
+    );
+    true
 }
 
 #[test]
 fn valid_corpus_and_every_truncation_agree() {
     for (name, frame) in corpus() {
         assert!(
-            FrameView::parse(&frame).is_ok(),
+            FrameView::parse_full(&frame).is_ok(),
             "{name}: valid frame rejected"
         );
-        assert_parity(&frame, name);
+        let fast = assert_parity(&frame, name);
+        // The canonical v4-in-v4 shapes must take the fast path, or the
+        // sweep below would compare nothing.
+        assert_eq!(fast, name.starts_with("v4"), "{name}: fast-path shape");
         for cut in 0..frame.len() {
             assert_parity(&frame[..cut], &format!("{name} cut at {cut}"));
         }
     }
 }
 
-/// The same decision-point field map the hostile-frame suite aims at.
+/// The hostile-frame suite's decision-point field map, plus the inner
+/// TCP data offset the fast path checks.
 fn v4_field_map() -> Vec<FieldSpec> {
     vec![
         FieldSpec::new(12, 2),    // outer ethertype
@@ -132,6 +128,7 @@ fn v4_field_map() -> Vec<FieldSpec> {
         FieldSpec::new(73, 1),    // inner protocol
         FieldSpec::new(74, 2),    // inner header checksum
         FieldSpec::length(88, 2), // inner UDP length
+        FieldSpec::new(96, 1),    // inner TCP data offset (v4-tcp base)
     ]
 }
 
@@ -139,29 +136,21 @@ fn v4_field_map() -> Vec<FieldSpec> {
 fn fuzzed_mutants_classify_identically() {
     let bases: Vec<Vec<u8>> = corpus().into_iter().map(|(_, f)| f).collect();
     let mutator = FrameMutator::new(v4_field_map());
+    let mut fast_accepts = 0u32;
     for seed in [0xF00Du64, 0xBEE5, 42] {
         let mut rng = StdRng::seed_from_u64(seed);
         for case in 0..10_000u32 {
             let base = &bases[case as usize % bases.len()];
             let (mutant, applied) = mutator.mutate(&mut rng, base);
-            match (
-                GatewayPacket::parse_classified(&mutant),
-                FrameView::parse(&mutant),
-            ) {
-                (Ok(p), Ok(v)) => {
-                    assert_eq!(
-                        v.flow_key(),
-                        FlowKey::from_tuple(p.vni, &p.five_tuple()),
-                        "flow key diverged for {applied:?}"
-                    );
-                }
-                (Err(pe), Err(ve)) => {
-                    assert_eq!(pe, ve, "classification diverged for {applied:?}");
-                }
-                (p, v) => {
-                    panic!("acceptance diverged for {applied:?}: packet={p:?} view={v:?}")
-                }
+            if assert_parity(&mutant, &format!("{applied:?}")) {
+                fast_accepts += 1;
             }
         }
     }
+    // Mutants of fields the fast path does not check (ports, VNI, a
+    // re-fitted length) must still reach it.
+    assert!(
+        fast_accepts > 1_000,
+        "only {fast_accepts} fast-path accepts"
+    );
 }

@@ -24,8 +24,7 @@
 //!   pooling").
 //!
 //! Service tables: [`snat::SnatTable`] (the O(100M)-session stateful table
-//! that stays on XGW-x86), [`acl::AclTable`], [`meter::Meter`],
-//! [`counter::CounterArray`].
+//! that stays on XGW-x86), [`acl::AclTable`], [`meter::Meter`].
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +34,6 @@ pub mod acl;
 // or remove can index out of bounds — and `deny` keeps it that way.
 #[deny(clippy::indexing_slicing)]
 pub mod alpm;
-pub mod counter;
 // The VM-NC plane is the other table under every flow-cache miss, and an
 // epoch install builds it from whatever topology it is handed: slots are
 // reached through `get` here too.
@@ -47,7 +45,6 @@ pub mod lpm;
 pub mod meter;
 pub mod pooled;
 pub mod snat;
-pub mod tcam;
 pub mod types;
 pub mod vm_nc;
 pub mod vxlan_route;

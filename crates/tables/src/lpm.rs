@@ -3,9 +3,8 @@
 //! [`Lpm128`] is the authoritative *software* LPM over a 128-bit,
 //! MSB-aligned key space. It serves three roles:
 //!
-//! 1. the reference semantics that the hardware structures
-//!    ([`crate::tcam::Tcam`], [`crate::alpm::AlpmTable`]) are
-//!    property-tested against,
+//! 1. the reference semantics that the hardware structure
+//!    [`crate::alpm::AlpmTable`] is property-tested against,
 //! 2. the backing store of the logical
 //!    [`crate::vxlan_route::VxlanRoutingTable`],
 //! 3. the XGW-x86 routing table (x86 has "huge memory space", §4.1, so the

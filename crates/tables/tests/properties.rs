@@ -17,7 +17,6 @@ use sailfish_tables::digest::{digest32, DigestExactTable, DigestLookup, DigestSt
 use sailfish_tables::error::Error;
 use sailfish_tables::lpm::{Key128, Lpm128};
 use sailfish_tables::pooled::{plane_addr, PooledAlpm, PooledPrefixMap};
-use sailfish_tables::tcam::{Tcam, TcamEntry};
 use sailfish_tables::types::VmKey;
 
 /// Small key space so prefixes overlap aggressively. Spreads 4 value
@@ -184,31 +183,6 @@ fn pooled_alpm_levels_match_pooled_trie() {
                 .map(|(k, v)| (k.len, *v));
             assert_eq!(got, alpm.lookup(addr).map(|(l, v)| (l, *v)), "{addr}");
             assert_eq!(got, map.lookup(addr).map(|(l, v)| (l, *v)), "{addr}");
-        }
-    });
-}
-
-/// The TCAM in LPM configuration agrees with the trie.
-#[test]
-fn tcam_lpm_matches_trie() {
-    check::run("tcam_lpm_matches_trie", 256, |rng| {
-        let keys = check::vec_of(rng, 1..60, |r| (arb_key(r), r.gen::<u32>()));
-        let probes: Vec<u128> = (0..30).map(|_| arb_addr(rng)).collect();
-        let mut tcam = Tcam::new(None);
-        let mut trie = Lpm128::new();
-        for (k, v) in keys {
-            // First-wins: skip duplicate prefixes so both structures hold
-            // identical entry sets.
-            if trie.get_exact(k).is_none() {
-                trie.insert(k, v);
-                tcam.insert(TcamEntry::from_prefix(k.value, k.len).unwrap(), v)
-                    .unwrap();
-            }
-        }
-        for addr in probes {
-            let got = tcam.lookup(addr).map(|(e, v)| (e.priority, *v));
-            let want = trie.lookup(addr).map(|(k, v)| (u32::from(k.len), *v));
-            assert_eq!(got, want);
         }
     });
 }

@@ -3,7 +3,7 @@
 //! "XGW-H stores a few key tables frequently hit by the majority of
 //! traffic" (§4.2): the VXLAN routing table (as pooled ALPM, §4.4) and the
 //! VM-NC mapping table (digest-compressed, §4.4), plus the per-SLA service
-//! tables (ACL, meters, counters).
+//! tables (ACL, meters).
 
 use core::net::IpAddr;
 
@@ -11,7 +11,6 @@ use sailfish_net::hash::MixMap;
 use sailfish_net::{IpPrefix, Vni};
 use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::alpm::{AlpmConfig, AlpmStats};
-use sailfish_tables::counter::CounterArray;
 use sailfish_tables::error::Result;
 use sailfish_tables::pooled::PooledAlpm;
 use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
@@ -259,8 +258,6 @@ pub struct HardwareTables {
     pub vm_nc: VmNcTable,
     /// Per-SLA ACLs.
     pub acl: AclTable,
-    /// Per-service traffic counters (indexed by service class).
-    pub counters: CounterArray,
 }
 
 impl HardwareTables {
@@ -270,7 +267,6 @@ impl HardwareTables {
             routes: HwRoutingTable::new(alpm_config),
             vm_nc: VmNcTable::new(),
             acl: AclTable::new(AclAction::Permit, None),
-            counters: CounterArray::new(8),
         }
     }
 
