@@ -6,6 +6,8 @@
 //! counts with `SAILFISH_BENCH_SAMPLES` / `SAILFISH_BENCH_TARGET_MS`
 //! and export JSON with `SAILFISH_BENCH_JSON=<path>`.
 
+use core::net::IpAddr;
+
 use sailfish_util::bench::Harness;
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
@@ -13,11 +15,13 @@ use sailfish_util::rand::{Rng, SeedableRng};
 use sailfish_dataplane::{DataplaneConfig, EpochState};
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::{FiveTuple, IpProtocol, Vni};
-use sailfish_sim::{Topology, TopologyConfig};
+use sailfish_sim::workload::generate_flows;
+use sailfish_sim::{Topology, TopologyConfig, WorkloadConfig};
 use sailfish_tables::alpm::{AlpmConfig, AlpmTable};
 use sailfish_tables::digest::DigestExactTable;
 use sailfish_tables::lpm::{Key128, Lpm128};
 use sailfish_tables::types::VmKey;
+use sailfish_tables::vxlan_route::VxlanRoutingTable;
 use sailfish_xgw_h::tables::HwRoutingTable;
 
 const ROUTES: usize = 20_000;
@@ -46,14 +50,16 @@ fn bench_lpm_lookup(h: &mut Harness) {
     let probes = probes();
     group.throughput_elements(probes.len() as u64);
 
-    let mut trie = Lpm128::new();
+    // The exact-match-per-length reference: 25 lengths here (/96–/120),
+    // so a miss probes all 25.
+    let mut lpm = Lpm128::new();
     for (k, v) in &routes {
-        trie.insert(*k, *v);
+        lpm.insert(*k, *v);
     }
-    group.bench_function("trie_reference", |b| {
+    group.bench_function("per_length_reference", |b| {
         b.iter(|| {
             for p in &probes {
-                std::hint::black_box(trie.lookup(*p));
+                std::hint::black_box(lpm.lookup(*p));
             }
         })
     });
@@ -87,54 +93,92 @@ fn bench_alpm_insert(h: &mut Harness) {
     group.finish();
 }
 
-fn region_routes(topology: &Topology) -> HwRoutingTable {
-    let mut table = HwRoutingTable::new(AlpmConfig::default());
-    for (key, target) in &topology.routes {
-        table.insert(*key, *target).unwrap();
-    }
-    table
-}
-
-/// The hardware routing table as the dataplane holds it: one small ALPM
-/// per VNI, every route of `TopologyConfig::region_scale()`. `build` and
-/// `drop` are the two halves of what an epoch install pays per cluster
-/// set; `lookup_per_vni` is the miss path's `tables.route_lookup_ns`.
-fn bench_hw_routing_region(h: &mut Harness) {
+/// The two routing tables over every route of
+/// `TopologyConfig::region_scale()`. `hw_routing_region` is the table the
+/// dataplane holds, one small ALPM per VNI; its `lookup_per_vni` is the
+/// miss path's `tables.route_lookup_ns`. `sw_routing_region` is the
+/// logical table — the software-side reference the benchmark's flow
+/// classifier resolves through, and the x86 tier's own table; its
+/// `resolve` follows generated flows through their peer hops. In both,
+/// `build` and `drop` are the two halves of what an epoch install or a
+/// set-up pays per table.
+fn bench_routing_region(h: &mut Harness) {
     let topology = Topology::generate(TopologyConfig::region_scale());
-    let mut group = h.group("hw_routing_region");
-
-    let table = region_routes(&topology);
     let mut rng = StdRng::seed_from_u64(3);
-    let probes: Vec<_> = (0..1024)
+    let vm_probes: Vec<_> = (0..1024)
         .map(|_| {
             let vm = &topology.vms[rng.gen_range(0..topology.vms.len())];
             (vm.vni, vm.ip)
         })
         .collect();
+    let flow_probes: Vec<_> = generate_flows(
+        &topology,
+        &WorkloadConfig {
+            flows: 1024,
+            ..WorkloadConfig::default()
+        },
+    )
+    .iter()
+    .map(|f| (f.vni, f.tuple.dst_ip))
+    .collect();
+    let routes = &topology.routes;
+    let hw = || {
+        let mut table = HwRoutingTable::new(AlpmConfig::default());
+        for (key, target) in routes {
+            table.insert(*key, *target).unwrap();
+        }
+        table
+    };
+    let sw = || {
+        let mut table = VxlanRoutingTable::new();
+        for (key, target) in routes {
+            table.insert(*key, *target);
+        }
+        table
+    };
+    let n = routes.len();
+    let names = ["hw_routing_region", "lookup_per_vni"];
+    routing_group(h, names, n, &vm_probes, hw, |t, vni, ip| t.lookup(vni, ip));
+    let names = ["sw_routing_region", "resolve"];
+    routing_group(h, names, n, &flow_probes, sw, |t, vni, ip| {
+        t.resolve(vni, ip)
+    });
+}
+
+/// Group `group`: `lookup` over `probes` in a table `make` fills, then
+/// `build` and `drop` of it. The built table outlives the timed call (it
+/// is parked in `built`) and the previous one is freed by the untimed
+/// set-up.
+fn routing_group<T, R>(
+    h: &mut Harness,
+    [group, lookup_name]: [&str; 2],
+    routes: usize,
+    probes: &[(Vni, IpAddr)],
+    make: impl Fn() -> T,
+    lookup: impl Fn(&T, Vni, IpAddr) -> R,
+) {
+    let mut group = h.group(group);
+    let table = make();
     group.throughput_elements(probes.len() as u64);
-    group.bench_function("lookup_per_vni", |b| {
+    group.bench_function(lookup_name, |b| {
         b.iter(|| {
-            for (vni, ip) in &probes {
-                std::hint::black_box(table.lookup(*vni, *ip));
+            for &(vni, ip) in probes {
+                std::hint::black_box(lookup(&table, vni, ip));
             }
         })
     });
     drop(table);
 
-    group.throughput_elements(topology.routes.len() as u64);
-    // The built table outlives the timed call (it is parked in `built`)
-    // and the previous one is freed by the untimed set-up.
+    group.throughput_elements(routes as u64);
     let built = std::cell::RefCell::new(None);
     group.bench_function("build", |b| {
         b.iter_batched(
             || drop(built.borrow_mut().take()),
-            |()| *built.borrow_mut() = Some(region_routes(&topology)),
+            |()| *built.borrow_mut() = Some(make()),
         )
     });
     drop(built);
-    group.bench_function("drop", |b| {
-        b.iter_batched(|| region_routes(&topology), drop)
-    });
+    group.bench_function("drop", |b| b.iter_batched(&make, drop));
     group.finish();
 }
 
@@ -293,7 +337,7 @@ fn main() {
     let mut h = Harness::from_env("tables");
     bench_lpm_lookup(&mut h);
     bench_alpm_insert(&mut h);
-    bench_hw_routing_region(&mut h);
+    bench_routing_region(&mut h);
     bench_digest_lookup(&mut h);
     bench_digest_fill(&mut h);
     bench_epoch_region(&mut h);

@@ -55,8 +55,8 @@ pub fn run(_scale: Scale) -> ExperimentRecord {
 
         // The hardware cost of a deeper first level is the in-bucket
         // scan: a bucket probe must compare up to `bucket` stored
-        // prefixes in SRAM (the model's wall time measures our software
-        // trie and is informational only).
+        // prefixes in SRAM (the model's wall time measures the software
+        // model and is informational only).
         let avg_scan = stats.avg_fill * bucket as f64;
         rows.push(vec![
             format!("{bucket}"),

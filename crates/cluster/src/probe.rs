@@ -67,6 +67,7 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
     let mut xregion = 0;
     let mut negative = 0;
 
+    let by_vni = topology.vpcs_by_vni();
     for vpc in &topology.vpcs {
         let vms = topology.vms_of(vpc);
         let Some(src) = vms.iter().find(|m| m.ip.is_ipv4()) else {
@@ -90,10 +91,7 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
         if peered < per_class {
             // A dangling peer reference (no such VPC in the topology) is
             // not probe-worthy; skip it rather than panic.
-            if let Some(peer) = vpc
-                .peer
-                .and_then(|peer_vni| topology.vpcs.iter().find(|v| v.vni == peer_vni))
-            {
+            if let Some(peer) = vpc.peer.and_then(|peer_vni| by_vni.get(&peer_vni)) {
                 let pvms = topology.vms_of(peer);
                 let reachable = pvms.len().min(PEERED_SUBNETS * 250);
                 if let Some(dst) = pvms[..reachable].iter().find(|m| m.ip.is_ipv4()) {

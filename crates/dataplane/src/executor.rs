@@ -25,6 +25,8 @@ use sailfish_net::rss::Toeplitz;
 use sailfish_net::wire::ethernet;
 use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
+use sailfish_tables::types::VmKey;
+use sailfish_tables::vm_nc::VmNcTable;
 use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
 use crate::batch::BatchExecutor;
@@ -152,12 +154,12 @@ pub fn software_forwarder(topology: &Topology) -> SoftwareForwarder {
     for (key, target) in &topology.routes {
         tables.routes.insert(*key, *target);
     }
-    for vm in &topology.vms {
-        tables
-            .vm_nc
-            .insert(vm.vni, vm.ip, vm.nc)
-            .expect("topology VMs are unique");
-    }
+    let vms: Vec<_> = topology
+        .vms
+        .iter()
+        .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc))
+        .collect();
+    tables.vm_nc = VmNcTable::from_run(&vms).expect("topology VMs are unique");
     SoftwareForwarder::new(tables)
 }
 

@@ -23,13 +23,12 @@ pub struct Ipv4Prefix {
 
 impl Ipv4Prefix {
     /// Builds a prefix, zeroing host bits; fails when `len > 32`.
-    pub fn new(addr: Ipv4Addr, len: u8) -> Result<Self, Error> {
+    pub const fn new(addr: Ipv4Addr, len: u8) -> Result<Self, Error> {
         if len > 32 {
             return Err(Error::OutOfRange);
         }
-        let masked = u32::from(addr) & mask_v4(len);
         Ok(Ipv4Prefix {
-            addr: Ipv4Addr::from(masked),
+            addr: Ipv4Addr::from_bits(addr.to_bits() & mask_v4(len)),
             len,
         })
     }
@@ -289,7 +288,7 @@ pub fn lpm_priority(a: &IpPrefix, b: &IpPrefix) -> Ordering {
     b.len().cmp(&a.len())
 }
 
-fn mask_v4(len: u8) -> u32 {
+const fn mask_v4(len: u8) -> u32 {
     if len == 0 {
         0
     } else {

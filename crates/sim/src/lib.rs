@@ -30,6 +30,9 @@
 //! figure regenerates bit-for-bit.
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()` (see clippy.toml `disallowed-methods`);
+// CI's `-D warnings` escalates this to deny.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod conn;
 pub mod elastic;

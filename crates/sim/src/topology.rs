@@ -13,13 +13,27 @@ use core::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
-use sailfish_net::{IpPrefix, Vni};
+use sailfish_net::hash::{MixMap, MixState};
+use sailfish_net::{IpPrefix, Ipv4Prefix, Vni};
 use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget, VxlanRouteKey};
 
 use crate::zipf::zipf_weights;
 
 /// Hosts per /24 (v4) or /64 (v6) subnet.
 const VMS_PER_SUBNET: usize = 250;
+
+/// Destinations of a VPC's Internet (SNAT), IDC and cross-region routes.
+const INTERNET_ROUTE: IpPrefix = IpPrefix::V4(Ipv4Prefix::DEFAULT);
+const IDC_ROUTE: IpPrefix = v4_prefix(Ipv4Addr::new(172, 16, 0, 0), 12);
+const CROSS_REGION_ROUTE: IpPrefix = v4_prefix(Ipv4Addr::new(100, 64, 0, 0), 10);
+
+/// A constant IPv4 prefix: a length over 32 fails the build, not a run.
+const fn v4_prefix(addr: Ipv4Addr, len: u8) -> IpPrefix {
+    match Ipv4Prefix::new(addr, len) {
+        Ok(prefix) => IpPrefix::V4(prefix),
+        Err(_) => panic!("IPv4 prefix length over 32"),
+    }
+}
 
 /// Topology generator configuration.
 #[derive(Debug, Clone)]
@@ -229,19 +243,19 @@ impl Topology {
         for vpc in &vpcs {
             if vpc.internet {
                 routes.push((
-                    VxlanRouteKey::new(vpc.vni, "0.0.0.0/0".parse().unwrap()),
+                    VxlanRouteKey::new(vpc.vni, INTERNET_ROUTE),
                     RouteTarget::InternetSnat,
                 ));
             }
             if let Some(idc) = vpc.idc {
                 routes.push((
-                    VxlanRouteKey::new(vpc.vni, "172.16.0.0/12".parse().unwrap()),
+                    VxlanRouteKey::new(vpc.vni, IDC_ROUTE),
                     RouteTarget::Idc(idc),
                 ));
             }
             if let Some(region) = vpc.cross_region {
                 routes.push((
-                    VxlanRouteKey::new(vpc.vni, "100.64.0.0/10".parse().unwrap()),
+                    VxlanRouteKey::new(vpc.vni, CROSS_REGION_ROUTE),
                     RouteTarget::CrossRegion(region),
                 ));
             }
@@ -267,6 +281,17 @@ impl Topology {
             }
         }
         (v4, v6)
+    }
+
+    /// The VPCs by VNI, indexed in one pass. When a VNI repeats (only a
+    /// hand-built topology can), the first VPC carrying it wins — the one
+    /// a scan of [`Topology::vpcs`] finds.
+    pub fn vpcs_by_vni(&self) -> MixMap<Vni, &Vpc> {
+        let mut index = MixMap::with_capacity_and_hasher(self.vpcs.len(), MixState);
+        for vpc in &self.vpcs {
+            index.entry(vpc.vni).or_insert(vpc);
+        }
+        index
     }
 
     /// VMs of one VPC.

@@ -7,13 +7,24 @@
 //!   can even reach tens of Gbps" (§2.3),
 //! - the diurnal + shopping-festival load profile of Figs 4–6 and 19.
 
+use core::net::{IpAddr, Ipv4Addr};
+
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
+use sailfish_net::hash::MixMap;
 use sailfish_net::{FiveTuple, IpProtocol, Vni};
 
-use crate::topology::Topology;
+use crate::topology::{Topology, Vpc, PEERED_SUBNETS};
 use crate::zipf::zipf_weights;
+
+/// Destinations of Internet, IDC and cross-region flows (the last two
+/// inside the topology's service routes).
+const INTERNET_DST: IpAddr = IpAddr::V4(Ipv4Addr::new(93, 184, 216, 34));
+const IDC_DST: IpAddr = IpAddr::V4(Ipv4Addr::new(172, 16, 9, 9));
+const CROSS_REGION_DST: IpAddr = IpAddr::V4(Ipv4Addr::new(100, 64, 1, 1));
+/// Destination ports, drawn uniformly.
+const SERVICE_PORTS: [u16; 5] = [80, 443, 8080, 3306, 6379];
 
 /// What kind of path a flow exercises (Table 1's traffic routes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,11 +112,11 @@ pub fn festival_profile(day: f64) -> f64 {
     diurnal + festival
 }
 
-/// Generates a flow set over a topology.
+/// Generates a flow set over a topology (empty for `flows: 0`).
 pub fn generate_flows(topology: &Topology, cfg: &WorkloadConfig) -> Vec<Flow> {
-    assert!(cfg.flows > 0, "need at least one flow");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut flows = Vec::with_capacity(cfg.flows);
+    let by_vni = topology.vpcs_by_vni();
 
     let hh_count = cfg.heavy_hitters.min(cfg.flows);
     let mice = cfg.flows - hh_count;
@@ -141,9 +152,8 @@ pub fn generate_flows(topology: &Topology, cfg: &WorkloadConfig) -> Vec<Flow> {
             } else if bps > 1e8 {
                 1024
             } else {
-                *[128usize, 256, 512, 1024]
-                    .get(rng.gen_range(0..4))
-                    .expect("fixed table")
+                // 128, 256, 512 or 1024.
+                128usize << rng.gen_range(0..4usize)
             };
             (bps, bytes)
         };
@@ -152,7 +162,7 @@ pub fn generate_flows(topology: &Topology, cfg: &WorkloadConfig) -> Vec<Flow> {
         // is bandwidth-capped per tenant (and SNAT'd Internet flows ride
         // the software path, which the paper keeps to a few Gbps total).
         let allow_external = bps < 1e9;
-        let (tuple, vni, kind) = sample_endpoints(topology, cfg, allow_external, &mut rng);
+        let (tuple, vni, kind) = sample_endpoints(topology, &by_vni, cfg, allow_external, &mut rng);
         flows.push(Flow {
             tuple,
             vni,
@@ -203,6 +213,7 @@ fn water_filled_rates(weights: &[f64], total: f64, cap: Option<f64>) -> Vec<f64>
 
 fn sample_endpoints(
     topology: &Topology,
+    by_vni: &MixMap<Vni, &Vpc>,
     cfg: &WorkloadConfig,
     allow_external: bool,
     rng: &mut StdRng,
@@ -217,26 +228,24 @@ fn sample_endpoints(
     let vms = topology.vms_of(vpc);
     let src = vms[rng.gen_range(0..vms.len())];
 
-    let by_vni: Option<&crate::topology::Vpc> = vpc
-        .peer
-        .and_then(|p| topology.vpcs.iter().find(|v| v.vni == p));
+    let peer = vpc.peer.and_then(|p| by_vni.get(&p).copied());
 
     let roll: f64 = if allow_external { rng.gen() } else { 1.0 };
+    let cross_vpc = roll < cfg.internet_share + 0.04 + cfg.cross_vpc_share;
     let (dst_ip, kind) = if roll < cfg.internet_share && vpc.internet {
-        ("93.184.216.34".parse().unwrap(), FlowKind::Internet)
+        (INTERNET_DST, FlowKind::Internet)
     } else if roll < cfg.internet_share + 0.02 && vpc.idc.is_some() {
-        ("172.16.9.9".parse().unwrap(), FlowKind::Idc)
+        (IDC_DST, FlowKind::Idc)
     } else if roll < cfg.internet_share + 0.04 && vpc.cross_region.is_some() {
-        ("100.64.1.1".parse().unwrap(), FlowKind::CrossRegion)
-    } else if roll < cfg.internet_share + 0.04 + cfg.cross_vpc_share && by_vni.is_some() {
-        let peer = by_vni.expect("checked");
+        (CROSS_REGION_DST, FlowKind::CrossRegion)
+    } else if let Some(peer) = peer.filter(|_| cross_vpc) {
         // Only the peer's first PEERED_SUBNETS subnets are reachable
         // through the peering routes; VMs are packed into subnets in
         // order, so draw from the leading slice.
         let pvms = topology.vms_of(peer);
         let reachable = pvms
             .len()
-            .min(crate::topology::PEERED_SUBNETS * 250)
+            .min(PEERED_SUBNETS * 250)
             .min(peer.subnets.len() * 250);
         if reachable == 0 {
             (src.ip, FlowKind::IntraVpc)
@@ -254,11 +263,7 @@ fn sample_endpoints(
         (src.ip, dst_ip)
     } else {
         // Fall back to an intra-VPC v4↔v4 or v6↔v6 pair.
-        let same_family: Vec<_> = vms
-            .iter()
-            .filter(|v| v.ip.is_ipv4() == dst_ip.is_ipv4())
-            .collect();
-        match same_family.first() {
+        match vms.iter().find(|v| v.ip.is_ipv4() == dst_ip.is_ipv4()) {
             Some(v) => (v.ip, dst_ip),
             None => (src.ip, src.ip),
         }
@@ -273,9 +278,7 @@ fn sample_endpoints(
             IpProtocol::Udp
         },
         rng.gen_range(1024..65535),
-        *[80u16, 443, 8080, 3306, 6379]
-            .get(rng.gen_range(0..5))
-            .expect("fixed table"),
+        SERVICE_PORTS[rng.gen_range(0..SERVICE_PORTS.len())],
     );
     (tuple, vpc.vni, kind)
 }
@@ -305,6 +308,13 @@ mod tests {
             (total_gbps - cfg.total_gbps).abs() / cfg.total_gbps < 0.02,
             "total {total_gbps}"
         );
+    }
+
+    #[test]
+    fn zero_flows_is_an_empty_set() {
+        let (t, mut cfg) = small();
+        cfg.flows = 0;
+        assert!(generate_flows(&t, &cfg).is_empty());
     }
 
     #[test]

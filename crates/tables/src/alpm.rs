@@ -33,8 +33,9 @@
 //! The buckets *are* the route store — there is no second copy of the
 //! routes to rebuild from or to check against. Every route lives in the
 //! bucket of the deepest root covering it; [`AlpmTable::audit`] checks
-//! that, and the property tests check lookups against an independently
-//! maintained [`crate::lpm::Lpm128`].
+//! that, and the property tests check lookups against
+//! [`crate::lpm::Lpm128`], which shares none of this layout: it probes one
+//! exact-match map per prefix length present.
 //!
 //! An insert or remove moves the slots behind it (one `memmove`) and, when
 //! it adds or retires a root, re-links the parents: both are linear in the
@@ -692,25 +693,25 @@ mod tests {
         use sailfish_util::rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xa1b2);
         let mut t = AlpmTable::new(AlpmConfig { bucket_capacity: 3 });
-        let mut trie = Lpm128::new();
+        let mut lpm = Lpm128::new();
         let mut keys: Vec<Key128> = Vec::new();
         for step in 0..800u32 {
             let remove = !keys.is_empty() && rng.gen_bool(0.3);
             if remove {
                 let idx = rng.gen_range(0..keys.len());
                 let k = keys.swap_remove(idx);
-                assert_eq!(t.remove(k), trie.remove(k));
+                assert_eq!(t.remove(k), lpm.remove(k));
             } else {
                 let len = rng.gen_range(0..=24u8);
                 let value = rng.gen_range(0..1u128 << 20) << 104;
                 let k = Key128::new(value, len).unwrap();
                 let old = t.insert(k, step).unwrap();
-                assert_eq!(old, trie.insert(k, step));
+                assert_eq!(old, lpm.insert(k, step));
                 if old.is_none() {
                     keys.push(k);
                 }
             }
-            assert_eq!(t.len(), trie.len());
+            assert_eq!(t.len(), lpm.len());
             if step % 50 == 0 {
                 t.audit().unwrap();
             }
@@ -721,7 +722,7 @@ mod tests {
             let addr = rng.gen_range(0..1u128 << 24) << 104 | rng.gen_range(0..1u128 << 64);
             assert_eq!(
                 t.lookup(addr).map(|(k, v)| (k.len, *v)),
-                trie.lookup(addr).map(|(k, v)| (k.len, *v)),
+                lpm.lookup(addr).map(|(k, v)| (k.len, *v)),
                 "addr {addr:#034x}"
             );
         }

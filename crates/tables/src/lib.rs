@@ -27,6 +27,9 @@
 //! that stays on XGW-x86), [`acl::AclTable`], [`meter::Meter`].
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()` (see clippy.toml `disallowed-methods`);
+// CI's `-D warnings` escalates this to deny.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod acl;
 // The ALPM read path sits under every flow-cache miss. Its roots and

@@ -1,4 +1,4 @@
-//! Binary-trie longest-prefix-match table.
+//! Longest-prefix match as exact matches, one per prefix length.
 //!
 //! [`Lpm128`] is the authoritative *software* LPM over a 128-bit,
 //! MSB-aligned key space. It serves three roles:
@@ -10,9 +10,19 @@
 //! 3. the XGW-x86 routing table (x86 has "huge memory space", §4.1, so the
 //!    software gateway uses this directly).
 //!
+//! The store is one hash map from prefix to value and the list of prefix
+//! lengths present, longest first. A lookup masks the address to each
+//! present length in turn and returns the first exact hit — the
+//! definition of LPM, and nothing of ALPM's carving or buckets, so it
+//! stays an independent oracle for it. A per-VNI table holds a handful
+//! of lengths (/24 subnets, /12, /10, /0), so a lookup is a few probes;
+//! a build is one map insert per route.
+//!
 //! IPv4 keys are mapped into the 128-bit space by the caller (either
 //! MSB-aligned per-family or via the pooled `::ffff:0:0/96` plane, see
 //! `sailfish_net::prefix::IpPrefix::pooled_bits`).
+
+use sailfish_net::hash::MixMap;
 
 use crate::error::{Error, Result};
 
@@ -37,13 +47,11 @@ impl Key128 {
         })
     }
 
-    /// The bit mask selecting the first `len` bits.
+    /// The bit mask selecting the first `len` bits (all of them past 128).
     pub fn mask(len: u8) -> u128 {
-        if len == 0 {
-            0
-        } else {
-            u128::MAX << (128 - len as u32)
-        }
+        u128::MAX
+            .checked_shl(128 - u32::from(len.min(128)))
+            .unwrap_or(0)
     }
 
     /// Whether `addr` falls under this prefix.
@@ -62,30 +70,13 @@ impl Key128 {
     }
 }
 
-#[derive(Debug)]
-struct Node<T> {
-    children: [Option<Box<Node<T>>>; 2],
-    data: Option<T>,
-}
-
-impl<T> Node<T> {
-    fn new() -> Self {
-        Node {
-            children: [None, None],
-            data: None,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.data.is_none() && self.children[0].is_none() && self.children[1].is_none()
-    }
-}
-
-/// A binary trie mapping 128-bit prefixes to values.
+/// A longest-prefix-match table over 128-bit prefixes.
 #[derive(Debug)]
 pub struct Lpm128<T> {
-    root: Node<T>,
-    len: usize,
+    entries: MixMap<Key128, T>,
+    /// `(prefix length, entries of that length)`, longest first; no
+    /// length with zero entries.
+    lengths: Vec<(u8, usize)>,
 }
 
 impl<T> Default for Lpm128<T> {
@@ -94,159 +85,88 @@ impl<T> Default for Lpm128<T> {
     }
 }
 
+/// `key` with its host bits cleared; only the first `len` bits name a
+/// prefix.
+fn canonical(key: Key128) -> Key128 {
+    Key128 {
+        value: key.value & Key128::mask(key.len),
+        len: key.len,
+    }
+}
+
 impl<T> Lpm128<T> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Lpm128 {
-            root: Node::new(),
-            len: 0,
+            entries: MixMap::default(),
+            lengths: Vec::new(),
         }
     }
 
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
+    }
+
+    /// Where `len` sits in the longest-first `lengths`.
+    fn length_slot(&self, len: u8) -> core::result::Result<usize, usize> {
+        self.lengths.binary_search_by(|&(l, _)| len.cmp(&l))
     }
 
     /// Inserts a prefix, returning the previous value if the prefix was
     /// already present.
     pub fn insert(&mut self, key: Key128, data: T) -> Option<T> {
-        let mut node = &mut self.root;
-        for pos in 0..key.len {
-            let bit = Key128::bit(key.value, pos);
-            node = node.children[bit].get_or_insert_with(|| Box::new(Node::new()));
-        }
-        let old = node.data.replace(data);
+        let key = canonical(key);
+        let old = self.entries.insert(key, data);
         if old.is_none() {
-            self.len += 1;
+            match self.length_slot(key.len) {
+                Ok(i) => self.lengths[i].1 += 1,
+                Err(i) => self.lengths.insert(i, (key.len, 1)),
+            }
         }
         old
     }
 
     /// Removes a prefix, returning its value.
     pub fn remove(&mut self, key: Key128) -> Option<T> {
-        fn rec<T>(node: &mut Node<T>, key: &Key128, pos: u8) -> Option<T> {
-            if pos == key.len {
-                return node.data.take();
+        let key = canonical(key);
+        let removed = self.entries.remove(&key)?;
+        if let Ok(i) = self.length_slot(key.len) {
+            self.lengths[i].1 -= 1;
+            if self.lengths[i].1 == 0 {
+                self.lengths.remove(i);
             }
-            let bit = Key128::bit(key.value, pos);
-            let child = node.children[bit].as_mut()?;
-            let removed = rec(child, key, pos + 1);
-            if removed.is_some() && child.is_empty() {
-                node.children[bit] = None;
-            }
-            removed
         }
-        let removed = rec(&mut self.root, &key, 0);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
+        Some(removed)
     }
 
     /// Returns the value stored exactly at `key`.
     pub fn get_exact(&self, key: Key128) -> Option<&T> {
-        let mut node = &self.root;
-        for pos in 0..key.len {
-            let bit = Key128::bit(key.value, pos);
-            node = node.children[bit].as_deref()?;
-        }
-        node.data.as_ref()
+        self.entries.get(&canonical(key))
     }
 
     /// Longest-prefix lookup of a full 128-bit address.
     pub fn lookup(&self, addr: u128) -> Option<(Key128, &T)> {
-        self.lookup_max_len(addr, 128)
+        self.lengths.iter().find_map(|&(len, _)| {
+            let key = Key128 {
+                value: addr & Key128::mask(len),
+                len,
+            };
+            self.entries.get(&key).map(|data| (key, data))
+        })
     }
 
-    /// Longest-prefix lookup considering only prefixes with
-    /// `len <= max_len`. Used by ALPM to compute partition defaults (the
-    /// best route *outside* a partition rooted at `max_len + 1` or deeper).
-    pub fn lookup_max_len(&self, addr: u128, max_len: u8) -> Option<(Key128, &T)> {
-        let mut node = &self.root;
-        let mut best: Option<(u8, &T)> = None;
-        if let Some(data) = node.data.as_ref() {
-            best = Some((0, data));
-        }
-        for pos in 0..max_len.min(128) {
-            let bit = Key128::bit(addr, pos);
-            match node.children[bit].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(data) = node.data.as_ref() {
-                        best = Some((pos + 1, data));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, data)| (Key128::new(addr, len).expect("len bounded by 128"), data))
-    }
-
-    /// Iterates over all `(key, value)` pairs in lexicographic order.
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter {
-            stack: vec![(&self.root, 0u128, 0u8)],
-        }
-    }
-
-    /// Collects all prefixes covered by `cover` (including an entry equal
-    /// to it). Used when splitting ALPM partitions.
-    pub fn entries_under(&self, cover: Key128) -> Vec<(Key128, &T)> {
-        // Walk down to the covering node first.
-        let mut node = &self.root;
-        for pos in 0..cover.len {
-            let bit = Key128::bit(cover.value, pos);
-            match node.children[bit].as_deref() {
-                Some(child) => node = child,
-                None => return Vec::new(),
-            }
-        }
-        let mut out = Vec::new();
-        let mut stack = vec![(node, cover.value, cover.len)];
-        while let Some((n, value, len)) = stack.pop() {
-            if let Some(data) = n.data.as_ref() {
-                out.push((Key128 { value, len }, data));
-            }
-            for (bit, child) in n.children.iter().enumerate() {
-                if let Some(child) = child.as_deref() {
-                    debug_assert!(len < 128);
-                    let value = value | (bit as u128) << (127 - len as u32);
-                    stack.push((child, value, len + 1));
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Iterator over `(Key128, &T)` pairs.
-pub struct Iter<'a, T> {
-    stack: Vec<(&'a Node<T>, u128, u8)>,
-}
-
-impl<'a, T> Iterator for Iter<'a, T> {
-    type Item = (Key128, &'a T);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node, value, len)) = self.stack.pop() {
-            // Push children right-then-left so pops are in order.
-            for bit in [1usize, 0] {
-                if let Some(child) = node.children[bit].as_deref() {
-                    let value = value | (bit as u128) << (127 - len as u32);
-                    self.stack.push((child, value, len + 1));
-                }
-            }
-            if let Some(data) = node.data.as_ref() {
-                return Some((Key128 { value, len }, data));
-            }
-        }
-        None
+    /// Iterates over all `(key, value)` pairs in `(value, len)` order: a
+    /// prefix before the prefixes under it, lower addresses first.
+    pub fn iter(&self) -> impl Iterator<Item = (Key128, &T)> {
+        let mut all: Vec<(Key128, &T)> = self.entries.iter().map(|(k, v)| (*k, v)).collect();
+        all.sort_unstable_by_key(|(k, _)| (k.value, k.len));
+        all.into_iter()
     }
 }
 
@@ -313,14 +233,17 @@ mod tests {
     }
 
     #[test]
-    fn lookup_max_len_excludes_longer() {
+    fn host_bits_of_a_hand_built_key_are_ignored() {
         let mut t = Lpm128::new();
-        t.insert(ka(0xab << 120, 8), "short");
-        t.insert(ka(0xabcd << 112, 16), "long");
-        let addr = 0xabcdu128 << 112;
-        assert_eq!(t.lookup_max_len(addr, 15).unwrap().1, &"short");
-        assert_eq!(t.lookup_max_len(addr, 16).unwrap().1, &"long");
-        assert_eq!(t.lookup_max_len(addr, 7), None);
+        let sloppy = Key128 {
+            value: 0xab << 120 | 1,
+            len: 8,
+        };
+        t.insert(sloppy, "a");
+        assert_eq!(t.get_exact(ka(0xab << 120, 8)), Some(&"a"));
+        assert_eq!(t.lookup(0xab << 120).unwrap(), (ka(0xab << 120, 8), &"a"));
+        assert_eq!(t.remove(sloppy), Some("a"));
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -340,26 +263,8 @@ mod tests {
             t.insert(*key, i);
         }
         let collected: Vec<_> = t.iter().map(|(k, _)| k).collect();
-        assert_eq!(collected.len(), keys.len());
-        for key in keys {
-            assert!(collected.contains(&key));
-        }
-    }
-
-    #[test]
-    fn entries_under_selects_subtree() {
-        let mut t = Lpm128::new();
-        t.insert(ka(0xab << 120, 8), "a");
-        t.insert(ka(0xabcd << 112, 16), "b");
-        t.insert(ka(0xac << 120, 8), "c");
-        let under = t.entries_under(ka(0xab << 120, 8));
-        assert_eq!(under.len(), 2);
-        let under = t.entries_under(ka(0xac << 120, 8));
-        assert_eq!(under.len(), 1);
-        let under = t.entries_under(ka(0, 0));
-        assert_eq!(under.len(), 3);
-        // No node at all under a foreign prefix.
-        assert!(t.entries_under(ka(0xff << 120, 8)).is_empty());
+        // A prefix before the prefixes under it, lower addresses first.
+        assert_eq!(collected, [keys[0], keys[3], keys[1], keys[2]]);
     }
 
     #[test]
@@ -369,41 +274,73 @@ mod tests {
         t.insert(deep, "x");
         t.remove(deep);
         assert!(t.is_empty());
-        // The root must have been pruned back to a leaf: inserting and
-        // looking up still works.
+        // Removing the last prefix of its length leaves nothing behind
+        // for a lookup to probe: inserting and looking up still works.
         t.insert(ka(0, 0), "d");
         assert_eq!(t.lookup(7).unwrap().1, &"d");
     }
 
-    // Differential test against a naive scan.
+    // Differential test against a naive scan, over every prefix length,
+    // with replaces and removes interleaved with the inserts.
     #[test]
     fn matches_naive_scan_on_random_input() {
         use sailfish_util::rand::rngs::StdRng;
         use sailfish_util::rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5a11_f154);
+        // Addresses share their top bits so prefixes of every length
+        // overlap; the low half is random so long prefixes rarely collide.
+        let addr =
+            |rng: &mut StdRng| rng.gen_range(0..4u128) << 120 | rng.gen_range(0..1u128 << 64);
         let mut t = Lpm128::new();
         let mut entries: Vec<(Key128, u32)> = Vec::new();
-        for i in 0..500u32 {
-            // Cluster prefixes in a small space to force overlaps.
-            let len = rng.gen_range(0..=16) + 112;
-            let value = (rng.gen_range(0..64u128)) << 112 | rng.gen_range(0..1u128 << 64);
-            let key = Key128::new(value, len as u8).unwrap();
-            if t.insert(key, i).is_none() {
-                entries.push((key, i));
-            } else {
-                entries.retain(|(k, _)| *k != key);
-                entries.push((key, i));
+        let mut lengths_seen = [false; 129];
+        for i in 0..3000u32 {
+            let key = match rng.gen_range(0..10) {
+                // Revisit a resident prefix: remove it or replace its value.
+                0..=2 if !entries.is_empty() => entries[rng.gen_range(0..entries.len())].0,
+                _ => Key128::new(addr(&mut rng), rng.gen_range(0..=128)).unwrap(),
+            };
+            lengths_seen[usize::from(key.len)] = true;
+            let resident = entries.iter().position(|(k, _)| *k == key);
+            match resident {
+                Some(r) if rng.gen_bool(0.5) => {
+                    let (_, v) = entries.swap_remove(r);
+                    assert_eq!(t.remove(key), Some(v));
+                }
+                Some(r) => {
+                    let old = std::mem::replace(&mut entries[r].1, i);
+                    assert_eq!(t.insert(key, i), Some(old));
+                }
+                None => {
+                    assert_eq!(t.insert(key, i), None);
+                    entries.push((key, i));
+                }
+            }
+            assert_eq!(t.len(), entries.len());
+            // One probe exactly on a resident prefix, one anywhere.
+            for a in [
+                entries
+                    .get(i as usize % entries.len().max(1))
+                    .map_or(0, |e| e.0.value),
+                addr(&mut rng),
+            ] {
+                let got = t.lookup(a).map(|(k, v)| (k, *v));
+                let want = entries
+                    .iter()
+                    .filter(|(k, _)| k.contains(a))
+                    .max_by_key(|(k, _)| k.len)
+                    .copied();
+                assert_eq!(got, want, "addr {a:#034x}");
             }
         }
-        for _ in 0..2000 {
-            let addr = (rng.gen_range(0..64u128)) << 112 | rng.gen_range(0..1u128 << 64);
-            let got = t.lookup(addr).map(|(k, v)| (k.len, *v));
-            let want = entries
-                .iter()
-                .filter(|(k, _)| k.contains(addr))
-                .max_by_key(|(k, _)| k.len)
-                .map(|(k, v)| (k.len, *v));
-            assert_eq!(got, want, "addr {addr:#034x}");
+        assert!(lengths_seen.iter().all(|&seen| seen));
+        let keys: Vec<Key128> = t.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), entries.len());
+        assert!(keys
+            .windows(2)
+            .all(|w| (w[0].value, w[0].len) < (w[1].value, w[1].len)));
+        for (k, v) in &entries {
+            assert_eq!(t.get_exact(*k), Some(v));
         }
     }
 

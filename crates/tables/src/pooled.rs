@@ -8,7 +8,7 @@
 //! families share one physical table; a family label (part of the match
 //! key) keeps the planes disjoint — an IPv6 `::/0` must never match IPv4
 //! traffic. This module models that as label-separated views over shared
-//! storage: [`PooledPrefixMap`] (trie-backed reference) and [`PooledAlpm`]
+//! storage: [`PooledPrefixMap`] (the [`Lpm128`] reference) and [`PooledAlpm`]
 //! (the compressed ALPM form whose statistics feed the Fig 17 memory
 //! accounting).
 
@@ -107,11 +107,6 @@ impl<T> PooledPrefixMap<T> {
         self.plane(addr.is_ipv4())
             .lookup(plane_addr(addr))
             .map(|(k, v)| (k.len, v))
-    }
-
-    /// Exact-prefix fetch.
-    pub fn get(&self, prefix: &IpPrefix) -> Option<&T> {
-        self.plane(prefix.is_v4()).get_exact(plane_key(prefix))
     }
 
     /// Iterates `(family-plane key, is_v4, value)` triples.

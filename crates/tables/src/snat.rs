@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use core::net::IpAddr;
+use core::net::{IpAddr, Ipv4Addr};
 
 use sailfish_net::{FiveTuple, IpProtocol};
 
@@ -35,7 +35,7 @@ pub struct SnatConfig {
 impl Default for SnatConfig {
     fn default() -> Self {
         SnatConfig {
-            public_ips: vec!["203.0.113.1".parse().unwrap()],
+            public_ips: vec![IpAddr::V4(Ipv4Addr::new(203, 0, 113, 1))],
             port_range: (1024, 65535),
             session_ttl_ns: 120_000_000_000, // 120 s
             capacity: None,

@@ -5,11 +5,17 @@
 //! key is `(VNI, inner destination prefix)`; the result is a
 //! [`RouteTarget`]. A `Peer` result restarts the lookup with the peer VPC's
 //! VNI "until the scope becomes Local".
-
-use std::collections::HashMap;
+//!
+//! This is the logical, software-side table: the reference the hardware
+//! ALPM placements are checked against and the XGW-x86 tier's own routing
+//! table. Each VNI's routes are a [`PooledPrefixMap`] — per family, one
+//! exact-match map per prefix length present ([`crate::lpm::Lpm128`]) —
+//! found through a fixed-key [`MixMap`], so a region-scale build is one
+//! hash insert per route and a lookup a few probes per peer hop.
 
 use core::net::IpAddr;
 
+use sailfish_net::hash::MixMap;
 use sailfish_net::Vni;
 
 use crate::error::{Error, Result};
@@ -36,7 +42,7 @@ pub struct Resolution {
 /// The logical VXLAN routing table: per-VNI dual-stack LPM.
 #[derive(Debug, Default)]
 pub struct VxlanRoutingTable {
-    per_vni: HashMap<Vni, PooledPrefixMap<RouteTarget>>,
+    per_vni: MixMap<Vni, PooledPrefixMap<RouteTarget>>,
 }
 
 impl VxlanRoutingTable {

@@ -47,28 +47,28 @@ fn arb_op(rng: &mut StdRng) -> Op {
     }
 }
 
-/// The trie agrees with a naive scan under arbitrary operations.
+/// The LPM reference agrees with a naive scan under arbitrary operations.
 #[test]
 fn lpm_matches_naive() {
     check::run("lpm_matches_naive", 256, |rng| {
         let ops = check::vec_of(rng, 1..120, arb_op);
-        let mut trie = Lpm128::new();
+        let mut lpm = Lpm128::new();
         let mut naive: Vec<(Key128, u32)> = Vec::new();
         for op in ops {
             match op {
                 Op::Insert(k, v) => {
-                    let old = trie.insert(k, v);
+                    let old = lpm.insert(k, v);
                     let pos = naive.iter().position(|(nk, _)| *nk == k);
                     assert_eq!(old, pos.map(|i| naive.remove(i).1));
                     naive.push((k, v));
                 }
                 Op::Remove(k) => {
-                    let old = trie.remove(k);
+                    let old = lpm.remove(k);
                     let pos = naive.iter().position(|(nk, _)| *nk == k);
                     assert_eq!(old, pos.map(|i| naive.remove(i).1));
                 }
                 Op::Lookup(addr) => {
-                    let got = trie.lookup(addr).map(|(k, v)| (k.len, *v));
+                    let got = lpm.lookup(addr).map(|(k, v)| (k.len, *v));
                     let want = naive
                         .iter()
                         .filter(|(k, _)| k.contains(addr))
@@ -77,12 +77,12 @@ fn lpm_matches_naive() {
                     assert_eq!(got, want);
                 }
             }
-            assert_eq!(trie.len(), naive.len());
+            assert_eq!(lpm.len(), naive.len());
         }
     });
 }
 
-/// ALPM agrees with an independently maintained trie *and* a naive scan
+/// ALPM agrees with the independent `Lpm128` reference *and* a naive scan
 /// — return values, size and lookups — and keeps its structural
 /// invariants after every single operation, for every bucket capacity.
 /// Lookups go through the two public levels (`deepest_root`, then
@@ -97,16 +97,16 @@ fn alpm_equivalent_and_sound() {
         let mut t = AlpmTable::new(AlpmConfig {
             bucket_capacity: cap,
         });
-        let mut trie = Lpm128::new();
+        let mut lpm = Lpm128::new();
         let mut naive: Vec<(Key128, u32)> = Vec::new();
         let check_lookup =
-            |t: &AlpmTable<u32>, trie: &Lpm128<u32>, naive: &[(Key128, u32)], addr| {
+            |t: &AlpmTable<u32>, lpm: &Lpm128<u32>, naive: &[(Key128, u32)], addr| {
                 let got = t
                     .deepest_root(addr, 128)
                     .and_then(|root| t.match_in(root, addr))
                     .map(|(k, v)| (k.len, *v));
                 assert_eq!(got, t.lookup(addr).map(|(k, v)| (k.len, *v)));
-                assert_eq!(got, trie.lookup(addr).map(|(k, v)| (k.len, *v)));
+                assert_eq!(got, lpm.lookup(addr).map(|(k, v)| (k.len, *v)));
                 let scan = naive
                     .iter()
                     .filter(|(k, _)| k.contains(addr))
@@ -118,21 +118,21 @@ fn alpm_equivalent_and_sound() {
             match op {
                 Op::Insert(k, v) => {
                     let old = t.insert(k, v).unwrap();
-                    assert_eq!(old, trie.insert(k, v));
+                    assert_eq!(old, lpm.insert(k, v));
                     naive.retain(|(nk, _)| *nk != k);
                     naive.push((k, v));
                 }
                 Op::Remove(k) => {
-                    assert_eq!(t.remove(k), trie.remove(k));
+                    assert_eq!(t.remove(k), lpm.remove(k));
                     naive.retain(|(nk, _)| *nk != k);
                 }
-                Op::Lookup(addr) => check_lookup(&t, &trie, &naive, addr),
+                Op::Lookup(addr) => check_lookup(&t, &lpm, &naive, addr),
             }
             assert_eq!(t.len(), naive.len());
             assert!(t.audit().is_ok(), "cap {cap}: {:?}", t.audit());
         }
         for addr in probes {
-            check_lookup(&t, &trie, &naive, addr);
+            check_lookup(&t, &lpm, &naive, addr);
         }
         // Compression bound: first-level TCAM entries never exceed total
         // routes (each partition holds >= 1 entry).
@@ -141,13 +141,13 @@ fn alpm_equivalent_and_sound() {
         t.rebuild();
         assert!(t.audit().is_ok(), "rebuilt: {:?}", t.audit());
         for (k, _) in &naive {
-            check_lookup(&t, &trie, &naive, k.value);
+            check_lookup(&t, &lpm, &naive, k.value);
         }
     });
 }
 
 /// The dual-stack table walked level by level — family plane, first
-/// level, second level — agrees with the trie-backed pooled map and with
+/// level, second level — agrees with the `Lpm128`-backed pooled map and with
 /// its own `lookup`, and an address never matches the other family.
 #[test]
 fn pooled_alpm_levels_match_pooled_trie() {

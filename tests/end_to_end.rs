@@ -6,7 +6,8 @@ use sailfish::prelude::*;
 use sailfish_xgw_x86::Decision;
 
 /// Differential test: same tables, same packets — the hardware program
-/// (ALPM + digest path) and the software forwarder (trie + hashmap path)
+/// (ALPM + digest path) and the software forwarder (per-length LPM +
+/// digest path)
 /// must make identical forwarding decisions.
 #[test]
 fn hardware_and_software_forwarders_agree() {
