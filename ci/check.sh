@@ -88,6 +88,20 @@ fi
 determinism_gate "repro-smoke" experiments \
     cargo run --release --offline -q -p sailfish-bench --bin repro -- --tiny
 
+# 5'. The committed experiments/ are those --tiny outputs: a change that
+#     moves any artifact must commit it, or the two runs above agreeing
+#     with each other proves nothing about the tree.
+experiments_match_tree() {
+    local changed
+    changed="$(git status --porcelain -- experiments/)"
+    if [ -n "${changed}" ]; then
+        echo "experiments/ differs from the committed tree:"
+        echo "${changed}"
+        return 1
+    fi
+}
+run_step "repro-artifacts" experiments_match_tree
+
 # 10a. Stand-alone benchmark crate: `benchmark/` is frozen between
 #      `[benchmark]` PRs and builds against this workspace's public API,
 #      so drift in anything it imports must fail here, not in the

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sailfish_cluster::controller::{ClusterCapacity, Controller, InstallPolicy};
+use sailfish_cluster::controller::{peer_anchor, ClusterCapacity, Controller, InstallPolicy};
 use sailfish_cluster::region::{Region, RegionConfig};
 use sailfish_cluster::reshard::{run_plan, MoveMachine, MovePhase as ClusterPhase, ReshardPlan};
 use sailfish_dataplane::chaos::{self, ChaosConfig, ScriptedMove};
@@ -66,13 +66,7 @@ fn anchor_map(topology: &Topology) -> BTreeMap<Vni, Vni> {
     topology
         .vpcs
         .iter()
-        .map(|vpc| {
-            let anchor = match vpc.peer {
-                Some(peer) => vpc.vni.min(peer),
-                None => vpc.vni,
-            };
-            (vpc.vni, anchor)
-        })
+        .map(|vpc| (vpc.vni, peer_anchor(vpc)))
         .collect()
 }
 

@@ -12,7 +12,7 @@ use crate::table::print_table;
 
 pub fn run(_scale: Scale) -> ExperimentRecord {
     let topology = Topology::generate(TopologyConfig::default());
-    let mut region = Region::build(
+    let region = Region::build(
         &topology,
         RegionConfig {
             capacity: ClusterCapacity {
@@ -63,9 +63,11 @@ pub fn run(_scale: Scale) -> ExperimentRecord {
         let packet = GatewayPacketBuilder::new(vni, src_ip, dst)
             .transport(IpProtocol::Tcp, 40000, 443)
             .build();
-        let (_, decision) = region.hw[cluster]
-            .process(&packet, 0)
-            .expect("devices online");
+        let hw = &region.hw[cluster];
+        let device = hw.device_for(&flow.tuple).expect("devices online");
+        let decision = hw.devices[device]
+            .walk(vni, &flow.tuple, &mut ())
+            .into_decision(&packet);
         let got = match &decision {
             HwDecision::ToNc { .. } => "forward to NC".to_string(),
             HwDecision::ToRegion { region, .. } => format!("cross-region ({region})"),

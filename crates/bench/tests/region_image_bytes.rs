@@ -1,0 +1,74 @@
+//! Memory budget of a region's hardware clusters.
+//!
+//! The devices of a cluster "maintain the same table entries" (§4.3), so
+//! they share one table image, and a backup shares its primary's. At the
+//! Figs 20–22 region (four 3-device clusters plus four backups) the
+//! clusters then hold four images, not 24 table copies. The entry-by-entry
+//! installer that kept one copy per device held 9.9 MiB here; the budget
+//! is a third of that.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sailfish_bench::scale;
+
+const BUDGET_BYTES: u64 = 9_900 * 1024 * 1024 / 1000 / 3;
+
+struct CountingAllocator;
+
+thread_local! {
+    // Per thread, so the harness's own threads never count; `const`
+    // initialisation keeps the allocator from recursing into a lazy init.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn charge(bytes: usize, sign: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + sign * bytes as i64));
+}
+
+// SAFETY: every call is forwarded to `System` with the caller's layout
+// and pointer unchanged; the only addition is a thread-local counter,
+// which touches no allocator state and never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size(), 1);
+        // SAFETY: same layout the caller guaranteed valid for `alloc`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        charge(layout.size(), 1);
+        // SAFETY: same layout the caller guaranteed valid.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        charge(layout.size(), -1);
+        // SAFETY: `ptr` came from `System` above with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        charge(layout.size(), -1);
+        charge(new_size, 1);
+        // SAFETY: pointer, layout and size are the caller's, unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+#[test]
+fn region_clusters_hold_one_image_each() {
+    let (mut region, _flows) = scale::sailfish_region(0.0);
+    // What the clusters hold is what dropping them frees.
+    let before = LIVE_BYTES.with(Cell::get);
+    drop(std::mem::take(&mut region.hw));
+    let held = (before - LIVE_BYTES.with(Cell::get)) as u64;
+    println!(
+        "region.hw holds {held} bytes ({:.2} MiB), budget {BUDGET_BYTES}",
+        held as f64 / (1024.0 * 1024.0)
+    );
+    assert!(held <= BUDGET_BYTES, "region.hw holds {held} bytes");
+}

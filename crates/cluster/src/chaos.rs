@@ -16,7 +16,7 @@ use sailfish_sim::faults::{FaultEvent, FaultKind, FaultSchedule, VirtualClock};
 use sailfish_sim::topology::Topology;
 use sailfish_sim::workload::Flow;
 
-use crate::controller::InstallPolicy;
+use crate::controller::{InstallInjector, InstallPolicy};
 use crate::failover::{self, RecoveryError};
 use crate::probe::{self, Probe};
 use crate::region::Region;
@@ -153,11 +153,8 @@ pub fn run_schedule(
     schedule: &FaultSchedule,
     config: &ChaosConfig,
 ) -> ChaosReport {
-    let probes = probe::generate(topology, config.probes_per_class);
-    let mut clock = VirtualClock::new();
     let baseline_snapshot = region.directory.snapshot();
     let mut samples = Vec::with_capacity(schedule.slots as usize);
-    let mut violations = Vec::new();
     let mut faults: Vec<FaultRecord> = schedule
         .events
         .iter()
@@ -171,39 +168,31 @@ pub fn run_schedule(
         })
         .collect();
     let mut baseline_loss = 0.0;
+    let mut harness = Harness {
+        region,
+        topology,
+        probes: probe::generate(topology, config.probes_per_class),
+        config,
+        clock: VirtualClock::new(),
+        violations: Vec::new(),
+        slot: 0,
+    };
 
     for slot in 0..schedule.slots {
-        clock.advance(config.slot_ns);
+        harness.slot = slot;
+        harness.clock.advance(config.slot_ns);
 
         // Recoveries due this slot (window ended).
         for fault in &mut faults {
             if fault.event.ends_at() == slot && fault.recovered_at.is_none() {
-                recover(
-                    region,
-                    topology,
-                    &probes,
-                    config,
-                    &mut clock,
-                    fault,
-                    slot,
-                    &mut violations,
-                );
+                harness.recover(fault);
             }
         }
 
         // Injections.
         for fault in &mut faults {
             if fault.event.at == slot {
-                inject(
-                    region,
-                    topology,
-                    &probes,
-                    config,
-                    &mut clock,
-                    fault,
-                    slot,
-                    &mut violations,
-                );
+                harness.inject(fault);
             }
         }
 
@@ -218,6 +207,7 @@ pub fn run_schedule(
                 _ => None,
             })
             .fold(1.0, f64::max);
+        let region = &mut *harness.region;
         let report = region.offer(flows, multiplier);
         if slot == 0 {
             baseline_loss = report.loss_ratio();
@@ -236,358 +226,288 @@ pub fn run_schedule(
             .controller
             .check_consistency(&region.plan, &region.hw);
         for finding in &findings {
-            let attributed = faults.iter_mut().any(|f| {
+            let mut attributed = false;
+            for f in faults.iter_mut().filter(|f| {
                 matches!(
                     f.event.kind,
                     FaultKind::TableCorruption { cluster, device }
                         if cluster == finding.cluster && device == finding.device
                 ) && f.event.at <= slot
                     && slot < f.event.ends_at()
-            });
-            if attributed {
-                for f in faults.iter_mut() {
-                    if matches!(
-                        f.event.kind,
-                        FaultKind::TableCorruption { cluster, device }
-                            if cluster == finding.cluster && device == finding.device
-                    ) && f.event.at <= slot
-                        && slot < f.event.ends_at()
-                        && f.detected_at.is_none()
-                    {
-                        f.detected_at = Some(slot);
-                    }
-                }
-            } else {
-                violations.push(InvariantViolation {
-                    slot,
-                    what: format!("unattributed inconsistency: {finding:?}"),
-                });
+            }) {
+                attributed = true;
+                f.detected_at.get_or_insert(slot);
+            }
+            if !attributed {
+                harness.fail(format!("unattributed inconsistency: {finding:?}"));
             }
         }
 
-        check_invariants(region, topology, slot, report.unrouted_pps, &mut violations);
+        harness.check_invariants(report.unrouted_pps);
     }
 
-    let directory_restored = region.directory.snapshot() == baseline_snapshot;
+    let directory_restored = harness.region.directory.snapshot() == baseline_snapshot;
     ChaosReport {
         samples,
         faults,
-        violations,
+        violations: harness.violations,
         baseline_loss,
         directory_restored,
     }
 }
 
-/// Outcome of one probe-gated re-admission attempt, shared by every
-/// recovery path that ends with `readmit_device`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadmitOutcome {
-    /// Probes passed (or the action was a typed no-op); the device is
-    /// back in rotation.
-    Readmitted,
-    /// The probe gate refused the device — it stays offline.
-    Refused,
-    /// The re-admission itself failed (bad target and the like).
-    Failed,
+/// What one schedule replay threads through every fault action.
+struct Harness<'a> {
+    region: &'a mut Region,
+    topology: &'a Topology,
+    probes: Vec<Probe>,
+    config: &'a ChaosConfig,
+    clock: VirtualClock,
+    violations: Vec<InvariantViolation>,
+    /// The slot being replayed.
+    slot: u64,
 }
 
-/// Runs the probe gate for `(cluster, device)` and records a violation on
-/// anything but success. The single place the four recovery paths
-/// (install failure, node death, cluster failure, table corruption)
-/// funnel their re-admission through.
-fn readmit_and_log(
-    region: &mut Region,
-    probes: &[Probe],
-    cluster: usize,
-    device: usize,
-    slot: u64,
-    violations: &mut Vec<InvariantViolation>,
-) -> ReadmitOutcome {
-    match failover::readmit_device(region, probes, cluster, device) {
-        Ok(_) => ReadmitOutcome::Readmitted,
-        Err(RecoveryError::ProbeGateFailed { failures, .. }) => {
-            violations.push(InvariantViolation {
-                slot,
-                what: format!("probe gate refused ({cluster},{device}): {failures} failures"),
-            });
-            ReadmitOutcome::Refused
-        }
-        Err(e) => {
-            violations.push(InvariantViolation {
-                slot,
-                what: format!("readmit({cluster},{device}): {e}"),
-            });
-            ReadmitOutcome::Failed
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn inject(
-    region: &mut Region,
-    topology: &Topology,
-    probes: &[Probe],
-    config: &ChaosConfig,
-    clock: &mut VirtualClock,
-    record: &mut FaultRecord,
-    slot: u64,
-    violations: &mut Vec<InvariantViolation>,
-) {
-    let fail = |what: String, violations: &mut Vec<InvariantViolation>| {
-        violations.push(InvariantViolation { slot, what })
-    };
-    match record.event.kind {
-        FaultKind::NodeDeath { cluster, device } => {
-            record.detected_at = Some(slot);
-            if let Err(e) = failover::fail_device(region, cluster, device) {
-                fail(format!("fail_device({cluster},{device}): {e}"), violations);
-            }
-        }
-        FaultKind::PortDegradation {
-            cluster,
-            device,
-            healthy_fraction,
-        } => {
-            record.detected_at = Some(slot);
-            if let Err(e) = failover::isolate_ports(region, cluster, device, healthy_fraction) {
-                fail(
-                    format!("isolate_ports({cluster},{device}): {e}"),
-                    violations,
-                );
-            }
-        }
-        FaultKind::ClusterFailure { cluster } => {
-            record.detected_at = Some(slot);
-            for device in 0..region.config.devices_per_cluster {
-                if let Err(e) = failover::fail_device(region, cluster, device) {
-                    fail(format!("fail_device({cluster},{device}): {e}"), violations);
-                }
-            }
-            if let Err(e) = failover::fail_cluster(region, cluster) {
-                fail(format!("fail_cluster({cluster}): {e}"), violations);
-            }
-        }
-        FaultKind::InstallFailure {
-            cluster,
-            device,
-            fault,
-        } => {
-            // A maintenance reinstall whose pushes fault for `duration`
-            // consecutive attempts: the two-phase installer must retry
-            // with backoff, roll back partials, and land a verified
-            // install; the probe gate then re-admits the device. All of
-            // it happens inside the slot — the point of the hardening is
-            // that traffic never sees the faulty pushes.
-            record.detected_at = Some(slot);
-            let faulty_attempts = record
-                .event
-                .duration
-                .min(u64::from(config.policy.max_attempts) - 1)
-                as u32;
-            if let Err(e) = failover::fail_device(region, cluster, device) {
-                fail(format!("fail_device({cluster},{device}): {e}"), violations);
-            }
-            let plan = region.plan.clone();
-            let result = region.controller.reinstall_device(
-                topology,
-                &plan,
-                &mut region.hw,
-                cluster,
-                cluster,
-                device,
-                clock,
-                &config.policy,
-                &mut |_, attempt| (attempt < faulty_attempts).then_some(fault),
-            );
-            match result {
-                Ok(report) => {
-                    record.install_attempts = report.attempts;
-                    record.repair_virtual_ns = report.virtual_ns;
-                }
-                Err(e) => fail(format!("reinstall({cluster},{device}): {e}"), violations),
-            }
-            if readmit_and_log(region, probes, cluster, device, slot, violations)
-                == ReadmitOutcome::Readmitted
-            {
-                record.recovered_at = Some(slot);
-            }
-        }
-        FaultKind::TableCorruption { cluster, device } => {
-            // Silent: the device keeps serving with empty tables. Only
-            // the consistency check / probe sweep can spot it.
-            region.hw[cluster].devices[device].wipe_tables();
-        }
-        FaultKind::HeavyHitterStorm { .. } => {
-            record.detected_at = Some(slot);
-        }
-        FaultKind::ConnectionStorm { .. } => {
-            // Load-only, like a heavy-hitter storm: visible immediately
-            // in the punt/SNAT counters, no table state to corrupt.
-            record.detected_at = Some(slot);
-        }
-        FaultKind::DpuNodeDeath { .. } | FaultKind::DpuPoolSaturation { .. } => {
-            // The DPU middle tier sits between the chip and the x86
-            // fallback; the region model here collapses both software
-            // rungs, so these faults shift load inside that aggregate
-            // without changing region routing. The packet-level harness
-            // (`sailfish_dataplane::chaos`) replays them against the
-            // real three-tier ladder; this one records detection so the
-            // schedule's MTTR accounting still covers every kind.
-            record.detected_at = Some(slot);
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn recover(
-    region: &mut Region,
-    topology: &Topology,
-    probes: &[Probe],
-    config: &ChaosConfig,
-    clock: &mut VirtualClock,
-    record: &mut FaultRecord,
-    slot: u64,
-    violations: &mut Vec<InvariantViolation>,
-) {
-    let fail = |what: String, violations: &mut Vec<InvariantViolation>| {
-        violations.push(InvariantViolation { slot, what })
-    };
-    match record.event.kind {
-        FaultKind::NodeDeath { cluster, device } => {
-            // Tables survived the outage; the probe gate verifies that
-            // before the device rejoins the ECMP group.
-            if readmit_and_log(region, probes, cluster, device, slot, violations)
-                == ReadmitOutcome::Readmitted
-            {
-                record.recovered_at = Some(slot);
-            }
-        }
-        FaultKind::PortDegradation {
-            cluster, device, ..
-        } => match failover::restore_ports(region, cluster, device) {
-            Ok(_) => record.recovered_at = Some(slot),
-            Err(e) => fail(
-                format!("restore_ports({cluster},{device}): {e}"),
-                violations,
-            ),
-        },
-        FaultKind::ClusterFailure { cluster } => {
-            let mut ok = true;
-            for device in 0..region.config.devices_per_cluster {
-                if readmit_and_log(region, probes, cluster, device, slot, violations)
-                    != ReadmitOutcome::Readmitted
-                {
-                    ok = false;
-                }
-            }
-            match failover::restore_cluster(region, cluster) {
-                Ok(_) if ok => record.recovered_at = Some(slot),
-                Ok(_) => {}
-                Err(e) => fail(format!("restore_cluster({cluster}): {e}"), violations),
-            }
-        }
-        FaultKind::InstallFailure { .. } => {
-            // Recovered at injection (the retry loop ran to completion).
-        }
-        FaultKind::TableCorruption { cluster, device } => {
-            // Repair = the documented ladder: offline, rebuild through
-            // the two-phase installer, probe-gate back in.
-            if let Err(e) = failover::fail_device(region, cluster, device) {
-                fail(format!("fail_device({cluster},{device}): {e}"), violations);
-            }
-            let plan = region.plan.clone();
-            let result = region.controller.reinstall_device(
-                topology,
-                &plan,
-                &mut region.hw,
-                cluster,
-                cluster,
-                device,
-                clock,
-                &config.policy,
-                &mut |_, _| None,
-            );
-            match result {
-                Ok(report) => {
-                    record.install_attempts = report.attempts;
-                    record.repair_virtual_ns = report.virtual_ns;
-                }
-                Err(e) => fail(format!("reinstall({cluster},{device}): {e}"), violations),
-            }
-            if readmit_and_log(region, probes, cluster, device, slot, violations)
-                == ReadmitOutcome::Readmitted
-            {
-                record.recovered_at = Some(slot);
-            }
-        }
-        FaultKind::HeavyHitterStorm { .. } => {
-            record.recovered_at = Some(slot);
-        }
-        FaultKind::ConnectionStorm { .. } => {
-            record.recovered_at = Some(slot);
-        }
-        FaultKind::DpuNodeDeath { .. } | FaultKind::DpuPoolSaturation { .. } => {
-            // Consistent-hash spillover re-homes the dead node's flows
-            // (or the saturation shed ends); the window closing is the
-            // recovery.
-            record.recovered_at = Some(slot);
-        }
-    }
-}
-
-/// Region invariants that must hold in *every* slot, faulted or not:
-/// the directory covers exactly the planned VNIs, every VNI is served by
-/// its planned cluster or that cluster's backup, peered VPCs stay
-/// co-located, and no traffic is black-holed.
-fn check_invariants(
-    region: &Region,
-    topology: &Topology,
-    slot: u64,
-    unrouted_pps: f64,
-    violations: &mut Vec<InvariantViolation>,
-) {
-    if unrouted_pps > 0.0 {
-        violations.push(InvariantViolation {
-            slot,
-            what: format!("{unrouted_pps} pps black-holed (unrouted)"),
+impl Harness<'_> {
+    fn fail(&mut self, what: String) {
+        self.violations.push(InvariantViolation {
+            slot: self.slot,
+            what,
         });
     }
 
-    let snapshot = region.directory.snapshot();
-    let directory_vnis: BTreeSet<Vni> = snapshot.iter().map(|(v, _)| *v).collect();
-    let planned_vnis: BTreeSet<Vni> = region.plan.assignments.keys().copied().collect();
-    if directory_vnis != planned_vnis {
-        violations.push(InvariantViolation {
-            slot,
-            what: format!(
+    /// Runs the probe gate for `(cluster, device)` and records a
+    /// violation on anything but success. The single place the four
+    /// recovery paths (install failure, node death, cluster failure,
+    /// table corruption) funnel their re-admission through.
+    fn readmit(&mut self, cluster: usize, device: usize) -> bool {
+        match failover::readmit_device(self.region, &self.probes, cluster, device) {
+            Ok(_) => true,
+            Err(RecoveryError::ProbeGateFailed { failures, .. }) => {
+                self.fail(format!(
+                    "probe gate refused ({cluster},{device}): {failures} failures"
+                ));
+                false
+            }
+            Err(e) => {
+                self.fail(format!("readmit({cluster},{device}): {e}"));
+                false
+            }
+        }
+    }
+
+    fn inject(&mut self, record: &mut FaultRecord) {
+        let slot = self.slot;
+        match record.event.kind {
+            FaultKind::NodeDeath { cluster, device } => {
+                record.detected_at = Some(slot);
+                if let Err(e) = failover::fail_device(self.region, cluster, device) {
+                    self.fail(format!("fail_device({cluster},{device}): {e}"));
+                }
+            }
+            FaultKind::PortDegradation {
+                cluster,
+                device,
+                healthy_fraction,
+            } => {
+                record.detected_at = Some(slot);
+                if let Err(e) =
+                    failover::isolate_ports(self.region, cluster, device, healthy_fraction)
+                {
+                    self.fail(format!("isolate_ports({cluster},{device}): {e}"));
+                }
+            }
+            FaultKind::ClusterFailure { cluster } => {
+                record.detected_at = Some(slot);
+                for device in 0..self.region.config.devices_per_cluster {
+                    if let Err(e) = failover::fail_device(self.region, cluster, device) {
+                        self.fail(format!("fail_device({cluster},{device}): {e}"));
+                    }
+                }
+                if let Err(e) = failover::fail_cluster(self.region, cluster) {
+                    self.fail(format!("fail_cluster({cluster}): {e}"));
+                }
+            }
+            FaultKind::InstallFailure {
+                cluster,
+                device,
+                fault,
+            } => {
+                // A maintenance reinstall whose pushes fault for
+                // `duration` consecutive attempts: the two-phase installer
+                // must retry with backoff, roll back partials, and land a
+                // verified install; the probe gate then re-admits the
+                // device. All of it happens inside the slot — the point of
+                // the hardening is that traffic never sees the faulty
+                // pushes.
+                record.detected_at = Some(slot);
+                let faulty_attempts = record
+                    .event
+                    .duration
+                    .min(u64::from(self.config.policy.max_attempts) - 1)
+                    as u32;
+                self.repair_device(record, cluster, device, &mut |_, attempt| {
+                    (attempt < faulty_attempts).then_some(fault)
+                });
+            }
+            FaultKind::TableCorruption { cluster, device } => {
+                // Silent: the device keeps serving with empty tables. Only
+                // the consistency check / probe sweep can spot it.
+                self.region.hw[cluster].wipe_device(device);
+            }
+            FaultKind::HeavyHitterStorm { .. } => {
+                record.detected_at = Some(slot);
+            }
+            FaultKind::ConnectionStorm { .. } => {
+                // Load-only, like a heavy-hitter storm: visible immediately
+                // in the punt/SNAT counters, no table state to corrupt.
+                record.detected_at = Some(slot);
+            }
+            FaultKind::DpuNodeDeath { .. } | FaultKind::DpuPoolSaturation { .. } => {
+                // The DPU middle tier sits between the chip and the x86
+                // fallback; the region model here collapses both software
+                // rungs, so these faults shift load inside that aggregate
+                // without changing region routing. The packet-level harness
+                // (`sailfish_dataplane::chaos`) replays them against the
+                // real three-tier ladder; this one records detection so the
+                // schedule's MTTR accounting still covers every kind.
+                record.detected_at = Some(slot);
+            }
+        }
+    }
+
+    fn recover(&mut self, record: &mut FaultRecord) {
+        let slot = self.slot;
+        match record.event.kind {
+            FaultKind::NodeDeath { cluster, device } => {
+                // Tables survived the outage; the probe gate verifies that
+                // before the device rejoins the ECMP group.
+                if self.readmit(cluster, device) {
+                    record.recovered_at = Some(slot);
+                }
+            }
+            FaultKind::PortDegradation {
+                cluster, device, ..
+            } => match failover::restore_ports(self.region, cluster, device) {
+                Ok(_) => record.recovered_at = Some(slot),
+                Err(e) => self.fail(format!("restore_ports({cluster},{device}): {e}")),
+            },
+            FaultKind::ClusterFailure { cluster } => {
+                let mut ok = true;
+                for device in 0..self.region.config.devices_per_cluster {
+                    ok &= self.readmit(cluster, device);
+                }
+                match failover::restore_cluster(self.region, cluster) {
+                    Ok(_) if ok => record.recovered_at = Some(slot),
+                    Ok(_) => {}
+                    Err(e) => self.fail(format!("restore_cluster({cluster}): {e}")),
+                }
+            }
+            FaultKind::InstallFailure { .. } => {
+                // Recovered at injection (the retry loop ran to completion).
+            }
+            FaultKind::TableCorruption { cluster, device } => {
+                self.repair_device(record, cluster, device, &mut |_, _| None);
+            }
+            FaultKind::HeavyHitterStorm { .. } => {
+                record.recovered_at = Some(slot);
+            }
+            FaultKind::ConnectionStorm { .. } => {
+                record.recovered_at = Some(slot);
+            }
+            FaultKind::DpuNodeDeath { .. } | FaultKind::DpuPoolSaturation { .. } => {
+                // Consistent-hash spillover re-homes the dead node's flows
+                // (or the saturation shed ends); the window closing is the
+                // recovery.
+                record.recovered_at = Some(slot);
+            }
+        }
+    }
+
+    /// The documented repair ladder for one device: offline, rebuild from
+    /// the plan through the two-phase installer (its pushes faulting as
+    /// `injector` says), probe-gate back in.
+    fn repair_device(
+        &mut self,
+        record: &mut FaultRecord,
+        cluster: usize,
+        device: usize,
+        injector: &mut InstallInjector<'_>,
+    ) {
+        if let Err(e) = failover::fail_device(self.region, cluster, device) {
+            self.fail(format!("fail_device({cluster},{device}): {e}"));
+        }
+        let region = &mut *self.region;
+        let plan = region.plan.clone();
+        let result = region.controller.reinstall_device(
+            self.topology,
+            &plan,
+            &mut region.hw,
+            cluster,
+            cluster,
+            device,
+            &mut self.clock,
+            &self.config.policy,
+            injector,
+        );
+        match result {
+            Ok(report) => {
+                record.install_attempts = report.attempts;
+                record.repair_virtual_ns = report.virtual_ns;
+            }
+            Err(e) => self.fail(format!("reinstall({cluster},{device}): {e}")),
+        }
+        if self.readmit(cluster, device) {
+            record.recovered_at = Some(self.slot);
+        }
+    }
+
+    /// Region invariants that must hold in *every* slot, faulted or not:
+    /// the directory covers exactly the planned VNIs, every VNI is served by
+    /// its planned cluster or that cluster's backup, peered VPCs stay
+    /// co-located, and no traffic is black-holed.
+    fn check_invariants(&mut self, unrouted_pps: f64) {
+        let region = &*self.region;
+        let mut found = Vec::new();
+        if unrouted_pps > 0.0 {
+            found.push(format!("{unrouted_pps} pps black-holed (unrouted)"));
+        }
+
+        let snapshot = region.directory.snapshot();
+        let directory_vnis: BTreeSet<Vni> = snapshot.iter().map(|(v, _)| *v).collect();
+        let planned_vnis: BTreeSet<Vni> = region.plan.assignments.keys().copied().collect();
+        if directory_vnis != planned_vnis {
+            found.push(format!(
                 "directory covers {} VNIs, plan {} (bijectivity broken)",
                 directory_vnis.len(),
                 planned_vnis.len()
-            ),
-        });
-    }
-
-    for (vni, target) in &snapshot {
-        let planned = region.plan.assignments[vni];
-        let backup = region.backup_of(planned);
-        if *target != planned && Some(*target) != backup {
-            violations.push(InvariantViolation {
-                slot,
-                what: format!("{vni} served by cluster {target}, planned {planned}"),
-            });
+            ));
         }
-    }
 
-    for vpc in &topology.vpcs {
-        if let Some(peer) = vpc.peer {
-            let a = region.directory.cluster_for(vpc.vni);
-            let b = region.directory.cluster_for(peer);
-            if a.is_some() && b.is_some() && a != b {
-                violations.push(InvariantViolation {
-                    slot,
-                    what: format!("peered {} and {} split across {a:?}/{b:?}", vpc.vni, peer),
-                });
+        for (vni, target) in &snapshot {
+            let planned = region.plan.assignments[vni];
+            let backup = region.backup_of(planned);
+            if *target != planned && Some(*target) != backup {
+                found.push(format!(
+                    "{vni} served by cluster {target}, planned {planned}"
+                ));
             }
+        }
+
+        for vpc in &self.topology.vpcs {
+            if let Some(peer) = vpc.peer {
+                let a = region.directory.cluster_for(vpc.vni);
+                let b = region.directory.cluster_for(peer);
+                if a.is_some() && b.is_some() && a != b {
+                    found.push(format!(
+                        "peered {} and {} split across {a:?}/{b:?}",
+                        vpc.vni, peer
+                    ));
+                }
+            }
+        }
+        for what in found {
+            self.fail(what);
         }
     }
 }

@@ -2,97 +2,253 @@
 //!
 //! "Within a cluster, multiple XGW-H devices maintain the same table
 //! entries, share the traffic load and backup for each other" (§4.3).
-//! Installs fan out to every device; traffic spreads by flow-hash ECMP.
+//! The entries are one table image, built in bulk from the cluster's
+//! member VPCs by [`ImageBuilder`], and every device slot points at it:
+//! N devices, and a 1:1 backup, cost one table set. Traffic spreads by
+//! flow-hash ECMP.
 
-use sailfish_net::{FiveTuple, GatewayPacket, Vni};
+use std::sync::Arc;
+
+use sailfish_net::hash::MixMap;
+use sailfish_net::{FiveTuple, IpPrefix, Vni};
+use sailfish_sim::topology::{VmRecord, Vpc};
+use sailfish_sim::Topology;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::snat::SnatConfig;
-use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
+use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
 use sailfish_tables::Result as TableResult;
-use sailfish_xgw_h::{HwDecision, XgwH};
+use sailfish_xgw_h::HardwareTables;
 use sailfish_xgw_x86::{FluidEngine, SoftwareForwarder, SoftwareTables, XgwX86Config};
 
 use crate::lb::{EcmpGroup, LbError};
 
-/// A cluster of hardware gateways with identical tables.
+/// A topology's routes bucketed by owning VPC, each bucket in topology
+/// order: a stable counting sort, so each per-VNI table receives its
+/// routes in topology order and its ALPM carves exactly as route-by-route
+/// insertion would.
+#[derive(Debug)]
+struct RouteRuns {
+    /// `starts[v]..starts[v + 1]` is VPC `v`'s stretch of `runs`; the
+    /// stretch after the last VPC's holds the routes of unknown VNIs.
+    starts: Vec<usize>,
+    runs: Vec<(IpPrefix, RouteTarget)>,
+}
+
+impl RouteRuns {
+    fn group(topology: &Topology) -> Self {
+        let unknown = topology.vpcs.len();
+        let mut index: MixMap<Vni, usize> = MixMap::default();
+        index.reserve(unknown);
+        for (i, vpc) in topology.vpcs.iter().enumerate() {
+            index.insert(vpc.vni, i);
+        }
+        // A VPC's routes mostly arrive back to back: remember the last
+        // answer and probe the index once per stretch.
+        let mut last = None;
+        let vpc_of: Vec<usize> = topology
+            .routes
+            .iter()
+            .map(|(key, _)| match last {
+                Some((vni, vpc)) if vni == key.vni => vpc,
+                _ => {
+                    let vpc = index.get(&key.vni).copied().unwrap_or(unknown);
+                    last = Some((key.vni, vpc));
+                    vpc
+                }
+            })
+            .collect();
+
+        let mut starts = vec![0usize; unknown + 2];
+        for vpc in &vpc_of {
+            if let Some(n) = starts.get_mut(vpc + 1) {
+                *n += 1;
+            }
+        }
+        let mut seen = 0;
+        for n in &mut starts {
+            seen += *n;
+            *n = seen;
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0usize; vpc_of.len()];
+        for (route, vpc) in vpc_of.into_iter().enumerate() {
+            if let Some(n) = next.get_mut(vpc) {
+                if let Some(slot) = order.get_mut(*n) {
+                    *slot = route;
+                }
+                *n += 1;
+            }
+        }
+        let runs = order
+            .into_iter()
+            .filter_map(|route| topology.routes.get(route))
+            .map(|(key, target)| (key.prefix, *target))
+            .collect();
+        RouteRuns { starts, runs }
+    }
+
+    /// VPC `vpc`'s routes, as its routing table takes them.
+    fn of(&self, vpc: usize) -> &[(IpPrefix, RouteTarget)] {
+        match (self.starts.get(vpc), self.starts.get(vpc + 1)) {
+            (Some(&from), Some(&to)) => self.runs.get(from..to).unwrap_or(&[]),
+            _ => &[],
+        }
+    }
+}
+
+/// Builds cluster table images from one topology — the only way tables
+/// are filled, for the region model and the packet path alike.
+///
+/// The routes are grouped by owning VPC once, up front; each
+/// [`ImageBuilder::build`] then fills one image VPC by VPC, while it is
+/// the only thing in cache: one
+/// [`sailfish_xgw_h::tables::HwRoutingTable::install_vni`] per VPC, then
+/// the cluster's whole VM run in one [`HardwareTables::load_vms`]. Routes
+/// of a VNI no VPC carries are never installed.
+///
+/// It never panics. A VM run the table refuses (a VM listed twice)
+/// leaves that image without on-chip VM mappings — its packets punt to
+/// x86, none black-holes.
+#[derive(Debug)]
+pub struct ImageBuilder<'t> {
+    topology: &'t Topology,
+    routes: RouteRuns,
+    vm_stride: usize,
+    /// One run buffer for every image, with room for any of them
+    /// (untouched room costs nothing).
+    vm_run: Vec<(VmKey, NcAddr)>,
+}
+
+impl<'t> ImageBuilder<'t> {
+    /// Groups `topology`'s routes for building. Every `vm_stride`-th VM
+    /// mapping of the region is withheld from the chip; a stride of 0
+    /// withholds none.
+    pub fn new(topology: &'t Topology, vm_stride: usize) -> Self {
+        ImageBuilder {
+            topology,
+            routes: RouteRuns::group(topology),
+            vm_stride,
+            vm_run: Vec::with_capacity(topology.vms.len()),
+        }
+    }
+
+    /// VPC `vpc`'s routes, in topology order.
+    pub fn routes_of(&self, vpc: usize) -> &[(IpPrefix, RouteTarget)] {
+        self.routes.of(vpc)
+    }
+
+    /// Builds the image of the VPCs `vpcs` (indices into
+    /// [`Topology::vpcs`], ascending) with ALPM partitions of `alpm`.
+    pub fn build(&mut self, vpcs: &[usize], alpm: AlpmConfig) -> HardwareTables {
+        let mut tables = HardwareTables::new(alpm);
+        tables.routes.reserve_vnis(vpcs.len());
+        self.vm_run.clear();
+        for &i in vpcs {
+            let Some(vpc) = self.topology.vpcs.get(i) else {
+                continue;
+            };
+            // Prefixes are canonical by type; nothing here can be
+            // refused.
+            let _ = tables.routes.install_vni(vpc.vni, self.routes.of(i));
+            self.vm_run.extend(
+                on_chip_vms(self.topology, vpc, self.vm_stride)
+                    .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc)),
+            );
+        }
+        // A refused run (a VM listed twice) leaves the plane empty: the
+        // image's VM lookups miss and punt.
+        let _ = tables.load_vms(&self.vm_run);
+        tables
+    }
+}
+
+/// The VM mappings of one VPC that go on-chip: every one but each
+/// `stride`-th of the region's, which stays on x86 (none with stride 0).
+fn on_chip_vms<'a>(
+    topology: &'a Topology,
+    vpc: &Vpc,
+    stride: usize,
+) -> impl Iterator<Item = &'a VmRecord> {
+    let (start, end) = vpc.vm_range;
+    let vms = topology.vms.get(start..end).unwrap_or(&[]);
+    (start..)
+        .zip(vms)
+        .filter(move |(i, _)| stride == 0 || i % stride != 0)
+        .map(|(_, vm)| vm)
+}
+
+/// A cluster of hardware gateways sharing one table image.
 #[derive(Debug)]
 pub struct HwCluster {
     /// Cluster id within the region.
     pub id: usize,
-    /// The member devices. Offline devices are removed from `ecmp` but
-    /// kept here (their tables survive for fast re-admission).
-    pub devices: Vec<XgwH>,
+    /// The table image each device slot holds. Every slot normally
+    /// points at the same image (a 1:1 backup's at its primary's); a
+    /// wiped device points at an empty one until it is reinstalled.
+    /// Offline devices are removed from `ecmp` but keep their slot (their
+    /// tables survive for fast re-admission).
+    pub devices: Vec<Arc<HardwareTables>>,
     /// Flow-hash spread across the devices.
     pub ecmp: EcmpGroup,
+    /// ALPM partition size the cluster's images are built with.
+    pub alpm: AlpmConfig,
 }
 
 impl HwCluster {
-    /// Builds a cluster of `devices` gateways.
+    /// Builds a cluster of `devices` gateways, every one pointing at the
+    /// same empty image. The punt budget is the region model's business
+    /// ([`crate::region::RegionConfig::punt_rate_bps`]); the cluster
+    /// does not use it.
     pub fn new(
         id: usize,
         devices: usize,
         ecmp_max: usize,
         alpm: AlpmConfig,
-        punt_rate_bps: u64,
+        _punt_rate_bps: u64,
     ) -> Result<Self, LbError> {
         let mut ecmp = EcmpGroup::new(ecmp_max);
-        let mut list = Vec::with_capacity(devices);
         for d in 0..devices {
             ecmp.add(d)?;
-            list.push(XgwH::new(alpm, punt_rate_bps, punt_rate_bps / 80));
         }
+        let empty = Arc::new(HardwareTables::new(alpm));
         Ok(HwCluster {
             id,
-            devices: list,
+            devices: vec![empty; devices],
             ecmp,
+            alpm,
         })
     }
 
-    /// Installs a route on every device.
-    pub fn install_route(&mut self, key: VxlanRouteKey, target: RouteTarget) -> TableResult<()> {
-        for d in &mut self.devices {
-            d.tables.routes.insert(key, target)?;
-        }
-        Ok(())
+    /// Points every device slot at `image`.
+    pub fn point_all(&mut self, image: &Arc<HardwareTables>) {
+        self.devices.fill(Arc::clone(image));
     }
 
-    /// Removes a route from every device.
-    pub fn remove_route(&mut self, key: &VxlanRouteKey) {
-        for d in &mut self.devices {
-            d.tables.routes.remove(key);
-        }
-    }
-
-    /// Installs a VM mapping on every device.
-    pub fn install_vm(&mut self, vni: Vni, ip: core::net::IpAddr, nc: NcAddr) -> TableResult<()> {
-        for d in &mut self.devices {
-            d.tables.add_vm(vni, ip, nc)?;
-        }
-        Ok(())
-    }
-
-    /// Removes a VM mapping from every device (two-phase install
-    /// rollback).
-    pub fn remove_vm(&mut self, vni: Vni, ip: core::net::IpAddr) {
-        for d in &mut self.devices {
-            d.tables.vm_nc.remove(vni, ip);
+    /// Wipes one device's tables: its slot points at an empty image. This
+    /// is the memory-loss failure mode the §6.1 consistency checker
+    /// exists to catch, and the first step of a controller-driven
+    /// rebuild: the device keeps forwarding, but every lookup misses and
+    /// punts to XGW-x86.
+    pub fn wipe_device(&mut self, device: usize) {
+        if let Some(slot) = self.devices.get_mut(device) {
+            *slot = Arc::new(HardwareTables::new(self.alpm));
         }
     }
 
     /// Route entries held (devices are replicas; device 0 is
     /// representative).
     pub fn route_entries(&self) -> usize {
-        self.devices.first().map_or(0, |d| d.tables.routes.len())
+        self.devices.first().map_or(0, |d| d.routes.len())
     }
 
     /// VM entries held.
     pub fn vm_entries(&self) -> usize {
-        self.devices.first().map_or(0, |d| d.tables.vm_nc.len())
+        self.devices.first().map_or(0, |d| d.vm_nc.len())
     }
 
     /// Route entries of one VNI on one device (consistency checking).
     pub fn route_entries_for(&self, device: usize, vni: Vni) -> usize {
-        self.devices[device].tables.routes.len_for_vni(vni)
+        self.devices[device].routes.len_for_vni(vni)
     }
 
     /// Number of online devices.
@@ -112,16 +268,6 @@ impl HwCluster {
             return Ok(());
         }
         self.ecmp.add(device)
-    }
-
-    /// Processes a packet on the device its flow hashes to.
-    pub fn process(
-        &mut self,
-        packet: &GatewayPacket,
-        now_ns: u64,
-    ) -> Result<(usize, HwDecision), LbError> {
-        let device = self.ecmp.pick(&packet.five_tuple())?;
-        Ok((device, self.devices[device].process(packet, now_ns)))
     }
 
     /// The device a flow would hit.
@@ -197,71 +343,94 @@ impl SwCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::IpPrefix;
+    use sailfish_sim::TopologyConfig;
+    use sailfish_xgw_h::Walked;
 
     fn vni(v: u32) -> Vni {
         Vni::from_const(v)
     }
 
-    fn sample_cluster() -> HwCluster {
+    /// A 4-device cluster pointing at the image of the topology's first
+    /// VPC.
+    fn sample_cluster(topology: &Topology) -> HwCluster {
         let mut c = HwCluster::new(0, 4, 64, AlpmConfig::default(), 10_000_000_000).unwrap();
-        c.install_route(
-            VxlanRouteKey::new(vni(1), "192.168.0.0/16".parse::<IpPrefix>().unwrap()),
-            RouteTarget::Local,
-        )
-        .unwrap();
-        c.install_vm(
-            vni(1),
-            "192.168.0.5".parse().unwrap(),
-            NcAddr::new("10.1.1.1".parse().unwrap()),
-        )
-        .unwrap();
+        let image = Arc::new(ImageBuilder::new(topology, 0).build(&[0], c.alpm));
+        c.point_all(&image);
         c
     }
 
     #[test]
     fn install_replicates_to_all_devices() {
-        let c = sample_cluster();
+        let topology = Topology::generate(TopologyConfig::default());
+        let c = sample_cluster(&topology);
+        let vpc = &topology.vpcs[0];
+        let routes = topology.routes.iter().filter(|(k, _)| k.vni == vpc.vni);
         for d in &c.devices {
-            assert_eq!(d.tables.routes.len(), 1);
-            assert_eq!(d.tables.vm_nc.len(), 1);
+            assert!(Arc::ptr_eq(d, &c.devices[0]), "one image behind every slot");
         }
-        assert_eq!(c.route_entries(), 1);
-        assert_eq!(c.vm_entries(), 1);
+        assert_eq!(c.route_entries(), routes.count());
+        assert_eq!(c.vm_entries(), vpc.vm_range.1 - vpc.vm_range.0);
     }
 
     #[test]
     fn any_device_forwards_identically() {
-        let mut c = sample_cluster();
-        let p = GatewayPacketBuilder::new(
-            vni(1),
-            "192.168.0.9".parse().unwrap(),
-            "192.168.0.5".parse().unwrap(),
-        )
-        .build();
-        let (device, decision) = c.process(&p, 0).unwrap();
-        assert!(device < 4);
-        assert!(matches!(decision, HwDecision::ToNc { .. }));
+        let topology = Topology::generate(TopologyConfig::default());
+        let mut c = sample_cluster(&topology);
+        let vm = &topology.vms[topology.vpcs[0].vm_range.0];
+        let tuple = FiveTuple::new(
+            "192.0.2.9".parse().unwrap(),
+            vm.ip,
+            sailfish_net::IpProtocol::Udp,
+            1000,
+            2000,
+        );
+        let walk = |c: &HwCluster, device: usize| c.devices[device].walk(vm.vni, &tuple, &mut ());
+        let device = c.device_for(&tuple).unwrap();
+        let decision = walk(&c, device);
+        assert_eq!(
+            decision,
+            Walked::ToNc {
+                nc: vm.nc,
+                vni: vm.vni
+            }
+        );
         // Offline the chosen device; another one serves the same flow the
         // same way.
         c.take_device_offline(device);
-        let (device2, decision2) = c.process(&p, 0).unwrap();
+        let device2 = c.device_for(&tuple).unwrap();
         assert_ne!(device, device2);
-        assert_eq!(format!("{decision:?}"), format!("{decision2:?}"));
+        assert_eq!(walk(&c, device2), decision);
         assert_eq!(c.online_devices(), 3);
         c.bring_device_online(device).unwrap();
         assert_eq!(c.online_devices(), 4);
     }
 
     #[test]
-    fn remove_route_applies_everywhere() {
-        let mut c = sample_cluster();
-        c.remove_route(&VxlanRouteKey::new(
-            vni(1),
-            "192.168.0.0/16".parse::<IpPrefix>().unwrap(),
-        ));
-        assert_eq!(c.route_entries(), 0);
+    fn wipe_repoints_one_slot() {
+        let topology = Topology::generate(TopologyConfig::default());
+        let mut c = sample_cluster(&topology);
+        let image = Arc::clone(&c.devices[0]);
+        c.wipe_device(2);
+        assert!(c.devices[2].routes.is_empty() && c.devices[2].vm_nc.is_empty());
+        for d in [0, 1, 3] {
+            assert!(Arc::ptr_eq(&c.devices[d], &image));
+        }
+        // Out of range is a no-op.
+        c.wipe_device(9);
+        assert_eq!(c.devices.len(), 4);
+    }
+
+    #[test]
+    fn vm_stride_withholds_every_nth_mapping() {
+        let topology = Topology::generate(TopologyConfig::default());
+        let all: Vec<usize> = (0..topology.vpcs.len()).collect();
+        let kept = |stride| ImageBuilder::new(&topology, stride).build(&all, AlpmConfig::default());
+        assert_eq!(kept(0).vm_nc.len(), topology.vms.len());
+        assert_eq!(kept(1).vm_nc.len(), 0);
+        let every_tenth = topology.vms.len() - topology.vms.len().div_ceil(10);
+        assert_eq!(kept(10).vm_nc.len(), every_tenth);
+        assert_eq!(kept(10).routes.len(), topology.routes.len());
     }
 
     #[test]

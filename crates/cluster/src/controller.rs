@@ -7,8 +7,9 @@
 //!   each table ... we only need to insert new table entries into one
 //!   cluster or allocate a new cluster if the original cluster is out of
 //!   memory",
-//! - **Installation** — pushing each VNI's routes and VM mappings to its
-//!   cluster (every device) and the full region state to the XGW-x86
+//! - **Installation** — building each cluster's table image from the
+//!   VPCs the plan gives it and pushing it to the cluster's devices, all
+//!   of which then share it, and the full region state to the XGW-x86
 //!   fallback cluster,
 //! - **Consistency checking** — "table entry inconsistency between the
 //!   controller and the gateways may occur during table population ...
@@ -16,18 +17,22 @@
 //! - **Update timeline** — the Fig 23 model: slow regular growth plus
 //!   sudden announced batches from top customers.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
+use sailfish_net::hash::MixMap;
 use sailfish_net::Vni;
 use sailfish_sim::faults::{InstallFault, VirtualClock};
 use sailfish_sim::metrics::Series;
-use sailfish_sim::topology::Topology;
-use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
+use sailfish_sim::topology::{Topology, Vpc};
+use sailfish_tables::types::VxlanRouteKey;
+use sailfish_xgw_h::HardwareTables;
 
-use crate::cluster::{HwCluster, SwCluster};
+use crate::cluster::{HwCluster, ImageBuilder, SwCluster};
 use crate::lb::VniDirectory;
 
 /// Per-cluster capacity limits (entries a single XGW-H can hold after the
@@ -98,12 +103,12 @@ pub struct ClusterLoad {
     pub vms: usize,
 }
 
-/// A VNI→cluster assignment.
+/// A VNI→cluster assignment: what every table build places by.
 #[derive(Debug, Clone)]
 pub struct SplitPlan {
     /// Assignment of each VNI.
-    pub assignments: HashMap<Vni, usize>,
-    /// Load per cluster.
+    pub assignments: MixMap<Vni, usize>,
+    /// Load per cluster ([`SplitPlan::by_anchor`] leaves it at zero).
     pub per_cluster: Vec<ClusterLoad>,
 }
 
@@ -112,6 +117,74 @@ impl SplitPlan {
     pub fn clusters_needed(&self) -> usize {
         self.per_cluster.len()
     }
+
+    /// The packet path's fixed placement: every VPC on cluster
+    /// `peer_anchor(vpc) % clusters`, so peered VPCs co-locate (their
+    /// chains must resolve without leaving the cluster). With no clusters
+    /// nothing is placed. It places without packing, so it leaves the
+    /// per-cluster loads at zero: one pass over the VPCs, since every
+    /// epoch build runs it.
+    pub fn by_anchor(topology: &Topology, clusters: usize) -> Self {
+        let mut assignments = MixMap::default();
+        assignments.reserve(topology.vpcs.len());
+        for vpc in &topology.vpcs {
+            if let Some(home) = (peer_anchor(vpc).value() as usize).checked_rem(clusters) {
+                assignments.insert(vpc.vni, home);
+            }
+        }
+        SplitPlan {
+            assignments,
+            per_cluster: vec![ClusterLoad::default(); clusters],
+        }
+    }
+
+    /// The VPCs (indices into [`Topology::vpcs`], ascending) the plan
+    /// puts on each of its clusters.
+    pub fn members(&self, topology: &Topology) -> Vec<Vec<usize>> {
+        let mut members = vec![Vec::new(); self.clusters_needed()];
+        for (i, vpc) in topology.vpcs.iter().enumerate() {
+            if let Some(vpcs) = self
+                .assignments
+                .get(&vpc.vni)
+                .and_then(|c| members.get_mut(*c))
+            {
+                vpcs.push(i);
+            }
+        }
+        members
+    }
+}
+
+/// A VPC's peer-group anchor: the smaller VNI of it and its peer.
+pub fn peer_anchor(vpc: &Vpc) -> Vni {
+    vpc.peer.map_or(vpc.vni, |peer| vpc.vni.min(peer))
+}
+
+/// Per-VNI `(routes, vms)` weights of a topology, sorted by VNI.
+pub(crate) fn vni_weights(topology: &Topology) -> BTreeMap<Vni, (usize, usize)> {
+    let mut w: BTreeMap<Vni, (usize, usize)> = BTreeMap::new();
+    for (key, _) in &topology.routes {
+        w.entry(key.vni).or_default().0 += 1;
+    }
+    for vm in &topology.vms {
+        w.entry(vm.vni).or_default().1 += 1;
+    }
+    w
+}
+
+/// Maps every VNI to its peer-group leader: peered VPCs are planned and
+/// moved as one indivisible group. Peerings are mutual pairs, so the
+/// leader is each VPC's [`peer_anchor`].
+pub(crate) fn peer_leaders(topology: &Topology) -> HashMap<Vni, Vni> {
+    let mut leader: HashMap<Vni, Vni> = HashMap::new();
+    for vpc in &topology.vpcs {
+        let min = peer_anchor(vpc);
+        for m in core::iter::once(vpc.vni).chain(vpc.peer) {
+            let entry = leader.entry(m).or_insert(min);
+            *entry = (*entry).min(min);
+        }
+    }
+    leader
 }
 
 /// Bounded-retry policy for two-phase installs. All timing is virtual —
@@ -180,6 +253,14 @@ pub enum InstallError {
         /// The analyzer's error diagnostics, one per line.
         detail: String,
     },
+    /// The install was handed fewer physical clusters than the plan
+    /// uses. Nothing was staged or pushed.
+    TooFewClusters {
+        /// Clusters the plan uses.
+        needed: usize,
+        /// Clusters handed to the install.
+        available: usize,
+    },
     /// The plan-time *world* verifier rejected the install as a whole:
     /// the staged world leaves a VNI uncovered, diverges directory from
     /// placement, or overloads a cluster (`SF-E007`+ codes). Nothing was
@@ -211,6 +292,9 @@ impl core::fmt::Display for InstallError {
                     "cluster {cluster}: staged load rejected by verify: {detail}"
                 )
             }
+            InstallError::TooFewClusters { needed, available } => {
+                write!(f, "plan needs {needed} clusters, only {available} given")
+            }
             InstallError::WorldRejected { detail } => {
                 write!(f, "staged world rejected by verify: {detail}")
             }
@@ -235,27 +319,111 @@ pub struct InstallReport {
     pub virtual_ns: u64,
 }
 
+impl InstallReport {
+    /// Adds another push's counts and virtual time to this report.
+    pub(crate) fn absorb(&mut self, other: &InstallReport) {
+        self.committed += other.committed;
+        self.attempts += other.attempts;
+        self.retries += other.retries;
+        self.rolled_back_entries += other.rolled_back_entries;
+        self.virtual_ns += other.virtual_ns;
+    }
+}
+
 /// Decides whether a push attempt faults. Called once per `(target,
 /// attempt)`; returning `None` lets the attempt through. Deterministic
 /// injectors (the chaos harness uses schedule-driven ones) keep whole
 /// runs replayable.
 pub type InstallInjector<'a> = dyn FnMut(usize, u32) -> Option<InstallFault> + 'a;
 
-/// Entries staged for one cluster: the *stage* phase of the two-phase
-/// install. Pure data — nothing touches a device until the push.
-#[derive(Debug, Clone, Default)]
-struct StagedCluster {
-    routes: Vec<(VxlanRouteKey, RouteTarget)>,
-    vms: Vec<(Vni, core::net::IpAddr, NcAddr)>,
-    /// Per-VNI route counts this push must produce (sorted by VNI).
-    route_intent: Vec<(Vni, usize)>,
-    /// Every VNI assigned to this cluster (sorted; directory commit).
-    vnis: Vec<Vni>,
+/// One image on its way to some device slots of one physical cluster,
+/// with the entries the push carries.
+pub(crate) struct Push<'a> {
+    /// The physical cluster (primaries first, then backups).
+    pub cluster: usize,
+    /// The device slots that receive the image.
+    pub slots: Range<usize>,
+    /// The image, built off to the side.
+    pub image: &'a Arc<HardwareTables>,
+    /// Route entries the push carries.
+    pub routes: usize,
+    /// VM mappings the push carries.
+    pub vms: usize,
 }
 
-impl StagedCluster {
-    fn entries(&self) -> usize {
-        self.routes.len() + self.vms.len()
+impl<'a> Push<'a> {
+    /// A push of every entry of `image`.
+    pub(crate) fn whole(
+        cluster: usize,
+        slots: Range<usize>,
+        image: &'a Arc<HardwareTables>,
+    ) -> Self {
+        Push {
+            cluster,
+            slots,
+            image,
+            routes: image.routes.len(),
+            vms: image.vm_nc.len(),
+        }
+    }
+
+    /// Push → consistency-check → commit, with bounded retry: a push
+    /// that times out costs `timeout_ns`; one that lands a fraction `f`
+    /// costs `⌊routes·f⌋ + ⌊vms·f⌋` entries and commits only if that is
+    /// the whole push; a clean one costs every entry. Only a push that
+    /// lands whole re-points the slots, so a failed attempt leaves the
+    /// old image in place, and the retry backs off exponentially in
+    /// virtual time. Gives up after `max_attempts`.
+    pub(crate) fn run(
+        self,
+        hw: &mut HwCluster,
+        clock: &mut VirtualClock,
+        policy: &InstallPolicy,
+        injector: &mut InstallInjector<'_>,
+    ) -> Result<InstallReport, InstallError> {
+        let mut report = InstallReport::default();
+        let start_ns = clock.now_ns();
+        let mut attempt = 0u32;
+        loop {
+            report.attempts += 1;
+            let landed = match injector(self.cluster, attempt) {
+                Some(InstallFault::Timeout) => {
+                    // Nothing reached the devices.
+                    clock.advance(policy.timeout_ns);
+                    (0, 0)
+                }
+                Some(InstallFault::Partial { fraction }) => (
+                    ((self.routes as f64) * fraction) as usize,
+                    ((self.vms as f64) * fraction) as usize,
+                ),
+                None => (self.routes, self.vms),
+            };
+            let entries = landed.0 + landed.1;
+            clock.advance(policy.push_ns_per_entry * entries as u64);
+            if landed == (self.routes, self.vms) {
+                hw.devices[self.slots.clone()].fill(Arc::clone(self.image));
+            }
+            if Controller::verify(hw, self.slots.clone(), self.image) {
+                report.committed += 1;
+                break;
+            }
+            // A prefix landed and the push died. The slots never left
+            // their old image, so no device serves half a push; the
+            // landed prefix counts as rolled back.
+            report.rolled_back_entries += entries;
+            report.retries += 1;
+            attempt += 1;
+            if attempt >= policy.max_attempts {
+                return Err(InstallError::RetriesExhausted {
+                    cluster: self.cluster,
+                    attempts: attempt,
+                    last_fault: injector(self.cluster, attempt).unwrap_or(InstallFault::Timeout),
+                });
+            }
+            clock.advance(policy.backoff_ns(attempt - 1));
+        }
+        report.virtual_ns = clock.now_ns() - start_ns;
+        Ok(report)
     }
 }
 
@@ -300,41 +468,19 @@ impl Controller {
         capacity: ClusterCapacity,
         max_clusters: usize,
     ) -> Result<SplitPlan, PlanError> {
-        // Per-VNI weights.
-        let mut routes_per_vni: HashMap<Vni, usize> = HashMap::new();
-        for (key, _) in &topology.routes {
-            *routes_per_vni.entry(key.vni).or_default() += 1;
-        }
-        let mut vms_per_vni: HashMap<Vni, usize> = HashMap::new();
-        for vm in &topology.vms {
-            *vms_per_vni.entry(vm.vni).or_default() += 1;
-        }
-
         // Group peered VPCs: every VNI maps to a canonical group leader.
-        let mut leader: HashMap<Vni, Vni> = HashMap::new();
-        for vpc in &topology.vpcs {
-            let mates = core::iter::once(vpc.vni).chain(vpc.peer);
-            let min = mates.clone().min().expect("non-empty");
-            for m in mates {
-                let entry = leader.entry(m).or_insert(min);
-                *entry = (*entry).min(min);
-            }
-        }
-        let group_of = |vni: Vni| leader.get(&vni).copied().unwrap_or(vni);
+        let leader = peer_leaders(topology);
 
         // leader -> (member VNIs, route weight, VM weight).
         type Group = (Vec<Vni>, usize, usize);
         let mut groups: HashMap<Vni, Group> = HashMap::new();
-        let all_vnis: std::collections::BTreeSet<Vni> = routes_per_vni
-            .keys()
-            .chain(vms_per_vni.keys())
-            .copied()
-            .collect();
-        for vni in all_vnis {
-            let g = groups.entry(group_of(vni)).or_default();
+        for (vni, (routes, vms)) in vni_weights(topology) {
+            let g = groups
+                .entry(leader.get(&vni).copied().unwrap_or(vni))
+                .or_default();
             g.0.push(vni);
-            g.1 += routes_per_vni.get(&vni).copied().unwrap_or(0);
-            g.2 += vms_per_vni.get(&vni).copied().unwrap_or(0);
+            g.1 += routes;
+            g.2 += vms;
         }
         let mut ordered: Vec<(Vni, Group)> = groups.into_iter().collect();
         // Decreasing by dominant load dimension; ties by leader for
@@ -342,7 +488,7 @@ impl Controller {
         ordered.sort_by_key(|(lead, (_, r, v))| (core::cmp::Reverse(r + v), *lead));
 
         let mut per_cluster: Vec<ClusterLoad> = Vec::new();
-        let mut assignments = HashMap::new();
+        let mut assignments = MixMap::default();
         for (lead, (members, routes, vms)) in ordered {
             if routes > capacity.max_routes || vms > capacity.max_vms {
                 return Err(PlanError::VniTooLarge { vni: lead });
@@ -375,86 +521,25 @@ impl Controller {
         })
     }
 
-    /// The stage phase: group every planned entry by target cluster, in
-    /// deterministic (topology) order. Pure planning — no device is
-    /// touched.
-    fn stage(topology: &Topology, plan: &SplitPlan) -> Vec<StagedCluster> {
-        let mut staged = vec![StagedCluster::default(); plan.clusters_needed()];
-        for (key, target) in &topology.routes {
-            staged[plan.assignments[&key.vni]]
-                .routes
-                .push((*key, *target));
-        }
-        for vm in &topology.vms {
-            staged[plan.assignments[&vm.vni]]
-                .vms
-                .push((vm.vni, vm.ip, vm.nc));
-        }
-        let mut vnis_per_cluster: Vec<Vec<Vni>> = vec![Vec::new(); staged.len()];
-        for (vni, cluster) in &plan.assignments {
-            vnis_per_cluster[*cluster].push(*vni);
-        }
-        for (stage, mut vnis) in staged.iter_mut().zip(vnis_per_cluster) {
-            vnis.sort();
-            stage.vnis = vnis;
-            let mut intent: HashMap<Vni, usize> = HashMap::new();
-            for (key, _) in &stage.routes {
-                *intent.entry(key.vni).or_default() += 1;
-            }
-            let mut intent: Vec<(Vni, usize)> = intent.into_iter().collect();
-            intent.sort();
-            stage.route_intent = intent;
-        }
-        staged
-    }
-
-    /// Applies a staged prefix to every device of a cluster.
-    fn apply(
-        hw: &mut HwCluster,
-        routes: &[(VxlanRouteKey, RouteTarget)],
-        vms: &[(Vni, core::net::IpAddr, NcAddr)],
-    ) -> Result<(), sailfish_tables::Error> {
-        for (key, target) in routes {
-            hw.install_route(*key, *target)?;
-        }
-        for (vni, ip, nc) in vms {
-            hw.install_vm(*vni, *ip, *nc)?;
-        }
-        Ok(())
-    }
-
-    /// Removes an applied prefix from every device of a cluster
-    /// (rollback of a partial push).
-    fn rollback(
-        hw: &mut HwCluster,
-        routes: &[(VxlanRouteKey, RouteTarget)],
-        vms: &[(Vni, core::net::IpAddr, NcAddr)],
-    ) {
-        for (key, _) in routes {
-            hw.remove_route(key);
-        }
-        for (vni, ip, _) in vms {
-            hw.remove_vm(*vni, *ip);
-        }
-    }
-
-    /// Static pre-push verification of one staged cluster: runs the
+    /// Static pre-push verification of one cluster's load: runs the
     /// `sailfish_asic::verify` analyzer over the production layout the
-    /// cluster's devices would carry at the staged entry counts. An
+    /// cluster's devices would carry at `routes` and `vms` entries. An
     /// error-level diagnostic refuses the push before any device is
     /// touched; warnings are allowed through (they describe headroom,
     /// not legality).
-    fn verify_staged(cluster: usize, stage: &StagedCluster) -> Result<(), InstallError> {
+    pub(crate) fn verify_load(
+        cluster: usize,
+        routes: usize,
+        vms: usize,
+    ) -> Result<(), InstallError> {
         let config = sailfish_asic::TofinoConfig::tofino_64t();
-        let report = sailfish_xgw_h::layout::verify_device_load(
-            &config,
-            stage.routes.len(),
-            stage.vms.len(),
-        )
-        .map_err(|e| InstallError::LayoutRejected {
-            cluster,
-            detail: e.to_string(),
-        })?;
+        let report =
+            sailfish_xgw_h::layout::verify_device_load(&config, routes, vms).map_err(|e| {
+                InstallError::LayoutRejected {
+                    cluster,
+                    detail: e.to_string(),
+                }
+            })?;
         if report.is_clean() {
             return Ok(());
         }
@@ -466,17 +551,11 @@ impl Controller {
         Err(InstallError::LayoutRejected { cluster, detail })
     }
 
-    /// The consistency-check phase of one push: every device of the
-    /// cluster must hold exactly the staged per-VNI route counts and the
-    /// staged number of VM mappings.
-    fn verify(hw: &HwCluster, stage: &StagedCluster) -> bool {
-        hw.devices.iter().enumerate().all(|(device, dev)| {
-            dev.tables.vm_nc.len() == stage.vms.len()
-                && stage
-                    .route_intent
-                    .iter()
-                    .all(|(vni, expected)| hw.route_entries_for(device, *vni) == *expected)
-        })
+    /// The consistency-check phase of one push: every target slot holds
+    /// the pushed image — the same image, not merely one with the same
+    /// counts.
+    fn verify(hw: &HwCluster, slots: Range<usize>, image: &Arc<HardwareTables>) -> bool {
+        hw.devices[slots].iter().all(|d| Arc::ptr_eq(d, image))
     }
 
     /// Installs a planned topology: per-VNI state to its hardware cluster,
@@ -505,16 +584,17 @@ impl Controller {
         )
     }
 
-    /// Two-phase installation (§6.1 hardening): **stage** every entry by
-    /// cluster, push the full state to the XGW-x86 safety net first, then
-    /// per cluster push → **consistency-check** → **commit**. A push that
-    /// times out or lands partially is rolled back and retried with
-    /// deterministic exponential backoff in virtual time; only a push
-    /// whose per-device verification passes commits (intent recorded,
-    /// directory cut over). On [`InstallError::RetriesExhausted`] the
-    /// failing cluster is left clean and *unassigned*, so its traffic
-    /// degrades to the rate-limited fallback path instead of
-    /// black-holing against half-installed tables.
+    /// Two-phase installation (§6.1 hardening): **stage** every cluster's
+    /// image off to the side, push the full state to the XGW-x86 safety
+    /// net first, then per cluster push →
+    /// **consistency-check** → **commit**. A push that times out or lands
+    /// partially leaves the devices on their old image and is retried
+    /// with deterministic exponential backoff in virtual time; only a
+    /// push whose verification passes commits (intent recorded, directory
+    /// cut over). On [`InstallError::RetriesExhausted`] the failing
+    /// cluster is left clean and *unassigned*, so its traffic degrades to
+    /// the rate-limited fallback path instead of black-holing against
+    /// half-installed tables.
     #[allow(clippy::too_many_arguments)]
     pub fn install_with(
         &mut self,
@@ -527,11 +607,12 @@ impl Controller {
         policy: &InstallPolicy,
         injector: &mut InstallInjector<'_>,
     ) -> Result<InstallReport, InstallError> {
-        assert!(
-            hw.len() >= plan.clusters_needed(),
-            "install requires {} clusters",
-            plan.clusters_needed()
-        );
+        if hw.len() < plan.clusters_needed() {
+            return Err(InstallError::TooFewClusters {
+                needed: plan.clusters_needed(),
+                available: hw.len(),
+            });
+        }
         // Plan-time world gate: prove ownership totality, directory
         // bijectivity and per-cluster capacity over the whole staged
         // world before anything is staged — a plan that strands a VNI is
@@ -542,25 +623,38 @@ impl Controller {
                 detail: world.error_detail(),
             });
         }
-        let staged = Self::stage(topology, plan);
-        let mut report = InstallReport::default();
+        // The stage phase: every cluster's image, built off to the side
+        // from the VPCs the plan gives it.
+        let mut builder = ImageBuilder::new(topology, 0);
+        let members = plan.members(topology);
+        let images: Vec<Arc<HardwareTables>> = members
+            .iter()
+            .zip(hw.iter())
+            .map(|(vpcs, cluster)| Arc::new(builder.build(vpcs, cluster.alpm)))
+            .collect();
 
         // Static verification of every staged load before anything moves:
         // an illegal layout is a typed, explainable refusal, not a
         // half-pushed cluster.
-        for (cluster, stage) in staged.iter().enumerate() {
-            Self::verify_staged(cluster, stage)?;
+        for (cluster, image) in images.iter().enumerate() {
+            Self::verify_load(cluster, image.routes.len(), image.vm_nc.len())?;
         }
 
         // The fallback cluster holds the full region state and is the
         // graceful-degradation target, so it is populated before any
         // hardware cutover.
-        for stage in &staged {
-            for (key, target) in &stage.routes {
-                sw.install_route(*key, *target);
+        for vpcs in &members {
+            let vpcs = || {
+                vpcs.iter()
+                    .filter_map(|&i| Some((i, topology.vpcs.get(i)?)))
+            };
+            for (i, vpc) in vpcs() {
+                for (prefix, target) in builder.routes_of(i) {
+                    sw.install_route(VxlanRouteKey::new(vpc.vni, *prefix), *target);
+                }
             }
-            for (vni, ip, nc) in &stage.vms {
-                sw.install_vm(*vni, *ip, *nc)
+            for vm in vpcs().flat_map(|(_, vpc)| topology.vms_of(vpc)) {
+                sw.install_vm(vm.vni, vm.ip, vm.nc)
                     .map_err(|error| InstallError::Table {
                         cluster: usize::MAX,
                         error,
@@ -568,83 +662,41 @@ impl Controller {
             }
         }
 
-        for (cluster, stage) in staged.iter().enumerate() {
-            let mut attempt = 0u32;
-            loop {
-                report.attempts += 1;
-                match injector(cluster, attempt) {
-                    Some(InstallFault::Timeout) => {
-                        // Nothing reached the device.
-                        clock.advance(policy.timeout_ns);
-                    }
-                    Some(InstallFault::Partial { fraction }) => {
-                        // A prefix lands, then the push dies. The check
-                        // phase sees the shortfall; roll back before
-                        // retrying so no device serves half a push.
-                        let nr = ((stage.routes.len() as f64) * fraction) as usize;
-                        let nv = ((stage.vms.len() as f64) * fraction) as usize;
-                        let applied_routes = &stage.routes[..nr];
-                        let applied_vms = &stage.vms[..nv];
-                        Self::apply(&mut hw[cluster], applied_routes, applied_vms)
-                            .map_err(|error| InstallError::Table { cluster, error })?;
-                        clock.advance(policy.push_ns_per_entry * (nr + nv) as u64);
-                        if Self::verify(&hw[cluster], stage) {
-                            // The "partial" prefix was the whole push.
-                            self.commit(directory, cluster, stage);
-                            report.committed += 1;
-                            break;
-                        }
-                        Self::rollback(&mut hw[cluster], applied_routes, applied_vms);
-                        report.rolled_back_entries += nr + nv;
-                    }
-                    None => {
-                        Self::apply(&mut hw[cluster], &stage.routes, &stage.vms)
-                            .map_err(|error| InstallError::Table { cluster, error })?;
-                        clock.advance(policy.push_ns_per_entry * stage.entries() as u64);
-                        if Self::verify(&hw[cluster], stage) {
-                            self.commit(directory, cluster, stage);
-                            report.committed += 1;
-                            break;
-                        }
-                        // A clean push that still verifies short (device
-                        // dropping writes): roll back and retry.
-                        Self::rollback(&mut hw[cluster], &stage.routes, &stage.vms);
-                        report.rolled_back_entries += stage.entries();
-                    }
-                }
-                report.retries += 1;
-                attempt += 1;
-                if attempt >= policy.max_attempts {
-                    return Err(InstallError::RetriesExhausted {
-                        cluster,
-                        attempts: attempt,
-                        last_fault: injector(cluster, attempt).unwrap_or(InstallFault::Timeout),
-                    });
-                }
-                clock.advance(policy.backoff_ns(attempt - 1));
+        let mut vnis: Vec<Vec<Vni>> = vec![Vec::new(); images.len()];
+        for (vni, cluster) in &plan.assignments {
+            if let Some(vnis) = vnis.get_mut(*cluster) {
+                vnis.push(*vni);
+            }
+        }
+        let mut report = InstallReport::default();
+        for (cluster, (image, mut vnis)) in images.iter().zip(vnis).enumerate() {
+            let pushed = Push::whole(cluster, 0..hw[cluster].devices.len(), image).run(
+                &mut hw[cluster],
+                clock,
+                policy,
+                injector,
+            )?;
+            report.absorb(&pushed);
+            // Commit: record intent, cut the directory over.
+            for vni in image.routes.vnis() {
+                *self.intent.entry(vni).or_default() += image.routes.len_for_vni(vni);
+            }
+            vnis.sort();
+            for vni in vnis {
+                directory.assign(vni, cluster);
             }
         }
         report.virtual_ns = clock.now_ns();
         Ok(report)
     }
 
-    /// Commit phase for one cluster: record intent, cut the directory
-    /// over.
-    fn commit(&mut self, directory: &mut VniDirectory, cluster: usize, stage: &StagedCluster) {
-        for (vni, count) in &stage.route_intent {
-            *self.intent.entry(*vni).or_default() += count;
-        }
-        for vni in &stage.vnis {
-            directory.assign(*vni, cluster);
-        }
-    }
-
     /// Rebuilds one device's tables from the controller's plan through
-    /// the same two-phase push (wipe → push → verify → done), with
-    /// bounded retry and rollback-by-wipe on partial pushes. This is the
-    /// repair path after table corruption and the maintenance path for
-    /// firmware-style reinstalls; callers take the device out of the
-    /// ECMP group first and re-admit it through the probe gate.
+    /// the same two-phase push: wipe, then push an image built from the
+    /// plan, with bounded retry; a failed attempt leaves the device
+    /// wiped. This is the repair path after table corruption and the
+    /// maintenance path for firmware-style reinstalls; callers take the
+    /// device out of the ECMP group first and re-admit it through the
+    /// probe gate.
     ///
     /// `cluster` is the physical cluster index (primaries first, then
     /// backups); `plan_cluster` names the plan entry whose state the
@@ -662,7 +714,7 @@ impl Controller {
         policy: &InstallPolicy,
         injector: &mut InstallInjector<'_>,
     ) -> Result<InstallReport, InstallError> {
-        let Some(stage) = Self::stage(topology, plan).into_iter().nth(plan_cluster) else {
+        let Some(vpcs) = plan.members(topology).into_iter().nth(plan_cluster) else {
             return Err(InstallError::LayoutRejected {
                 cluster,
                 detail: format!(
@@ -671,85 +723,19 @@ impl Controller {
                 ),
             });
         };
+        let available = hw.len();
+        let Some(target) = hw.get_mut(cluster) else {
+            return Err(InstallError::TooFewClusters {
+                needed: cluster + 1,
+                available,
+            });
+        };
+        let image = Arc::new(ImageBuilder::new(topology, 0).build(&vpcs, target.alpm));
         // Same static gate as a full install: never wipe a live device
         // for a load its pipeline cannot legally hold.
-        Self::verify_staged(cluster, &stage)?;
-        let mut report = InstallReport::default();
-        let verify_device = |hw: &[HwCluster]| {
-            hw[cluster].devices[device].tables.vm_nc.len() == stage.vms.len()
-                && stage
-                    .route_intent
-                    .iter()
-                    .all(|(vni, expected)| hw[cluster].route_entries_for(device, *vni) == *expected)
-        };
-        let start_ns = clock.now_ns();
-        hw[cluster].devices[device].wipe_tables();
-        let mut attempt = 0u32;
-        loop {
-            report.attempts += 1;
-            let fault = injector(cluster, attempt);
-            let applied = match fault {
-                Some(InstallFault::Timeout) => {
-                    clock.advance(policy.timeout_ns);
-                    0
-                }
-                Some(InstallFault::Partial { fraction }) => {
-                    let nr = ((stage.routes.len() as f64) * fraction) as usize;
-                    let nv = ((stage.vms.len() as f64) * fraction) as usize;
-                    let dev = &mut hw[cluster].devices[device];
-                    for (key, target) in &stage.routes[..nr] {
-                        dev.tables
-                            .routes
-                            .insert(*key, *target)
-                            .map_err(|error| InstallError::Table { cluster, error })?;
-                    }
-                    for (vni, ip, nc) in &stage.vms[..nv] {
-                        dev.tables
-                            .add_vm(*vni, *ip, *nc)
-                            .map_err(|error| InstallError::Table { cluster, error })?;
-                    }
-                    nr + nv
-                }
-                None => {
-                    let dev = &mut hw[cluster].devices[device];
-                    for (key, target) in &stage.routes {
-                        dev.tables
-                            .routes
-                            .insert(*key, *target)
-                            .map_err(|error| InstallError::Table { cluster, error })?;
-                    }
-                    for (vni, ip, nc) in &stage.vms {
-                        dev.tables
-                            .add_vm(*vni, *ip, *nc)
-                            .map_err(|error| InstallError::Table { cluster, error })?;
-                    }
-                    stage.entries()
-                }
-            };
-            clock.advance(policy.push_ns_per_entry * applied as u64);
-            if verify_device(hw) {
-                report.committed = 1;
-                break;
-            }
-            // Rollback for a single device is a wipe: cheaper than
-            // tracking the prefix and identical in outcome.
-            if applied > 0 {
-                hw[cluster].devices[device].wipe_tables();
-                report.rolled_back_entries += applied;
-            }
-            report.retries += 1;
-            attempt += 1;
-            if attempt >= policy.max_attempts {
-                return Err(InstallError::RetriesExhausted {
-                    cluster,
-                    attempts: attempt,
-                    last_fault: injector(cluster, attempt).unwrap_or(InstallFault::Timeout),
-                });
-            }
-            clock.advance(policy.backoff_ns(attempt - 1));
-        }
-        report.virtual_ns = clock.now_ns() - start_ns;
-        Ok(report)
+        Self::verify_load(cluster, image.routes.len(), image.vm_nc.len())?;
+        target.wipe_device(device);
+        Push::whole(cluster, device..device + 1, &image).run(target, clock, policy, injector)
     }
 
     /// Periodic consistency check: compares recorded intent against every
@@ -879,6 +865,55 @@ mod tests {
         let t = small_topology();
         let plan = Controller::plan_split(&t, ClusterCapacity::default(), 8).unwrap();
         assert_eq!(plan.clusters_needed(), 1);
+    }
+
+    #[test]
+    fn by_anchor_homes_every_vpc_on_its_anchor() {
+        let t = small_topology();
+        let plan = SplitPlan::by_anchor(&t, 4);
+        assert_eq!(plan.clusters_needed(), 4);
+        for vpc in &t.vpcs {
+            assert_eq!(
+                plan.assignments[&vpc.vni],
+                peer_anchor(vpc).value() as usize % 4
+            );
+        }
+        let members = plan.members(&t);
+        assert_eq!(members.iter().map(Vec::len).sum::<usize>(), t.vpcs.len());
+        // No clusters, no placement.
+        let none = SplitPlan::by_anchor(&t, 0);
+        assert!(none.assignments.is_empty() && none.per_cluster.is_empty());
+    }
+
+    #[test]
+    fn install_refuses_too_few_clusters() {
+        let t = small_topology();
+        let cap = ClusterCapacity {
+            max_routes: 400,
+            max_vms: 2_000,
+        };
+        let plan = Controller::plan_split(&t, cap, 64).unwrap();
+        assert!(plan.clusters_needed() > 1);
+        let mut hw = vec![HwCluster::new(0, 2, 16, Default::default(), 0).unwrap()];
+        let mut sw = SwCluster::new(
+            1,
+            16,
+            sailfish_xgw_x86::XgwX86Config::default(),
+            Default::default(),
+        )
+        .unwrap();
+        let mut directory = VniDirectory::new();
+        let err = Controller::new()
+            .install(&t, &plan, &mut hw, &mut sw, &mut directory)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            InstallError::TooFewClusters {
+                needed: plan.clusters_needed(),
+                available: 1
+            }
+        );
+        assert!(directory.is_empty());
     }
 
     #[test]

@@ -588,7 +588,7 @@ mod tests {
         let probes = probe::generate(&topology, 5);
         fail_device(&mut region, 0, 1).unwrap();
         // Corrupt the offline device: the gate must refuse it.
-        region.hw[0].devices[1].wipe_tables();
+        region.hw[0].wipe_device(1);
         match readmit_device(&mut region, &probes, 0, 1) {
             Err(RecoveryError::ProbeGateFailed {
                 cluster: 0,

@@ -188,6 +188,23 @@ impl VniDirectory {
         self.dual.len()
     }
 
+    /// The one steering rule, shared by the region model and the packet
+    /// path: the cluster serving a flow of `vni` — the directory's owner,
+    /// or during a `Dual` window the flow-hash [`pick_owner`] between
+    /// both — and whether that pick left the primary. `None` when the
+    /// VNI has no owner.
+    #[inline]
+    pub fn owner(&self, hasher: &Toeplitz, vni: Vni, tuple: &FiveTuple) -> Option<(usize, bool)> {
+        let primary = self.cluster_for(vni)?;
+        Some(match self.dual_of(vni) {
+            Some(secondary) => {
+                let owner = pick_owner(hasher, tuple, primary, secondary);
+                (owner, owner != primary)
+            }
+            None => (primary, false),
+        })
+    }
+
     /// Both owners of a VNI: `(primary, Option<secondary>)`.
     pub fn owners_for(&self, vni: Vni) -> Option<(usize, Option<usize>)> {
         self.cluster_for(vni).map(|p| (p, self.dual_of(vni)))

@@ -5,8 +5,9 @@
 //! - [`lb`] — the ECMP load balancer in front of the gateway clusters,
 //!   with the commercial next-hop cap that forces multiple clusters
 //!   (§2.3),
-//! - [`cluster`] — XGW-H clusters (replicated tables, shared load, mutual
-//!   backup) and the XGW-x86 fallback cluster,
+//! - [`cluster`] — XGW-H clusters (one shared table image, shared load,
+//!   mutual backup), the bulk image builder, and the XGW-x86 fallback
+//!   cluster,
 //! - [`controller`] — the central controller: horizontal table splitting
 //!   by VNI (§4.3), installation, consistency checking (§6.1), and the
 //!   table-update timeline of Fig 23,

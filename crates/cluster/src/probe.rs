@@ -140,6 +140,21 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
     probes
 }
 
+/// The failure, if `device` of `cluster` does not take the decision
+/// `probe` expects.
+fn check(region: &Region, probe: &Probe, cluster: usize, device: usize) -> Option<ProbeFailure> {
+    let packet = &probe.packet;
+    let decision = region.hw[cluster].devices[device]
+        .walk(packet.vni, &packet.five_tuple(), &mut ())
+        .into_decision(packet);
+    (!matches_expectation(&decision, probe.expect)).then(|| ProbeFailure {
+        label: probe.label.clone(),
+        cluster,
+        device,
+        got: format!("{decision:?}"),
+    })
+}
+
 /// Whether a device decision satisfies a probe's expectation.
 fn matches_expectation(decision: &HwDecision, expect: Expectation) -> bool {
     matches!(
@@ -177,17 +192,8 @@ pub fn run(region: &mut Region, probes: &[Probe]) -> Vec<ProbeFailure> {
             });
             continue;
         };
-        for device in 0..region.hw[cluster].devices.len() {
-            let decision = region.hw[cluster].devices[device].classify(&probe.packet);
-            if !matches_expectation(&decision, probe.expect) {
-                failures.push(ProbeFailure {
-                    label: probe.label.clone(),
-                    cluster,
-                    device,
-                    got: format!("{decision:?}"),
-                });
-            }
-        }
+        let devices = 0..region.hw[cluster].devices.len();
+        failures.extend(devices.filter_map(|device| check(region, probe, cluster, device)));
     }
     failures
 }
@@ -211,22 +217,11 @@ pub fn run_device(
     } else {
         cluster
     };
-    let mut failures = Vec::new();
-    for probe in probes {
-        if region.plan.assignments.get(&probe.packet.vni) != Some(&plan_cluster) {
-            continue;
-        }
-        let decision = region.hw[cluster].devices[device].classify(&probe.packet);
-        if !matches_expectation(&decision, probe.expect) {
-            failures.push(ProbeFailure {
-                label: probe.label.clone(),
-                cluster,
-                device,
-                got: format!("{decision:?}"),
-            });
-        }
-    }
-    failures
+    probes
+        .iter()
+        .filter(|probe| region.plan.assignments.get(&probe.packet.vni) == Some(&plan_cluster))
+        .filter_map(|probe| check(region, probe, cluster, device))
+        .collect()
 }
 
 #[cfg(test)]
@@ -235,7 +230,6 @@ mod tests {
     use crate::controller::ClusterCapacity;
     use crate::region::RegionConfig;
     use sailfish_sim::topology::TopologyConfig;
-    use sailfish_xgw_h::XgwH;
 
     fn build() -> (Topology, Region) {
         let topology = Topology::generate(TopologyConfig::default());
@@ -291,7 +285,7 @@ mod tests {
         let backup = region.backup_of(0).unwrap();
         assert!(run_device(&mut region, &probes, backup, 0).is_empty());
         // Corruption on one device is caught there and only there.
-        region.hw[0].devices[1] = XgwH::with_defaults();
+        region.hw[0].wipe_device(1);
         assert!(!run_device(&mut region, &probes, 0, 1).is_empty());
         assert!(run_device(&mut region, &probes, 0, 0).is_empty());
     }
@@ -301,7 +295,7 @@ mod tests {
         let (topology, mut region) = build();
         let probes = generate(&topology, 5);
         // Wipe device 1 of cluster 0.
-        region.hw[0].devices[1] = XgwH::with_defaults();
+        region.hw[0].wipe_device(1);
         let failures = run(&mut region, &probes);
         assert!(!failures.is_empty());
         assert!(

@@ -20,21 +20,30 @@
 //! for effects below the fluid model's resolution).
 
 use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 
-use sailfish_net::packet::GatewayPacketBuilder;
 use sailfish_net::rss::Toeplitz;
 use sailfish_sim::topology::Topology;
 use sailfish_sim::workload::Flow;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::snat::SnatConfig;
-use sailfish_xgw_h::{HwDecision, XgwH};
+use sailfish_xgw_h::{Walked, XgwH};
 use sailfish_xgw_x86::{CoreLoadReport, FlowRate, FluidEngine, XgwX86Config};
 
 use crate::cluster::{HwCluster, SwCluster};
 use crate::controller::{
     ClusterCapacity, ClusterLoad, Controller, InstallError, PlanError, SplitPlan,
 };
-use crate::lb::{pick_owner, EcmpGroup, LbError, VniDirectory};
+use crate::lb::{EcmpGroup, LbError, VniDirectory};
+
+/// The software nodes' default SNAT pool: four documentation addresses
+/// (RFC 5737 TEST-NET-3).
+pub const SNAT_PUBLIC_IPS: [Ipv4Addr; 4] = [
+    Ipv4Addr::new(203, 0, 113, 1),
+    Ipv4Addr::new(203, 0, 113, 2),
+    Ipv4Addr::new(203, 0, 113, 3),
+    Ipv4Addr::new(203, 0, 113, 4),
+];
 
 /// Residual (micro-burst) loss ratio of one hardware device at
 /// utilization `u ∈ [0, 1]`.
@@ -100,12 +109,7 @@ impl Default for RegionConfig {
             capacity: ClusterCapacity::default(),
             x86: XgwX86Config::default(),
             snat: SnatConfig {
-                public_ips: vec![
-                    "203.0.113.1".parse().expect("valid IPv4 literal"),
-                    "203.0.113.2".parse().expect("valid IPv4 literal"),
-                    "203.0.113.3".parse().expect("valid IPv4 literal"),
-                    "203.0.113.4".parse().expect("valid IPv4 literal"),
-                ],
+                public_ips: SNAT_PUBLIC_IPS.map(Into::into).to_vec(),
                 ..SnatConfig::default()
             },
             degrade_to_x86: true,
@@ -121,8 +125,6 @@ pub enum BuildError {
     Plan(PlanError),
     /// Load-balancer configuration failed.
     Lb(LbError),
-    /// Table installation failed.
-    Table(sailfish_tables::Error),
     /// The two-phase install gave up (retries exhausted or a device
     /// rejected entries).
     Install(InstallError),
@@ -133,7 +135,6 @@ impl core::fmt::Display for BuildError {
         match self {
             BuildError::Plan(e) => write!(f, "planning: {e}"),
             BuildError::Lb(e) => write!(f, "load balancer: {e}"),
-            BuildError::Table(e) => write!(f, "table install: {e}"),
             BuildError::Install(e) => write!(f, "install: {e}"),
         }
     }
@@ -150,12 +151,6 @@ impl From<PlanError> for BuildError {
 impl From<LbError> for BuildError {
     fn from(e: LbError) -> Self {
         BuildError::Lb(e)
-    }
-}
-
-impl From<sailfish_tables::Error> for BuildError {
-    fn from(e: sailfish_tables::Error) -> Self {
-        BuildError::Table(e)
     }
 }
 
@@ -345,19 +340,10 @@ impl Region {
             &mut directory,
         )?;
         // Backups mirror their primaries ("hot standby with the same
-        // configuration", §6.1).
-        if config.with_backup {
-            let mut backup_controller = Controller::new();
-            let mut backup_dir = VniDirectory::new();
-            let (primaries, backups) = hw.split_at_mut(clusters);
-            let _ = primaries; // tables already installed above
-            backup_controller.install(
-                topology,
-                &plan,
-                backups,
-                &mut SwCluster::new(1, 64, config.x86.clone(), config.snat.clone())?,
-                &mut backup_dir,
-            )?;
+        // configuration", §6.1): they point at the same images.
+        let (primaries, backups) = hw.split_at_mut(clusters);
+        for (primary, backup) in primaries.iter().zip(backups) {
+            backup.devices.clone_from(&primary.devices);
         }
         let capacity_scale = vec![vec![1.0; config.devices_per_cluster]; hw.len()];
         Ok(Region {
@@ -397,67 +383,49 @@ impl Region {
     }
 
     /// A flow with no serving hardware: degrade to XGW-x86 when
-    /// configured, otherwise report it unrouted.
+    /// configured, otherwise — or with no software node to degrade to —
+    /// report it unrouted.
     fn no_hw_path(&self, flow: &Flow) -> FlowPath {
-        if self.config.degrade_to_x86 {
-            FlowPath::Fallback {
-                node: self
-                    .sw
-                    .ecmp
-                    .pick(&flow.tuple)
-                    .expect("sw cluster is never empty"),
-            }
-        } else {
-            FlowPath::Unrouted
+        match self.sw.ecmp.pick(&flow.tuple) {
+            Ok(node) if self.config.degrade_to_x86 => FlowPath::Fallback { node },
+            _ => FlowPath::Unrouted,
         }
     }
 
-    /// Classifies one flow: which path it takes through the region.
+    /// Classifies one flow: which path it takes through the region —
+    /// the directory's owner pick, the cluster's ECMP device, then that
+    /// device's table walk.
     pub fn classify(&self, flow: &Flow) -> FlowPath {
-        let Some(mut cluster) = self.directory.cluster_for(flow.vni) else {
+        let Some((cluster, _)) = self.directory.owner(&self.hasher, flow.vni, &flow.tuple) else {
             // Directory gap: the VNI's install failed or was rolled back.
             return self.no_hw_path(flow);
         };
-        if let Some(secondary) = self.directory.dual_of(flow.vni) {
-            // Make-before-break `Dual` phase: both owners hold the VNI's
-            // tables, so the flow hash may steer to either one.
-            cluster = pick_owner(&self.hasher, &flow.tuple, cluster, secondary);
-        }
-        let Ok(device) = self.hw[cluster].device_for(&flow.tuple) else {
+        let Some((device, tables)) = self.hw.get(cluster).and_then(|hw| {
+            let device = hw.device_for(&flow.tuple).ok()?;
+            Some((device, hw.devices.get(device)?))
+        }) else {
             // Every device of the serving cluster is offline.
             return self.no_hw_path(flow);
         };
-        let packet = GatewayPacketBuilder::new(flow.vni, flow.tuple.src_ip, flow.tuple.dst_ip)
-            .transport(
-                flow.tuple.protocol,
-                flow.tuple.src_port,
-                flow.tuple.dst_port,
-            )
-            .build();
-        match self.hw[cluster].devices[device].classify(&packet) {
-            HwDecision::ToNc { .. } | HwDecision::ToRegion { .. } | HwDecision::ToIdc { .. } => {
+        match tables.walk(flow.vni, &flow.tuple, &mut ()) {
+            Walked::ToNc { .. } | Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
                 FlowPath::Hw { cluster, device }
             }
-            HwDecision::PuntToX86 { .. } => {
-                let node = self
-                    .sw
-                    .ecmp
-                    .pick(&flow.tuple)
-                    .expect("sw cluster is never empty");
-                FlowPath::Punt {
+            Walked::Punt(_) => match self.sw.ecmp.pick(&flow.tuple) {
+                Ok(node) => FlowPath::Punt {
                     cluster,
                     device,
                     node,
-                }
-            }
-            HwDecision::Drop(_) => FlowPath::HwDrop,
+                },
+                Err(_) => FlowPath::Unrouted,
+            },
+            Walked::DropAcl | Walked::DropLoop => FlowPath::HwDrop,
         }
     }
 
     /// Offers one interval of traffic at a load `multiplier` (the festival
     /// profile) and reports utilization and losses.
     pub fn offer(&mut self, flows: &[Flow], multiplier: f64) -> RegionReport {
-        let primaries = self.plan.clusters_needed();
         let devices = self.config.devices_per_cluster;
         let mut device_bps = vec![vec![0.0f64; devices]; self.hw.len()];
         let mut device_pps = vec![vec![0.0f64; devices]; self.hw.len()];
@@ -586,7 +554,6 @@ impl Region {
                 residual += device_pps[c][d] * hw_residual_loss_ratio(u);
             }
         }
-        let _ = primaries;
 
         RegionReport {
             offered_pps,
@@ -662,10 +629,15 @@ impl X86Region {
     pub fn offer(&self, flows: &[Flow], multiplier: f64) -> X86RegionReport {
         let mut per_node: Vec<Vec<FlowRate>> = vec![Vec::new(); self.nodes.len()];
         let mut offered_pps = 0.0;
+        let mut unserved_pps = 0.0;
         for flow in flows {
-            let node = self.ecmp.pick(&flow.tuple).expect("nodes exist");
             let pps = flow.pps * multiplier;
             offered_pps += pps;
+            let Ok(node) = self.ecmp.pick(&flow.tuple) else {
+                // No gateway at all: the traffic is lost.
+                unserved_pps += pps;
+                continue;
+            };
             per_node[node].push(FlowRate {
                 tuple: flow.tuple,
                 pps,
@@ -673,7 +645,7 @@ impl X86Region {
             });
         }
         let mut node_reports = Vec::with_capacity(self.nodes.len());
-        let mut dropped = 0.0;
+        let mut dropped = unserved_pps;
         for (node, flows) in per_node.iter().enumerate() {
             let report = self.nodes[node].offer(flows);
             dropped += report.dropped_pps + report.nic_dropped_pps;
@@ -743,7 +715,7 @@ mod tests {
         // Simulate memory corruption/loss on one device by swapping in a
         // fresh (empty) gateway; the checker must localize the fault.
         let (_, &cluster) = region.plan.assignments.iter().next().unwrap();
-        region.hw[cluster].devices[1] = sailfish_xgw_h::XgwH::with_defaults();
+        region.hw[cluster].wipe_device(1);
         let findings = region
             .controller
             .check_consistency(&region.plan, &region.hw);
@@ -779,6 +751,65 @@ mod tests {
         // Loop pipes both carry traffic.
         let (p1, p3) = report.loop_pipe_bps[0];
         assert!(p1 > 0.0 && p3 > 0.0);
+    }
+
+    #[test]
+    fn a_region_without_software_nodes_never_panics() {
+        let topology = Topology::generate(TopologyConfig::default());
+        let config = RegionConfig {
+            sw_nodes: 0,
+            capacity: ClusterCapacity {
+                max_routes: 600,
+                max_vms: 3_000,
+            },
+            ..RegionConfig::default()
+        };
+        let devices = config.devices_per_cluster;
+        let mut region = Region::build(&topology, config).unwrap();
+        let flows = generate_flows(
+            &topology,
+            &WorkloadConfig {
+                flows: 3_000,
+                internet_share: 0.2,
+                ..WorkloadConfig::default()
+            },
+        );
+        // Punted flows have no software node to go to.
+        let report = region.offer(&flows, 1.0);
+        assert!(report.unrouted_pps > 0.0);
+        assert_eq!(report.punted_pps, 0.0);
+        // Nor do flows whose cluster has lost every device.
+        let (flow, cluster) = flows
+            .iter()
+            .find_map(|f| match region.classify(f) {
+                FlowPath::Hw { cluster, .. } => Some((f, cluster)),
+                _ => None,
+            })
+            .unwrap();
+        for device in 0..devices {
+            region.hw[cluster].take_device_offline(device);
+        }
+        assert_eq!(region.classify(flow), FlowPath::Unrouted);
+    }
+
+    #[test]
+    fn an_empty_x86_fleet_loses_everything_without_panicking() {
+        let topology = Topology::generate(TopologyConfig::default());
+        let flows = generate_flows(&topology, &WorkloadConfig::default());
+        let region = X86Region::new(0, 16, XgwX86Config::default()).unwrap();
+        let report = region.offer(&flows, 1.0);
+        assert!(report.node_reports.is_empty());
+        assert!(report.offered_pps > 0.0);
+        assert_eq!(report.loss_ratio(), 1.0);
+    }
+
+    #[test]
+    fn default_snat_pool_is_the_documentation_range() {
+        let pool = RegionConfig::default().snat.public_ips;
+        assert_eq!(pool, SNAT_PUBLIC_IPS.map(std::net::IpAddr::from));
+        assert!(SNAT_PUBLIC_IPS
+            .iter()
+            .all(|ip| ip.octets()[..3] == [203, 0, 113]));
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!                └────────rollback──────────┴──▶ RolledBack
 //! ```
 //!
-//! - **Announce** — the destination cluster (and its 1:1 backup) stages
-//!   and verifies the moving VNIs' tables through the same two-phase
-//!   push discipline as [`Controller::install_with`]: static
+//! - **Announce** — the destination cluster (and its 1:1 backup) gets an
+//!   image holding its planned VNIs plus the moving ones, through the
+//!   same two-phase push as [`Controller::install_with`]: static
 //!   `sailfish-verify` gate first, then push → consistency-check →
 //!   bounded retry with rollback. Traffic still flows to the old owner.
 //! - **Dual** — both owners hold the range; the directory hashes each
@@ -23,23 +23,24 @@
 //!   black-hole: whichever owner it lands on has the tables.
 //! - **Commit** — one atomic directory step retargets the VNIs (and the
 //!   split plan, so consistency checks follow the new owner).
-//! - **Drain** — the source (and its backup) frees SRAM/TCAM.
+//! - **Drain** — the source (and its backup) moves to an image without
+//!   the moved VNIs, freeing their SRAM/TCAM.
 //!
 //! Rollback is possible from every pre-commit state and leaves the
 //! region exactly as before the move began.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use sailfish_net::Vni;
 use sailfish_sim::faults::VirtualClock;
 use sailfish_sim::topology::Topology;
-use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
+use sailfish_xgw_h::HardwareTables;
 
-use crate::cluster::HwCluster;
-#[allow(unused_imports)] // referenced by intra-doc links
-use crate::controller::Controller;
+use crate::cluster::ImageBuilder;
 use crate::controller::{
-    ClusterCapacity, InstallError, InstallInjector, InstallPolicy, InstallReport, SplitPlan,
+    peer_leaders, vni_weights, ClusterCapacity, Controller, InstallError, InstallInjector,
+    InstallPolicy, InstallReport, Push, SplitPlan,
 };
 use crate::region::Region;
 
@@ -116,13 +117,6 @@ pub enum ReshardError {
     /// The two-phase push to the destination failed for good; the
     /// destination was left clean.
     Install(InstallError),
-    /// After draining, the source still holds entries for a moved VNI.
-    DrainIncomplete {
-        /// The source cluster.
-        cluster: usize,
-        /// Entries still present.
-        remaining: usize,
-    },
 }
 
 impl core::fmt::Display for ReshardError {
@@ -149,9 +143,6 @@ impl core::fmt::Display for ReshardError {
                 write!(f, "statically rejected by the world verifier: {detail}")
             }
             ReshardError::Install(e) => write!(f, "destination push: {e}"),
-            ReshardError::DrainIncomplete { cluster, remaining } => {
-                write!(f, "source {cluster} still holds {remaining} entries")
-            }
         }
     }
 }
@@ -179,21 +170,6 @@ pub struct VniMove {
     pub routes: usize,
     /// VM mappings the group carries.
     pub vms: usize,
-}
-
-/// Maps every VNI to its peer-group leader (peered VPCs are planned and
-/// moved as one indivisible group — see [`Controller::plan_split`]).
-fn peer_leaders(topology: &Topology) -> HashMap<Vni, Vni> {
-    let mut leader: HashMap<Vni, Vni> = HashMap::new();
-    for vpc in &topology.vpcs {
-        let mates = core::iter::once(vpc.vni).chain(vpc.peer);
-        let min = mates.clone().min().expect("non-empty");
-        for m in mates {
-            let entry = leader.entry(m).or_insert(min);
-            *entry = (*entry).min(min);
-        }
-    }
-    leader
 }
 
 /// The minimal set of moves turning `current` into `target`.
@@ -230,15 +206,7 @@ impl ReshardPlan {
             }
         }
 
-        // Per-VNI weights (route/VM entry counts).
-        let mut routes_per_vni: HashMap<Vni, usize> = HashMap::new();
-        for (key, _) in &topology.routes {
-            *routes_per_vni.entry(key.vni).or_default() += 1;
-        }
-        let mut vms_per_vni: HashMap<Vni, usize> = HashMap::new();
-        for vm in &topology.vms {
-            *vms_per_vni.entry(vm.vni).or_default() += 1;
-        }
+        let weights = vni_weights(topology);
 
         // Group members by leader, checking co-location in both splits.
         let leaders = peer_leaders(topology);
@@ -268,14 +236,10 @@ impl ReshardPlan {
             if cur == tgt || members.iter().any(|v| pinned.contains(v)) {
                 continue;
             }
-            let routes: usize = members
+            let (routes, vms) = members
                 .iter()
-                .map(|v| routes_per_vni.get(v).copied().unwrap_or(0))
-                .sum();
-            let vms: usize = members
-                .iter()
-                .map(|v| vms_per_vni.get(v).copied().unwrap_or(0))
-                .sum();
+                .filter_map(|v| weights.get(v))
+                .fold((0, 0), |(r, m), (wr, wm)| (r + wr, m + wm));
             let src = achieved.get_mut(cur).ok_or(ReshardError::UnknownCluster {
                 cluster: cur,
                 clusters,
@@ -317,46 +281,23 @@ impl ReshardPlan {
 
 /// Drives one [`VniMove`] through the make-before-break phases.
 #[derive(Debug, Clone)]
-pub struct MoveMachine {
+pub struct MoveMachine<'t> {
     /// The move being driven.
     pub mv: VniMove,
     /// Current phase.
     pub phase: MovePhase,
-    routes: Vec<(VxlanRouteKey, RouteTarget)>,
-    vms: Vec<(Vni, core::net::IpAddr, NcAddr)>,
-    /// Per-VNI route counts the destination must end up holding (sorted).
-    route_intent: Vec<(Vni, usize)>,
+    /// The topology the images are built from.
+    topology: &'t Topology,
 }
 
-impl MoveMachine {
-    /// Stages the concrete table entries for a move (pure planning; no
-    /// device is touched).
-    pub fn new(topology: &Topology, mv: VniMove) -> Self {
-        let members: BTreeSet<Vni> = mv.vnis.iter().copied().collect();
-        let routes: Vec<(VxlanRouteKey, RouteTarget)> = topology
-            .routes
-            .iter()
-            .filter(|(key, _)| members.contains(&key.vni))
-            .map(|(key, target)| (*key, *target))
-            .collect();
-        let vms: Vec<(Vni, core::net::IpAddr, NcAddr)> = topology
-            .vms
-            .iter()
-            .filter(|vm| members.contains(&vm.vni))
-            .map(|vm| (vm.vni, vm.ip, vm.nc))
-            .collect();
-        let mut intent: HashMap<Vni, usize> = HashMap::new();
-        for (key, _) in &routes {
-            *intent.entry(key.vni).or_default() += 1;
-        }
-        let mut route_intent: Vec<(Vni, usize)> = intent.into_iter().collect();
-        route_intent.sort();
+impl<'t> MoveMachine<'t> {
+    /// A machine for `mv` over `topology` (pure planning; no device is
+    /// touched).
+    pub fn new(topology: &'t Topology, mv: VniMove) -> Self {
         MoveMachine {
             mv,
             phase: MovePhase::Planned,
-            routes,
-            vms,
-            route_intent,
+            topology,
         }
     }
 
@@ -371,115 +312,31 @@ impl MoveMachine {
         }
     }
 
-    /// Two-phase push of the staged entries onto one physical cluster,
-    /// mirroring [`Controller::install_with`]'s retry discipline: verify
-    /// per device after every push, roll back anything partial, back off
-    /// exponentially in virtual time, give up after `max_attempts`.
-    fn push_cluster(
-        &self,
-        hw: &mut HwCluster,
-        cluster: usize,
-        clock: &mut VirtualClock,
-        policy: &InstallPolicy,
-        injector: &mut InstallInjector<'_>,
-    ) -> Result<InstallReport, ReshardError> {
-        use sailfish_sim::faults::InstallFault;
-        let base_vms: Vec<usize> = hw.devices.iter().map(|d| d.tables.vm_nc.len()).collect();
-        let verify = |hw: &HwCluster| {
-            hw.devices.iter().enumerate().all(|(device, dev)| {
-                dev.tables.vm_nc.len() == base_vms[device] + self.vms.len()
-                    && self
-                        .route_intent
-                        .iter()
-                        .all(|(vni, expected)| hw.route_entries_for(device, *vni) == *expected)
+    /// The image `cluster` holds under the region's plan, with the
+    /// moving VNIs when `with_move`.
+    fn image(&self, region: &Region, cluster: usize, with_move: bool) -> Arc<HardwareTables> {
+        let vpcs: Vec<usize> = (0..)
+            .zip(&self.topology.vpcs)
+            .filter(|(_, vpc)| {
+                (with_move && self.mv.vnis.binary_search(&vpc.vni).is_ok())
+                    || region.plan.assignments.get(&vpc.vni) == Some(&cluster)
             })
-        };
-        let apply = |hw: &mut HwCluster,
-                     routes: &[(VxlanRouteKey, RouteTarget)],
-                     vms: &[(Vni, core::net::IpAddr, NcAddr)]|
-         -> Result<(), ReshardError> {
-            for (key, target) in routes {
-                hw.install_route(*key, *target)
-                    .map_err(|error| InstallError::Table { cluster, error })?;
-            }
-            for (vni, ip, nc) in vms {
-                hw.install_vm(*vni, *ip, *nc)
-                    .map_err(|error| InstallError::Table { cluster, error })?;
-            }
-            Ok(())
-        };
-        let rollback = |hw: &mut HwCluster,
-                        routes: &[(VxlanRouteKey, RouteTarget)],
-                        vms: &[(Vni, core::net::IpAddr, NcAddr)]| {
-            for (key, _) in routes {
-                hw.remove_route(key);
-            }
-            for (vni, ip, _) in vms {
-                hw.remove_vm(*vni, *ip);
-            }
-        };
-
-        let mut report = InstallReport::default();
-        let start_ns = clock.now_ns();
-        let mut attempt = 0u32;
-        loop {
-            report.attempts += 1;
-            match injector(cluster, attempt) {
-                Some(InstallFault::Timeout) => {
-                    clock.advance(policy.timeout_ns);
-                }
-                Some(InstallFault::Partial { fraction }) => {
-                    let nr = ((self.routes.len() as f64) * fraction) as usize;
-                    let nv = ((self.vms.len() as f64) * fraction) as usize;
-                    apply(hw, &self.routes[..nr], &self.vms[..nv])?;
-                    clock.advance(policy.push_ns_per_entry * (nr + nv) as u64);
-                    if verify(hw) {
-                        report.committed += 1;
-                        break;
-                    }
-                    rollback(hw, &self.routes[..nr], &self.vms[..nv]);
-                    report.rolled_back_entries += nr + nv;
-                }
-                None => {
-                    apply(hw, &self.routes, &self.vms)?;
-                    clock.advance(
-                        policy.push_ns_per_entry * (self.routes.len() + self.vms.len()) as u64,
-                    );
-                    if verify(hw) {
-                        report.committed += 1;
-                        break;
-                    }
-                    rollback(hw, &self.routes, &self.vms);
-                    report.rolled_back_entries += self.routes.len() + self.vms.len();
-                }
-            }
-            report.retries += 1;
-            attempt += 1;
-            if attempt >= policy.max_attempts {
-                return Err(ReshardError::Install(InstallError::RetriesExhausted {
-                    cluster,
-                    attempts: attempt,
-                    last_fault: injector(cluster, attempt).unwrap_or(InstallFault::Timeout),
-                }));
-            }
-            clock.advance(policy.backoff_ns(attempt - 1));
-        }
-        report.virtual_ns = clock.now_ns() - start_ns;
-        Ok(report)
+            .map(|(i, _)| i)
+            .collect();
+        Arc::new(ImageBuilder::new(self.topology, 0).build(&vpcs, region.config.alpm))
     }
 
-    /// Removes the staged entries from one physical cluster.
-    fn remove_from(&self, hw: &mut HwCluster) {
-        for (key, _) in &self.routes {
-            hw.remove_route(key);
-        }
-        for (vni, ip, _) in &self.vms {
-            hw.remove_vm(*vni, *ip);
+    /// Points `cluster` and its backup at `image`.
+    fn point(region: &mut Region, cluster: usize, image: &Arc<HardwareTables>) {
+        for c in std::iter::once(cluster).chain(region.backup_of(cluster)) {
+            if let Some(hw) = region.hw.get_mut(c) {
+                hw.point_all(image);
+            }
         }
     }
 
-    /// **Announce**: the destination cluster (and its backup) stages,
-    /// statically verifies and two-phase-pushes the moving tables.
+    /// **Announce**: the destination cluster (and its backup) statically
+    /// verifies and two-phase-pushes an image holding the moving tables.
     /// Traffic is untouched — the directory still points at the source.
     pub fn announce(
         &mut self,
@@ -510,50 +367,36 @@ impl MoveMachine {
             });
         }
 
+        let (to, routes, vms) = (self.mv.to, self.mv.routes, self.mv.vms);
+        let image = self.image(region, to, true);
         // Static gate before any push: the destination's devices must
         // legally hold current + moving load.
-        let config = sailfish_asic::TofinoConfig::tofino_64t();
-        let total_routes = region.hw[self.mv.to].route_entries() + self.routes.len();
-        let total_vms = region.hw[self.mv.to].vm_entries() + self.vms.len();
-        let verdict = sailfish_xgw_h::layout::verify_device_load(&config, total_routes, total_vms)
-            .map_err(|e| {
-                ReshardError::Install(InstallError::LayoutRejected {
-                    cluster: self.mv.to,
-                    detail: e.to_string(),
-                })
-            })?;
-        if !verdict.is_clean() {
-            let detail = verdict
-                .errors()
-                .map(|d| d.to_string())
-                .collect::<Vec<_>>()
-                .join("; ");
-            return Err(ReshardError::Install(InstallError::LayoutRejected {
-                cluster: self.mv.to,
-                detail,
-            }));
-        }
-
-        let mut report = self.push_cluster(
-            &mut region.hw[self.mv.to],
-            self.mv.to,
-            clock,
-            policy,
-            injector,
+        Controller::verify_load(
+            to,
+            region.hw[to].route_entries() + routes,
+            region.hw[to].vm_entries() + vms,
         )?;
-        if let Some(backup) = region.backup_of(self.mv.to) {
-            match self.push_cluster(&mut region.hw[backup], backup, clock, policy, injector) {
-                Ok(b) => {
-                    report.attempts += b.attempts;
-                    report.retries += b.retries;
-                    report.rolled_back_entries += b.rolled_back_entries;
-                    report.virtual_ns += b.virtual_ns;
-                }
+        let previous = region.hw[to].devices.clone();
+        let mut report = InstallReport::default();
+        for cluster in std::iter::once(to).chain(region.backup_of(to)) {
+            let Some(hw) = region.hw.get_mut(cluster) else {
+                continue;
+            };
+            let pushed = Push {
+                cluster,
+                slots: 0..hw.devices.len(),
+                image: &image,
+                routes,
+                vms,
+            }
+            .run(hw, clock, policy, injector);
+            match pushed {
+                Ok(pushed) => report.absorb(&pushed),
                 Err(e) => {
                     // Make-before-break means *make* everywhere or
                     // nothing: a failed backup push unwinds the primary.
-                    self.remove_from(&mut region.hw[self.mv.to]);
-                    return Err(e);
+                    region.hw[to].devices = previous;
+                    return Err(e.into());
                 }
             }
         }
@@ -591,32 +434,20 @@ impl MoveMachine {
         Ok(())
     }
 
-    /// **Drain**: the source cluster (and its backup) frees the moved
-    /// entries' SRAM/TCAM, then verifies nothing is left behind.
+    /// **Drain**: the source cluster (and its backup) moves to an image
+    /// without the moved entries, freeing their SRAM/TCAM.
     pub fn drain(&mut self, region: &mut Region) -> Result<(), ReshardError> {
         self.expect_phase(MovePhase::Committed, "drain")?;
-        self.remove_from(&mut region.hw[self.mv.from]);
-        if let Some(backup) = region.backup_of(self.mv.from) {
-            self.remove_from(&mut region.hw[backup]);
-        }
-        let devices = region.hw[self.mv.from].devices.len();
-        let remaining: usize = (0..devices)
-            .flat_map(|d| self.mv.vnis.iter().map(move |vni| (d, *vni)))
-            .map(|(d, vni)| region.hw[self.mv.from].route_entries_for(d, vni))
-            .sum();
-        if remaining > 0 {
-            return Err(ReshardError::DrainIncomplete {
-                cluster: self.mv.from,
-                remaining,
-            });
-        }
+        let image = self.image(region, self.mv.from, false);
+        Self::point(region, self.mv.from, &image);
         self.phase = MovePhase::Drained;
         Ok(())
     }
 
     /// Rolls back from any pre-commit phase: dual ownership (if entered)
-    /// is aborted and the destination (and its backup) drops the staged
-    /// tables. The region is exactly as before `announce`.
+    /// is aborted and the destination (and its backup) returns to an
+    /// image of its planned VNIs. The region is exactly as before
+    /// `announce`.
     pub fn rollback(&mut self, region: &mut Region) -> Result<(), ReshardError> {
         match self.phase {
             MovePhase::Announced | MovePhase::Dual => {}
@@ -632,10 +463,8 @@ impl MoveMachine {
                 region.directory.abort_dual(*vni);
             }
         }
-        self.remove_from(&mut region.hw[self.mv.to]);
-        if let Some(backup) = region.backup_of(self.mv.to) {
-            self.remove_from(&mut region.hw[backup]);
-        }
+        let image = self.image(region, self.mv.to, false);
+        Self::point(region, self.mv.to, &image);
         self.phase = MovePhase::RolledBack;
         Ok(())
     }

@@ -21,7 +21,7 @@
 //! [`CapacityModel`]: sailfish_asic::CapacityModel
 //! [`ReshardPlan`]: crate::reshard::ReshardPlan
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use sailfish_asic::verify::world::{
     self, CapacityModel, CapacityVerdict, TransitionPlan, WorldModel, WorldMove, WorldOptions,
@@ -31,7 +31,7 @@ use sailfish_asic::TofinoConfig;
 use sailfish_net::Vni;
 use sailfish_sim::Topology;
 
-use crate::controller::SplitPlan;
+use crate::controller::{vni_weights, SplitPlan};
 use crate::region::Region;
 use crate::reshard::VniMove;
 
@@ -82,18 +82,6 @@ impl CapacityModel for DeviceLoadCapacity {
     }
 }
 
-/// Per-VNI `(routes, vms)` weights of a topology, sorted by VNI.
-fn weights(topology: &Topology) -> BTreeMap<Vni, (usize, usize)> {
-    let mut w: BTreeMap<Vni, (usize, usize)> = BTreeMap::new();
-    for (key, _) in &topology.routes {
-        w.entry(key.vni).or_default().0 += 1;
-    }
-    for vm in &topology.vms {
-        w.entry(vm.vni).or_default().1 += 1;
-    }
-    w
-}
-
 /// Lifts a staged install — a topology about to be pushed under a
 /// [`SplitPlan`] — into a [`WorldModel`]. Every entry-carrying VNI is a
 /// unit; a VNI the plan does not assign stays unowned, so the world pass
@@ -101,7 +89,7 @@ fn weights(topology: &Topology) -> BTreeMap<Vni, (usize, usize)> {
 /// panic on the missing assignment.
 pub fn staged_world(topology: &Topology, plan: &SplitPlan, label: &str) -> WorldModel {
     let mut model = WorldModel::new(label, plan.clusters_needed());
-    let w = weights(topology);
+    let w = vni_weights(topology);
     for (vni, (routes, vms)) in &w {
         let id = unit_of(*vni);
         match plan.assignments.get(vni) {

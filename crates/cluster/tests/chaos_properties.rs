@@ -163,7 +163,7 @@ fn probes_pass_after_every_recovery_sequence() {
                 _ => {
                     // Silent corruption, then the documented repair:
                     // offline → two-phase reinstall → probe gate.
-                    region.hw[cluster].devices[device].wipe_tables();
+                    region.hw[cluster].wipe_device(device);
                     failover::fail_device(&mut region, cluster, device).unwrap();
                     let plan = region.plan.clone();
                     let mut clock = VirtualClock::new();

@@ -82,7 +82,7 @@ fn region_decision(
     let Ok(device) = region.hw[cluster].device_for(&flow.tuple) else {
         return PathDecision::from_software(&fallback.process(&packet, now_ns));
     };
-    match device_view(&region.hw[cluster].devices[device].tables, flow) {
+    match device_view(&region.hw[cluster].devices[device], flow) {
         DeviceView::Terminal(d) => d,
         DeviceView::Punt => PathDecision::from_software(&fallback.process(&packet, now_ns)),
     }
@@ -123,7 +123,7 @@ fn assert_replicas_agree(region: &Region, flows: &[Flow]) {
         let views: Vec<DeviceView> = region.hw[cluster]
             .devices
             .iter()
-            .map(|d| device_view(&d.tables, flow))
+            .map(|d| device_view(d, flow))
             .collect();
         for (d, view) in views.iter().enumerate().skip(1) {
             assert_eq!(

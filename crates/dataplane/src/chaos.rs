@@ -38,7 +38,7 @@ use sailfish_asic::verify::world::{
     trusted_certificate, verify_plan, EntryBudget, MoveStage, TransitionPlan, WorldModel,
     WorldMove, WorldOptions,
 };
-use sailfish_cluster::controller::InstallPolicy;
+use sailfish_cluster::controller::{peer_anchor, InstallPolicy, SplitPlan};
 use sailfish_cluster::monitor::{evaluate_tier_shares, Alert, WaterLevels};
 use sailfish_net::Vni;
 use sailfish_sim::faults::{FaultEvent, FaultKind, FaultSchedule, InstallFault};
@@ -440,18 +440,19 @@ pub fn run_schedule(
 
     // Plan-time gate over the scripted moves: each migration is verified
     // against the abstract anchor world (one unit per peer-group anchor,
-    // home `anchor % clusters` — the epoch builder's own rule; with zero
-    // clusters no anchor has a home) before it may reach a published
-    // world. A rejected move is excluded from the replay unless
-    // `cfg.replay_rejected` deliberately lets it through (the soundness
-    // differential's ungated arm).
+    // homed by `SplitPlan::by_anchor` — the epoch builder's own
+    // placement; with zero clusters no anchor has a home) before it may
+    // reach a published world. A rejected move is excluded from the
+    // replay unless `cfg.replay_rejected` deliberately lets it through
+    // (the soundness differential's ungated arm).
     let mut rejected = vec![false; cfg.reshard.len()];
     let mut static_rejects: Vec<StaticReject> = Vec::new();
     if !cfg.reshard.is_empty() {
         let mut anchor_world = WorldModel::new("chaos-anchors", clusters);
         let anchors: BTreeSet<Vni> = anchor_of.values().copied().collect();
+        let plan = SplitPlan::by_anchor(topology, clusters);
         for anchor in &anchors {
-            if let Some(home) = (anchor.value() as usize).checked_rem(clusters) {
+            if let Some(&home) = plan.assignments.get(anchor) {
                 anchor_world.add_unit(u64::from(anchor.value()), 1, 1, home);
             }
         }
@@ -855,7 +856,7 @@ fn flow_pool(
     let anchor_of = topology
         .vpcs
         .iter()
-        .map(|vpc| (vpc.vni, vpc.peer.map_or(vpc.vni, |peer| vpc.vni.min(peer))))
+        .map(|vpc| (vpc.vni, peer_anchor(vpc)))
         .collect();
     (flows, frames, anchor_of)
 }
@@ -864,9 +865,9 @@ fn flow_pool(
 /// owners under the dual-window flow-hash parity, best first — so
 /// dual-window assertions (and scripted-move arms) always observe
 /// traffic on both sides. Each comes with its home cluster under the
-/// epoch builder's `anchor % clusters` rule; with zero clusters no anchor
-/// has a home and the list is empty. Deterministic for a given topology
-/// and traffic seed.
+/// epoch builder's [`SplitPlan::by_anchor`] placement; with zero
+/// clusters no anchor has a home and the list is empty. Deterministic
+/// for a given topology and traffic seed.
 pub fn ranked_anchors(
     topology: &Topology,
     cfg: &ChaosConfig,
@@ -893,9 +894,10 @@ pub fn ranked_anchors(
     }
     let mut ranked: Vec<(Vni, (usize, usize))> = parity.into_iter().collect();
     ranked.sort_by_key(|&(a, (even, odd))| std::cmp::Reverse((even.min(odd), even + odd, a)));
+    let plan = SplitPlan::by_anchor(topology, clusters);
     ranked
         .into_iter()
-        .filter_map(|(a, _)| Some((a, (a.value() as usize).checked_rem(clusters)?)))
+        .filter_map(|(a, _)| Some((a, *plan.assignments.get(&a)?)))
         .take(n)
         .collect()
 }

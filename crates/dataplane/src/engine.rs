@@ -247,7 +247,7 @@ mod tests {
                 assert_eq!(silent, action, "a sink changed the decision");
                 assert_eq!(
                     walk(&g.tables, &p, &mut TableCounters::default()),
-                    g.classify(&p)
+                    silent.into_decision(&p)
                 );
 
                 let c = &priced.counters;

@@ -24,13 +24,13 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use sailfish_cluster::lb::{pick_owner, EcmpGroup, VniDirectory};
-use sailfish_net::hash::MixMap;
+use sailfish_cluster::cluster::ImageBuilder;
+use sailfish_cluster::controller::{peer_anchor, SplitPlan};
+use sailfish_cluster::lb::{EcmpGroup, VniDirectory};
 use sailfish_net::rss::Toeplitz;
-use sailfish_net::{FiveTuple, IpPrefix, Vni};
-use sailfish_sim::topology::{VmRecord, Vpc};
+use sailfish_net::{FiveTuple, Vni};
 use sailfish_sim::Topology;
-use sailfish_tables::types::{NcAddr, RouteTarget, VmKey};
+use sailfish_tables::alpm::AlpmConfig;
 use sailfish_xgw_h::tables::HardwareTables;
 
 use crate::cache::FlowOutcome;
@@ -171,63 +171,45 @@ impl EpochState {
         Self::build_with_world(topology, config, epoch, &WorldView::healthy())
     }
 
-    /// Builds a region state under a degraded [`WorldView`]. This is the
-    /// staging half of an install: the state is assembled off to the side
-    /// and only becomes visible via [`EpochCell::publish`].
-    ///
-    /// The build is staged so that every table is built once, from one
-    /// contiguous run, while it is the only thing in cache:
-    ///
-    /// 1. **Place** — one pass over the VPCs decides which cluster serves
-    ///    each and which second cluster holds its tables during a live
-    ///    move, filling the directory and a member list per cluster.
-    /// 2. **Group** — the routes are bucketed by owning VPC (a stable
-    ///    counting sort, so each per-VNI table receives its routes in
-    ///    topology order and its ALPM carves exactly as route-by-route
-    ///    insertion would); a VPC's VMs are already contiguous
-    ///    ([`sailfish_sim::topology::Vpc::vm_range`]).
-    /// 3. **Fill** — cluster by cluster, VPC by VPC: one
-    ///    [`sailfish_xgw_h::tables::HwRoutingTable::install_vni`] per
-    ///    VPC, then the cluster's whole VM run in one
-    ///    [`HardwareTables::load_vms`].
-    ///
-    /// It never panics on a degenerate input. With no clusters, or no
-    /// devices in them, nothing is placed: the directory stays empty,
-    /// [`EpochState::steer`] finds no cluster and every VNI default-routes
-    /// to the software tier. Devices beyond `ecmp_max` stay out of their
-    /// cluster's group. A VM run the table refuses (a VM listed twice)
-    /// leaves that cluster without on-chip VM mappings — its packets punt
-    /// to x86, none black-holes.
+    /// Builds a region state under a degraded [`WorldView`], placed by
+    /// [`SplitPlan::by_anchor`]. This is the staging half of an install:
+    /// the state is assembled off to the side and only becomes visible
+    /// via [`EpochCell::publish`].
     pub fn build_with_world(
         topology: &Topology,
         config: &DataplaneConfig,
         epoch: u64,
         world: &WorldView,
     ) -> Self {
+        let plan = SplitPlan::by_anchor(topology, config.clusters);
+        Self::build_planned(topology, config, epoch, world, &plan)
+    }
+
+    /// Builds a region state placed by `plan`, in two stages:
+    ///
+    /// 1. **Place** — one pass over the VPCs decides which cluster serves
+    ///    each and which second cluster holds its tables during a live
+    ///    move, filling the directory and a member list per cluster.
+    /// 2. **Fill** — cluster by cluster, one image from its members,
+    ///    through the same [`ImageBuilder`] the region's controller
+    ///    installs with.
+    ///
+    /// It never panics on a degenerate input. With no clusters, or no
+    /// devices in them, nothing is placed: the directory stays empty,
+    /// [`EpochState::steer`] finds no cluster and every VNI default-routes
+    /// to the software tier. A VPC the plan puts past `config.clusters`
+    /// has no tables and is served by x86. Devices beyond `ecmp_max`
+    /// stay out of their cluster's group.
+    pub fn build_planned(
+        topology: &Topology,
+        config: &DataplaneConfig,
+        epoch: u64,
+        world: &WorldView,
+        plan: &SplitPlan,
+    ) -> Self {
         let mut directory = VniDirectory::new();
-        let owners = place_vpcs(topology, config, world, &mut directory);
-
-        // What each cluster is about to receive: its VPCs, in topology
-        // order.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.clusters];
-        for (i, owner) in owners.iter().enumerate() {
-            let Some((primary, extra)) = *owner else {
-                continue;
-            };
-            for c in std::iter::once(primary).chain(extra) {
-                // An owner outside the cluster set has no tables: x86
-                // serves it.
-                if let Some(vpcs) = members.get_mut(c) {
-                    vpcs.push(i);
-                }
-            }
-        }
-        let routes = RouteRuns::group(topology);
-
-        // One run buffer for every cluster, with room for any of them
-        // (untouched room costs nothing).
-        let mut vm_run: Vec<(VmKey, NcAddr)> = Vec::with_capacity(topology.vms.len());
-        let stride = config.hw_vm_stride.max(1);
+        let members = place_vpcs(topology, config, world, plan, &mut directory);
+        let mut builder = ImageBuilder::new(topology, config.hw_vm_stride);
         let clusters: Vec<ClusterTables> = members
             .into_iter()
             .enumerate()
@@ -241,26 +223,11 @@ impl EpochState {
                         break; // the group is at its cap
                     }
                 }
-                let mut tables = HardwareTables::default();
-                if !world.wiped_clusters.contains(&c) {
-                    tables.routes.reserve_vnis(vpcs.len());
-                    vm_run.clear();
-                    for i in vpcs {
-                        let Some(vpc) = topology.vpcs.get(i) else {
-                            continue;
-                        };
-                        // Prefixes are canonical by type; nothing here
-                        // can be refused.
-                        let _ = tables.routes.install_vni(vpc.vni, routes.of(i));
-                        vm_run.extend(
-                            on_chip_vms(topology, vpc, stride)
-                                .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc)),
-                        );
-                    }
-                    // A refused run (a VM listed twice) leaves the plane
-                    // empty: the cluster's VM lookups miss and punt.
-                    let _ = tables.load_vms(&vm_run);
-                }
+                let tables = if world.wiped_clusters.contains(&c) {
+                    HardwareTables::default()
+                } else {
+                    builder.build(&vpcs, AlpmConfig::default())
+                };
                 ClusterTables {
                     epoch_tag: epoch,
                     tables,
@@ -304,17 +271,10 @@ impl EpochState {
         devices_per_cluster: usize,
         counters: &mut TableCounters,
     ) -> Option<Steer<'_>> {
-        let primary = self.directory.cluster_for(vni)?;
-        let idx = match self.directory.dual_of(vni) {
-            Some(secondary) => {
-                let owner = pick_owner(owner_hash, tuple, primary, secondary);
-                if owner != primary {
-                    counters.dual_owner_packets += 1;
-                }
-                owner
-            }
-            None => primary,
-        };
+        let (idx, secondary) = self.directory.owner(owner_hash, vni, tuple)?;
+        if secondary {
+            counters.dual_owner_packets += 1;
+        }
         let cluster = self.clusters.get(idx)?;
         if cluster.epoch_tag != self.epoch {
             counters.epoch_violations += 1;
@@ -366,29 +326,29 @@ impl EpochState {
     }
 }
 
-/// Stage one of a build: the `(primary owner, second table holder)` of
-/// every VPC, `None` where the VPC has no hardware service, with the
-/// directory filled to match. VNIs are assigned so peered VPCs co-locate
-/// (their chains must resolve without leaving the cluster). During a
-/// live move both owners carry the group's tables so either can serve a
-/// flow; outside a move the pair is just `(home, None)`.
+/// Stage one of a build: what each cluster is about to receive — its
+/// VPCs, in topology order — with the directory filled to match. Home
+/// clusters come from `plan`; a live move is keyed by the VPC's
+/// peer-group anchor, and during it both owners carry the group's tables
+/// so either can serve a flow.
 fn place_vpcs(
     topology: &Topology,
     config: &DataplaneConfig,
     world: &WorldView,
+    plan: &SplitPlan,
     directory: &mut VniDirectory,
-) -> Vec<Option<(usize, Option<usize>)>> {
-    let place = |vpc: &Vpc| {
-        if config.devices_per_cluster == 0 {
-            return None; // nothing could serve it
-        }
-        let anchor = match vpc.peer {
-            Some(peer) => vpc.vni.min(peer),
-            None => vpc.vni,
-        };
+) -> Vec<Vec<usize>> {
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); config.clusters];
+    if config.devices_per_cluster == 0 {
+        return members; // nothing could serve a VPC
+    }
+    let unassigned = |c: &usize| world.unassigned_clusters.contains(c);
+    for (i, vpc) in topology.vpcs.iter().enumerate() {
         // No clusters, no home.
-        let home = (anchor.value() as usize).checked_rem(config.clusters)?;
-        let (primary, dual, extra) = match world.moves.get(&anchor) {
+        let Some(&home) = plan.assignments.get(&vpc.vni) else {
+            continue;
+        };
+        let (primary, dual, extra) = match world.moves.get(&peer_anchor(vpc)) {
             Some(mv) => match mv.phase {
                 MovePhase::Announce => (mv.from, None, Some(mv.to)),
                 MovePhase::Dual => (mv.from, Some(mv.to), Some(mv.to)),
@@ -397,106 +357,23 @@ fn place_vpcs(
             },
             None => (home, None, None),
         };
-        if world.unassigned_clusters.contains(&primary) {
-            return None; // the VNI falls back to the software tier
+        if unassigned(&primary) {
+            continue; // the VNI falls back to the software tier
         }
         directory.assign(vpc.vni, primary);
-        if let Some(s) = dual {
-            if s != primary && !world.unassigned_clusters.contains(&s) {
-                directory.begin_dual(vpc.vni, s);
+        if let Some(s) = dual.filter(|s| *s != primary && !unassigned(s)) {
+            directory.begin_dual(vpc.vni, s);
+        }
+        let extra = extra.filter(|c| *c != primary && !unassigned(c));
+        for c in std::iter::once(primary).chain(extra) {
+            // An owner outside the cluster set has no tables: x86 serves
+            // it.
+            if let Some(vpcs) = members.get_mut(c) {
+                vpcs.push(i);
             }
-        }
-        let extra = extra.filter(|c| *c != primary && !world.unassigned_clusters.contains(c));
-        Some((primary, extra))
-    };
-    topology.vpcs.iter().map(place).collect()
-}
-
-/// The VM mappings of one VPC that go on-chip: every one but each
-/// `stride`-th of the region's, which stays on x86.
-fn on_chip_vms<'a>(
-    topology: &'a Topology,
-    vpc: &Vpc,
-    stride: usize,
-) -> impl Iterator<Item = &'a VmRecord> {
-    let (start, end) = vpc.vm_range;
-    let vms = topology.vms.get(start..end).unwrap_or(&[]);
-    (start..)
-        .zip(vms)
-        .filter(move |(i, _)| i % stride != 0)
-        .map(|(_, vm)| vm)
-}
-
-/// Stage two of a build: the topology's routes bucketed by owning VPC,
-/// each bucket in topology order.
-struct RouteRuns {
-    /// `starts[v]..starts[v + 1]` is VPC `v`'s stretch of `runs`; the
-    /// stretch after the last VPC's holds the routes of unknown VNIs.
-    starts: Vec<usize>,
-    runs: Vec<(IpPrefix, RouteTarget)>,
-}
-
-impl RouteRuns {
-    fn group(topology: &Topology) -> Self {
-        let unknown = topology.vpcs.len();
-        let mut index: MixMap<Vni, usize> = MixMap::default();
-        index.reserve(unknown);
-        for (i, vpc) in topology.vpcs.iter().enumerate() {
-            index.insert(vpc.vni, i);
-        }
-        // A VPC's routes mostly arrive back to back: remember the last
-        // answer and probe the index once per stretch.
-        let mut last = None;
-        let vpc_of: Vec<usize> = topology
-            .routes
-            .iter()
-            .map(|(key, _)| match last {
-                Some((vni, vpc)) if vni == key.vni => vpc,
-                _ => {
-                    let vpc = index.get(&key.vni).copied().unwrap_or(unknown);
-                    last = Some((key.vni, vpc));
-                    vpc
-                }
-            })
-            .collect();
-
-        // Stable counting sort.
-        let mut starts = vec![0usize; unknown + 2];
-        for vpc in &vpc_of {
-            if let Some(n) = starts.get_mut(vpc + 1) {
-                *n += 1;
-            }
-        }
-        let mut seen = 0;
-        for n in &mut starts {
-            seen += *n;
-            *n = seen;
-        }
-        let mut next = starts.clone();
-        let mut order = vec![0usize; vpc_of.len()];
-        for (route, vpc) in vpc_of.into_iter().enumerate() {
-            if let Some(n) = next.get_mut(vpc) {
-                if let Some(slot) = order.get_mut(*n) {
-                    *slot = route;
-                }
-                *n += 1;
-            }
-        }
-        let runs = order
-            .into_iter()
-            .filter_map(|route| topology.routes.get(route))
-            .map(|(key, target)| (key.prefix, *target))
-            .collect();
-        RouteRuns { starts, runs }
-    }
-
-    /// VPC `vpc`'s routes, as its routing table takes them.
-    fn of(&self, vpc: usize) -> &[(IpPrefix, RouteTarget)] {
-        match (self.starts.get(vpc), self.starts.get(vpc + 1)) {
-            (Some(&from), Some(&to)) => self.runs.get(from..to).unwrap_or(&[]),
-            _ => &[],
         }
     }
+    members
 }
 
 /// The swap point between the control plane and the packet workers.

@@ -47,6 +47,7 @@ pub struct DataplaneConfig {
     pub ecmp_max: usize,
     /// Every `hw_vm_stride`-th VM mapping stays off-chip (volatile or
     /// mid-migration entries served by x86) — the NoVmMapping punt source.
+    /// 0 keeps every mapping on chip, as the region model does.
     pub hw_vm_stride: usize,
     /// Punt meter rate. Generous by default so deterministic runs and the
     /// oracle never hit the limiter; benches can tighten it.

@@ -68,11 +68,6 @@ impl VmNcTable {
         (v.copied(), trace)
     }
 
-    /// Removes a VM (migration or release).
-    pub fn remove(&mut self, vni: Vni, vm_ip: IpAddr) -> Option<NcAddr> {
-        self.inner.remove(&VmKey::new(vni, vm_ip))
-    }
-
     /// Digest-compression statistics (main vs conflict entries).
     pub fn digest_stats(&self) -> DigestStats {
         self.inner.stats()
@@ -162,16 +157,6 @@ mod tests {
             ),
             Err(Error::Duplicate)
         );
-    }
-
-    #[test]
-    fn vm_migration_remove_then_insert() {
-        let mut t = fig2_table();
-        let vni = Vni::from_const(100);
-        let ip: IpAddr = "192.168.10.2".parse().unwrap();
-        assert_eq!(t.remove(vni, ip), Some(nc("10.1.1.11")));
-        t.insert(vni, ip, nc("10.1.1.44")).unwrap();
-        assert_eq!(t.lookup(vni, ip), Some(nc("10.1.1.44")));
     }
 
     #[test]

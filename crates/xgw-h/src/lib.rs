@@ -19,6 +19,10 @@
 //! - per-pipe and punt statistics feeding Figs 20–22.
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()` (see clippy.toml `disallowed-methods`);
+// CI's `-D warnings` escalates this to deny. Test builds carry `cfg(test)`
+// and keep their unwraps.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod layout;
 pub mod program;

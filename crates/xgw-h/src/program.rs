@@ -297,15 +297,6 @@ impl XgwH {
         self.stats = XgwHStats::default();
     }
 
-    /// Drops every installed table entry, keeping the ALPM configuration,
-    /// the punt meter and the runtime counters. This is the memory-loss
-    /// failure mode the §6.1 consistency checker exists to catch (and the
-    /// first step of a controller-driven table rebuild): the device keeps
-    /// forwarding, but every lookup misses and punts to XGW-x86.
-    pub fn wipe_tables(&mut self) {
-        self.tables = HardwareTables::new(self.tables.routes.alpm_config());
-    }
-
     /// Which loop pipe the packet traverses: entries are split by VNI
     /// parity between Egress/Ingress Pipe 1 and Pipe 3 (Fig 14).
     pub fn loop_pipe_for(vni: Vni) -> usize {
@@ -326,10 +317,6 @@ impl XgwH {
         }
     }
 
-    fn walk(&self, packet: &GatewayPacket) -> Walked {
-        self.tables.walk(packet.vni, &packet.five_tuple(), &mut ())
-    }
-
     fn punt(&mut self, packet: &GatewayPacket, reason: PuntReason, now_ns: u64) -> HwDecision {
         let bytes = packet.wire_len();
         if self.punt_meter.offer(now_ns, bytes) {
@@ -345,13 +332,6 @@ impl XgwH {
         }
     }
 
-    /// Pure classification of one packet: the decision the folded program
-    /// would take, without touching counters or the punt meter. Used by
-    /// the fluid region simulation, which does its own rate accounting.
-    pub fn classify(&self, packet: &GatewayPacket) -> HwDecision {
-        self.walk(packet).into_decision(packet)
-    }
-
     /// Processes one packet through the folded program, updating per-pipe
     /// counters and charging the punt rate limiter.
     pub fn process(&mut self, packet: &GatewayPacket, now_ns: u64) -> HwDecision {
@@ -360,7 +340,7 @@ impl XgwH {
         let outer = Self::outer_pipe_for(packet);
         self.stats.pipe_packets[outer] += 1;
         self.stats.pipe_bytes[outer] += bytes;
-        let walked = self.walk(packet);
+        let walked = self.tables.walk(packet.vni, &packet.five_tuple(), &mut ());
 
         // Step 2 accounting: the loop pipe chosen by VNI parity carries
         // everything that got past the ACL.

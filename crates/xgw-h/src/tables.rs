@@ -91,16 +91,6 @@ impl HwRoutingTable {
         Ok(())
     }
 
-    /// Removes a route.
-    pub fn remove(&mut self, key: &VxlanRouteKey) -> Option<RouteTarget> {
-        let table = self.per_vni.get_mut(&key.vni)?;
-        let old = table.remove(&key.prefix);
-        if table.is_empty() {
-            self.per_vni.remove(&key.vni);
-        }
-        old
-    }
-
     /// The VNI's compressed table — the exact-match half of the key.
     pub fn table(&self, vni: Vni) -> Option<&PooledAlpm<RouteTarget>> {
         self.per_vni.get(&vni)
@@ -387,17 +377,6 @@ mod tests {
             Walked::DropLoop
         );
         assert_eq!(steps.0.len(), MAX_PEER_HOPS + 1);
-    }
-
-    #[test]
-    fn remove_cleans_empty_vni() {
-        let mut t = HwRoutingTable::default();
-        t.insert(key(5, "10.0.0.0/8"), RouteTarget::Local).unwrap();
-        assert_eq!(t.vnis().len(), 1);
-        assert_eq!(t.remove(&key(5, "10.0.0.0/8")), Some(RouteTarget::Local));
-        assert!(t.is_empty());
-        assert!(t.vnis().is_empty());
-        assert_eq!(t.len_for_vni(Vni::from_const(5)), 0);
     }
 
     #[test]

@@ -45,7 +45,10 @@ fn hardware_and_software_forwarders_agree() {
                 flow.tuple.dst_port,
             )
             .build();
-        let hw_decision = hw.classify(&packet);
+        let hw_decision = hw
+            .tables
+            .walk(packet.vni, &packet.five_tuple(), &mut ())
+            .into_decision(&packet);
         let sw_decision = sw.process(&packet, 0);
         match (&hw_decision, &sw_decision) {
             (HwDecision::ToNc { packet: hp, nc: hn }, Decision::ToNc { packet: sp, nc: sn }) => {

@@ -89,10 +89,10 @@ fn consistency_checker_localizes_faults_after_failover() {
     // Corrupt one backup device; the checker only inspects primaries, so
     // it stays clean — then corrupt a primary and it reports precisely.
     let primary_count = region.plan.clusters_needed();
-    region.hw[primary_count].devices[0] = XgwH::with_defaults();
+    region.hw[primary_count].wipe_device(0);
     // Note: backups are outside the plan's primary indices; simulate a
     // primary fault too.
-    region.hw[0].devices[2] = XgwH::with_defaults();
+    region.hw[0].wipe_device(2);
     let findings = region
         .controller
         .check_consistency(&region.plan, &region.hw);

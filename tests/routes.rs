@@ -33,10 +33,11 @@ fn process(
     let packet = GatewayPacketBuilder::new(vni, src, dst)
         .transport(IpProtocol::Tcp, 40000, 443)
         .build();
-    let (_, decision) = region.hw[cluster]
-        .process(&packet, 0)
-        .expect("devices online");
-    decision
+    let hw = &region.hw[cluster];
+    let device = hw.device_for(&packet.five_tuple()).expect("devices online");
+    hw.devices[device]
+        .walk(packet.vni, &packet.five_tuple(), &mut ())
+        .into_decision(&packet)
 }
 
 #[test]
