@@ -67,15 +67,15 @@ fn bench_hw_process(h: &mut Harness) {
 
 fn bench_sw_process(h: &mut Harness) {
     let mut group = h.group("xgw_x86");
-    let mut fwd = SoftwareForwarder::default();
+    let mut tables = SoftwareTables::default();
     for v in 0..64u32 {
         let vni = Vni::from_const(100 + v);
-        fwd.tables.routes.insert(
+        tables.routes.insert(
             VxlanRouteKey::new(vni, "10.0.0.0/8".parse::<IpPrefix>().unwrap()),
             RouteTarget::Local,
         );
         for hh in 0..16u8 {
-            fwd.tables
+            tables
                 .vm_nc
                 .insert(
                     vni,
@@ -85,6 +85,7 @@ fn bench_sw_process(h: &mut Harness) {
                 .unwrap();
         }
     }
+    let mut fwd = SoftwareForwarder::new(tables.into(), SnatConfig::default());
     let pkts = packets();
     group.throughput_elements(pkts.len() as u64);
     group.bench_function("process_256_packets", |b| {

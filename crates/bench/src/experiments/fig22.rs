@@ -24,7 +24,7 @@ pub fn run(_scale: Scale) -> ExperimentRecord {
         let ratio = report.punt_ratio();
         punt_ratio.push((day, ratio * 1000.0)); // in ‰
         max_ratio = max_ratio.max(ratio);
-        sw_loss = sw_loss.max(report.sw_dropped_pps);
+        sw_loss = sw_loss.max(report.sw.dropped_pps);
     }
     print_series("XGW-x86 packet rate (Gbps)", &punt_gbps, 16);
     print_series("XGW-x86 traffic ratio (permille)", &punt_ratio, 16);

@@ -23,7 +23,7 @@ pub fn run(_scale: Scale) -> ExperimentRecord {
     // A week of samples, 8 per day.
     let days = 8;
     let samples = 8;
-    let cores = region.nodes[hot_node].config().cores;
+    let cores = region.nodes[hot_node].engine.config().cores;
     let mut per_core: Vec<Series> = (0..cores)
         .map(|c| Series::new(format!("core-{c}")))
         .collect();

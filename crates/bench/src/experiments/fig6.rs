@@ -20,7 +20,8 @@ pub fn run(_scale: Scale) -> ExperimentRecord {
     for step in 0..days * samples {
         let day = step as f64 / samples as f64;
         let report = region.offer(&flows, festival_profile(day));
-        let utils = report.node_mean_utilization();
+        // Per-node average core utilization: the box-level balance.
+        let utils: Vec<f64> = report.node_reports.iter().map(|r| r.mean_utilization()).collect();
         for (n, u) in utils.iter().enumerate() {
             means[n] += u / (days * samples) as f64;
         }

@@ -9,7 +9,7 @@ use crate::table::print_table;
 
 pub fn run(_scale: Scale) -> ExperimentRecord {
     let topology = Topology::generate(TopologyConfig::default());
-    let region = X86Region::new(15, 16, XgwX86Config::default()).unwrap();
+    let region = SwCluster::new(15, 16, XgwX86Config::default(), SnatConfig::default()).unwrap();
 
     // Twelve "overload scenes": different seeds/heavy-hitter placements.
     let mut rows = Vec::new();

@@ -30,7 +30,7 @@ impl Scale {
 /// The XGW-x86-only region of Figs 4–6: 15 nodes behind a 16-way ECMP
 /// group, offered 60k Zipf flows (two 15 Gbps heavy hitters, mice capped
 /// at 2 Gbps) totalling `total_gbps` over the default topology.
-pub fn x86_festival_region(total_gbps: f64) -> (X86Region, Vec<Flow>) {
+pub fn x86_festival_region(total_gbps: f64) -> (SwCluster, Vec<Flow>) {
     let topology = Topology::generate(TopologyConfig::default());
     let flows = generate_flows(
         &topology,
@@ -44,7 +44,8 @@ pub fn x86_festival_region(total_gbps: f64) -> (X86Region, Vec<Flow>) {
             ..WorkloadConfig::default()
         },
     );
-    let region = X86Region::new(15, 16, XgwX86Config::default()).expect("15 nodes fit 16-way ECMP");
+    let region = SwCluster::new(15, 16, XgwX86Config::default(), SnatConfig::default())
+        .expect("15 nodes fit 16-way ECMP");
     (region, flows)
 }
 

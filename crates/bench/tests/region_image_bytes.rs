@@ -1,4 +1,4 @@
-//! Memory budget of a region's hardware clusters.
+//! Memory budget of a region's gateway clusters.
 //!
 //! The devices of a cluster "maintain the same table entries" (§4.3), so
 //! they share one table image, and a backup shares its primary's. At the
@@ -6,6 +6,11 @@
 //! clusters then hold four images, not 24 table copies. The entry-by-entry
 //! installer that kept one copy per device held 9.9 MiB here; the budget
 //! is a third of that.
+//!
+//! The four XGW-x86 fallback nodes likewise share one full-region image,
+//! and each SNAT table hands its port pool out lazily. One table set per
+//! node, each with its pool listed up front, held 23 537 568 bytes here;
+//! the budget is a quarter of that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,6 +18,7 @@ use std::cell::Cell;
 use sailfish_bench::scale;
 
 const BUDGET_BYTES: u64 = 9_900 * 1024 * 1024 / 1000 / 3;
+const SW_BUDGET_BYTES: u64 = 23_537_568 / 4;
 
 struct CountingAllocator;
 
@@ -71,4 +77,17 @@ fn region_clusters_hold_one_image_each() {
         held as f64 / (1024.0 * 1024.0)
     );
     assert!(held <= BUDGET_BYTES, "region.hw holds {held} bytes");
+}
+
+#[test]
+fn region_x86_fleet_holds_one_image() {
+    let (region, _flows) = scale::sailfish_region(0.0);
+    let before = LIVE_BYTES.with(Cell::get);
+    drop(region.sw);
+    let held = (before - LIVE_BYTES.with(Cell::get)) as u64;
+    println!(
+        "region.sw holds {held} bytes ({:.2} MiB), budget {SW_BUDGET_BYTES}",
+        held as f64 / (1024.0 * 1024.0)
+    );
+    assert!(held <= SW_BUDGET_BYTES, "region.sw holds {held} bytes");
 }

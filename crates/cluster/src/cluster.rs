@@ -6,19 +6,27 @@
 //! member VPCs by [`ImageBuilder`], and every device slot points at it:
 //! N devices, and a 1:1 backup, cost one table set. Traffic spreads by
 //! flow-hash ECMP.
+//!
+//! The XGW-x86 fleet, [`SwCluster`], has the same shape: every node
+//! points at one full-region image built by [`software_image`], and keeps
+//! only its own SNAT sessions.
 
 use std::sync::Arc;
 
 use sailfish_net::hash::MixMap;
 use sailfish_net::{FiveTuple, IpPrefix, Vni};
 use sailfish_sim::topology::{VmRecord, Vpc};
+use sailfish_sim::workload::Flow;
 use sailfish_sim::Topology;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::snat::SnatConfig;
-use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
+use sailfish_tables::types::{NcAddr, RouteTarget, VmKey};
+use sailfish_tables::vm_nc::VmNcTable;
 use sailfish_tables::Result as TableResult;
 use sailfish_xgw_h::HardwareTables;
-use sailfish_xgw_x86::{FluidEngine, SoftwareForwarder, SoftwareTables, XgwX86Config};
+use sailfish_xgw_x86::{
+    CoreLoadReport, FlowRate, FluidEngine, SoftwareForwarder, SoftwareTables, XgwX86Config,
+};
 
 use crate::lb::{EcmpGroup, LbError};
 
@@ -130,11 +138,6 @@ impl<'t> ImageBuilder<'t> {
             vm_stride,
             vm_run: Vec::with_capacity(topology.vms.len()),
         }
-    }
-
-    /// VPC `vpc`'s routes, in topology order.
-    pub fn routes_of(&self, vpc: usize) -> &[(IpPrefix, RouteTarget)] {
-        self.routes.of(vpc)
     }
 
     /// Builds the image of the VPCs `vpcs` (indices into
@@ -276,17 +279,38 @@ impl HwCluster {
     }
 }
 
+/// Builds the XGW-x86 table image of `topology` — the only way software
+/// tables are filled, for the region's fallback fleet and the packet
+/// path's fallback alike: every route in topology order, then every VM
+/// mapping bulk-loaded in one run, which refuses a VM listed twice.
+pub fn software_image(topology: &Topology) -> TableResult<SoftwareTables> {
+    let mut tables = SoftwareTables::default();
+    for (key, target) in &topology.routes {
+        tables.routes.insert(*key, *target);
+    }
+    let vms: Vec<_> = topology
+        .vms
+        .iter()
+        .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc))
+        .collect();
+    tables.vm_nc = VmNcTable::from_run(&vms)?;
+    Ok(tables)
+}
+
 /// One software fallback node: a DPDK box plus its forwarding state.
 #[derive(Debug)]
 pub struct SwNode {
     /// Multi-core capacity model.
     pub engine: FluidEngine,
-    /// The full software table set (incl. SNAT).
+    /// The fleet's shared table image and this node's SNAT sessions.
     pub forwarder: SoftwareForwarder,
 }
 
-/// The XGW-x86 fallback cluster: "four XGW-x86s for fallback traffic
-/// processing" (§4.2).
+/// A fleet of XGW-x86 gateways behind flow-hash ECMP: the pre-Sailfish
+/// baseline of Figs 4–7, and Sailfish's "four XGW-x86s for fallback
+/// traffic processing" (§4.2). Every node holds the full region tables,
+/// so every node points at one shared image; each keeps only its own
+/// SNAT sessions.
 #[derive(Debug)]
 pub struct SwCluster {
     /// Member nodes.
@@ -295,8 +319,31 @@ pub struct SwCluster {
     pub ecmp: EcmpGroup,
 }
 
+/// One interval of traffic offered to a [`SwCluster`].
+#[derive(Debug, Clone)]
+pub struct SwReport {
+    /// Per-node core reports.
+    pub node_reports: Vec<CoreLoadReport>,
+    /// Total offered packets/s, including traffic no node could take.
+    pub offered_pps: f64,
+    /// Total dropped packets/s (core overload, NIC, no node at all).
+    pub dropped_pps: f64,
+}
+
+impl SwReport {
+    /// The fleet's loss ratio.
+    pub fn loss_ratio(&self) -> f64 {
+        if self.offered_pps == 0.0 {
+            0.0
+        } else {
+            self.dropped_pps / self.offered_pps
+        }
+    }
+}
+
 impl SwCluster {
-    /// Builds the fallback cluster.
+    /// Builds a fleet of `nodes` gateways, every one pointing at the same
+    /// empty image, each with an empty SNAT table on the pool `snat`.
     pub fn new(
         nodes: usize,
         ecmp_max: usize,
@@ -304,52 +351,75 @@ impl SwCluster {
         snat: SnatConfig,
     ) -> Result<Self, LbError> {
         let mut ecmp = EcmpGroup::new(ecmp_max);
+        let empty = Arc::new(SoftwareTables::default());
         let mut list = Vec::with_capacity(nodes);
         for n in 0..nodes {
             ecmp.add(n)?;
             list.push(SwNode {
                 engine: FluidEngine::new(node_config.clone()),
-                forwarder: SoftwareForwarder::new(SoftwareTables::new(snat.clone())),
+                forwarder: SoftwareForwarder::new(Arc::clone(&empty), snat.clone()),
             });
         }
         Ok(SwCluster { nodes: list, ecmp })
     }
 
-    /// Installs a route on every node (software holds the full region
-    /// table).
-    pub fn install_route(&mut self, key: VxlanRouteKey, target: RouteTarget) {
+    /// Points every node at `image`. SNAT sessions stay where they are.
+    pub fn point_all(&mut self, image: &Arc<SoftwareTables>) {
         for n in &mut self.nodes {
-            n.forwarder.tables.routes.insert(key, target);
+            n.forwarder.tables = Arc::clone(image);
         }
     }
 
-    /// Installs a VM mapping on every node.
-    pub fn install_vm(&mut self, vni: Vni, ip: core::net::IpAddr, nc: NcAddr) -> TableResult<()> {
-        for n in &mut self.nodes {
-            n.forwarder.tables.vm_nc.insert(vni, ip, nc)?;
+    /// Offers one interval of traffic at a load `multiplier`: each flow
+    /// lands on its ECMP node, then on that node's RSS core.
+    pub fn offer(&self, flows: &[Flow], multiplier: f64) -> SwReport {
+        let mut per_node: Vec<Vec<FlowRate>> = vec![Vec::new(); self.nodes.len()];
+        let mut offered_pps = 0.0;
+        let mut unserved_pps = 0.0;
+        for flow in flows {
+            let pps = flow.pps * multiplier;
+            offered_pps += pps;
+            match self.ecmp.pick(&flow.tuple) {
+                Ok(node) => per_node[node].push(flow_rate(flow, pps)),
+                // No gateway at all: the traffic is lost.
+                Err(_) => unserved_pps += pps,
+            }
         }
-        Ok(())
+        let mut report = self.offer_rates(&per_node);
+        report.offered_pps = offered_pps;
+        report.dropped_pps += unserved_pps;
+        report
     }
 
-    /// Aggregate packet capacity of the cluster.
-    pub fn total_pps(&self) -> f64 {
-        self.nodes
-            .iter()
-            .map(|n| n.engine.config().total_pps())
-            .sum()
+    /// Offers rate lists already spread over the nodes (`per_node[n]` to
+    /// node `n`) and reports each node's core load.
+    pub fn offer_rates(&self, per_node: &[Vec<FlowRate>]) -> SwReport {
+        let node_reports: Vec<CoreLoadReport> = (self.nodes.iter().zip(per_node))
+            .map(|(node, rates)| node.engine.offer(rates))
+            .collect();
+        SwReport {
+            offered_pps: node_reports.iter().map(|r| r.offered_total_pps).sum(),
+            dropped_pps: (node_reports.iter())
+                .fold(0.0, |sum, r| sum + (r.dropped_pps + r.nic_dropped_pps)),
+            node_reports,
+        }
+    }
+}
+
+/// `flow` offered at `pps` packets/s, as the core model takes it.
+pub(crate) fn flow_rate(flow: &Flow, pps: f64) -> FlowRate {
+    FlowRate {
+        tuple: flow.tuple,
+        pps,
+        wire_bytes: flow.wire_bytes,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sailfish_net::IpPrefix;
     use sailfish_sim::TopologyConfig;
     use sailfish_xgw_h::Walked;
-
-    fn vni(v: u32) -> Vni {
-        Vni::from_const(v)
-    }
 
     /// A 4-device cluster pointing at the image of the topology's first
     /// VPC.
@@ -435,14 +505,14 @@ mod tests {
 
     #[test]
     fn sw_cluster_holds_full_tables() {
+        let topology = Topology::generate(TopologyConfig::default());
         let mut sw = SwCluster::new(4, 64, XgwX86Config::default(), SnatConfig::default()).unwrap();
-        sw.install_route(
-            VxlanRouteKey::new(vni(1), "0.0.0.0/0".parse::<IpPrefix>().unwrap()),
-            RouteTarget::InternetSnat,
-        );
+        let image = Arc::new(software_image(&topology).unwrap());
+        sw.point_all(&image);
         for n in &sw.nodes {
-            assert_eq!(n.forwarder.tables.routes.len(), 1);
+            assert!(Arc::ptr_eq(&n.forwarder.tables, &image));
         }
-        assert!((sw.total_pps() - 100e6).abs() < 1.0);
+        assert_eq!(image.routes.len(), topology.routes.len());
+        assert_eq!(image.vm_nc.len(), topology.vms.len());
     }
 }

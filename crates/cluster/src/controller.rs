@@ -9,8 +9,8 @@
 //!   memory",
 //! - **Installation** — building each cluster's table image from the
 //!   VPCs the plan gives it and pushing it to the cluster's devices, all
-//!   of which then share it, and the full region state to the XGW-x86
-//!   fallback cluster,
+//!   of which then share it, and pointing every XGW-x86 fallback node at
+//!   one full-region image ([`crate::cluster::software_image`]),
 //! - **Consistency checking** — "table entry inconsistency between the
 //!   controller and the gateways may occur during table population ...
 //!   periodic consistency checks are needed",
@@ -29,10 +29,9 @@ use sailfish_net::Vni;
 use sailfish_sim::faults::{InstallFault, VirtualClock};
 use sailfish_sim::metrics::Series;
 use sailfish_sim::topology::{Topology, Vpc};
-use sailfish_tables::types::VxlanRouteKey;
 use sailfish_xgw_h::HardwareTables;
 
-use crate::cluster::{HwCluster, ImageBuilder, SwCluster};
+use crate::cluster::{software_image, HwCluster, ImageBuilder, SwCluster};
 use crate::lb::VniDirectory;
 
 /// Per-cluster capacity limits (entries a single XGW-H can hold after the
@@ -227,7 +226,7 @@ pub enum InstallError {
     /// A device rejected an entry (capacity, table fault). Nothing from
     /// the failing cluster is left behind.
     Table {
-        /// The cluster being pushed.
+        /// The cluster being pushed; `usize::MAX` is the XGW-x86 fleet.
         cluster: usize,
         /// The underlying table error.
         error: sailfish_tables::Error,
@@ -585,8 +584,8 @@ impl Controller {
     }
 
     /// Two-phase installation (§6.1 hardening): **stage** every cluster's
-    /// image off to the side, push the full state to the XGW-x86 safety
-    /// net first, then per cluster push →
+    /// image off to the side, point the XGW-x86 safety net's nodes at
+    /// one full-region image first, then per cluster push →
     /// **consistency-check** → **commit**. A push that times out or lands
     /// partially leaves the devices on their old image and is retried
     /// with deterministic exponential backoff in virtual time; only a
@@ -641,26 +640,13 @@ impl Controller {
         }
 
         // The fallback cluster holds the full region state and is the
-        // graceful-degradation target, so it is populated before any
-        // hardware cutover.
-        for vpcs in &members {
-            let vpcs = || {
-                vpcs.iter()
-                    .filter_map(|&i| Some((i, topology.vpcs.get(i)?)))
-            };
-            for (i, vpc) in vpcs() {
-                for (prefix, target) in builder.routes_of(i) {
-                    sw.install_route(VxlanRouteKey::new(vpc.vni, *prefix), *target);
-                }
-            }
-            for vm in vpcs().flat_map(|(_, vpc)| topology.vms_of(vpc)) {
-                sw.install_vm(vm.vni, vm.ip, vm.nc)
-                    .map_err(|error| InstallError::Table {
-                        cluster: usize::MAX,
-                        error,
-                    })?;
-            }
-        }
+        // graceful-degradation target, so it is pointed at its image
+        // before any hardware cutover.
+        let x86 = software_image(topology).map_err(|error| InstallError::Table {
+            cluster: usize::MAX,
+            error,
+        })?;
+        sw.point_all(&Arc::new(x86));
 
         let mut vnis: Vec<Vec<Vni>> = vec![Vec::new(); images.len()];
         for (vni, cluster) in &plan.assignments {

@@ -6,14 +6,14 @@
 //!   with the commercial next-hop cap that forces multiple clusters
 //!   (§2.3),
 //! - [`cluster`] — XGW-H clusters (one shared table image, shared load,
-//!   mutual backup), the bulk image builder, and the XGW-x86 fallback
-//!   cluster,
+//!   mutual backup), the bulk image builder, and the one XGW-x86 fleet
+//!   (the fallback cluster and the x86-only baseline of Figs 4–7, its
+//!   nodes sharing one table image),
 //! - [`controller`] — the central controller: horizontal table splitting
 //!   by VNI (§4.3), installation, consistency checking (§6.1), and the
 //!   table-update timeline of Fig 23,
-//! - [`region`] — the end-to-end region simulation in both Sailfish mode
-//!   and the XGW-x86-only baseline, producing the series behind Figs 4–6
-//!   and 19–22,
+//! - [`region`] — the end-to-end Sailfish region simulation, producing
+//!   the series behind Figs 19–22,
 //! - [`failover`] — disaster recovery at cluster, node, and port level
 //!   (§6.1), with typed errors and probe-gated re-admission,
 //! - [`chaos`] — the deterministic fault-injection harness: replays

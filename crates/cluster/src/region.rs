@@ -3,9 +3,9 @@
 //! [`Region`] is the Sailfish deployment of Fig 10: load balancers → a
 //! VNI directory choosing the XGW-H cluster → flow-hash ECMP choosing the
 //! device → the folded hardware program, with SNAT/long-tail traffic
-//! punted to the XGW-x86 fallback cluster. [`X86Region`] is the
-//! pre-Sailfish baseline: a fleet of software gateways behind flow-hash
-//! ECMP (Figs 4–7).
+//! punted to the XGW-x86 fallback cluster. The pre-Sailfish baseline of
+//! Figs 4–7 is that fallback cluster alone, a larger
+//! [`crate::cluster::SwCluster`] offered the whole region's traffic.
 //!
 //! ## Loss model
 //!
@@ -28,13 +28,13 @@ use sailfish_sim::workload::Flow;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::snat::SnatConfig;
 use sailfish_xgw_h::{Walked, XgwH};
-use sailfish_xgw_x86::{CoreLoadReport, FlowRate, FluidEngine, XgwX86Config};
+use sailfish_xgw_x86::{FlowRate, XgwX86Config};
 
-use crate::cluster::{HwCluster, SwCluster};
+use crate::cluster::{flow_rate, HwCluster, SwCluster, SwReport};
 use crate::controller::{
     ClusterCapacity, ClusterLoad, Controller, InstallError, PlanError, SplitPlan,
 };
-use crate::lb::{EcmpGroup, LbError, VniDirectory};
+use crate::lb::{LbError, VniDirectory};
 
 /// The software nodes' default SNAT pool: four documentation addresses
 /// (RFC 5737 TEST-NET-3).
@@ -207,10 +207,9 @@ pub struct RegionReport {
     pub residual_dropped_pps: f64,
     /// Drops at the punt rate limiter, packets/s.
     pub punt_limited_pps: f64,
-    /// Per software node core reports.
-    pub sw_reports: Vec<CoreLoadReport>,
-    /// Software drops (core overload + NIC), packets/s.
-    pub sw_dropped_pps: f64,
+    /// The software cluster's load: per-node core reports and its drops
+    /// (core overload + NIC), packets/s.
+    pub sw: SwReport,
     /// Traffic reaching the software cluster, packets/s.
     pub punted_pps: f64,
     /// Traffic reaching the software cluster, bits/s.
@@ -235,7 +234,7 @@ impl RegionReport {
         (self.overload_dropped_pps
             + self.residual_dropped_pps
             + self.punt_limited_pps
-            + self.sw_dropped_pps
+            + self.sw.dropped_pps
             + self.fallback_limited_pps
             + self.unrouted_pps)
             / self.offered_pps
@@ -463,11 +462,7 @@ impl Region {
                     device_bps[cluster][device] += bps;
                     device_pps[cluster][device] += pps;
                     punt_bps[cluster][device] += bps;
-                    sw_flows[node].push(FlowRate {
-                        tuple: flow.tuple,
-                        pps,
-                        wire_bytes: flow.wire_bytes,
-                    });
+                    sw_flows[node].push(flow_rate(flow, pps));
                     sw_flow_scale[node].push((cluster, device));
                 }
                 FlowPath::HwDrop => {
@@ -479,11 +474,7 @@ impl Region {
                 FlowPath::Fallback { node } => {
                     // No hardware transit: the LB steers the flow straight
                     // at the software cluster.
-                    fb_flows[node].push(FlowRate {
-                        tuple: flow.tuple,
-                        pps,
-                        wire_bytes: flow.wire_bytes,
-                    });
+                    fb_flows[node].push(flow_rate(flow, pps));
                 }
                 FlowPath::Unrouted => unrouted_pps += pps,
             }
@@ -513,8 +504,6 @@ impl Region {
         }
         let mut punted_pps = 0.0;
         let mut punted_bps = 0.0;
-        let mut sw_reports = Vec::with_capacity(self.sw.nodes.len());
-        let mut sw_dropped_pps = 0.0;
         for (node, flows) in sw_flows.iter_mut().enumerate() {
             for (i, f) in flows.iter_mut().enumerate() {
                 let (c, d) = sw_flow_scale[node][i];
@@ -532,10 +521,8 @@ impl Region {
                 f.pps *= fb_scale;
             }
             flows.extend(fb_flows[node].iter().cloned());
-            let report = self.sw.nodes[node].engine.offer(flows);
-            sw_dropped_pps += report.dropped_pps + report.nic_dropped_pps;
-            sw_reports.push(report);
         }
+        let sw = self.sw.offer_rates(&sw_flows);
 
         // Hardware device utilizations and losses.
         let mut device_util = vec![vec![0.0f64; devices]; self.hw.len()];
@@ -562,99 +549,13 @@ impl Region {
             overload_dropped_pps: overload,
             residual_dropped_pps: residual,
             punt_limited_pps,
-            sw_reports,
-            sw_dropped_pps,
+            sw,
             punted_pps,
             punted_bps,
             loop_pipe_bps,
             fallback_pps,
             fallback_limited_pps,
             unrouted_pps,
-        }
-    }
-}
-
-/// The pre-Sailfish baseline: a fleet of XGW-x86 gateways behind ECMP.
-#[derive(Debug)]
-pub struct X86Region {
-    /// The software gateways.
-    pub nodes: Vec<FluidEngine>,
-    /// Flow-hash spread across them.
-    pub ecmp: EcmpGroup,
-}
-
-/// Report of one baseline interval.
-#[derive(Debug, Clone)]
-pub struct X86RegionReport {
-    /// Per-node core reports.
-    pub node_reports: Vec<CoreLoadReport>,
-    /// Total offered packets/s.
-    pub offered_pps: f64,
-    /// Total dropped packets/s.
-    pub dropped_pps: f64,
-}
-
-impl X86RegionReport {
-    /// Region loss ratio.
-    pub fn loss_ratio(&self) -> f64 {
-        if self.offered_pps == 0.0 {
-            0.0
-        } else {
-            self.dropped_pps / self.offered_pps
-        }
-    }
-
-    /// Per-node average core utilization (Fig 6's box-level balance).
-    pub fn node_mean_utilization(&self) -> Vec<f64> {
-        self.node_reports
-            .iter()
-            .map(|r| r.utilization.iter().sum::<f64>() / r.utilization.len() as f64)
-            .collect()
-    }
-}
-
-impl X86Region {
-    /// Builds a fleet of `nodes` identical software gateways.
-    pub fn new(nodes: usize, ecmp_max: usize, config: XgwX86Config) -> Result<Self, LbError> {
-        let mut ecmp = EcmpGroup::new(ecmp_max);
-        let mut list = Vec::with_capacity(nodes);
-        for n in 0..nodes {
-            ecmp.add(n)?;
-            list.push(FluidEngine::new(config.clone()));
-        }
-        Ok(X86Region { nodes: list, ecmp })
-    }
-
-    /// Offers one interval of traffic at a load multiplier.
-    pub fn offer(&self, flows: &[Flow], multiplier: f64) -> X86RegionReport {
-        let mut per_node: Vec<Vec<FlowRate>> = vec![Vec::new(); self.nodes.len()];
-        let mut offered_pps = 0.0;
-        let mut unserved_pps = 0.0;
-        for flow in flows {
-            let pps = flow.pps * multiplier;
-            offered_pps += pps;
-            let Ok(node) = self.ecmp.pick(&flow.tuple) else {
-                // No gateway at all: the traffic is lost.
-                unserved_pps += pps;
-                continue;
-            };
-            per_node[node].push(FlowRate {
-                tuple: flow.tuple,
-                pps,
-                wire_bytes: flow.wire_bytes,
-            });
-        }
-        let mut node_reports = Vec::with_capacity(self.nodes.len());
-        let mut dropped = unserved_pps;
-        for (node, flows) in per_node.iter().enumerate() {
-            let report = self.nodes[node].offer(flows);
-            dropped += report.dropped_pps + report.nic_dropped_pps;
-            node_reports.push(report);
-        }
-        X86RegionReport {
-            node_reports,
-            offered_pps,
-            dropped_pps: dropped,
         }
     }
 }
@@ -796,11 +697,46 @@ mod tests {
     fn an_empty_x86_fleet_loses_everything_without_panicking() {
         let topology = Topology::generate(TopologyConfig::default());
         let flows = generate_flows(&topology, &WorkloadConfig::default());
-        let region = X86Region::new(0, 16, XgwX86Config::default()).unwrap();
+        let region = SwCluster::new(0, 16, XgwX86Config::default(), SnatConfig::default()).unwrap();
         let report = region.offer(&flows, 1.0);
         assert!(report.node_reports.is_empty());
         assert!(report.offered_pps > 0.0);
         assert_eq!(report.loss_ratio(), 1.0);
+    }
+
+    #[test]
+    fn an_empty_snat_pool_exhausts_instead_of_panicking() {
+        use sailfish_net::packet::GatewayPacketBuilder;
+        use sailfish_xgw_x86::{Decision, DropReason};
+
+        let topology = Topology::generate(TopologyConfig::default());
+        let config = RegionConfig {
+            snat: SnatConfig {
+                public_ips: Vec::new(),
+                ..SnatConfig::default()
+            },
+            capacity: ClusterCapacity {
+                max_routes: 600,
+                max_vms: 3_000,
+            },
+            ..RegionConfig::default()
+        };
+        let mut region = Region::build(&topology, config).unwrap();
+        let vpc = topology.vpcs.iter().find(|v| v.internet).unwrap();
+        let src = topology
+            .vms_of(vpc)
+            .iter()
+            .find(|m| m.ip.is_ipv4())
+            .unwrap()
+            .ip;
+        let packet =
+            GatewayPacketBuilder::new(vpc.vni, src, "93.184.216.34".parse().unwrap()).build();
+        for node in &mut region.sw.nodes {
+            assert_eq!(
+                node.forwarder.process(&packet, 0),
+                Decision::Drop(DropReason::SnatExhausted)
+            );
+        }
     }
 
     #[test]
@@ -835,12 +771,15 @@ mod tests {
                 ..WorkloadConfig::default()
             },
         );
-        let region = X86Region::new(15, 16, XgwX86Config::default()).unwrap();
+        let region =
+            SwCluster::new(15, 16, XgwX86Config::default(), SnatConfig::default()).unwrap();
         let report = region.offer(&flows, 1.0);
         // Box-level balance (Fig 6): every node within 2x of the mean —
         // a 30k-flow sample is far smaller than production, so the band
         // is loose, but no box is idle and none is catastrophic.
-        let means = report.node_mean_utilization();
+        let means: Vec<f64> = (report.node_reports.iter())
+            .map(|r| r.mean_utilization())
+            .collect();
         let avg: f64 = means.iter().sum::<f64>() / means.len() as f64;
         for m in &means {
             assert!(*m < 2.5 * avg && *m > 0.15 * avg, "node {m} vs avg {avg}");

@@ -7,6 +7,10 @@
 //! leaves every slot where it was. And the region's controller and the
 //! packet path's epoch build fill a cluster identically from the same
 //! split plan, whichever planner made it.
+//!
+//! The XGW-x86 fleet has the same shape: every node of a region points at
+//! one full-region image, the same one the packet path's fallback
+//! forwarder is built over.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -18,13 +22,15 @@ use sailfish_cluster::controller::{
 use sailfish_cluster::lb::VniDirectory;
 use sailfish_cluster::region::{Region, RegionConfig};
 use sailfish_cluster::reshard::{MoveMachine, ReshardError, ReshardPlan};
+use sailfish_dataplane::executor::software_forwarder;
+use sailfish_dataplane::traffic::packet_for_flow;
 use sailfish_dataplane::{DataplaneConfig, EpochState, WorldView};
 use sailfish_sim::faults::{InstallFault, VirtualClock};
 use sailfish_sim::workload::{generate_flows, WorkloadConfig};
 use sailfish_sim::{Topology, TopologyConfig};
 use sailfish_tables::snat::SnatConfig;
 use sailfish_xgw_h::HardwareTables;
-use sailfish_xgw_x86::XgwX86Config;
+use sailfish_xgw_x86::{SoftwareForwarder, XgwX86Config};
 
 fn tight() -> ClusterCapacity {
     ClusterCapacity {
@@ -307,6 +313,56 @@ fn region_and_epoch_fill_a_cluster_identically() {
                     assert_same_image(&region.hw[c].devices[0], &cluster.devices[0], &flows, &what);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn x86_nodes_share_one_image_equal_to_the_fallback_forwarders() {
+    for seed in [1, 7, 42, 1337] {
+        let topology = Topology::generate(TopologyConfig {
+            seed,
+            vpcs: 120 + (seed as usize % 5) * 40,
+            ..TopologyConfig::default()
+        });
+        let region = Region::build(
+            &topology,
+            RegionConfig {
+                capacity: tight(),
+                hw_clusters: 8,
+                ..RegionConfig::default()
+            },
+        )
+        .unwrap();
+        let image = &region.sw.nodes[0].forwarder.tables;
+        assert_eq!(region.sw.nodes.len(), 4);
+        for node in &region.sw.nodes {
+            assert!(Arc::ptr_eq(&node.forwarder.tables, image), "seed {seed}");
+        }
+
+        // Same SNAT pool on both sides, so bindings compare too.
+        let mut fallback = software_forwarder(&topology);
+        let mut node = SoftwareForwarder::new(Arc::clone(image), SnatConfig::default());
+        assert_eq!(image.routes.len(), fallback.tables.routes.len());
+        assert_eq!(image.vm_nc.len(), fallback.tables.vm_nc.len());
+        let flows = generate_flows(
+            &topology,
+            &WorkloadConfig {
+                seed,
+                flows: 1_500,
+                ..WorkloadConfig::default()
+            },
+        );
+        for (i, flow) in flows.iter().enumerate() {
+            let packet = packet_for_flow(flow);
+            let now = i as u64;
+            assert_eq!(
+                node.process(&packet, now),
+                fallback.process(&packet, now),
+                "seed {seed}: flow to {} in {}",
+                flow.tuple.dst_ip,
+                flow.vni
+            );
         }
     }
 }

@@ -8,11 +8,15 @@ use sailfish_sim::workload::{generate_flows, Flow, WorkloadConfig};
 ///
 /// ```
 /// use sailfish::prelude::*;
+/// use std::sync::Arc;
 ///
 /// let (topology, mut region, flows) = SailfishBuilder::small().build().unwrap();
 /// let report = region.offer(&flows, 1.0);
 /// assert!(report.loss_ratio() < 1e-6);
-/// assert_eq!(topology.routes.len(), region.sw.nodes[0].forwarder.tables.routes.len());
+/// // Every XGW-x86 fallback node points at one full-region table image.
+/// let image = &region.sw.nodes[0].forwarder.tables;
+/// assert_eq!(topology.routes.len(), image.routes.len());
+/// assert!(region.sw.nodes.iter().all(|n| Arc::ptr_eq(&n.forwarder.tables, image)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SailfishBuilder {

@@ -81,8 +81,9 @@ pub mod compression;
 pub mod prelude {
     pub use sailfish_asic::config::TofinoConfig;
     pub use sailfish_asic::perf::PerfEnvelope;
+    pub use sailfish_cluster::cluster::SwCluster;
     pub use sailfish_cluster::controller::{ClusterCapacity, Controller};
-    pub use sailfish_cluster::region::{Region, RegionConfig, X86Region};
+    pub use sailfish_cluster::region::{Region, RegionConfig};
     pub use sailfish_net::packet::GatewayPacketBuilder;
     pub use sailfish_net::{FiveTuple, GatewayPacket, IpPrefix, IpProtocol, MacAddr, Vni};
     pub use sailfish_sim::topology::{Topology, TopologyConfig};
@@ -91,7 +92,7 @@ pub mod prelude {
     pub use sailfish_tables::snat::SnatConfig;
     pub use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
     pub use sailfish_xgw_h::{HwDecision, XgwH};
-    pub use sailfish_xgw_x86::{SoftwareForwarder, XgwX86Config};
+    pub use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables, XgwX86Config};
 
     pub use crate::builder::SailfishBuilder;
     pub use crate::compression::{CompressionStep, MemoryScenario};

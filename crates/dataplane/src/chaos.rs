@@ -405,6 +405,9 @@ pub fn run_schedule(
         .map_or(0usize, |t| usize::from(t.pool.nodes));
     let dp = Dataplane::build(topology, dp_config);
     let (flows, frames, anchor_of) = flow_pool(topology, cfg);
+    // One x86 table image for the whole schedule: every slot's run and
+    // oracle probe clones this forwarder, so starts with no SNAT sessions.
+    let x86 = software_forwarder(topology);
 
     // Classify every flow against the healthy epoch once: which cluster
     // serves it, and whether the healthy hardware punts it anyway
@@ -637,8 +640,8 @@ pub fn run_schedule(
 
         // Invariant 3: after every published swap the oracle must agree.
         if published_this_slot {
-            let mut fb = software_forwarder(topology);
-            let mut reference = software_forwarder(topology);
+            let mut fb = x86.clone();
+            let mut reference = x86.clone();
             let oracle = differential_run(&dp, &probe, &mut fb, &mut reference);
             report.oracle_checks += 1;
             report.oracle_mismatches += oracle.mismatches;
@@ -678,7 +681,7 @@ pub fn run_schedule(
             .iter()
             .filter_map(|i| frames.get(*i).map(|f| f.as_slice()))
             .collect();
-        let mut fallback = software_forwarder(topology);
+        let mut fallback = x86.clone();
         let run = dp.run_single(&seq, &mut fallback);
         let c = &run.counters;
 

@@ -21,13 +21,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use sailfish_cluster::cluster::software_image;
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::wire::ethernet;
 use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
-use sailfish_tables::types::VmKey;
-use sailfish_tables::vm_nc::VmNcTable;
-use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
+use sailfish_tables::snat::SnatConfig;
+use sailfish_xgw_x86::SoftwareForwarder;
 
 use crate::batch::BatchExecutor;
 use crate::breaker::{BreakerConfig, BreakerStats};
@@ -148,20 +148,12 @@ impl RunReport {
     }
 }
 
-/// Builds the reference/fallback software forwarder holding the complete
-/// table set of `topology` (routes and every VM mapping).
+/// Builds the reference/fallback software forwarder over the complete
+/// table image of `topology` ([`software_image`]) with the default SNAT
+/// pool.
 pub fn software_forwarder(topology: &Topology) -> SoftwareForwarder {
-    let mut tables = SoftwareTables::default();
-    for (key, target) in &topology.routes {
-        tables.routes.insert(*key, *target);
-    }
-    let vms: Vec<_> = topology
-        .vms
-        .iter()
-        .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc))
-        .collect();
-    tables.vm_nc = VmNcTable::from_run(&vms).expect("topology VMs are unique");
-    SoftwareForwarder::new(tables)
+    let image = software_image(topology).expect("topology VMs are unique");
+    SoftwareForwarder::new(Arc::new(image), SnatConfig::default())
 }
 
 impl Dataplane {

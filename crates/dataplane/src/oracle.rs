@@ -255,8 +255,9 @@ mod tests {
             2222,
             53,
         );
-        let b1 = table.translate_outbound(t1, 0).unwrap();
-        let b2 = table.translate_outbound(t2, 0).unwrap();
+        let vni = Vni::from_const(1);
+        let b1 = table.translate_outbound(vni, t1, 0).unwrap();
+        let b2 = table.translate_outbound(vni, t2, 0).unwrap();
         let d1 = PathDecision::from_software(&Decision::ToInternet { binding: b1 });
         let d2 = PathDecision::from_software(&Decision::ToInternet { binding: b2 });
         assert_eq!(d1, d2);

@@ -86,7 +86,7 @@ impl CoreLoadReport {
             return 0.0;
         }
         let mut rates: Vec<f64> = flows.iter().map(|(_, pps)| *pps).collect();
-        rates.sort_by(|a, b| b.partial_cmp(a).expect("rates are finite"));
+        rates.sort_by(|a, b| b.total_cmp(a));
         rates.iter().take(n).sum::<f64>() / total
     }
 }

@@ -7,6 +7,8 @@
 //! resolution, VM-NC mapping, SNAT for Internet-bound flows, and
 //! cross-region/IDC handoff.
 
+use std::sync::Arc;
+
 use sailfish_net::{GatewayPacket, Vni};
 use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::snat::{Binding, SnatConfig, SnatTable};
@@ -65,48 +67,49 @@ pub enum Decision {
     Drop(DropReason),
 }
 
-/// The complete software table set.
+/// The shared software table image: everything a node forwards by
+/// except its SNAT sessions. It is immutable once built, so every node of
+/// a fleet points at one image.
 #[derive(Debug)]
 pub struct SoftwareTables {
     /// VXLAN routing table (full copy; x86 has DRAM to spare).
     pub routes: VxlanRoutingTable,
     /// VM-NC mapping table.
     pub vm_nc: VmNcTable,
-    /// The stateful SNAT session table (O(100M) entries in production).
-    pub snat: SnatTable,
     /// Per-tenant ACLs.
     pub acl: AclTable,
 }
 
-impl SoftwareTables {
-    /// Empty tables with a default-permit ACL and the given SNAT pool.
-    pub fn new(snat: SnatConfig) -> Self {
+impl Default for SoftwareTables {
+    /// Empty tables with a default-permit ACL.
+    fn default() -> Self {
         SoftwareTables {
             routes: VxlanRoutingTable::new(),
             vm_nc: VmNcTable::new(),
-            snat: SnatTable::new(snat),
             acl: AclTable::new(AclAction::Permit, None),
         }
     }
 }
 
-impl Default for SoftwareTables {
-    fn default() -> Self {
-        Self::new(SnatConfig::default())
-    }
-}
-
-/// The run-to-completion software forwarder.
-#[derive(Debug, Default)]
+/// The run-to-completion software forwarder: a shared table image plus
+/// this node's own SNAT sessions. A clone shares the image and copies the
+/// sessions.
+#[derive(Debug, Clone)]
 pub struct SoftwareForwarder {
-    /// The forwarding state.
-    pub tables: SoftwareTables,
+    /// The table image, shared with every other node of the fleet.
+    pub tables: Arc<SoftwareTables>,
+    /// The stateful SNAT session table (O(100M) entries in production),
+    /// the node's only state of its own.
+    pub snat: SnatTable,
 }
 
 impl SoftwareForwarder {
-    /// Creates a forwarder around existing tables.
-    pub fn new(tables: SoftwareTables) -> Self {
-        SoftwareForwarder { tables }
+    /// A forwarder over `tables` with a fresh SNAT table on `snat`.
+    pub fn new(tables: Arc<SoftwareTables>, snat: SnatConfig) -> Self {
+        SoftwareForwarder {
+            tables,
+            snat: SnatTable::new(snat),
+        }
     }
 
     /// Processes one packet and returns the forwarding decision.
@@ -144,11 +147,15 @@ impl SoftwareForwarder {
                 idc,
                 vni: resolution.final_vni,
             },
-            RouteTarget::InternetSnat => match self.tables.snat.translate_outbound(tuple, now_ns) {
-                Ok(binding) => Decision::ToInternet { binding },
-                Err(_) => Decision::Drop(DropReason::SnatExhausted),
-            },
-            RouteTarget::Peer(_) => unreachable!("resolve() never returns Peer"),
+            RouteTarget::InternetSnat => {
+                match self.snat.translate_outbound(packet.vni, tuple, now_ns) {
+                    Ok(binding) => Decision::ToInternet { binding },
+                    Err(_) => Decision::Drop(DropReason::SnatExhausted),
+                }
+            }
+            // `resolve` follows peer hops itself; a peer target left over
+            // is a chain it gave up on.
+            RouteTarget::Peer(_) => Decision::Drop(DropReason::RoutingLoop),
         }
     }
 }
@@ -212,7 +219,7 @@ mod tests {
                 NcAddr::new("10.1.1.15".parse().unwrap()),
             )
             .unwrap();
-        SoftwareForwarder::new(tables)
+        SoftwareForwarder::new(Arc::new(tables), SnatConfig::default())
     }
 
     fn packet(dst: &str) -> GatewayPacket {
@@ -262,7 +269,7 @@ mod tests {
         let d1 = f.process(&packet("93.184.216.34"), 1);
         let d2 = f.process(&packet("93.184.216.34"), 2);
         assert_eq!(d1, d2);
-        assert_eq!(f.tables.snat.len(), 1);
+        assert_eq!(f.snat.len(), 1);
     }
 
     #[test]
@@ -308,7 +315,8 @@ mod tests {
     #[test]
     fn acl_deny_takes_precedence() {
         let mut f = forwarder();
-        f.tables
+        Arc::get_mut(&mut f.tables)
+            .unwrap()
             .acl
             .insert(AclRule {
                 priority: 10,
@@ -335,11 +343,12 @@ mod tests {
     #[test]
     fn routing_loop_drops() {
         let mut f = forwarder();
-        f.tables.routes.insert(
+        let tables = Arc::get_mut(&mut f.tables).unwrap();
+        tables.routes.insert(
             VxlanRouteKey::new(vni(100), prefix("10.66.0.0/16")),
             RouteTarget::Peer(vni(300)),
         );
-        f.tables.routes.insert(
+        tables.routes.insert(
             VxlanRouteKey::new(vni(300), prefix("10.66.0.0/16")),
             RouteTarget::Peer(vni(100)),
         );
@@ -351,15 +360,18 @@ mod tests {
 
     #[test]
     fn snat_exhaustion_drops() {
-        let mut tables = SoftwareTables::new(SnatConfig {
-            port_range: (1024, 1024),
-            ..SnatConfig::default()
-        });
+        let mut tables = SoftwareTables::default();
         tables.routes.insert(
             VxlanRouteKey::new(vni(100), prefix("0.0.0.0/0")),
             RouteTarget::InternetSnat,
         );
-        let mut f = SoftwareForwarder::new(tables);
+        let mut f = SoftwareForwarder::new(
+            Arc::new(tables),
+            SnatConfig {
+                port_range: (1024, 1024),
+                ..SnatConfig::default()
+            },
+        );
         assert!(matches!(
             f.process(&packet("93.184.216.34"), 0),
             Decision::ToInternet { .. }

@@ -16,12 +16,16 @@
 //!   ([`cores::FluidEngine`]), so heavy hitters overload single cores
 //!   (Fig 4/Fig 7) while the box-level load stays balanced (Fig 6),
 //! - per-core finite capacity converts overload into packet loss (Fig 5),
-//! - full software tables, including the stateful SNAT table that cannot
-//!   fit on the hardware gateway ([`forward::SoftwareForwarder`]),
+//! - full software tables ([`forward::SoftwareTables`]), one immutable
+//!   image a fleet's nodes share, beside each node's own stateful SNAT
+//!   table that cannot fit on the hardware gateway
+//!   ([`forward::SoftwareForwarder`]),
 //! - the single-node performance envelope of Fig 18
 //!   ([`config::XgwX86Config`]).
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()` (clippy.toml `disallowed-methods`).
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod config;
 pub mod cores;

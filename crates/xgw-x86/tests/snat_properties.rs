@@ -1,13 +1,14 @@
 //! Property-based tests of the stateful SNAT table: bindings are a
 //! bijection, never collide, and the pool is conserved through arbitrary
-//! allocate/refresh/expire interleavings. Runs on the in-tree seeded
-//! harness (`sailfish_util::check`).
+//! allocate/refresh/expire interleavings — also when two tenants send
+//! the same private flow. Runs on the in-tree seeded harness
+//! (`sailfish_util::check`).
 
 use sailfish_util::check;
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::Rng;
 
-use sailfish_net::{FiveTuple, IpProtocol};
+use sailfish_net::{FiveTuple, IpProtocol, Vni};
 use sailfish_tables::snat::{SnatConfig, SnatTable};
 
 fn tuple(seed: u32) -> FiveTuple {
@@ -22,6 +23,12 @@ fn tuple(seed: u32) -> FiveTuple {
         (1024 + (seed % 40_000)) as u16,
         443,
     )
+}
+
+/// Seeds pair up across two tenants: `2k` and `2k + 1` send the same
+/// private flow from different VPCs.
+fn session(seed: u32) -> (Vni, FiveTuple) {
+    (Vni::from_const(100 + seed % 2), tuple(seed / 2))
 }
 
 #[derive(Debug, Clone)]
@@ -53,22 +60,22 @@ fn bindings_are_bijective_under_churn() {
             capacity: None,
         });
         let mut now = 0u64;
-        let mut live: std::collections::HashMap<FiveTuple, (std::net::IpAddr, u16)> =
+        let mut live: std::collections::HashMap<(Vni, FiveTuple), (std::net::IpAddr, u16)> =
             std::collections::HashMap::new();
 
         for op in ops {
             now += 1;
             match op {
                 Op::Outbound(seed) => {
-                    let t = tuple(seed);
-                    match table.translate_outbound(t, now) {
+                    let (vni, t) = session(seed);
+                    match table.translate_outbound(vni, t, now) {
                         Ok(b) => {
-                            if let Some(prev) = live.get(&t) {
+                            if let Some(prev) = live.get(&(vni, t)) {
                                 // Refreshing an existing session keeps its
                                 // binding.
                                 assert_eq!(*prev, (b.public_ip, b.public_port));
                             }
-                            live.insert(t, (b.public_ip, b.public_port));
+                            live.insert((vni, t), (b.public_ip, b.public_port));
                         }
                         Err(_) => {
                             // Exhaustion only when the pool really is full
@@ -79,15 +86,15 @@ fn bindings_are_bijective_under_churn() {
                     }
                 }
                 Op::Inbound(seed) => {
-                    let t = tuple(seed);
-                    if let Some((ip, port)) = live.get(&t) {
+                    let (vni, t) = session(seed);
+                    if let Some((ip, port)) = live.get(&(vni, t)) {
                         let back = table.translate_inbound(
                             (*ip, *port),
                             (t.dst_ip, t.dst_port),
                             t.protocol,
                             now,
                         );
-                        assert_eq!(back, Some(t));
+                        assert_eq!(back, Some((vni, t)));
                     }
                 }
                 Op::Expire(at) => {
@@ -123,7 +130,8 @@ fn pool_conservation() {
         let mut now = 0;
         for s in seeds {
             now += 7;
-            let _ = table.translate_outbound(tuple(s), now);
+            let (vni, t) = session(s);
+            let _ = table.translate_outbound(vni, t, now);
             if s % 13 == 0 {
                 table.expire(now);
             }

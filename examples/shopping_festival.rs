@@ -32,7 +32,7 @@ fn main() {
     );
 
     // --- Baseline: 15 software gateways behind ECMP ---
-    let baseline = X86Region::new(15, 16, XgwX86Config::default()).unwrap();
+    let baseline = SwCluster::new(15, 16, XgwX86Config::default(), SnatConfig::default()).unwrap();
     // --- Sailfish: hardware clusters + software fallback ---
     let mut sailfish = Region::build(
         &topology,

@@ -31,11 +31,12 @@ fn main() {
         .unwrap();
 
     // Software gateway: same routes plus the stateful SNAT pool.
-    let mut sw = SoftwareForwarder::default();
-    sw.tables.routes.insert(
+    let mut sw_tables = SoftwareTables::default();
+    sw_tables.routes.insert(
         VxlanRouteKey::new(vpc, "0.0.0.0/0".parse().unwrap()),
         RouteTarget::InternetSnat,
     );
+    let mut sw = SoftwareForwarder::new(sw_tables.into(), SnatConfig::default());
 
     // The VM requests a web page (red arrow in Fig 11).
     let request = GatewayPacketBuilder::new(
@@ -72,8 +73,7 @@ fn main() {
 
     // Step 3: the Internet responds to the public binding (blue arrow);
     // XGW-x86 translates it back without touching XGW-H.
-    let original = sw
-        .tables
+    let (tenant, original) = sw
         .snat
         .translate_inbound(
             (binding.public_ip, binding.public_port),
@@ -82,8 +82,8 @@ fn main() {
             1,
         )
         .expect("response maps back to the tenant session");
-    println!("XGW-x86: response mapped back to {original}");
-    assert_eq!(original, request.five_tuple());
+    println!("XGW-x86: response mapped back to {original} in VPC {tenant}");
+    assert_eq!((tenant, original), (vpc, request.five_tuple()));
 
     // The punt path is rate limited; hardware protects the software tier.
     let mut flood_hw = XgwH::new(AlpmConfig::default(), 8_000, 1_000);
@@ -110,8 +110,8 @@ fn main() {
     // Session bookkeeping.
     println!(
         "SNAT table: {} live sessions, {} allocated total",
-        sw.tables.snat.len(),
-        sw.tables.snat.allocated_total()
+        sw.snat.len(),
+        sw.snat.allocated_total()
     );
     println!("snat_hw_sw OK");
 }

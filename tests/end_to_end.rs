@@ -18,15 +18,16 @@ fn hardware_and_software_forwarders_agree() {
     });
 
     let mut hw = XgwH::with_defaults();
-    let mut sw = SoftwareForwarder::default();
+    let mut sw_tables = SoftwareTables::default();
     for (key, target) in &topology.routes {
         hw.tables.routes.insert(*key, *target).unwrap();
-        sw.tables.routes.insert(*key, *target);
+        sw_tables.routes.insert(*key, *target);
     }
     for vm in &topology.vms {
         hw.tables.add_vm(vm.vni, vm.ip, vm.nc).unwrap();
-        sw.tables.vm_nc.insert(vm.vni, vm.ip, vm.nc).unwrap();
+        sw_tables.vm_nc.insert(vm.vni, vm.ip, vm.nc).unwrap();
     }
+    let mut sw = SoftwareForwarder::new(sw_tables.into(), SnatConfig::default());
     hw.tables.routes.audit().unwrap();
 
     let flows = generate_flows(

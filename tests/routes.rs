@@ -126,7 +126,6 @@ fn vm_to_internet_via_snat_and_back() {
     // And the response finds its way back.
     let back = region.sw.nodes[node]
         .forwarder
-        .tables
         .snat
         .translate_inbound(
             (binding.public_ip, binding.public_port),
@@ -135,7 +134,7 @@ fn vm_to_internet_via_snat_and_back() {
             1,
         )
         .unwrap();
-    assert_eq!(back, punted.five_tuple());
+    assert_eq!(back, (vpc.vni, punted.five_tuple()));
 }
 
 #[test]
