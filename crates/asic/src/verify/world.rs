@@ -204,9 +204,11 @@ impl CapacityModel for EntryBudget {
     }
 }
 
-/// One make-before-break phase of a move. The canonical order is
-/// [`MoveStage::SEQUENCE`]; any plan whose stages are not a non-empty
-/// prefix of it is a break-before-make bug (`SF-E011`).
+/// One make-before-break stage of a move: the one stage vocabulary of
+/// the region's move machine, the packet path's live epochs and this
+/// verifier. The canonical order is [`MoveStage::SEQUENCE`]; any plan
+/// whose stages are not a non-empty prefix of it is a break-before-make
+/// bug (`SF-E011`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MoveStage {
     /// Destination stages and verifies the tables; traffic unmoved.
@@ -236,6 +238,13 @@ impl MoveStage {
             MoveStage::Commit => "commit",
             MoveStage::Drain => "drain",
         }
+    }
+
+    /// The stage after this one in [`MoveStage::SEQUENCE`]; `None` after
+    /// `Drain`.
+    pub fn next(self) -> Option<MoveStage> {
+        let at = Self::SEQUENCE.iter().position(|s| *s == self)?;
+        Self::SEQUENCE.get(at + 1).copied()
     }
 }
 

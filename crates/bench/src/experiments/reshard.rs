@@ -31,9 +31,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use sailfish_cluster::controller::{peer_anchor, ClusterCapacity, Controller, InstallPolicy};
 use sailfish_cluster::region::{Region, RegionConfig};
-use sailfish_cluster::reshard::{run_plan, MoveMachine, MovePhase as ClusterPhase, ReshardPlan};
+use sailfish_asic::verify::world::MoveStage;
+use sailfish_cluster::reshard::{run_plan, MoveMachine, MoveState, ReshardPlan};
 use sailfish_dataplane::chaos::{self, ChaosConfig, ScriptedMove};
-use sailfish_dataplane::epoch::MovePhase;
 use sailfish_dataplane::DataplaneConfig;
 use sailfish_net::Vni;
 use sailfish_sim::elastic::{ElasticSchedule, ElasticScheduleConfig, ScaleTrigger, TriggerKind};
@@ -219,40 +219,24 @@ pub fn run(scale: Scale) -> ExperimentRecord {
             let mut committed = 0usize;
 
             // Drive the first move by hand with live traffic offered
-            // inside every make-before-break phase.
+            // inside every make-before-break stage.
             if let Some(first) = plan.moves.first() {
                 let mut machine = MoveMachine::new(&topology, first.clone());
                 machine
                     .announce(&mut region, &mut clock, &policy, &mut |_, _| None)
                     .expect("announce push lands");
-                offer_checked(
-                    &mut region,
-                    &flows,
-                    m,
-                    baseline_pps,
-                    &mut routing_clean,
-                    &mut conserved,
-                );
-                machine.enter_dual(&mut region).expect("dual entry");
-                offer_checked(
-                    &mut region,
-                    &flows,
-                    m,
-                    baseline_pps,
-                    &mut routing_clean,
-                    &mut conserved,
-                );
-                machine.commit(&mut region).expect("commit");
-                offer_checked(
-                    &mut region,
-                    &flows,
-                    m,
-                    baseline_pps,
-                    &mut routing_clean,
-                    &mut conserved,
-                );
-                machine.drain(&mut region).expect("drain");
-                committed += usize::from(machine.phase == ClusterPhase::Drained);
+                for next in ["dual entry", "commit", "drain"] {
+                    offer_checked(
+                        &mut region,
+                        &flows,
+                        m,
+                        baseline_pps,
+                        &mut routing_clean,
+                        &mut conserved,
+                    );
+                    machine.advance(&mut region).expect(next);
+                }
+                committed += usize::from(machine.state() == MoveState::At(MoveStage::Drain));
             }
 
             // The rest of the plan runs through the standard driver
@@ -427,11 +411,11 @@ pub fn run(scale: Scale) -> ExperimentRecord {
             &mut |_, _| None,
         )
         .expect("announce lands");
-    machine.enter_dual(&mut region2).expect("dual entry");
+    machine.advance(&mut region2).expect("dual entry");
     let dual_live = region2.directory.dual_len() > 0;
     machine.rollback(&mut region2).expect("dual rollback");
     let dual_rb = dual_live
-        && machine.phase == ClusterPhase::RolledBack
+        && machine.state() == MoveState::RolledBack
         && region2.directory.dual_len() == 0
         && region2.hw[mv.to].route_entries() == baseline_routes
         && region2.directory.snapshot() == baseline_snapshot;
@@ -521,7 +505,7 @@ pub fn run(scale: Scale) -> ExperimentRecord {
             to: t2,
             start: 2,
             dwell: 2,
-            abort_after: Some(MovePhase::Announce),
+            abort_after: Some(MoveStage::Announce),
         },
         // Aborts after Dual: both owners served, then the group goes home.
         ScriptedMove {
@@ -530,7 +514,7 @@ pub fn run(scale: Scale) -> ExperimentRecord {
             to: t3,
             start: 3,
             dwell: 2,
-            abort_after: Some(MovePhase::Dual),
+            abort_after: Some(MoveStage::Dual),
         },
     ];
     let fault_schedule = FaultSchedule::from_events(
@@ -583,7 +567,7 @@ pub fn run(scale: Scale) -> ExperimentRecord {
         report
             .moves
             .iter()
-            .map(|m| (m.committed, m.rolled_back, m.phases_published.len()))
+            .map(|m| (m.committed, m.rolled_back, m.stages_published.len()))
             .collect::<Vec<_>>(),
     );
     for v in &report.violations {
@@ -609,31 +593,31 @@ pub fn run(scale: Scale) -> ExperimentRecord {
     rec.compare(
         "scripted move commits through all four published phases",
         "Announce, Dual, Commit, Drain; committed",
-        format!("{:?}, committed={}", m1.phases_published, m1.committed),
+        format!("{:?}, committed={}", m1.stages_published, m1.committed),
         m1.committed
-            && m1.phases_published
+            && m1.stages_published
                 == vec![
-                    MovePhase::Announce,
-                    MovePhase::Dual,
-                    MovePhase::Commit,
-                    MovePhase::Drain,
+                    MoveStage::Announce,
+                    MoveStage::Dual,
+                    MoveStage::Commit,
+                    MoveStage::Drain,
                 ],
     );
     let m2 = &report.moves[1];
     rec.compare(
         "announce-phase abort rolls the group home",
         "phases [Announce], rolled back",
-        format!("{:?}, rolled_back={}", m2.phases_published, m2.rolled_back),
-        m2.rolled_back && !m2.committed && m2.phases_published == vec![MovePhase::Announce],
+        format!("{:?}, rolled_back={}", m2.stages_published, m2.rolled_back),
+        m2.rolled_back && !m2.committed && m2.stages_published == vec![MoveStage::Announce],
     );
     let m3 = &report.moves[2];
     rec.compare(
         "dual-phase abort rolls the group home",
         "phases [Announce, Dual], rolled back",
-        format!("{:?}, rolled_back={}", m3.phases_published, m3.rolled_back),
+        format!("{:?}, rolled_back={}", m3.stages_published, m3.rolled_back),
         m3.rolled_back
             && !m3.committed
-            && m3.phases_published == vec![MovePhase::Announce, MovePhase::Dual],
+            && m3.stages_published == vec![MoveStage::Announce, MoveStage::Dual],
     );
     rec.compare(
         "dual windows split traffic across both owners",

@@ -108,7 +108,7 @@ impl EcmpGroup {
 }
 
 /// Picks between two co-owners of a VNI range during a make-before-break
-/// migration's `Dual` phase. The choice is a pure flow-hash function, so
+/// migration's `Dual` stage. The choice is a pure flow-hash function, so
 /// upstream ECMP, the region model, and the packet-level executor all
 /// send a given flow to the *same* owner — no packet can land on a device
 /// that lacks the tables, because both owners hold them.
@@ -123,8 +123,8 @@ pub fn pick_owner(hasher: &Toeplitz, tuple: &FiveTuple, primary: usize, secondar
 /// VNI → cluster directory, maintained by the controller's split plan.
 ///
 /// During an elastic re-shard a VNI can temporarily have a *second*
-/// owner (`Dual` phase of the make-before-break sequence): the primary
-/// map keeps the old owner until `promote` retargets it in one step.
+/// owner (`Dual` stage of the make-before-break sequence): the primary
+/// map keeps the old owner until Commit retargets it in one step.
 ///
 /// Every packet the flow cache misses probes it, and the controller
 /// provisions its keys, so both maps hash VNIs with the fixed-key
@@ -152,30 +152,18 @@ impl VniDirectory {
         self.map.get(&vni).copied()
     }
 
-    /// Starts dual ownership: `secondary` co-owns the VNI alongside the
-    /// current primary. Traffic may be hashed to either owner until the
-    /// migration commits (`promote`) or aborts (`abort_dual`).
-    pub fn begin_dual(&mut self, vni: Vni, secondary: usize) {
-        self.dual.insert(vni, secondary);
-    }
-
-    /// Commits a migration: the dual owner becomes the sole primary in
-    /// one atomic directory step. Returns `false` when no dual ownership
-    /// was in effect for the VNI.
-    pub fn promote(&mut self, vni: Vni) -> bool {
-        match self.dual.remove(&vni) {
-            Some(new_owner) => {
-                self.map.insert(vni, new_owner);
-                true
+    /// Sets the VNI's second owner: `Some` co-owns it alongside the
+    /// primary (traffic may hash to either), `None` leaves the primary
+    /// the sole owner.
+    pub fn set_dual(&mut self, vni: Vni, secondary: Option<usize>) {
+        match secondary {
+            Some(s) => {
+                self.dual.insert(vni, s);
             }
-            None => false,
+            None => {
+                self.dual.remove(&vni);
+            }
         }
-    }
-
-    /// Aborts a migration: drops the dual owner, leaving the primary
-    /// untouched. Returns `false` when no dual ownership was in effect.
-    pub fn abort_dual(&mut self, vni: Vni) -> bool {
-        self.dual.remove(&vni).is_some()
     }
 
     /// The secondary owner of a VNI during `Dual`, if any.
@@ -320,17 +308,23 @@ mod tests {
         let v = Vni::from_const(7);
         d.assign(v, 0);
         assert_eq!(d.owners_for(v), Some((0, None)));
-        d.begin_dual(v, 3);
+        d.set_dual(v, Some(3));
         assert_eq!(d.owners_for(v), Some((0, Some(3))));
         assert_eq!(d.cluster_for(v), Some(0), "primary unchanged in Dual");
-        assert!(d.promote(v));
-        assert_eq!(d.owners_for(v), Some((3, None)));
-        assert!(!d.promote(v), "promote is one-shot");
+        assert_eq!(d.dual_len(), 1);
 
-        d.begin_dual(v, 1);
-        assert!(d.abort_dual(v));
+        // Promote: the second owner becomes the sole primary.
+        d.assign(v, 3);
+        d.set_dual(v, None);
+        assert_eq!(d.owners_for(v), Some((3, None)));
+        assert_eq!(d.dual_len(), 0);
+
+        // Abort: the second owner goes, the primary stays.
+        d.set_dual(v, Some(1));
+        d.set_dual(v, None);
         assert_eq!(d.owners_for(v), Some((3, None)), "abort keeps primary");
-        assert!(!d.abort_dual(v));
+        d.set_dual(v, None);
+        assert_eq!(d.dual_len(), 0, "clearing is idempotent");
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! VNI→cluster split to change while traffic is in flight. This module
 //! plans the *minimal* set of VNI moves between two splits
 //! ([`ReshardPlan`]) and drives each move through a typed
-//! make-before-break state machine ([`MoveMachine`]):
+//! make-before-break state machine ([`MoveMachine`]) over the shared
+//! [`MoveStage`]s:
 //!
 //! ```text
-//!   Planned ──announce──▶ Announced ──enter_dual──▶ Dual ──commit──▶ Committed ──drain──▶ Drained
-//!                │                          │
-//!                └────────rollback──────────┴──▶ RolledBack
+//!   Planned ──announce──▶ Announce ──advance──▶ Dual ──advance──▶ Commit ──advance──▶ Drain
+//!                            │                   │
+//!                            └─────rollback──────┴──▶ RolledBack
 //! ```
 //!
 //! - **Announce** — the destination cluster (and its 1:1 backup) gets an
@@ -27,11 +28,13 @@
 //!   the moved VNIs, freeing their SRAM/TCAM.
 //!
 //! Rollback is possible from every pre-commit state and leaves the
-//! region exactly as before the move began.
+//! region exactly as before the move began. Where the group is served
+//! and held at each stage is written once, in [`LiveMove`].
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
+use sailfish_asic::verify::world::MoveStage;
 use sailfish_net::Vni;
 use sailfish_sim::faults::VirtualClock;
 use sailfish_sim::topology::Topology;
@@ -39,40 +42,58 @@ use sailfish_xgw_h::HardwareTables;
 
 use crate::cluster::ImageBuilder;
 use crate::controller::{
-    peer_leaders, vni_weights, ClusterCapacity, Controller, InstallError, InstallInjector,
-    InstallPolicy, InstallReport, Push, SplitPlan,
+    peer_leaders, vni_weights, ClusterCapacity, ClusterLoad, Controller, InstallError,
+    InstallInjector, InstallPolicy, InstallReport, Push, SplitPlan,
 };
 use crate::region::Region;
 
-/// Phase of one make-before-break migration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MovePhase {
-    /// Planned; nothing touched yet.
-    Planned,
-    /// Destination (and backup) verified and holding the tables.
-    Announced,
-    /// Both owners serve the range.
-    Dual,
-    /// Directory retargeted; destination is sole owner.
-    Committed,
-    /// Source freed its copy; migration complete.
-    Drained,
-    /// Aborted from a pre-commit phase; region as before the move.
-    RolledBack,
+/// One in-flight migration of a peer group at one make-before-break
+/// stage. Its two methods are the one rule for where the group lives
+/// mid-move.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiveMove {
+    /// Current owner the group is moving away from.
+    pub from: usize,
+    /// Destination cluster.
+    pub to: usize,
+    /// Where the make-before-break sequence stands.
+    pub stage: MoveStage,
 }
 
-impl MovePhase {
-    /// Stable lowercase label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MovePhase::Planned => "planned",
-            MovePhase::Announced => "announced",
-            MovePhase::Dual => "dual",
-            MovePhase::Committed => "committed",
-            MovePhase::Drained => "drained",
-            MovePhase::RolledBack => "rolled_back",
+impl LiveMove {
+    /// The clusters serving the group: the directory's primary and, in
+    /// the Dual window, the second owner a flow may hash to. Traffic
+    /// moves only at Commit.
+    pub fn owners(&self) -> (usize, Option<usize>) {
+        match self.stage {
+            MoveStage::Announce => (self.from, None),
+            MoveStage::Dual => (self.from, Some(self.to)),
+            MoveStage::Commit | MoveStage::Drain => (self.to, None),
         }
     }
+
+    /// The clusters holding the group's tables, primary owner first: the
+    /// destination from Announce on, the source until Drain frees it —
+    /// so every owner has the tables, and after Commit so do batches
+    /// still pinned to the prior epoch.
+    pub fn holders(&self) -> (usize, Option<usize>) {
+        match self.stage {
+            MoveStage::Announce | MoveStage::Dual => (self.from, Some(self.to)),
+            MoveStage::Commit => (self.to, Some(self.from)),
+            MoveStage::Drain => (self.to, None),
+        }
+    }
+}
+
+/// Where a [`MoveMachine`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MoveState {
+    /// Nothing touched yet.
+    Planned,
+    /// Driven to this stage; `At(Drain)` is a completed move.
+    At(MoveStage),
+    /// Aborted before Commit; the region is as before the move.
+    RolledBack,
 }
 
 /// Why a re-shard step failed.
@@ -100,10 +121,10 @@ pub enum ReshardError {
         /// Clusters that exist.
         clusters: usize,
     },
-    /// The state machine was asked for a step its phase does not allow.
+    /// The state machine was asked for a step its state does not allow.
     InvalidTransition {
-        /// The phase the machine is in.
-        phase: MovePhase,
+        /// The state the machine is in.
+        state: MoveState,
         /// The step that was requested.
         action: &'static str,
     },
@@ -136,8 +157,8 @@ impl core::fmt::Display for ReshardError {
             ReshardError::UnknownCluster { cluster, clusters } => {
                 write!(f, "cluster {cluster} does not exist ({clusters} clusters)")
             }
-            ReshardError::InvalidTransition { phase, action } => {
-                write!(f, "cannot {action} from phase {}", phase.label())
+            ReshardError::InvalidTransition { state, action } => {
+                write!(f, "cannot {action} from {state:?}")
             }
             ReshardError::StaticallyRejected { detail } => {
                 write!(f, "statically rejected by the world verifier: {detail}")
@@ -170,6 +191,20 @@ pub struct VniMove {
     pub routes: usize,
     /// VM mappings the group carries.
     pub vms: usize,
+}
+
+impl VniMove {
+    /// Moves the group's load from its source to its destination in
+    /// per-cluster `loads`; `Err` names a cluster `loads` lacks.
+    fn shift_load(&self, loads: &mut [ClusterLoad]) -> Result<(), usize> {
+        let src = loads.get_mut(self.from).ok_or(self.from)?;
+        src.routes = src.routes.saturating_sub(self.routes);
+        src.vms = src.vms.saturating_sub(self.vms);
+        let dst = loads.get_mut(self.to).ok_or(self.to)?;
+        dst.routes += self.routes;
+        dst.vms += self.vms;
+        Ok(())
+    }
 }
 
 /// The minimal set of moves turning `current` into `target`.
@@ -240,26 +275,17 @@ impl ReshardPlan {
                 .iter()
                 .filter_map(|v| weights.get(v))
                 .fold((0, 0), |(r, m), (wr, wm)| (r + wr, m + wm));
-            let src = achieved.get_mut(cur).ok_or(ReshardError::UnknownCluster {
-                cluster: cur,
-                clusters,
-            })?;
-            src.routes = src.routes.saturating_sub(routes);
-            src.vms = src.vms.saturating_sub(vms);
-            let dst = achieved.get_mut(tgt).ok_or(ReshardError::UnknownCluster {
-                cluster: tgt,
-                clusters,
-            })?;
-            dst.routes += routes;
-            dst.vms += vms;
-            moves.push(VniMove {
+            let mv = VniMove {
                 leader: lead,
                 vnis: members,
                 from: cur,
                 to: tgt,
                 routes,
                 vms,
-            });
+            };
+            mv.shift_load(&mut achieved)
+                .map_err(|cluster| ReshardError::UnknownCluster { cluster, clusters })?;
+            moves.push(mv);
         }
         for (cluster, load) in achieved.iter().enumerate() {
             if load.routes > capacity.max_routes || load.vms > capacity.max_vms {
@@ -279,13 +305,12 @@ impl ReshardPlan {
     }
 }
 
-/// Drives one [`VniMove`] through the make-before-break phases.
+/// Drives one [`VniMove`] through the make-before-break stages.
 #[derive(Debug, Clone)]
 pub struct MoveMachine<'t> {
     /// The move being driven.
     pub mv: VniMove,
-    /// Current phase.
-    pub phase: MovePhase,
+    state: MoveState,
     /// The topology the images are built from.
     topology: &'t Topology,
 }
@@ -296,19 +321,20 @@ impl<'t> MoveMachine<'t> {
     pub fn new(topology: &'t Topology, mv: VniMove) -> Self {
         MoveMachine {
             mv,
-            phase: MovePhase::Planned,
+            state: MoveState::Planned,
             topology,
         }
     }
 
-    fn expect_phase(&self, want: MovePhase, action: &'static str) -> Result<(), ReshardError> {
-        if self.phase == want {
-            Ok(())
-        } else {
-            Err(ReshardError::InvalidTransition {
-                phase: self.phase,
-                action,
-            })
+    /// Where the machine stands.
+    pub fn state(&self) -> MoveState {
+        self.state
+    }
+
+    fn refuse(&self, action: &'static str) -> ReshardError {
+        ReshardError::InvalidTransition {
+            state: self.state,
+            action,
         }
     }
 
@@ -326,15 +352,6 @@ impl<'t> MoveMachine<'t> {
         Arc::new(ImageBuilder::new(self.topology, 0).build(&vpcs, region.config.alpm))
     }
 
-    /// Points `cluster` and its backup at `image`.
-    fn point(region: &mut Region, cluster: usize, image: &Arc<HardwareTables>) {
-        for c in std::iter::once(cluster).chain(region.backup_of(cluster)) {
-            if let Some(hw) = region.hw.get_mut(c) {
-                hw.point_all(image);
-            }
-        }
-    }
-
     /// **Announce**: the destination cluster (and its backup) statically
     /// verifies and two-phase-pushes an image holding the moving tables.
     /// Traffic is untouched — the directory still points at the source.
@@ -345,7 +362,9 @@ impl<'t> MoveMachine<'t> {
         policy: &InstallPolicy,
         injector: &mut InstallInjector<'_>,
     ) -> Result<InstallReport, ReshardError> {
-        self.expect_phase(MovePhase::Planned, "announce")?;
+        if self.state != MoveState::Planned {
+            return Err(self.refuse("announce"));
+        }
         let clusters = region.plan.clusters_needed();
         for c in [self.mv.from, self.mv.to] {
             if c >= clusters || c >= region.hw.len() {
@@ -400,73 +419,81 @@ impl<'t> MoveMachine<'t> {
                 }
             }
         }
-        self.phase = MovePhase::Announced;
+        self.state = MoveState::At(MoveStage::Announce);
         Ok(report)
     }
 
-    /// **Dual**: both owners serve the range; flows hash to either.
-    pub fn enter_dual(&mut self, region: &mut Region) -> Result<(), ReshardError> {
-        self.expect_phase(MovePhase::Announced, "enter_dual")?;
-        for vni in &self.mv.vnis {
-            region.directory.begin_dual(*vni, self.mv.to);
-        }
-        self.phase = MovePhase::Dual;
+    /// One stage forward: **Dual** (both owners serve; flows hash to
+    /// either), **Commit** (one atomic step retargets the directory and
+    /// the split plan to the destination) or **Drain** (the source and
+    /// its backup move to an image without the moved entries, freeing
+    /// their SRAM/TCAM).
+    pub fn advance(&mut self, region: &mut Region) -> Result<(), ReshardError> {
+        let next = match self.state {
+            MoveState::At(stage) => stage.next(),
+            MoveState::Planned | MoveState::RolledBack => None,
+        };
+        let next = next.ok_or_else(|| self.refuse("advance"))?;
+        self.step(region, MoveState::At(next));
         Ok(())
     }
 
-    /// **Commit**: one atomic step retargets the directory and the split
-    /// plan, making the destination the sole owner.
-    pub fn commit(&mut self, region: &mut Region) -> Result<(), ReshardError> {
-        self.expect_phase(MovePhase::Dual, "commit")?;
-        for vni in &self.mv.vnis {
-            region.directory.promote(*vni);
-            region.plan.assignments.insert(*vni, self.mv.to);
-        }
-        if let Some(src) = region.plan.per_cluster.get_mut(self.mv.from) {
-            src.routes = src.routes.saturating_sub(self.mv.routes);
-            src.vms = src.vms.saturating_sub(self.mv.vms);
-        }
-        if let Some(dst) = region.plan.per_cluster.get_mut(self.mv.to) {
-            dst.routes += self.mv.routes;
-            dst.vms += self.mv.vms;
-        }
-        self.phase = MovePhase::Committed;
-        Ok(())
-    }
-
-    /// **Drain**: the source cluster (and its backup) moves to an image
-    /// without the moved entries, freeing their SRAM/TCAM.
-    pub fn drain(&mut self, region: &mut Region) -> Result<(), ReshardError> {
-        self.expect_phase(MovePhase::Committed, "drain")?;
-        let image = self.image(region, self.mv.from, false);
-        Self::point(region, self.mv.from, &image);
-        self.phase = MovePhase::Drained;
-        Ok(())
-    }
-
-    /// Rolls back from any pre-commit phase: dual ownership (if entered)
-    /// is aborted and the destination (and its backup) returns to an
-    /// image of its planned VNIs. The region is exactly as before
-    /// `announce`.
+    /// Rolls back from Announce or Dual: the group's directory entries
+    /// return to the source alone and the destination (and its backup)
+    /// returns to an image of its planned VNIs. The region is exactly as
+    /// before `announce`.
     pub fn rollback(&mut self, region: &mut Region) -> Result<(), ReshardError> {
-        match self.phase {
-            MovePhase::Announced | MovePhase::Dual => {}
-            _ => {
-                return Err(ReshardError::InvalidTransition {
-                    phase: self.phase,
-                    action: "rollback",
-                })
-            }
+        if !matches!(self.state, MoveState::At(stage) if stage < MoveStage::Commit) {
+            return Err(self.refuse("rollback"));
         }
-        if self.phase == MovePhase::Dual {
-            for vni in &self.mv.vnis {
-                region.directory.abort_dual(*vni);
-            }
-        }
-        let image = self.image(region, self.mv.to, false);
-        Self::point(region, self.mv.to, &image);
-        self.phase = MovePhase::RolledBack;
+        self.step(region, MoveState::RolledBack);
         Ok(())
+    }
+
+    /// The move in flight in `state`, if any.
+    fn live(&self, state: MoveState) -> Option<LiveMove> {
+        match state {
+            MoveState::At(stage) => Some(LiveMove {
+                from: self.mv.from,
+                to: self.mv.to,
+                stage,
+            }),
+            MoveState::Planned | MoveState::RolledBack => None,
+        }
+    }
+
+    /// Moves the region to `next`: the group's directory entries follow
+    /// its owners there, Commit retargets the split plan, and every
+    /// cluster that stops holding the group (and its backup) re-points
+    /// at its plan image. With no move in flight the source alone owns
+    /// and holds the group.
+    fn step(&mut self, region: &mut Region, next: MoveState) {
+        let home = (self.mv.from, None);
+        let (held, also_held) = self.live(self.state).map_or(home, |m| m.holders());
+        let after = self.live(next);
+        let (primary, dual) = after.map_or(home, |m| m.owners());
+        let holders = after.map_or(home, |m| m.holders());
+        for vni in &self.mv.vnis {
+            region.directory.assign(*vni, primary);
+            region.directory.set_dual(*vni, dual);
+        }
+        if next == MoveState::At(MoveStage::Commit) {
+            for vni in &self.mv.vnis {
+                region.plan.assignments.insert(*vni, self.mv.to);
+            }
+            // `announce` checked that the plan has both clusters.
+            let _ = self.mv.shift_load(&mut region.plan.per_cluster);
+        }
+        let left = std::iter::once(held).chain(also_held);
+        for left in left.filter(|c| *c != holders.0 && Some(*c) != holders.1) {
+            let image = self.image(region, left, false);
+            for c in std::iter::once(left).chain(region.backup_of(left)) {
+                if let Some(hw) = region.hw.get_mut(c) {
+                    hw.point_all(&image);
+                }
+            }
+        }
+        self.state = next;
     }
 }
 
@@ -479,9 +506,9 @@ pub struct MoveOutcome {
     pub from: usize,
     /// Destination cluster.
     pub to: usize,
-    /// Final phase reached (`Drained` on success, `RolledBack` on a
+    /// Final state reached (`At(Drain)` on success, `RolledBack` on a
     /// clean abort).
-    pub phase: MovePhase,
+    pub state: MoveState,
     /// Push attempts made during `Announce`.
     pub attempts: u32,
     /// The error that forced a rollback, if any.
@@ -506,7 +533,7 @@ impl ReshardReport {
     pub fn committed(&self) -> usize {
         self.outcomes
             .iter()
-            .filter(|o| o.phase == MovePhase::Drained)
+            .filter(|o| o.state == MoveState::At(MoveStage::Drain))
             .count()
     }
 
@@ -514,11 +541,11 @@ impl ReshardReport {
     pub fn rolled_back(&self) -> usize {
         self.outcomes
             .iter()
-            .filter(|o| o.phase == MovePhase::RolledBack)
+            .filter(|o| o.state == MoveState::RolledBack)
             .count()
     }
 
-    /// Directory epochs (phase transitions that retarget traffic: Dual
+    /// Directory epochs (stage transitions that retarget traffic: Dual
     /// entry + Commit per completed move, one abort per rollback) per
     /// virtual second.
     pub fn epochs_per_sec(&self) -> f64 {
@@ -557,7 +584,7 @@ pub fn run_plan(
                 leader: mv.leader,
                 from: mv.from,
                 to: mv.to,
-                phase: MovePhase::Planned,
+                state: MoveState::Planned,
                 attempts: 0,
                 error: Some(format!("statically rejected: {detail}")),
             });
@@ -571,26 +598,24 @@ pub fn run_plan(
             leader: mv.leader,
             from: mv.from,
             to: mv.to,
-            phase: MovePhase::Planned,
+            state: MoveState::Planned,
             attempts: 0,
             error: None,
         };
         match machine.announce(region, clock, policy, injector) {
             Ok(push) => {
                 outcome.attempts = push.attempts;
-                machine
-                    .enter_dual(region)
-                    .and_then(|()| machine.commit(region))
-                    .and_then(|()| machine.drain(region))
+                (1..MoveStage::SEQUENCE.len())
+                    .try_for_each(|_| machine.advance(region))
                     .unwrap_or_else(|e| outcome.error = Some(e.to_string()));
+                outcome.state = machine.state();
             }
             Err(e) => {
                 // Announce left the destination clean; nothing to unwind.
-                machine.phase = MovePhase::RolledBack;
+                outcome.state = MoveState::RolledBack;
                 outcome.error = Some(e.to_string());
             }
         }
-        outcome.phase = machine.phase;
         report.outcomes.push(outcome);
     }
     report.virtual_ns = clock.now_ns() - start_ns;
@@ -600,6 +625,7 @@ pub fn run_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::InstallError;
     use crate::region::{FlowPath, RegionConfig};
     use sailfish_sim::faults::InstallFault;
     use sailfish_sim::topology::TopologyConfig;
@@ -719,7 +745,7 @@ mod tests {
             }
         }
 
-        machine.enter_dual(&mut region).unwrap();
+        machine.advance(&mut region).unwrap();
         // Dual: no packet black-holes; flows land on either owner.
         let mut on = [0usize; 2];
         for f in &flows {
@@ -736,15 +762,15 @@ mod tests {
         assert_eq!(dual_report.unrouted_pps, 0.0);
         assert_eq!(dual_report.fallback_pps, 0.0);
 
-        machine.commit(&mut region).unwrap();
+        machine.advance(&mut region).unwrap();
         assert_eq!(region.directory.dual_len(), 0);
         for vni in &mv.vnis {
             assert_eq!(region.directory.cluster_for(*vni), Some(mv.to));
             assert_eq!(region.plan.assignments[vni], mv.to);
         }
 
-        machine.drain(&mut region).unwrap();
-        assert_eq!(machine.phase, MovePhase::Drained);
+        machine.advance(&mut region).unwrap();
+        assert_eq!(machine.state(), MoveState::At(MoveStage::Drain));
         // Source freed its SRAM/TCAM; consistency check follows the plan.
         for d in 0..region.hw[mv.from].devices.len() {
             for vni in &mv.vnis {
@@ -770,14 +796,14 @@ mod tests {
         let baseline_routes = region.hw[mv.to].route_entries();
         let baseline_snapshot = region.directory.snapshot();
 
-        // Rollback from Announced.
+        // Rollback from Announce.
         let mut clock = VirtualClock::new();
         let mut machine = MoveMachine::new(&topology, mv.clone());
         machine
             .announce(&mut region, &mut clock, &policy, &mut |_, _| None)
             .unwrap();
         machine.rollback(&mut region).unwrap();
-        assert_eq!(machine.phase, MovePhase::RolledBack);
+        assert_eq!(machine.state(), MoveState::RolledBack);
         assert_eq!(region.hw[mv.to].route_entries(), baseline_routes);
         assert_eq!(region.directory.snapshot(), baseline_snapshot);
 
@@ -786,26 +812,194 @@ mod tests {
         machine
             .announce(&mut region, &mut clock, &policy, &mut |_, _| None)
             .unwrap();
-        machine.enter_dual(&mut region).unwrap();
+        machine.advance(&mut region).unwrap();
         assert!(region.directory.dual_len() > 0);
         machine.rollback(&mut region).unwrap();
         assert_eq!(region.directory.dual_len(), 0);
         assert_eq!(region.hw[mv.to].route_entries(), baseline_routes);
         assert_eq!(region.directory.snapshot(), baseline_snapshot);
 
-        // Rollback from Committed is refused: make-before-break has no
+        // Rollback from Commit is refused: make-before-break has no
         // undo once the directory is retargeted.
         let mut machine = MoveMachine::new(&topology, mv.clone());
         machine
             .announce(&mut region, &mut clock, &policy, &mut |_, _| None)
             .unwrap();
-        machine.enter_dual(&mut region).unwrap();
-        machine.commit(&mut region).unwrap();
+        machine.advance(&mut region).unwrap();
+        machine.advance(&mut region).unwrap();
         assert!(matches!(
             machine.rollback(&mut region),
             Err(ReshardError::InvalidTransition { .. })
         ));
-        machine.drain(&mut region).unwrap();
+        machine.advance(&mut region).unwrap();
+    }
+
+    /// One step the exhaustive check drives.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Announce,
+        /// An announce whose every push faults.
+        FaultedAnnounce,
+        Advance,
+        Rollback,
+    }
+
+    fn apply(
+        step: Step,
+        machine: &mut MoveMachine<'_>,
+        region: &mut Region,
+    ) -> Result<(), ReshardError> {
+        let mut clock = VirtualClock::new();
+        let policy = InstallPolicy {
+            max_attempts: 2,
+            ..InstallPolicy::default()
+        };
+        match step {
+            Step::Announce => machine
+                .announce(region, &mut clock, &policy, &mut |_, _| None)
+                .map(drop),
+            Step::FaultedAnnounce => machine
+                .announce(region, &mut clock, &policy, &mut |_, _| {
+                    Some(InstallFault::Partial { fraction: 0.5 })
+                })
+                .map(drop),
+            Step::Advance => machine.advance(region),
+            Step::Rollback => machine.rollback(region),
+        }
+    }
+
+    /// Everything a step may touch: the directory's primaries, its dual
+    /// entries, and every device slot's image.
+    type Observed = (
+        Vec<(Vni, usize)>,
+        Vec<(Vni, usize)>,
+        Vec<Vec<Arc<HardwareTables>>>,
+    );
+
+    fn observe(region: &Region) -> Observed {
+        let snapshot = region.directory.snapshot();
+        let dual = snapshot
+            .iter()
+            .filter_map(|(v, _)| region.directory.dual_of(*v).map(|d| (*v, d)))
+            .collect();
+        let images = region.hw.iter().map(|c| c.devices.clone()).collect();
+        (snapshot, dual, images)
+    }
+
+    /// What an image holds, for comparing two builds of one plan.
+    fn contents(image: &HardwareTables) -> (usize, Vec<(Vni, usize)>) {
+        let routes = image.routes.vnis();
+        let per_vni = routes
+            .into_iter()
+            .map(|v| (v, image.routes.len_for_vni(v)))
+            .collect();
+        (image.vm_nc.len(), per_vni)
+    }
+
+    /// Every reachable machine state crossed with every step, each
+    /// replayed on a freshly built region with backups: an illegal step
+    /// changes nothing, every owner of the group holds its routes after
+    /// a legal one, and a rollback restores the pre-move region.
+    #[test]
+    fn every_reachable_state_handles_every_step_safely() {
+        const STEPS: [Step; 4] = [
+            Step::Announce,
+            Step::FaultedAnnounce,
+            Step::Advance,
+            Step::Rollback,
+        ];
+        let (topology, probe) = build();
+        let mv = single_move_plan(&topology, &probe).moves[0].clone();
+        let routes: Vec<usize> = mv
+            .vnis
+            .iter()
+            .map(|v| probe.hw[mv.from].route_entries_for(0, *v))
+            .collect();
+        assert!(routes.iter().sum::<usize>() > 0);
+        drop(probe);
+
+        let mut seen = vec![MoveState::Planned];
+        let mut queue = std::collections::VecDeque::from([(MoveState::Planned, Vec::new())]);
+        let mut checked = 0;
+        while let Some((state, path)) = queue.pop_front() {
+            for step in STEPS {
+                let (_, mut region) = build();
+                let pre = observe(&region);
+                let mut machine = MoveMachine::new(&topology, mv.clone());
+                for s in &path {
+                    apply(*s, &mut machine, &mut region).unwrap();
+                }
+                assert_eq!(machine.state(), state);
+                let before = observe(&region);
+                let result = apply(step, &mut machine, &mut region);
+                let after = observe(&region);
+                let unchanged = before.0 == after.0
+                    && before.1 == after.1
+                    && before
+                        .2
+                        .iter()
+                        .zip(&after.2)
+                        .all(|(b, a)| b.iter().zip(a).all(|(b, a)| Arc::ptr_eq(b, a)));
+                let what = format!("{step:?} from {state:?}");
+                checked += 1;
+                match result {
+                    Err(ReshardError::InvalidTransition { state: s, .. }) => {
+                        assert_eq!(s, state, "{what}");
+                        assert_eq!(machine.state(), state, "{what}");
+                        assert!(unchanged, "{what}: an illegal step changed the region");
+                        continue;
+                    }
+                    Err(e) => {
+                        assert_eq!((step, state), (Step::FaultedAnnounce, MoveState::Planned));
+                        assert!(
+                            matches!(
+                                e,
+                                ReshardError::Install(InstallError::RetriesExhausted { .. })
+                            ),
+                            "{what}: {e}"
+                        );
+                        assert_eq!(machine.state(), state, "{what}");
+                        assert!(unchanged, "{what}: a failed announce changed the region");
+                    }
+                    Ok(()) => {
+                        let next = machine.state();
+                        if !seen.contains(&next) {
+                            seen.push(next);
+                            let mut longer = path.clone();
+                            longer.push(step);
+                            queue.push_back((next, longer));
+                        }
+                    }
+                }
+                // Every owner of every group VNI — and its backup —
+                // holds the VNI's routes on every device.
+                for (vni, want) in mv.vnis.iter().zip(&routes) {
+                    let (primary, dual) = region.directory.owners_for(*vni).unwrap();
+                    for owner in std::iter::once(primary).chain(dual) {
+                        for c in std::iter::once(owner).chain(region.backup_of(owner)) {
+                            for d in 0..region.hw[c].devices.len() {
+                                assert_eq!(
+                                    region.hw[c].route_entries_for(d, *vni),
+                                    *want,
+                                    "{what}: cluster {c} device {d} lacks {vni}"
+                                );
+                            }
+                        }
+                    }
+                }
+                if step == Step::Rollback {
+                    assert_eq!(after.0, pre.0, "{what}: directory");
+                    assert!(after.1.is_empty(), "{what}: dual entries");
+                    for (c, (now, then)) in after.2.iter().zip(&pre.2).enumerate() {
+                        for (now, then) in now.iter().zip(then) {
+                            assert_eq!(contents(now), contents(then), "{what}: cluster {c}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 6, "reachable: {seen:?}");
+        assert_eq!(checked, 6 * STEPS.len());
     }
 
     #[test]

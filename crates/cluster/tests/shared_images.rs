@@ -6,7 +6,8 @@
 //! re-points it back to a fresh image of the plan; a push that fails
 //! leaves every slot where it was. And the region's controller and the
 //! packet path's epoch build fill a cluster identically from the same
-//! split plan, whichever planner made it.
+//! split plan, whichever planner made it, and at every stage of a live
+//! move.
 //!
 //! The XGW-x86 fleet has the same shape: every node of a region points at
 //! one full-region image, the same one the packet path's fallback
@@ -15,13 +16,16 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use sailfish_asic::verify::world::MoveStage;
 use sailfish_cluster::cluster::{HwCluster, SwCluster};
 use sailfish_cluster::controller::{
     ClusterCapacity, Controller, InstallError, InstallPolicy, SplitPlan,
 };
 use sailfish_cluster::lb::VniDirectory;
 use sailfish_cluster::region::{Region, RegionConfig};
-use sailfish_cluster::reshard::{MoveMachine, ReshardError, ReshardPlan};
+use sailfish_cluster::reshard::{
+    LiveMove, MoveMachine, MoveState, ReshardError, ReshardPlan, VniMove,
+};
 use sailfish_dataplane::executor::software_forwarder;
 use sailfish_dataplane::traffic::packet_for_flow;
 use sailfish_dataplane::{DataplaneConfig, EpochState, WorldView};
@@ -252,6 +256,48 @@ fn assert_same_image(
     }
 }
 
+/// The group's directory owners and per-cluster route counts agree
+/// between the region, where a `MoveMachine` drove `mv` to `state`, and
+/// an epoch built from the pre-move plan with `mv` live at that stage.
+fn assert_region_matches_epoch(
+    topology: &Topology,
+    region: &Region,
+    premove: &SplitPlan,
+    mv: &VniMove,
+    state: MoveState,
+    what: &str,
+) {
+    let mut world = WorldView::healthy();
+    if let MoveState::At(stage) = state {
+        let live = LiveMove {
+            from: mv.from,
+            to: mv.to,
+            stage,
+        };
+        world.moves.insert(mv.leader, live);
+    }
+    let config = DataplaneConfig {
+        clusters: premove.clusters_needed(),
+        hw_vm_stride: 0,
+        ..DataplaneConfig::default()
+    };
+    let epoch = EpochState::build_planned(topology, &config, 1, &world, premove);
+    for vni in &mv.vnis {
+        assert_eq!(
+            region.directory.owners_for(*vni),
+            epoch.directory.owners_for(*vni),
+            "{what}: owners of {vni}"
+        );
+        for (c, cluster) in epoch.clusters.iter().enumerate() {
+            assert_eq!(
+                region.hw[c].route_entries_for(0, *vni),
+                cluster.tables.routes.len_for_vni(*vni),
+                "{what}: routes of {vni} on cluster {c}"
+            );
+        }
+    }
+}
+
 #[test]
 fn region_and_epoch_fill_a_cluster_identically() {
     for seed in [1, 7, 42, 1337] {
@@ -268,15 +314,19 @@ fn region_and_epoch_fill_a_cluster_identically() {
                 ..WorkloadConfig::default()
             },
         );
-        let region = Region::build(
-            &topology,
-            RegionConfig {
-                capacity: tight(),
-                hw_clusters: 8,
-                ..RegionConfig::default()
-            },
-        )
-        .unwrap();
+        let build = || {
+            Region::build(
+                &topology,
+                RegionConfig {
+                    capacity: tight(),
+                    hw_clusters: 8,
+                    spare_clusters: 1,
+                    ..RegionConfig::default()
+                },
+            )
+            .unwrap()
+        };
+        let region = build();
         let planned = Controller::plan_split(&topology, tight(), 8).unwrap();
         for (planner, plan) in [
             ("plan_split", planned),
@@ -312,6 +362,56 @@ fn region_and_epoch_fill_a_cluster_identically() {
                 if planner == "plan_split" {
                     assert_same_image(&region.hw[c].devices[0], &cluster.devices[0], &flows, &what);
                 }
+            }
+        }
+
+        // A live move: cluster 0's first group onto the spare, driven
+        // to Drain, and separately rolled back from Dual.
+        let premove = region.plan.clone();
+        let spare = premove.clusters_needed() - 1;
+        let mut target = premove.clone();
+        for cluster in target.assignments.values_mut() {
+            if *cluster == 0 {
+                *cluster = spare;
+            }
+        }
+        let moves = ReshardPlan::plan(
+            &topology,
+            &premove,
+            &target,
+            ClusterCapacity::default(),
+            &BTreeSet::new(),
+        )
+        .unwrap();
+        let mv = &moves.moves[0];
+        for rollback in [false, true] {
+            let mut region = build();
+            let mut machine = MoveMachine::new(&topology, mv.clone());
+            machine
+                .announce(
+                    &mut region,
+                    &mut VirtualClock::new(),
+                    &InstallPolicy::default(),
+                    &mut |_, _| None,
+                )
+                .unwrap();
+            let what = format!("seed {seed}, rollback {rollback}");
+            let check = |region: &Region, state: MoveState| {
+                let what = format!("{what}, {state:?}");
+                assert_region_matches_epoch(&topology, region, &premove, mv, state, &what);
+            };
+            check(&region, machine.state());
+            let advances = if rollback { 1 } else { 3 };
+            for _ in 0..advances {
+                machine.advance(&mut region).unwrap();
+                check(&region, machine.state());
+            }
+            if rollback {
+                machine.rollback(&mut region).unwrap();
+                assert_eq!(machine.state(), MoveState::RolledBack);
+                check(&region, machine.state());
+            } else {
+                assert_eq!(machine.state(), MoveState::At(MoveStage::Drain));
             }
         }
     }

@@ -8,9 +8,10 @@
 
 use std::collections::BTreeSet;
 
+use sailfish_asic::verify::world::MoveStage;
 use sailfish_cluster::controller::{ClusterCapacity, Controller};
 use sailfish_cluster::region::RegionConfig;
-use sailfish_cluster::reshard::{run_plan, MovePhase, ReshardPlan};
+use sailfish_cluster::reshard::{run_plan, MoveState, ReshardPlan};
 use sailfish_cluster::worldcheck::verify_reshard;
 use sailfish_cluster::Region;
 use sailfish_sim::faults::VirtualClock;
@@ -95,7 +96,11 @@ fn statically_clean_plans_replay_without_dynamic_findings() {
         );
         assert_eq!(report.rolled_back(), 0, "seed {seed}");
         for outcome in &report.outcomes {
-            assert_eq!(outcome.phase, MovePhase::Drained, "seed {seed}");
+            assert_eq!(
+                outcome.state,
+                MoveState::At(MoveStage::Drain),
+                "seed {seed}"
+            );
             assert!(
                 outcome.error.is_none(),
                 "seed {seed}: dynamic finding on {:?}: {:?}",

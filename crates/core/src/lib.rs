@@ -65,6 +65,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()`: see clippy.toml.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub use sailfish_asic as asic;
 pub use sailfish_cluster as cluster;

@@ -40,6 +40,7 @@ use sailfish_asic::verify::world::{
 };
 use sailfish_cluster::controller::{peer_anchor, InstallPolicy, SplitPlan};
 use sailfish_cluster::monitor::{evaluate_tier_shares, Alert, WaterLevels};
+use sailfish_cluster::reshard::LiveMove;
 use sailfish_net::Vni;
 use sailfish_sim::faults::{FaultEvent, FaultKind, FaultSchedule, InstallFault};
 use sailfish_sim::workload::{self, Flow, WorkloadConfig};
@@ -48,14 +49,14 @@ use sailfish_xgw_h::HwDecision;
 
 use crate::counters::TableCounters;
 use crate::engine;
-use crate::epoch::{EpochState, LiveMove, MovePhase, WorldView};
+use crate::epoch::{EpochState, WorldView};
 use crate::executor::{software_forwarder, Dataplane, DataplaneConfig};
 use crate::oracle::differential_run;
 use crate::traffic;
 
 /// One scripted make-before-break migration the harness replays against
-/// the live executor. Each phase dwells for `dwell` slots and advances
-/// Announce → Dual → Commit → Drain; the implied phase transition is
+/// the live executor. Each stage dwells for `dwell` slots and advances
+/// Announce → Dual → Commit → Drain; the implied stage transition is
 /// published as a fresh epoch (and is therefore subject to any install
 /// fault active at that slot, exactly like a recovery publish).
 #[derive(Debug, Clone)]
@@ -68,15 +69,29 @@ pub struct ScriptedMove {
     pub from: usize,
     /// Destination cluster.
     pub to: usize,
-    /// Slot the Announce phase begins.
+    /// Slot the Announce stage begins.
     pub start: u64,
-    /// Slots each phase lasts before advancing (min 1). Drain is
+    /// Slots each stage lasts before advancing (min 1). Drain is
     /// terminal: once reached the group stays on the destination.
     pub dwell: u64,
-    /// Roll back instead of advancing past this phase. Only pre-commit
-    /// phases (`Announce`, `Dual`) can abort; the move is withdrawn from
-    /// the world after the phase's window, returning the group home.
-    pub abort_after: Option<MovePhase>,
+    /// Roll back instead of advancing past this stage. Only pre-commit
+    /// stages (`Announce`, `Dual`) can abort; the move is withdrawn from
+    /// the world after the stage's window, returning the group home.
+    pub abort_after: Option<MoveStage>,
+}
+
+impl ScriptedMove {
+    /// The stages the move publishes: all of [`MoveStage::SEQUENCE`], or
+    /// its prefix up to a pre-commit `abort_after`.
+    fn stages(&self) -> &'static [MoveStage] {
+        let kept = match self.abort_after {
+            Some(limit) if limit < MoveStage::Commit => {
+                MoveStage::SEQUENCE.iter().filter(|s| **s <= limit).count()
+            }
+            _ => MoveStage::SEQUENCE.len(),
+        };
+        &MoveStage::SEQUENCE[..kept]
+    }
 }
 
 /// Where a scripted move's make-before-break sequence stands at `slot`,
@@ -85,28 +100,24 @@ fn move_state_at(mv: &ScriptedMove, slot: u64) -> Option<LiveMove> {
     if slot < mv.start {
         return None;
     }
-    let step = (slot - mv.start) / mv.dwell.max(1);
-    let phase = match step {
-        0 => MovePhase::Announce,
-        1 => MovePhase::Dual,
-        2 => MovePhase::Commit,
-        _ => MovePhase::Drain,
+    let step = usize::try_from((slot - mv.start) / mv.dwell.max(1)).unwrap_or(usize::MAX);
+    let stages = mv.stages();
+    let stage = match stages.get(step) {
+        Some(stage) => *stage,
+        // Rolled back: the group is home again.
+        None if stages.len() < MoveStage::SEQUENCE.len() => return None,
+        None => MoveStage::Drain,
     };
-    if let Some(limit) = mv.abort_after {
-        if limit < MovePhase::Commit && phase > limit {
-            return None; // rolled back: the group is home again
-        }
-    }
     Some(LiveMove {
         from: mv.from,
         to: mv.to,
-        phase,
+        stage,
     })
 }
 
 /// What one scripted move actually did across the run, as observed in
 /// the **published** worlds (an install fault can delay or absorb a
-/// phase; the outcome records what traffic really saw).
+/// stage; the outcome records what traffic really saw).
 #[derive(Debug, Clone)]
 pub struct ScriptedMoveOutcome {
     /// Anchor VNI of the migrated group.
@@ -115,11 +126,11 @@ pub struct ScriptedMoveOutcome {
     pub from: usize,
     /// Destination cluster.
     pub to: usize,
-    /// Phases that reached a published epoch, in first-seen order.
-    pub phases_published: Vec<MovePhase>,
+    /// Stages that reached a published epoch, in first-seen order.
+    pub stages_published: Vec<MoveStage>,
     /// Whether the move reached `Drain` in a published world.
     pub committed: bool,
-    /// Whether the move was withdrawn after a pre-commit phase and the
+    /// Whether the move was withdrawn after a pre-commit stage and the
     /// group returned to its source.
     pub rolled_back: bool,
 }
@@ -462,24 +473,19 @@ pub fn run_schedule(
         let certificate = trusted_certificate(&anchor_world);
         // Capacity is not the dataplane harness's concern (the epoch
         // builder holds whole tables per cluster); the gate proves the
-        // ownership and phase-order invariants.
+        // ownership and stage-order invariants.
         let budget = EntryBudget {
             max_routes: usize::MAX,
             max_vms: usize::MAX,
         };
         let options = WorldOptions::default();
         for (i, mv) in cfg.reshard.iter().enumerate() {
-            let stages = match mv.abort_after {
-                Some(MovePhase::Announce) => vec![MoveStage::Announce],
-                Some(MovePhase::Dual) => vec![MoveStage::Announce, MoveStage::Dual],
-                _ => MoveStage::SEQUENCE.to_vec(),
-            };
             let plan = TransitionPlan {
                 moves: vec![WorldMove {
                     units: vec![u64::from(mv.anchor.value())],
                     from: mv.from,
                     to: mv.to,
-                    stages,
+                    stages: mv.stages().to_vec(),
                 }],
             };
             let verdict = verify_plan(&anchor_world, &certificate, &plan, &budget, &options);
@@ -529,7 +535,7 @@ pub fn run_schedule(
                 anchor: mv.anchor,
                 from: mv.from,
                 to: mv.to,
-                phases_published: Vec::new(),
+                stages_published: Vec::new(),
                 committed: false,
                 rolled_back: false,
             })
@@ -619,19 +625,19 @@ pub fn run_schedule(
         }
 
         // Record what each scripted move's group actually experienced:
-        // phases only count once they reach a *published* world.
+        // stages only count once they reach a *published* world.
         for (mv, outcome) in cfg.reshard.iter().zip(report.moves.iter_mut()) {
             match published_world.moves.get(&mv.anchor) {
                 Some(live) => {
-                    if !outcome.phases_published.contains(&live.phase) {
-                        outcome.phases_published.push(live.phase);
+                    if !outcome.stages_published.contains(&live.stage) {
+                        outcome.stages_published.push(live.stage);
                     }
-                    if live.phase == MovePhase::Drain {
+                    if live.stage == MoveStage::Drain {
                         outcome.committed = true;
                     }
                 }
                 None => {
-                    if !outcome.phases_published.is_empty() && !outcome.committed {
+                    if !outcome.stages_published.is_empty() && !outcome.committed {
                         outcome.rolled_back = true;
                     }
                 }
@@ -722,19 +728,15 @@ pub fn run_schedule(
                     return true;
                 }
                 // A mid-migration group may be served by either owner, so
-                // the bound widens to every cluster the published phase
+                // the bound widens to every cluster the published stage
                 // lets traffic land on.
                 let live = flow_anchor
                     .get(**i)
                     .copied()
                     .flatten()
                     .and_then(|anchor| published_world.moves.get(&anchor));
-                let owners: [Option<usize>; 2] = match live {
-                    Some(mv) => match mv.phase {
-                        MovePhase::Announce => [Some(mv.from), None],
-                        MovePhase::Dual => [Some(mv.from), Some(mv.to)],
-                        MovePhase::Commit | MovePhase::Drain => [Some(mv.to), None],
-                    },
+                let owners: [Option<usize>; 2] = match live.map(LiveMove::owners) {
+                    Some((primary, dual)) => [Some(primary), dual],
                     None => [flow_cluster.get(**i).copied().flatten(), None],
                 };
                 owners
@@ -1061,19 +1063,19 @@ mod tests {
         let schedule = FaultSchedule::from_events(10, vec![]);
         let report = run_schedule(&topology, DataplaneConfig::default(), &cfg, &schedule);
         assert!(report.holds(), "violations: {:?}", report.violations);
-        // One publish per phase transition: Announce, Dual, Commit, Drain.
+        // One publish per stage transition: Announce, Dual, Commit, Drain.
         assert_eq!(report.epochs_swapped, 4);
         assert_eq!(report.oracle_checks, 4);
         let mv = report.moves.first().unwrap();
         assert!(mv.committed);
         assert!(!mv.rolled_back);
         assert_eq!(
-            mv.phases_published,
+            mv.stages_published,
             vec![
-                MovePhase::Announce,
-                MovePhase::Dual,
-                MovePhase::Commit,
-                MovePhase::Drain
+                MoveStage::Announce,
+                MoveStage::Dual,
+                MoveStage::Commit,
+                MoveStage::Drain
             ]
         );
         // The dual window (slots 3–4) splits the group's flows across
@@ -1098,7 +1100,7 @@ mod tests {
             to,
             start: 1,
             dwell: 2,
-            abort_after: Some(MovePhase::Dual),
+            abort_after: Some(MoveStage::Dual),
         }];
         let schedule = FaultSchedule::from_events(10, vec![]);
         let report = run_schedule(&topology, DataplaneConfig::default(), &cfg, &schedule);
@@ -1107,8 +1109,8 @@ mod tests {
         assert!(mv.rolled_back);
         assert!(!mv.committed);
         assert_eq!(
-            mv.phases_published,
-            vec![MovePhase::Announce, MovePhase::Dual]
+            mv.stages_published,
+            vec![MoveStage::Announce, MoveStage::Dual]
         );
         // Announce, Dual, then the rollback republish of the home world.
         assert_eq!(report.epochs_swapped, 3);
@@ -1144,7 +1146,7 @@ mod tests {
         );
         // Gated out: the poison move never reaches a published world.
         assert_eq!(report.epochs_swapped, 0);
-        assert!(report.moves.first().unwrap().phases_published.is_empty());
+        assert!(report.moves.first().unwrap().stages_published.is_empty());
         assert_eq!(report.soundness_escapes(&schedule), 0);
     }
 
@@ -1212,7 +1214,7 @@ mod tests {
         let report = run_schedule(&topology, DataplaneConfig::default(), &cfg, &schedule);
         assert!(report.holds(), "violations: {:?}", report.violations);
         let mv = report.moves.first().unwrap();
-        assert!(mv.committed, "phases: {:?}", mv.phases_published);
+        assert!(mv.committed, "stages: {:?}", mv.stages_published);
         assert!(report.epochs_swapped >= 4);
     }
 

@@ -22,11 +22,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use sailfish_cluster::cluster::ImageBuilder;
 use sailfish_cluster::controller::{peer_anchor, SplitPlan};
 use sailfish_cluster::lb::{EcmpGroup, VniDirectory};
+use sailfish_cluster::reshard::LiveMove;
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::{FiveTuple, Vni};
 use sailfish_sim::Topology;
@@ -61,39 +62,6 @@ pub struct Steer<'a> {
     pub slot: u32,
 }
 
-/// Dataplane-visible phase of a live make-before-break VNI migration.
-///
-/// Mirrors the pre-terminal phases of `sailfish_cluster::reshard`'s move
-/// state machine: the control plane publishes one epoch per transition
-/// and the packet path changes ownership only at `Commit`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MovePhase {
-    /// Destination tables are staged and verified; traffic still flows
-    /// to the source only.
-    Announce,
-    /// Both owners hold the tables; per-flow hashing may direct a packet
-    /// to either — no black hole regardless of which one serves it.
-    Dual,
-    /// Directory retargeted to the destination; source tables linger so
-    /// in-flight batches pinned to the prior epoch stay served.
-    Commit,
-    /// Source tables freed; the destination is the only owner.
-    Drain,
-}
-
-/// One in-flight VNI-group migration, keyed in [`WorldView::moves`] by
-/// the peer group's **anchor** VNI (min of the pair, the same grouping
-/// the directory build uses). Every VNI in the group moves together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LiveMove {
-    /// Current owner the group is moving away from.
-    pub from: usize,
-    /// Destination cluster.
-    pub to: usize,
-    /// Where the make-before-break sequence currently stands.
-    pub phase: MovePhase,
-}
-
 /// Which parts of the region are degraded when (re)building table state.
 ///
 /// The chaos harness translates fault injections into a `WorldView` and
@@ -110,9 +78,11 @@ pub struct WorldView {
     /// failure): their VNIs lose hardware service and default-route to
     /// the software tier.
     pub unassigned_clusters: BTreeSet<usize>,
-    /// Live migrations keyed by peer-group anchor VNI. Empty when no
-    /// re-shard is in flight — the common case, and byte-identical to
-    /// the pre-elasticity world.
+    /// Live migrations keyed by peer-group anchor VNI (min of the pair,
+    /// the grouping the directory build uses; every VNI of the group
+    /// moves together). The control plane publishes one epoch per
+    /// stage. Empty when no re-shard is in flight — the common case, and
+    /// byte-identical to the pre-elasticity world.
     pub moves: BTreeMap<Vni, LiveMove>,
     /// DPU middle-tier nodes removed from the spill ring (node death):
     /// their flows re-home to ring successors; ignored when the region
@@ -328,9 +298,9 @@ impl EpochState {
 
 /// Stage one of a build: what each cluster is about to receive — its
 /// VPCs, in topology order — with the directory filled to match. Home
-/// clusters come from `plan`; a live move is keyed by the VPC's
-/// peer-group anchor, and during it both owners carry the group's tables
-/// so either can serve a flow.
+/// clusters come from `plan`; a live move, keyed by the VPC's peer-group
+/// anchor, places the group by [`LiveMove::owners`] and
+/// [`LiveMove::holders`].
 fn place_vpcs(
     topology: &Topology,
     config: &DataplaneConfig,
@@ -348,26 +318,21 @@ fn place_vpcs(
         let Some(&home) = plan.assignments.get(&vpc.vni) else {
             continue;
         };
-        let (primary, dual, extra) = match world.moves.get(&peer_anchor(vpc)) {
-            Some(mv) => match mv.phase {
-                MovePhase::Announce => (mv.from, None, Some(mv.to)),
-                MovePhase::Dual => (mv.from, Some(mv.to), Some(mv.to)),
-                MovePhase::Commit => (mv.to, None, Some(mv.from)),
-                MovePhase::Drain => (mv.to, None, None),
-            },
-            None => (home, None, None),
+        let ((primary, dual), (holder, extra)) = match world.moves.get(&peer_anchor(vpc)) {
+            Some(mv) => (mv.owners(), mv.holders()),
+            None => ((home, None), (home, None)),
         };
         if unassigned(&primary) {
             continue; // the VNI falls back to the software tier
         }
         directory.assign(vpc.vni, primary);
         if let Some(s) = dual.filter(|s| *s != primary && !unassigned(s)) {
-            directory.begin_dual(vpc.vni, s);
+            directory.set_dual(vpc.vni, Some(s));
         }
-        let extra = extra.filter(|c| *c != primary && !unassigned(c));
-        for c in std::iter::once(primary).chain(extra) {
-            // An owner outside the cluster set has no tables: x86 serves
-            // it.
+        let extra = extra.filter(|c| *c != holder && !unassigned(c));
+        for c in std::iter::once(holder).chain(extra) {
+            // A holder outside the cluster set has no tables: x86 serves
+            // the group.
             if let Some(vpcs) = members.get_mut(c) {
                 vpcs.push(i);
             }
@@ -402,25 +367,28 @@ impl EpochCell {
     /// Pins the current epoch state. Callers hold the returned `Arc` for
     /// the duration of a batch so every packet in it sees one epoch.
     pub fn pin(&self) -> Arc<EpochState> {
-        Arc::clone(&self.current.read().expect("epoch lock poisoned"))
+        // The guarded value is one whole `Arc`, swapped in one move: a
+        // panic elsewhere cannot leave it half-written.
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Atomically publishes a staged state, returning its epoch.
     ///
     /// Panics if the staged epoch does not advance past the published one
     /// or the staged state is internally torn — both are control-plane
-    /// bugs that must never reach the workers.
+    /// bugs that must never reach the workers. A rejected publish leaves
+    /// the published state, and the cell, as they were.
     pub fn publish(&self, state: EpochState) -> u64 {
         assert!(state.tags_consistent(), "staged state has torn epoch tags");
         let epoch = state.epoch;
         let staged = Arc::new(state);
         let retired = {
-            let mut cur = self.current.write().expect("epoch lock poisoned");
-            assert!(
-                epoch > cur.epoch,
-                "epoch must advance: staged {epoch} vs published {}",
-                cur.epoch
-            );
+            let mut cur = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            if epoch <= cur.epoch {
+                let published = cur.epoch;
+                drop(cur);
+                panic!("epoch must advance: staged {epoch} vs published {published}");
+            }
             std::mem::replace(&mut *cur, staged)
         };
         self.swaps.fetch_add(1, Ordering::Relaxed);
@@ -440,6 +408,7 @@ impl EpochCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sailfish_asic::verify::world::MoveStage;
     use sailfish_sim::TopologyConfig;
 
     fn topology() -> Topology {
@@ -501,6 +470,22 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_publish_leaves_the_cell_serving() {
+        let topo = topology();
+        let config = DataplaneConfig::default();
+        let cell = EpochCell::new(EpochState::build(&topo, &config, 5));
+        let stale = EpochState::build(&topo, &config, 4);
+        let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.publish(stale);
+        }));
+        assert!(rejected.is_err());
+        assert_eq!(cell.pin().epoch, 5);
+        assert_eq!(cell.swaps(), 0);
+        assert_eq!(cell.publish(EpochState::build(&topo, &config, 6)), 6);
+        assert_eq!(cell.pin().epoch, 6);
+    }
+
+    #[test]
     fn live_moves_dual_own_tables_and_retarget_at_commit() {
         let topo = topology();
         let config = DataplaneConfig::default();
@@ -546,14 +531,14 @@ mod tests {
         let healthy_from = healthy.clusters.get(from).unwrap().tables.routes.len();
         let healthy_to = healthy.clusters.get(to).unwrap().tables.routes.len();
 
-        let staged = |phase: MovePhase, epoch: u64| {
+        let staged = |stage: MoveStage, epoch: u64| {
             let mut world = WorldView::healthy();
-            world.moves.insert(anchor, LiveMove { from, to, phase });
+            world.moves.insert(anchor, LiveMove { from, to, stage });
             EpochState::build_with_world(&topo, &config, epoch, &world)
         };
 
         // Announce: traffic stays on the source; destination pre-staged.
-        let announce = staged(MovePhase::Announce, 1);
+        let announce = staged(MoveStage::Announce, 1);
         for vni in &group {
             assert_eq!(announce.directory.cluster_for(*vni), Some(from));
             assert_eq!(announce.directory.dual_of(*vni), None);
@@ -564,7 +549,7 @@ mod tests {
         assert_eq!(a_from, healthy_from);
 
         // Dual: either owner may serve; both hold the tables.
-        let dual = staged(MovePhase::Dual, 2);
+        let dual = staged(MoveStage::Dual, 2);
         for vni in &group {
             assert_eq!(dual.directory.cluster_for(*vni), Some(from));
             assert_eq!(dual.directory.dual_of(*vni), Some(to));
@@ -576,7 +561,7 @@ mod tests {
 
         // Commit: directory retargets; source tables linger for pinned
         // batches on the prior epoch.
-        let commit = staged(MovePhase::Commit, 3);
+        let commit = staged(MoveStage::Commit, 3);
         for vni in &group {
             assert_eq!(commit.directory.cluster_for(*vni), Some(to));
             assert_eq!(commit.directory.dual_of(*vni), None);
@@ -587,7 +572,7 @@ mod tests {
         );
 
         // Drain: the source frees the group's entries.
-        let drain = staged(MovePhase::Drain, 4);
+        let drain = staged(MoveStage::Drain, 4);
         for vni in &group {
             assert_eq!(drain.directory.cluster_for(*vni), Some(to));
         }

@@ -19,10 +19,11 @@
 //! the last case pins a run's numbers to those of frame-by-frame
 //! processing.
 
+use sailfish_asic::verify::world::MoveStage;
+use sailfish_cluster::reshard::LiveMove;
 use sailfish_dataplane::batch::BatchExecutor;
 use sailfish_dataplane::chaos::{busiest_anchor, ChaosConfig};
 use sailfish_dataplane::engine::cost;
-use sailfish_dataplane::epoch::{LiveMove, MovePhase};
 use sailfish_dataplane::executor::{software_forwarder, Dataplane, DataplaneConfig};
 use sailfish_dataplane::traffic;
 use sailfish_dataplane::{
@@ -274,7 +275,7 @@ fn cold_batch_matches_inside_a_dual_ownership_window() {
         LiveMove {
             from,
             to: (from + 1) % config.clusters,
-            phase: MovePhase::Dual,
+            stage: MoveStage::Dual,
         },
     );
     let seq: Vec<&[u8]> = sched.iter().map(|i| frames[*i].as_slice()).collect();

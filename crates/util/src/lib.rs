@@ -23,6 +23,8 @@
 //! on external crates. See README "Building offline".
 
 #![forbid(unsafe_code)]
+// Non-test code must not `unwrap()`: see clippy.toml.
+#![cfg_attr(not(test), warn(clippy::disallowed_methods))]
 
 pub mod bench;
 pub mod check;
