@@ -19,6 +19,7 @@ use sailfish_sim::topology::{VmRecord, Vpc};
 use sailfish_sim::workload::Flow;
 use sailfish_sim::Topology;
 use sailfish_tables::alpm::AlpmConfig;
+use sailfish_tables::pooled::PooledAlpm;
 use sailfish_tables::snat::SnatConfig;
 use sailfish_tables::types::{NcAddr, RouteTarget, VmKey};
 use sailfish_tables::vm_nc::VmNcTable;
@@ -110,9 +111,10 @@ impl RouteRuns {
 /// The routes are grouped by owning VPC once, up front; each
 /// [`ImageBuilder::build`] then fills one image VPC by VPC, while it is
 /// the only thing in cache: one
-/// [`sailfish_xgw_h::tables::HwRoutingTable::install_vni`] per VPC, then
-/// the cluster's whole VM run in one [`HardwareTables::load_vms`]. Routes
-/// of a VNI no VPC carries are never installed.
+/// [`sailfish_xgw_h::tables::HwRoutingTable::install_vni`] per VPC,
+/// filled in the builder's one scratch table and stored at exact size,
+/// then the cluster's whole VM run in one [`HardwareTables::load_vms`].
+/// Routes of a VNI no VPC carries are never installed.
 ///
 /// It never panics. A VM run the table refuses (a VM listed twice)
 /// leaves that image without on-chip VM mappings — its packets punt to
@@ -125,6 +127,9 @@ pub struct ImageBuilder<'t> {
     /// One run buffer for every image, with room for any of them
     /// (untouched room costs nothing).
     vm_run: Vec<(VmKey, NcAddr)>,
+    /// The one table every VNI's routes are filled in before its
+    /// exact-size copy is stored; it keeps the room of the largest.
+    alpm_scratch: PooledAlpm<RouteTarget>,
 }
 
 impl<'t> ImageBuilder<'t> {
@@ -137,6 +142,7 @@ impl<'t> ImageBuilder<'t> {
             routes: RouteRuns::group(topology),
             vm_stride,
             vm_run: Vec::with_capacity(topology.vms.len()),
+            alpm_scratch: PooledAlpm::default(),
         }
     }
 
@@ -152,7 +158,9 @@ impl<'t> ImageBuilder<'t> {
             };
             // Prefixes are canonical by type; nothing here can be
             // refused.
-            let _ = tables.routes.install_vni(vpc.vni, self.routes.of(i));
+            let _ = tables
+                .routes
+                .install_vni(vpc.vni, self.routes.of(i), &mut self.alpm_scratch);
             self.vm_run.extend(
                 on_chip_vms(self.topology, vpc, self.vm_stride)
                     .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc)),

@@ -6,10 +6,11 @@
 //! is a count, not a timing, so it repeats exactly, and it has two parts:
 //!
 //! - at most [`ALLOCATIONS_PER_ROUTE`] heap allocations per installed
-//!   route, at the default scale and at region scale (measured 0.77 and
-//!   0.53: two arrays per family plane of each per-VNI table, sized from
-//!   the VNI's route run; the pointer-trie ALPM made 24, route-by-route
-//!   growth 0.68);
+//!   route, at the default scale and at region scale (measured 0.71 and
+//!   0.42: two exact-size arrays per family plane of each per-VNI table,
+//!   copied from the one scratch table the builder fills them in; 0.78
+//!   and 0.53 when each plane's roots grew by doubling, 0.68
+//!   route-by-route, 24 with the pointer-trie ALPM);
 //! - at most [`VM_PLANE_ALLOCATIONS_PER_CLUSTER`] for a cluster's whole
 //!   VM-NC plane — the slot array and the bulk build's three scratch
 //!   arrays, plus the builder's one run buffer — *however many VMs there

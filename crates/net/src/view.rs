@@ -16,10 +16,11 @@
 //! frames, with the same typed [`FrameError`].
 //!
 //! Two paths sit behind `parse`, picked by the frame's shape:
-//! [`FrameView::parse_fast`] takes the canonical v4-in-v4 frame every
-//! conformant vSwitch emits, and the layered [`FrameView::parse_full`]
-//! takes everything else (v6 underlay or overlay, IP options, nonzero
-//! outer UDP checksums, hostile frames) and types every reject. A
+//! [`FrameView::parse_fast`] takes the canonical v4- and v6-in-v4 frames
+//! every conformant vSwitch emits, and the layered
+//! [`FrameView::parse_full`] takes everything else (v6 underlay, IP
+//! options, nonzero outer UDP checksums, hostile frames) and types every
+//! reject. A
 //! property test (`net/tests/view_parity.rs`) pins that the fast path
 //! accepts only frames the layered validator accepts, with an identical
 //! view, across truncations and structure-aware mutants.
@@ -151,20 +152,22 @@ impl FrameView {
         Self::parse_full(data)
     }
 
-    /// Canonical-frame fast path: a v4-in-v4 VXLAN frame with 20-byte IP
-    /// headers, no fragments, zero outer-UDP checksum and exactly the
-    /// VXLAN I flag — the shape every conformant vSwitch emits. Performs
-    /// the full validation (both IPv4 header checksums included) with
-    /// flat constant-offset reads; **any** deviation returns `None` and
-    /// [`FrameView::parse`] asks the layered validator instead. Never
-    /// accepts a frame [`FrameView::parse_full`] would reject, and
-    /// extracts an identical view when it accepts — the truncation-sweep
-    /// and fuzz parity suites pin both properties.
+    /// Canonical-frame fast path: a VXLAN frame over a 20-byte IPv4
+    /// header with no fragments and zero outer-UDP checksum, exactly the
+    /// VXLAN I flag, and inside either a 20-byte IPv4 header (no
+    /// fragments) or the fixed 40-byte IPv6 header — the shapes every
+    /// conformant vSwitch emits. Performs the full validation (every IPv4
+    /// header checksum included) with flat constant-offset reads; **any**
+    /// deviation returns `None` and [`FrameView::parse`] asks the layered
+    /// validator instead. Never accepts a frame [`FrameView::parse_full`]
+    /// would reject, and extracts an identical view when it accepts — the
+    /// truncation-sweep and fuzz parity suites pin both properties.
     //
     // Bounds proven: every constant index below is < 92, inside the
     // length-checked prefix array; the region checks (`total_len`,
-    // `udp_len`, `inner_total`) additionally prove each read sits inside
-    // its declared layer exactly as the layered parser requires.
+    // `udp_len`, the inner IP length) additionally prove each read sits
+    // inside its declared layer exactly as the layered parser requires.
+    // Reads past the prefix go through `get`.
     #[allow(clippy::indexing_slicing)]
     #[inline]
     pub fn parse_fast(data: &[u8]) -> Option<FrameView> {
@@ -218,55 +221,78 @@ impl FrameView {
         if head[42] != 0x08 {
             return None;
         }
-        // Inner Ethernet: IPv4; inner IP: canonical header fitting the
-        // VXLAN payload, not a fragment, valid checksum.
-        if head[62] != 0x08 || head[63] != 0x00 || head[64] != 0x45 {
-            return None;
-        }
-        let inner_total = usize::from(be16(head[66], head[67]));
-        if inner_total < 20 || inner_total + 30 > udp_len {
-            return None;
-        }
-        if be16(head[70], head[71]) & 0x3fff != 0 {
-            return None;
-        }
-        if !verify20(head, 64) {
-            return None;
-        }
-        let protocol = head[73];
+        // Inner IP, fitting the VXLAN payload (`udp_len` less 30 bytes of
+        // UDP, VXLAN and inner Ethernet): the transport's offset and
+        // length, the addresses and the protocol.
+        let (inner_v6, inner_l4, l4_len, inner_src, inner_dst, protocol) =
+            match (head[62], head[63]) {
+                (0x08, 0x00) => {
+                    // Canonical 20-byte header, not a fragment, valid checksum.
+                    let inner_total = usize::from(be16(head[66], head[67]));
+                    if head[64] != 0x45 || inner_total < 20 || inner_total + 30 > udp_len {
+                        return None;
+                    }
+                    if be16(head[70], head[71]) & 0x3fff != 0 || !verify20(head, 64) {
+                        return None;
+                    }
+                    let src = u32::from_be_bytes(head[76..80].try_into().ok()?);
+                    let dst = u32::from_be_bytes(head[80..84].try_into().ok()?);
+                    (
+                        false,
+                        84,
+                        inner_total - 20,
+                        src.into(),
+                        dst.into(),
+                        head[73],
+                    )
+                }
+                (0x86, 0xdd) => {
+                    // Version 6, a fixed 40-byte header (an extension
+                    // header's number is taken as the protocol, as the
+                    // layered parser takes it), the payload fitting.
+                    let ip: &[u8; 40] = data.get(64..104)?.try_into().ok()?;
+                    let payload = usize::from(be16(ip[4], ip[5]));
+                    if ip[0] >> 4 != 6 || payload + 70 > udp_len {
+                        return None;
+                    }
+                    let src = u128::from_be_bytes(ip[8..24].try_into().ok()?);
+                    let dst = u128::from_be_bytes(ip[24..40].try_into().ok()?);
+                    (true, 104, payload, src, dst, ip[6])
+                }
+                _ => return None,
+            };
         let (src_port, dst_port) = match protocol {
             17 => {
                 // Inner UDP header present with a sane declared length.
-                if inner_total < 28 {
+                let l4: &[u8; 8] = data.get(inner_l4..inner_l4 + 8)?.try_into().ok()?;
+                let declared = usize::from(be16(l4[4], l4[5]));
+                if l4_len < 8 || declared < 8 || declared > l4_len {
                     return None;
                 }
-                let declared = usize::from(be16(head[88], head[89]));
-                if declared < 8 || declared + 20 > inner_total {
-                    return None;
-                }
-                (be16(head[84], head[85]), be16(head[86], head[87]))
+                (be16(l4[0], l4[1]), be16(l4[2], l4[3]))
             }
             6 => {
                 // Inner TCP: canonical 20-byte header that fits.
-                if inner_total < 40 || *data.get(96)? >> 4 != 5 {
+                let l4: &[u8; 13] = data.get(inner_l4..inner_l4 + 13)?.try_into().ok()?;
+                if l4_len < 20 || l4[12] >> 4 != 5 {
                     return None;
                 }
-                (be16(head[84], head[85]), be16(head[86], head[87]))
+                (be16(l4[0], l4[1]), be16(l4[2], l4[3]))
             }
             _ => (0, 0),
         };
         Some(FrameView {
             outer_v6: false,
-            inner_v6: false,
+            inner_v6,
             outer_udp: 34,
             vxlan: 42,
             inner_eth: 50,
-            inner_l4: 84,
-            inner_l4_len: inner_total as u16 - 20,
+            inner_l4: inner_l4 as u16,
+            inner_l4_len: l4_len as u16,
             outer_udp_src: be16(head[34], head[35]),
             vni: Vni::from_be_bytes([head[46], head[47], head[48]]),
-            inner_src: u128::from(u32::from_be_bytes([head[76], head[77], head[78], head[79]])),
-            inner_dst: u128::from(u32::from_be_bytes([head[80], head[81], head[82], head[83]])),
+            inner_src,
+            inner_dst,
             protocol,
             src_port,
             dst_port,
@@ -274,7 +300,7 @@ impl FrameView {
     }
 
     /// The layered validator: handles every frame shape the fast path
-    /// declines (v6 underlay/overlay, IP options, fragments, nonzero
+    /// declines (v6 underlay, IP options, fragments, nonzero
     /// outer-UDP checksums, hostile frames) and produces the typed
     /// [`FrameError`] for rejects.
     pub fn parse_full(data: &[u8]) -> Result<FrameView, FrameError> {

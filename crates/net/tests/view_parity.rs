@@ -4,7 +4,7 @@
 //! hot path, the owned `GatewayPacket` parse, punt resolution and the
 //! header rewrite all run it. Behind it sit two paths —
 //! `FrameView::parse_fast`, flat constant-offset reads for the canonical
-//! v4-in-v4 shape, and the layered `FrameView::parse_full`, which decides
+//! v4- and v6-in-v4 shapes, and the layered `FrameView::parse_full`, which decides
 //! every other frame and types every reject. They agree only if the fast
 //! path never accepts a frame the layered validator rejects and, when it
 //! accepts, extracts the identical view. This suite sweeps valid frames,
@@ -65,12 +65,22 @@ fn corpus() -> Vec<(&'static str, Vec<u8>)> {
     .build()
     .emit()
     .expect("well-formed");
+    let v6_inner_tcp = GatewayPacketBuilder::new(
+        Vni::from_const(7),
+        "2001:db8:c::9".parse().unwrap(),
+        "2001:db8:d::4".parse().unwrap(),
+    )
+    .transport(IpProtocol::Tcp, 50_000, 80)
+    .build()
+    .emit()
+    .expect("well-formed");
     vec![
         ("v4", v4),
         ("v4-tcp", v4_tcp),
         ("v4-icmp", v4_icmp),
         ("v6-outer", v6_outer),
         ("v6-inner", v6_inner),
+        ("v6-inner-tcp", v6_inner_tcp),
     ]
 }
 
@@ -97,9 +107,9 @@ fn valid_corpus_and_every_truncation_agree() {
             "{name}: valid frame rejected"
         );
         let fast = assert_parity(&frame, name);
-        // The canonical v4-in-v4 shapes must take the fast path, or the
+        // Every shape over a v4 underlay must take the fast path, or the
         // sweep below would compare nothing.
-        assert_eq!(fast, name.starts_with("v4"), "{name}: fast-path shape");
+        assert_eq!(fast, name != "v6-outer", "{name}: fast-path shape");
         for cut in 0..frame.len() {
             assert_parity(&frame[..cut], &format!("{name} cut at {cut}"));
         }
@@ -109,6 +119,35 @@ fn valid_corpus_and_every_truncation_agree() {
 /// The hostile-frame suite's decision-point field map, plus the inner
 /// TCP data offset the fast path checks.
 fn v4_field_map() -> Vec<FieldSpec> {
+    let mut fields = outer_field_map();
+    fields.extend([
+        FieldSpec::length(64, 1), // inner version/IHL
+        FieldSpec::length(66, 2), // inner total length
+        FieldSpec::new(70, 2),    // inner flags/fragment
+        FieldSpec::new(73, 1),    // inner protocol
+        FieldSpec::new(74, 2),    // inner header checksum
+        FieldSpec::length(88, 2), // inner UDP length
+        FieldSpec::new(96, 1),    // inner TCP data offset (v4-tcp base)
+    ]);
+    fields
+}
+
+/// The same outer fields, then the inner IPv6 header's and its
+/// transport's decision points.
+fn v6_inner_field_map() -> Vec<FieldSpec> {
+    let mut fields = outer_field_map();
+    fields.extend([
+        FieldSpec::new(64, 1),     // inner version
+        FieldSpec::length(68, 2),  // inner payload length
+        FieldSpec::new(70, 1),     // inner next header
+        FieldSpec::length(108, 2), // inner UDP length
+        FieldSpec::new(116, 1),    // inner TCP data offset (v6-inner-tcp base)
+    ]);
+    fields
+}
+
+/// Outer headers, VXLAN and the inner ethertype.
+fn outer_field_map() -> Vec<FieldSpec> {
     vec![
         FieldSpec::new(12, 2),    // outer ethertype
         FieldSpec::length(14, 1), // outer version/IHL
@@ -122,25 +161,31 @@ fn v4_field_map() -> Vec<FieldSpec> {
         FieldSpec::new(42, 1),    // VXLAN flags
         FieldSpec::new(46, 3),    // VNI
         FieldSpec::new(62, 2),    // inner ethertype
-        FieldSpec::length(64, 1), // inner version/IHL
-        FieldSpec::length(66, 2), // inner total length
-        FieldSpec::new(70, 2),    // inner flags/fragment
-        FieldSpec::new(73, 1),    // inner protocol
-        FieldSpec::new(74, 2),    // inner header checksum
-        FieldSpec::length(88, 2), // inner UDP length
-        FieldSpec::new(96, 1),    // inner TCP data offset (v4-tcp base)
     ]
 }
 
 #[test]
 fn fuzzed_mutants_classify_identically() {
-    let bases: Vec<Vec<u8>> = corpus().into_iter().map(|(_, f)| f).collect();
-    let mutator = FrameMutator::new(v4_field_map());
+    let v4 = FrameMutator::new(v4_field_map());
+    let v6_inner = FrameMutator::new(v6_inner_field_map());
+    let bases: Vec<(Vec<u8>, &FrameMutator)> = corpus()
+        .into_iter()
+        .map(|(name, f)| {
+            (
+                f,
+                if name.starts_with("v6-inner") {
+                    &v6_inner
+                } else {
+                    &v4
+                },
+            )
+        })
+        .collect();
     let mut fast_accepts = 0u32;
     for seed in [0xF00Du64, 0xBEE5, 42] {
         let mut rng = StdRng::seed_from_u64(seed);
         for case in 0..10_000u32 {
-            let base = &bases[case as usize % bases.len()];
+            let (base, mutator) = &bases[case as usize % bases.len()];
             let (mutant, applied) = mutator.mutate(&mut rng, base);
             if assert_parity(&mutant, &format!("{applied:?}")) {
                 fast_accepts += 1;

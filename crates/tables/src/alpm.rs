@@ -53,7 +53,7 @@ const LINEAR_ROOTS: usize = 8;
 #[derive(Debug, Clone, Copy)]
 pub struct AlpmConfig {
     /// Maximum number of entries per SRAM partition (the paper's "depth of
-    /// the first level" trade-off knob).
+    /// the first level" trade-off knob). A table takes 0 as 1.
     pub bucket_capacity: usize,
 }
 
@@ -130,12 +130,33 @@ impl<T: Clone> Default for AlpmTable<T> {
     }
 }
 
-impl<T: Clone> AlpmTable<T> {
-    /// Creates an empty table.
-    pub fn new(config: AlpmConfig) -> Self {
-        assert!(config.bucket_capacity >= 1, "bucket capacity must be >= 1");
+/// A clone holds both arrays at exactly their length, with no room to
+/// spare; `clone_from` refills the target's arrays in place and keeps
+/// their room. So a table filled in a reused scratch table and then
+/// cloned is stored at the bytes its entries need.
+impl<T: Clone> Clone for AlpmTable<T> {
+    fn clone(&self) -> Self {
         AlpmTable {
-            config,
+            config: self.config,
+            roots: self.roots.to_vec(),
+            slots: self.slots.to_vec(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config = source.config;
+        self.roots.clone_from(&source.roots);
+        self.slots.clone_from(&source.slots);
+    }
+}
+
+impl<T: Clone> AlpmTable<T> {
+    /// Creates an empty table. A bucket capacity of 0 is taken as 1.
+    pub fn new(config: AlpmConfig) -> Self {
+        AlpmTable {
+            config: AlpmConfig {
+                bucket_capacity: config.bucket_capacity.max(1),
+            },
             roots: Vec::new(),
             slots: Vec::new(),
         }
@@ -149,12 +170,6 @@ impl<T: Clone> AlpmTable<T> {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Makes room for `additional` more routes, so a run of inserts does
-    /// not regrow the bucket array under them.
-    pub fn reserve(&mut self, additional: usize) {
-        self.slots.reserve_exact(additional);
     }
 
     /// Inserts a route; replacing an existing identical prefix returns the
@@ -742,8 +757,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bucket capacity")]
-    fn zero_capacity_rejected() {
-        let _ = AlpmTable::<u32>::new(AlpmConfig { bucket_capacity: 0 });
+    fn zero_capacity_acts_as_one() {
+        let mut zero = AlpmTable::new(AlpmConfig { bucket_capacity: 0 });
+        let mut one = AlpmTable::new(AlpmConfig { bucket_capacity: 1 });
+        for (i, (value, len)) in [
+            (0, 0),
+            (0xab << 120, 8),
+            (0xab4 << 116, 12),
+            (0xac << 120, 8),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(zero.insert(key(value, len), i).unwrap(), None);
+            one.insert(key(value, len), i).unwrap();
+        }
+        zero.audit().unwrap();
+        assert_eq!(zero.stats(), one.stats());
+        for addr in [0xab41u128 << 112, 0xab51 << 112, 0xac << 120, 0xff << 120] {
+            assert_eq!(zero.lookup(addr), one.lookup(addr), "addr {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn clones_are_exact_size_and_clone_from_keeps_room() {
+        let mut t = AlpmTable::new(AlpmConfig { bucket_capacity: 2 });
+        for i in 0..40u128 {
+            t.insert(key(0xab << 120 | i << 100, 28), i).unwrap();
+        }
+        let copy = t.clone();
+        copy.audit().unwrap();
+        assert_eq!(copy.roots.capacity(), copy.roots.len());
+        assert_eq!(copy.slots.capacity(), copy.slots.len());
+        let mut scratch = t.clone();
+        let room = (scratch.roots.capacity(), scratch.slots.capacity());
+        scratch.clone_from(&AlpmTable::new(AlpmConfig { bucket_capacity: 2 }));
+        assert!(scratch.is_empty());
+        assert_eq!((scratch.roots.capacity(), scratch.slots.capacity()), room);
     }
 }

@@ -21,17 +21,19 @@
 //!
 //! A hardware main-table entry is the **tag** — family label, VNI and 32
 //! address bits, one SRAM word — and the value. The model's slot carries
-//! the tag, the value, and the *full key* as well, so that it can audit
-//! what hardware gets by construction: a lookup whose tag matches a slot
-//! holding a different key reports a miss (hardware would return that
-//! slot's value), which is sound because every key that shares a
-//! resident tag was displaced into the conflict table when it was
-//! inserted. [`DigestStats`] counts entries per plane; the memory model
-//! prices a main entry at one word whatever the slot holds here.
+//! the tag, the value, and the address bits the tag lacks (all 128 of
+//! them, as 4-byte words), so that it can audit what hardware gets by
+//! construction: the tag and the address bits together are the key, and
+//! a lookup whose tag matches a slot holding other address bits reports
+//! a miss (hardware would return that slot's value), which is sound
+//! because every key that shares a resident tag was displaced into the
+//! conflict table when it was inserted. [`DigestStats`] counts entries
+//! per plane; the memory model prices a main entry at one word whatever
+//! the slot holds here.
 //!
 //! # Layout
 //!
-//! The main plane is one open-addressed array of slots — 56 bytes for
+//! The main plane is one open-addressed array of slots — 44 bytes for
 //! the VM-NC table's values, an empty slot being a niche of the entry —
 //! at a load of at most 2/3. A tag's *home* is its fixed-key hash
 //! ([`sailfish_net::hash::MixState`]; the controller provisions every
@@ -81,9 +83,10 @@
 //! displaced one; the next key to arrive with that tag takes the slot.
 
 use core::hash::BuildHasher;
-use core::net::IpAddr;
+use core::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use sailfish_net::hash::{MixMap, MixState};
+use sailfish_net::Vni;
 
 use crate::error::{Error, Result};
 use crate::types::VmKey;
@@ -102,6 +105,17 @@ impl Tag {
             IpAddr::V6(_) => (1, digest32(vni, addr)),
         };
         Tag(v6 | u64::from(addr32) << 1 | u64::from(vni) << 33)
+    }
+
+    /// The key this tag and the address bits `addr` spell.
+    fn key(self, addr: u128) -> VmKey {
+        let [_, hi, mid, lo] = ((self.0 >> 33) as u32).to_be_bytes();
+        let ip = if self.0 & 1 == 0 {
+            IpAddr::V4(Ipv4Addr::from(addr as u32))
+        } else {
+            IpAddr::V6(Ipv6Addr::from(addr))
+        };
+        VmKey::new(Vni::from_be_bytes([hi, mid, lo]), ip)
     }
 
     /// The hash entries are ordered by. One multiply-mix round and an
@@ -124,14 +138,45 @@ fn capacity_for(entries: usize) -> usize {
     entries + entries.div_ceil(2)
 }
 
-/// One main-plane slot.
+/// One main-plane slot: the tag, the address bits it lacks, and the
+/// value. The tag is stored as two 4-byte words and the address as
+/// bytes, so a slot is aligned to 4 bytes and packs to 44 with the VM-NC
+/// table's 17-byte value.
 #[derive(Debug, Clone, PartialEq)]
 struct Slot<V> {
-    tag: Tag,
-    /// The full key, kept so the model can confirm a tag match
-    /// (hardware stores only the tag).
-    key: VmKey,
+    /// The tag, low word first.
+    tag: [u32; 2],
+    /// The key's 128 address bits, little-endian, kept so the model can
+    /// confirm a tag match (hardware stores only the tag).
+    addr: [u8; 16],
     value: V,
+}
+
+impl<V> Slot<V> {
+    fn new(tag: Tag, key: &VmKey, value: V) -> Self {
+        Slot {
+            tag: [tag.0 as u32, (tag.0 >> 32) as u32],
+            addr: key.canonical_bits().1.to_le_bytes(),
+            value,
+        }
+    }
+
+    fn tag(&self) -> Tag {
+        let [lo, hi] = self.tag;
+        Tag(u64::from(lo) | u64::from(hi) << 32)
+    }
+
+    /// The key this slot holds, rebuilt from the tag and address bits.
+    fn key(&self) -> VmKey {
+        self.tag().key(u128::from_le_bytes(self.addr))
+    }
+
+    /// Whether this slot, found by `key`'s tag, holds `key`: the tags
+    /// agree, so the address bits decide.
+    #[inline(always)]
+    fn holds(&self, key: &VmKey) -> bool {
+        u128::from_le_bytes(self.addr) == key.canonical_bits().1
+    }
 }
 
 /// Where a tag belongs in the main plane.
@@ -270,11 +315,7 @@ impl<V> DigestExactTable<V> {
         let mut table = Self::laid_out_for(cap);
         for i in by_home {
             if let (Some((key, value)), Some(&tag)) = (run.get(i), tags.get(i)) {
-                table.admit(Slot {
-                    tag,
-                    key: *key,
-                    value: value.clone(),
-                })?;
+                table.admit(key, tag, value.clone())?;
             }
         }
         table.slots.resize_with(cap, || None);
@@ -311,11 +352,7 @@ impl<V> DigestExactTable<V> {
     /// Inserts an entry. A digest collision with a *different* key lands in
     /// the conflict table; inserting the same key twice is an error.
     pub fn insert(&mut self, key: VmKey, value: V) -> Result<()> {
-        self.admit(Slot {
-            tag: Tag::of(&key),
-            key,
-            value,
-        })
+        self.admit(&key, Tag::of(&key), value)
     }
 
     /// Looks up a key: conflict table first, then the compressed table.
@@ -340,7 +377,7 @@ impl<V> DigestExactTable<V> {
             return (Some(v), DigestLookup::HitConflict);
         }
         match self.resident(Tag::of(key)) {
-            Some(slot) if slot.key == *key => (Some(&slot.value), DigestLookup::HitMain),
+            Some(slot) if slot.holds(key) => (Some(&slot.value), DigestLookup::HitMain),
             // A hardware digest table would return a colliding slot's
             // value; the model reports the miss instead, which is sound
             // because insertion displaced every colliding key into the
@@ -359,7 +396,7 @@ impl<V> DigestExactTable<V> {
             return None;
         };
         let cell = self.slots.get_mut(at)?;
-        if cell.as_ref()?.key != *key {
+        if !cell.as_ref()?.holds(key) {
             return None;
         }
         let removed = cell.take()?;
@@ -370,7 +407,7 @@ impl<V> DigestExactTable<V> {
         loop {
             let behind = self.after(gap);
             match self.slots.get(behind) {
-                Some(Some(slot)) if home(slot.tag.spread(), self.cap) != behind => {
+                Some(Some(slot)) if home(slot.tag().spread(), self.cap) != behind => {
                     self.slots.swap(gap, behind);
                     gap = behind;
                 }
@@ -380,20 +417,22 @@ impl<V> DigestExactTable<V> {
         Some(removed.value)
     }
 
-    /// Iterates over all entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&VmKey, &V)> {
+    /// Iterates over all entries. A main-plane key is rebuilt from its
+    /// slot, so keys come out owned.
+    pub fn iter(&self) -> impl Iterator<Item = (VmKey, &V)> {
         self.slots
             .iter()
             .flatten()
-            .map(|slot| (&slot.key, &slot.value))
-            .chain(self.conflict.iter())
+            .map(|slot| (slot.key(), &slot.value))
+            .chain(self.conflict.iter().map(|(key, value)| (*key, value)))
     }
 
     /// Checks the layout; returns a description of the first violation.
     /// Used by the property tests: the main plane is full-length and at
-    /// most 2/3 full, every entry carries its key's tag and is reachable
-    /// from its home without crossing an empty slot, every run is in hash
-    /// order (so no tag is resident twice), no key is in both planes, and
+    /// most 2/3 full, every entry's tag and address bits are those of the
+    /// key they rebuild, every entry is reachable from its home without
+    /// crossing an empty slot, every run is in hash order (so no tag is
+    /// resident twice), no key is in both planes, and
     /// [`DigestExactTable::len`] is the occupied slots plus the conflict
     /// entries.
     pub fn audit(&self) -> core::result::Result<(), String> {
@@ -420,23 +459,24 @@ impl<V> DigestExactTable<V> {
                 before = None;
                 continue;
             };
-            if slot.tag != Tag::of(&slot.key) {
-                return Err(format!("slot {at}: tag is not {}'s", slot.key));
+            let key = slot.key();
+            if slot.tag() != Tag::of(&key) || !slot.holds(&key) {
+                return Err(format!("slot {at}: tag and address bits are not {key}'s"));
             }
             let (away, spread) = self.standing(at, slot);
             // Reachable: one step further from home than the slot before
             // at most, which an empty slot before never allows.
             let reach = before.map_or(0, |(away, _)| away + 1);
             if away > reach {
-                return Err(format!("slot {at}: {} cut off from its home", slot.key));
+                return Err(format!("slot {at}: {key} cut off from its home"));
             }
             if away == reach && before.is_some_and(|(_, prior)| prior >= spread) {
-                return Err(format!("slot {at}: {} out of hash order", slot.key));
+                return Err(format!("slot {at}: {key} out of hash order"));
             }
             before = Some((away, spread));
         }
         for key in self.conflict.keys() {
-            if self.resident(Tag::of(key)).is_some_and(|s| s.key == *key) {
+            if self.resident(Tag::of(key)).is_some_and(|s| s.holds(key)) {
                 return Err(format!("{key} is in both planes"));
             }
         }
@@ -445,7 +485,7 @@ impl<V> DigestExactTable<V> {
 
     /// How far the entry in slot `at` is from its home, and its hash.
     fn standing(&self, at: usize, slot: &Slot<V>) -> (usize, u64) {
-        let spread = slot.tag.spread();
+        let spread = slot.tag().spread();
         let from = home(spread, self.cap);
         let away = if at >= from {
             at - from
@@ -484,7 +524,7 @@ impl<V> DigestExactTable<V> {
         let mut at = home(spread, self.cap);
         let mut away = 0usize;
         while let Some(Some(slot)) = self.slots.get(at) {
-            if slot.tag == tag {
+            if slot.tag() == tag {
                 return Place::Held(at);
             }
             let (their_away, theirs) = self.standing(at, slot);
@@ -516,28 +556,28 @@ impl<V> DigestExactTable<V> {
     }
 
     /// Insert, for one entry or one of a run: refuse a key already held,
-    /// displace one whose tag is, place the rest.
-    fn admit(&mut self, slot: Slot<V>) -> Result<()> {
-        if self.conflict.contains_key(&slot.key) {
+    /// displace one whose tag (`Tag::of(key)`) is, place the rest.
+    fn admit(&mut self, key: &VmKey, tag: Tag, value: V) -> Result<()> {
+        if self.conflict.contains_key(key) {
             return Err(Error::Duplicate);
         }
-        match self.locate(slot.tag) {
+        match self.locate(tag) {
             Place::Held(at) => {
                 let held = self.slots.get(at).and_then(Option::as_ref);
-                if held.is_some_and(|h| h.key == slot.key) {
+                if held.is_some_and(|h| h.holds(key)) {
                     return Err(Error::Duplicate);
                 }
                 // Digest collision between distinct keys: the newcomer
                 // goes to the conflict table.
-                self.conflict.insert(slot.key, slot.value);
+                self.conflict.insert(*key, value);
             }
             Place::Vacant(at) if capacity_for(self.occupied + 1) <= self.cap => {
-                self.place(at, slot)
+                self.place(at, Slot::new(tag, key, value))
             }
             Place::Vacant(_) => {
                 self.relay(capacity_for(2 * (self.occupied + 1)));
-                let (Place::Held(at) | Place::Vacant(at)) = self.locate(slot.tag);
-                self.place(at, slot);
+                let (Place::Held(at) | Place::Vacant(at)) = self.locate(tag);
+                self.place(at, Slot::new(tag, key, value));
             }
         }
         Ok(())
@@ -554,7 +594,7 @@ impl<V> DigestExactTable<V> {
             .enumerate()
             .take_while(|(at, cell)| {
                 cell.as_ref()
-                    .is_some_and(|slot| home(slot.tag.spread(), self.cap) > *at)
+                    .is_some_and(|slot| home(slot.tag().spread(), self.cap) > *at)
             })
             .count();
         let mut entries: Vec<Slot<V>> = old.into_iter().flatten().collect();
@@ -562,7 +602,7 @@ impl<V> DigestExactTable<V> {
         self.cap = cap;
         self.occupied = 0;
         for slot in entries {
-            let (Place::Held(at) | Place::Vacant(at)) = self.locate(slot.tag);
+            let (Place::Held(at) | Place::Vacant(at)) = self.locate(slot.tag());
             self.place(at, slot);
         }
         self.slots.resize_with(cap, || None);
@@ -770,9 +810,9 @@ mod tests {
     }
 
     #[test]
-    fn vm_nc_slot_is_56_bytes() {
+    fn vm_nc_slot_is_44_bytes() {
         use crate::types::NcAddr;
-        assert_eq!(core::mem::size_of::<Option<Slot<NcAddr>>>(), 56);
+        assert_eq!(core::mem::size_of::<Option<Slot<NcAddr>>>(), 44);
     }
 
     /// A run of mixed keys in the region's shape, `n` long.

@@ -23,10 +23,13 @@ use crate::lpm::{Key128, Lpm128};
 /// Maps an [`IpPrefix`] into a 128-bit MSB-aligned key within its family
 /// plane (IPv4 prefixes are MSB-aligned with their native length).
 pub fn plane_key(prefix: &IpPrefix) -> Key128 {
-    match prefix {
-        IpPrefix::V4(p) => Key128::new(u128::from(p.bits()) << 96, p.len()).expect("v4 len <= 32"),
-        IpPrefix::V6(p) => Key128::new(p.bits(), p.len()).expect("v6 len <= 128"),
-    }
+    // A prefix's length fits its family and its host bits are zero by
+    // type, so the key is canonical as built.
+    let (value, len) = match prefix {
+        IpPrefix::V4(p) => (u128::from(p.bits()) << 96, p.len()),
+        IpPrefix::V6(p) => (p.bits(), p.len()),
+    };
+    Key128 { value, len }
 }
 
 /// Maps an address into its family plane for lookups.
@@ -126,6 +129,22 @@ pub struct PooledAlpm<T: Clone> {
     v6: AlpmTable<T>,
 }
 
+/// As [`AlpmTable`]'s: a clone is exact-size, `clone_from` keeps the
+/// target's room.
+impl<T: Clone> Clone for PooledAlpm<T> {
+    fn clone(&self) -> Self {
+        PooledAlpm {
+            v4: self.v4.clone(),
+            v6: self.v6.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.v4.clone_from(&source.v4);
+        self.v6.clone_from(&source.v6);
+    }
+}
+
 impl<T: Clone> Default for PooledAlpm<T> {
     fn default() -> Self {
         Self::new(AlpmConfig::default())
@@ -149,12 +168,6 @@ impl<T: Clone> PooledAlpm<T> {
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Makes room for `v4` and `v6` more prefixes in their planes.
-    pub fn reserve(&mut self, v4: usize, v6: usize) {
-        self.v4.reserve(v4);
-        self.v6.reserve(v6);
     }
 
     /// Inserts a prefix.

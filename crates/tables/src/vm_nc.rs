@@ -73,8 +73,9 @@ impl VmNcTable {
         self.inner.stats()
     }
 
-    /// Iterates all mappings.
-    pub fn iter(&self) -> impl Iterator<Item = (&VmKey, &NcAddr)> {
+    /// Iterates all mappings. The compressed plane keeps each key as its
+    /// tag and address bits, so keys come out owned.
+    pub fn iter(&self) -> impl Iterator<Item = (VmKey, &NcAddr)> {
         self.inner.iter()
     }
 

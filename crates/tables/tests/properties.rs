@@ -396,7 +396,7 @@ fn digest_table_agrees_with_naive_scan_op_for_op() {
             for key in pool {
                 assert_eq!(table.get_traced(key), naive.get_traced(key), "{key}");
             }
-            let mut listed: Vec<(VmKey, u32)> = table.iter().map(|(k, v)| (*k, *v)).collect();
+            let mut listed: Vec<(VmKey, u32)> = table.iter().map(|(k, v)| (k, *v)).collect();
             let mut expected: Vec<(VmKey, u32)> =
                 naive.entries.iter().map(|(k, v, _)| (*k, *v)).collect();
             let order = |(k, _): &(VmKey, u32)| (k.vni, k.ip);

@@ -71,11 +71,21 @@ impl HwRoutingTable {
     }
 
     /// Installs one VNI's routes in one go, in the run's order: one index
-    /// probe for the whole run, both planes sized from it, and the small
-    /// per-VNI table built while it is still in cache. The layout is the
-    /// one [`HwRoutingTable::insert`] builds route by route. An empty run
-    /// creates no table.
-    pub fn install_vni(&mut self, vni: Vni, run: &[(IpPrefix, RouteTarget)]) -> Result<()> {
+    /// probe for the whole run, and the small per-VNI table built while it
+    /// is still in cache. The layout is the one [`HwRoutingTable::insert`]
+    /// builds route by route. An empty run creates no table.
+    ///
+    /// The routes go into `scratch` — the VNI's table as it stands,
+    /// copied into arrays a caller reuses from one VNI to the next — and
+    /// the table is stored as an exact-size copy of the result, so no
+    /// plane keeps the room its arrays grew into. A refused route leaves
+    /// the VNI's table as it was.
+    pub fn install_vni(
+        &mut self,
+        vni: Vni,
+        run: &[(IpPrefix, RouteTarget)],
+        scratch: &mut PooledAlpm<RouteTarget>,
+    ) -> Result<()> {
         if run.is_empty() {
             return Ok(());
         }
@@ -83,11 +93,11 @@ impl HwRoutingTable {
             .per_vni
             .entry(vni)
             .or_insert_with(|| PooledAlpm::new(self.alpm_config));
-        let v4 = run.iter().filter(|(prefix, _)| prefix.is_v4()).count();
-        table.reserve(v4, run.len() - v4);
+        scratch.clone_from(table);
         for (prefix, target) in run {
-            table.insert(*prefix, *target)?;
+            scratch.insert(*prefix, *target)?;
         }
+        *table = scratch.clone();
         Ok(())
     }
 
@@ -155,8 +165,9 @@ impl HwRoutingTable {
             }
             if len == 1 {
                 // A single large VPC: use its measured per-address layout.
-                let vni = Vni::new(lo).expect("24-bit by construction");
-                if let Some(t) = table.per_vni.get(&vni) {
+                // `lo` is below 2^24 here, one of the VNIs counted.
+                let [_, hi, mid, low] = lo.to_be_bytes();
+                if let Some(t) = table.per_vni.get(&Vni::from_be_bytes([hi, mid, low])) {
                     let s = t.stats();
                     stats.tcam_entries += s.tcam_entries;
                     stats.bucket_entries += s.bucket_entries;
