@@ -23,6 +23,7 @@ use sailfish_tables::pooled::PooledAlpm;
 use sailfish_tables::snat::SnatConfig;
 use sailfish_tables::types::{NcAddr, RouteTarget, VmKey};
 use sailfish_tables::vm_nc::VmNcTable;
+use sailfish_tables::vxlan_route::VxlanRoutingTable;
 use sailfish_tables::Result as TableResult;
 use sailfish_xgw_h::HardwareTables;
 use sailfish_xgw_x86::{
@@ -257,9 +258,12 @@ impl HwCluster {
         self.devices.first().map_or(0, |d| d.vm_nc.len())
     }
 
-    /// Route entries of one VNI on one device (consistency checking).
+    /// Route entries of one VNI on one device (consistency checking); 0
+    /// for a device the cluster does not have.
     pub fn route_entries_for(&self, device: usize, vni: Vni) -> usize {
-        self.devices[device].routes.len_for_vni(vni)
+        self.devices
+            .get(device)
+            .map_or(0, |d| d.routes.len_for_vni(vni))
     }
 
     /// Number of online devices.
@@ -289,13 +293,14 @@ impl HwCluster {
 
 /// Builds the XGW-x86 table image of `topology` — the only way software
 /// tables are filled, for the region's fallback fleet and the packet
-/// path's fallback alike: every route in topology order, then every VM
+/// path's fallback alike: every route in topology order into one route
+/// map sized for them up front ([`software_routes`]), then every VM
 /// mapping bulk-loaded in one run, which refuses a VM listed twice.
 pub fn software_image(topology: &Topology) -> TableResult<SoftwareTables> {
-    let mut tables = SoftwareTables::default();
-    for (key, target) in &topology.routes {
-        tables.routes.insert(*key, *target);
-    }
+    let mut tables = SoftwareTables {
+        routes: software_routes(topology),
+        ..SoftwareTables::default()
+    };
     let vms: Vec<_> = topology
         .vms
         .iter()
@@ -303,6 +308,17 @@ pub fn software_image(topology: &Topology) -> TableResult<SoftwareTables> {
         .collect();
     tables.vm_nc = VmNcTable::from_run(&vms)?;
     Ok(tables)
+}
+
+/// The routes half of [`software_image`]: every route of `topology`, in
+/// topology order, in a table whose route map is allocated once.
+pub fn software_routes(topology: &Topology) -> VxlanRoutingTable {
+    let mut routes = VxlanRoutingTable::new();
+    routes.reserve(topology.routes.len());
+    for (key, target) in &topology.routes {
+        routes.insert(*key, *target);
+    }
+    routes
 }
 
 /// One software fallback node: a DPDK box plus its forwarding state.
@@ -497,6 +513,16 @@ mod tests {
         // Out of range is a no-op.
         c.wipe_device(9);
         assert_eq!(c.devices.len(), 4);
+    }
+
+    #[test]
+    fn route_entries_of_a_missing_device_are_zero() {
+        let topology = Topology::generate(TopologyConfig::default());
+        let c = sample_cluster(&topology);
+        let vni = topology.vpcs[0].vni;
+        assert_eq!(c.route_entries_for(3, vni), c.route_entries());
+        assert_eq!(c.route_entries_for(4, vni), 0);
+        assert_eq!(c.route_entries_for(usize::MAX, vni), 0);
     }
 
     #[test]

@@ -21,13 +21,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sailfish_cluster::cluster::software_image;
+use sailfish_cluster::cluster::{software_image, software_routes};
 use sailfish_net::rss::Toeplitz;
 use sailfish_net::wire::ethernet;
 use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
 use sailfish_tables::snat::SnatConfig;
-use sailfish_xgw_x86::SoftwareForwarder;
+use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
 use crate::batch::BatchExecutor;
 use crate::breaker::{BreakerConfig, BreakerStats};
@@ -150,9 +150,15 @@ impl RunReport {
 
 /// Builds the reference/fallback software forwarder over the complete
 /// table image of `topology` ([`software_image`]) with the default SNAT
-/// pool.
+/// pool. A VM run the table refuses (a VM listed twice) leaves the image
+/// its routes and an empty VM plane, as
+/// [`sailfish_cluster::cluster::ImageBuilder`] leaves a hardware image:
+/// its VM lookups miss, nothing panics.
 pub fn software_forwarder(topology: &Topology) -> SoftwareForwarder {
-    let image = software_image(topology).expect("topology VMs are unique");
+    let image = software_image(topology).unwrap_or_else(|_| SoftwareTables {
+        routes: software_routes(topology),
+        ..SoftwareTables::default()
+    });
     SoftwareForwarder::new(Arc::new(image), SnatConfig::default())
 }
 
@@ -466,5 +472,14 @@ mod tests {
             report.device_packets.iter().sum::<u64>(),
             report.counters.parsed
         );
+    }
+
+    #[test]
+    fn software_forwarder_keeps_its_routes_when_the_vm_run_is_refused() {
+        let mut topology = Topology::generate(TopologyConfig::default());
+        topology.vms.push(topology.vms[0]);
+        let forwarder = software_forwarder(&topology);
+        assert_eq!(forwarder.tables.routes.len(), topology.routes.len());
+        assert!(forwarder.tables.vm_nc.is_empty());
     }
 }

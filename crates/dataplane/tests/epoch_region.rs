@@ -13,8 +13,9 @@
 //!   on-chip mapping returns its NC from the main or the conflict plane,
 //!   every `hw_vm_stride`-th misses;
 //! - every route's network address looked up in its serving cluster
-//!   against the logical `VxlanRoutingTable` (one independent `Lpm128`
-//!   per VNI and family).
+//!   against the logical `VxlanRoutingTable` (LPM by its definition over
+//!   one flat `(VNI, family, length, masked address)` map, independent of
+//!   ALPM).
 
 use sailfish_dataplane::{DataplaneConfig, EpochState};
 use sailfish_sim::{Topology, TopologyConfig};

@@ -4,9 +4,11 @@
 //! and VM-NC tables from a topology; every benchmark set-up and every
 //! experiment that punts builds one, and whatever it allocates is later
 //! freed. The budget is a count, not a timing, so it repeats exactly: at
-//! most [`ALLOCATIONS_PER_ROUTE`] heap allocations per route at the
-//! default scale and at region scale (a one-`Box`-per-prefix-bit trie
-//! and VM-by-VM inserts made 11.6 per route at region scale).
+//! most [`ALLOCATION_BUDGET`] heap allocations at the default scale and at
+//! region scale alike, since every route sits in one map sized up front
+//! and the VM plane is one bulk load (a one-`Box`-per-prefix-bit trie
+//! and VM-by-VM inserts made 11.6 per route at region scale; two hash
+//! maps per VNI made 0.59).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,7 +16,7 @@ use std::cell::Cell;
 use sailfish_dataplane::executor::software_forwarder;
 use sailfish_sim::{Topology, TopologyConfig};
 
-const ALLOCATIONS_PER_ROUTE: u64 = 2;
+const ALLOCATION_BUDGET: u64 = 64;
 
 struct CountingAllocator;
 
@@ -76,7 +78,7 @@ fn software_forwarder_stays_within_its_allocation_budget() {
             topology.vms.len()
         );
         assert!(
-            allocations <= ALLOCATIONS_PER_ROUTE * routes,
+            allocations <= ALLOCATION_BUDGET,
             "{scale}: {allocations} allocations for {routes} routes"
         );
     }

@@ -1,22 +1,19 @@
 //! Longest-prefix match as exact matches, one per prefix length.
 //!
-//! [`Lpm128`] is the authoritative *software* LPM over a 128-bit,
-//! MSB-aligned key space. It serves three roles:
-//!
-//! 1. the reference semantics that the hardware structure
-//!    [`crate::alpm::AlpmTable`] is property-tested against,
-//! 2. the backing store of the logical
-//!    [`crate::vxlan_route::VxlanRoutingTable`],
-//! 3. the XGW-x86 routing table (x86 has "huge memory space", §4.1, so the
-//!    software gateway uses this directly).
+//! [`Lpm128`] is the reference *software* LPM over a 128-bit, MSB-aligned
+//! key space: the semantics that the hardware structure
+//! [`crate::alpm::AlpmTable`] is property-tested against, one table per
+//! family plane beside the table under test.
 //!
 //! The store is one hash map from prefix to value and the list of prefix
 //! lengths present, longest first. A lookup masks the address to each
 //! present length in turn and returns the first exact hit — the
 //! definition of LPM, and nothing of ALPM's carving or buckets, so it
-//! stays an independent oracle for it. A per-VNI table holds a handful
-//! of lengths (/24 subnets, /12, /10, /0), so a lookup is a few probes;
-//! a build is one map insert per route.
+//! stays an independent oracle for it. The logical
+//! [`crate::vxlan_route::VxlanRoutingTable`] (also the XGW-x86 routing
+//! table) keeps the same definition over one flat map for every VNI
+//! rather than an `Lpm128` per VNI and family: at region scale, ≈25k VNIs
+//! each owning two maps cost ≈110 B and half an allocation per route.
 //!
 //! IPv4 keys are mapped into the 128-bit space by the caller (either
 //! MSB-aligned per-family or via the pooled `::ffff:0:0/96` plane, see
@@ -160,14 +157,6 @@ impl<T> Lpm128<T> {
             self.entries.get(&key).map(|data| (key, data))
         })
     }
-
-    /// Iterates over all `(key, value)` pairs in `(value, len)` order: a
-    /// prefix before the prefixes under it, lower addresses first.
-    pub fn iter(&self) -> impl Iterator<Item = (Key128, &T)> {
-        let mut all: Vec<(Key128, &T)> = self.entries.iter().map(|(k, v)| (*k, v)).collect();
-        all.sort_unstable_by_key(|(k, _)| (k.value, k.len));
-        all.into_iter()
-    }
 }
 
 #[cfg(test)]
@@ -256,18 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_yields_everything_in_order() {
-        let mut t = Lpm128::new();
-        let keys = [ka(0, 0), ka(0xab << 120, 8), ka(0xab << 120, 9), ka(1, 128)];
-        for (i, key) in keys.iter().enumerate() {
-            t.insert(*key, i);
-        }
-        let collected: Vec<_> = t.iter().map(|(k, _)| k).collect();
-        // A prefix before the prefixes under it, lower addresses first.
-        assert_eq!(collected, [keys[0], keys[3], keys[1], keys[2]]);
-    }
-
-    #[test]
     fn remove_prunes_empty_branches() {
         let mut t = Lpm128::new();
         let deep = ka(7, 128);
@@ -334,11 +311,6 @@ mod tests {
             }
         }
         assert!(lengths_seen.iter().all(|&seen| seen));
-        let keys: Vec<Key128> = t.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys.len(), entries.len());
-        assert!(keys
-            .windows(2)
-            .all(|w| (w[0].value, w[0].len) < (w[1].value, w[1].len)));
         for (k, v) in &entries {
             assert_eq!(t.get_exact(*k), Some(v));
         }

@@ -8,9 +8,10 @@
 //! families share one physical table; a family label (part of the match
 //! key) keeps the planes disjoint — an IPv6 `::/0` must never match IPv4
 //! traffic. This module models that as label-separated views over shared
-//! storage: [`PooledPrefixMap`] (the [`Lpm128`] reference) and [`PooledAlpm`]
-//! (the compressed ALPM form whose statistics feed the Fig 17 memory
-//! accounting).
+//! storage: [`PooledAlpm`], the compressed ALPM form whose statistics feed
+//! the Fig 17 memory accounting, and the two key maps ([`plane_key`],
+//! [`plane_addr`]) that the logical
+//! [`crate::vxlan_route::VxlanRoutingTable`] keys its routes by too.
 
 use core::net::IpAddr;
 
@@ -18,7 +19,7 @@ use sailfish_net::IpPrefix;
 
 use crate::alpm::{AlpmConfig, AlpmStats, AlpmTable};
 use crate::error::Result;
-use crate::lpm::{Key128, Lpm128};
+use crate::lpm::Key128;
 
 /// Maps an [`IpPrefix`] into a 128-bit MSB-aligned key within its family
 /// plane (IPv4 prefixes are MSB-aligned with their native length).
@@ -37,87 +38,6 @@ pub fn plane_addr(addr: IpAddr) -> u128 {
     match addr {
         IpAddr::V4(a) => u128::from(u32::from(a)) << 96,
         IpAddr::V6(a) => u128::from(a),
-    }
-}
-
-/// A dual-stack prefix map: one logical table, label-separated planes.
-#[derive(Debug)]
-pub struct PooledPrefixMap<T> {
-    v4: Lpm128<T>,
-    v6: Lpm128<T>,
-}
-
-impl<T> Default for PooledPrefixMap<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> PooledPrefixMap<T> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        PooledPrefixMap {
-            v4: Lpm128::new(),
-            v6: Lpm128::new(),
-        }
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> usize {
-        self.v4.len() + self.v6.len()
-    }
-
-    /// Whether the map is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entries per family `(v4, v6)` — the pooling ratio the paper tracks.
-    pub fn family_counts(&self) -> (usize, usize) {
-        (self.v4.len(), self.v6.len())
-    }
-
-    fn plane(&self, v4: bool) -> &Lpm128<T> {
-        if v4 {
-            &self.v4
-        } else {
-            &self.v6
-        }
-    }
-
-    fn plane_mut(&mut self, v4: bool) -> &mut Lpm128<T> {
-        if v4 {
-            &mut self.v4
-        } else {
-            &mut self.v6
-        }
-    }
-
-    /// Inserts a prefix, returning any replaced value.
-    pub fn insert(&mut self, prefix: IpPrefix, value: T) -> Option<T> {
-        self.plane_mut(prefix.is_v4())
-            .insert(plane_key(&prefix), value)
-    }
-
-    /// Removes a prefix.
-    pub fn remove(&mut self, prefix: &IpPrefix) -> Option<T> {
-        self.plane_mut(prefix.is_v4()).remove(plane_key(prefix))
-    }
-
-    /// Longest-prefix lookup. IPv4 addresses only match IPv4 prefixes and
-    /// vice versa, by the family label.
-    pub fn lookup(&self, addr: IpAddr) -> Option<(u8, &T)> {
-        self.plane(addr.is_ipv4())
-            .lookup(plane_addr(addr))
-            .map(|(k, v)| (k.len, v))
-    }
-
-    /// Iterates `(family-plane key, is_v4, value)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (Key128, bool, &T)> {
-        self.v4
-            .iter()
-            .map(|(k, v)| (k, true, v))
-            .chain(self.v6.iter().map(|(k, v)| (k, false, v)))
     }
 }
 
@@ -236,16 +156,23 @@ impl<T: Clone> PooledAlpm<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lpm::Lpm128;
 
     fn p(s: &str) -> IpPrefix {
         s.parse().unwrap()
     }
 
+    fn pooled<T: Clone>(entries: &[(&str, T)]) -> PooledAlpm<T> {
+        let mut m = PooledAlpm::new(AlpmConfig { bucket_capacity: 2 });
+        for (prefix, value) in entries {
+            assert!(m.insert(p(prefix), value.clone()).unwrap().is_none());
+        }
+        m
+    }
+
     #[test]
     fn families_are_isolated() {
-        let mut m = PooledPrefixMap::new();
-        m.insert(p("10.0.0.0/8"), "v4");
-        m.insert(p("::/0"), "v6-default");
+        let m = pooled(&[("10.0.0.0/8", "v4"), ("::/0", "v6-default")]);
         // An IPv4 address must not fall through to the v6 default when the
         // v4 plane misses: the family label is part of the key.
         assert_eq!(m.lookup("10.1.2.3".parse().unwrap()).unwrap().1, &"v4");
@@ -254,13 +181,12 @@ mod tests {
             m.lookup("2001:db8::1".parse().unwrap()).unwrap().1,
             &"v6-default"
         );
-        assert_eq!(m.family_counts(), (1, 1));
+        assert_eq!((m.plane(true).len(), m.plane(false).len()), (1, 1));
     }
 
     #[test]
     fn v4_default_does_not_leak_into_v6() {
-        let mut m = PooledPrefixMap::new();
-        m.insert(p("0.0.0.0/0"), "v4-default");
+        let m = pooled(&[("0.0.0.0/0", "v4-default")]);
         assert!(m.lookup("2001:db8::1".parse().unwrap()).is_none());
         assert_eq!(
             m.lookup("8.8.8.8".parse().unwrap()).unwrap().1,
@@ -270,9 +196,7 @@ mod tests {
 
     #[test]
     fn longest_match_within_family() {
-        let mut m = PooledPrefixMap::new();
-        m.insert(p("192.168.0.0/16"), 16);
-        m.insert(p("192.168.10.0/24"), 24);
+        let m = pooled(&[("192.168.0.0/16", 16), ("192.168.10.0/24", 24)]);
         let (len, v) = m.lookup("192.168.10.9".parse().unwrap()).unwrap();
         assert_eq!(*v, 24);
         assert_eq!(len, 24);
@@ -280,22 +204,21 @@ mod tests {
 
     #[test]
     fn remove_and_counts() {
-        let mut m = PooledPrefixMap::new();
-        m.insert(p("10.0.0.0/8"), 1);
-        m.insert(p("2001:db8::/32"), 2);
+        let mut m = pooled(&[("10.0.0.0/8", 1), ("2001:db8::/32", 2)]);
         assert_eq!(m.remove(&p("10.0.0.0/8")), Some(1));
         assert_eq!(m.remove(&p("10.0.0.0/8")), None);
-        assert_eq!(m.family_counts(), (0, 1));
+        assert_eq!((m.plane(true).len(), m.plane(false).len()), (0, 1));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.iter().count(), 1);
+        m.audit().unwrap();
     }
 
+    /// Against two `Lpm128`s, one per family plane.
     #[test]
     fn pooled_alpm_matches_map() {
         use sailfish_util::rand::rngs::StdRng;
         use sailfish_util::rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(77);
-        let mut map = PooledPrefixMap::new();
+        let mut planes = [Lpm128::new(), Lpm128::new()];
         let mut alpm = PooledAlpm::new(AlpmConfig { bucket_capacity: 4 });
         for i in 0..300u32 {
             let v4 = rng.gen_bool(0.5);
@@ -306,7 +229,7 @@ mod tests {
                 let addr = core::net::Ipv6Addr::from(rng.gen_range(0..1u128 << 24) << 104);
                 IpPrefix::new(addr.into(), rng.gen_range(16..=48)).unwrap()
             };
-            map.insert(prefix, i);
+            planes[usize::from(v4)].insert(plane_key(&prefix), i);
             alpm.insert(prefix, i).unwrap();
         }
         alpm.audit().unwrap();
@@ -316,13 +239,12 @@ mod tests {
             } else {
                 core::net::Ipv6Addr::from((rng.gen_range(0..1u128 << 24)) << 104).into()
             };
-            assert_eq!(
-                map.lookup(addr).map(|(l, v)| (l, *v)),
-                alpm.lookup(addr).map(|(l, v)| (l, *v)),
-                "addr {addr}"
-            );
+            let want = planes[usize::from(addr.is_ipv4())]
+                .lookup(plane_addr(addr))
+                .map(|(k, v)| (k.len, *v));
+            assert_eq!(want, alpm.lookup(addr).map(|(l, v)| (l, *v)), "addr {addr}");
         }
         let stats = alpm.stats();
-        assert!(stats.tcam_entries < map.len());
+        assert!(stats.tcam_entries < planes[0].len() + planes[1].len());
     }
 }

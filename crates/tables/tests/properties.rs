@@ -16,8 +16,9 @@ use sailfish_tables::alpm::{AlpmConfig, AlpmTable};
 use sailfish_tables::digest::{digest32, DigestExactTable, DigestLookup, DigestStats};
 use sailfish_tables::error::Error;
 use sailfish_tables::lpm::{Key128, Lpm128};
-use sailfish_tables::pooled::{plane_addr, PooledAlpm, PooledPrefixMap};
-use sailfish_tables::types::VmKey;
+use sailfish_tables::pooled::{plane_addr, plane_key, PooledAlpm};
+use sailfish_tables::types::{IdcId, RouteTarget, VmKey, VxlanRouteKey};
+use sailfish_tables::vxlan_route::{Resolution, VxlanRoutingTable, MAX_PEER_HOPS};
 
 /// Small key space so prefixes overlap aggressively. Spreads 4 value
 /// bits across the top 12 bits.
@@ -147,8 +148,8 @@ fn alpm_equivalent_and_sound() {
 }
 
 /// The dual-stack table walked level by level — family plane, first
-/// level, second level — agrees with the `Lpm128`-backed pooled map and with
-/// its own `lookup`, and an address never matches the other family.
+/// level, second level — agrees with two `Lpm128`s, one per family plane,
+/// and with its own `lookup`, and an address never matches the other family.
 #[test]
 fn pooled_alpm_levels_match_pooled_trie() {
     check::run("pooled_alpm_levels_match_pooled_trie", 128, |rng| {
@@ -164,10 +165,14 @@ fn pooled_alpm_levels_match_pooled_trie() {
         let mut alpm = PooledAlpm::new(AlpmConfig {
             bucket_capacity: rng.gen_range(1usize..=6),
         });
-        let mut map = PooledPrefixMap::new();
+        let mut planes = [Lpm128::new(), Lpm128::new()];
         for i in 0..rng.gen_range(1..120u32) {
             let prefix = arb_prefix(rng);
-            assert_eq!(alpm.insert(prefix, i).unwrap(), map.insert(prefix, i));
+            let plane = &mut planes[usize::from(prefix.is_v4())];
+            assert_eq!(
+                alpm.insert(prefix, i).unwrap(),
+                plane.insert(plane_key(&prefix), i)
+            );
         }
         for _ in 0..40 {
             let addr: IpAddr = if rng.gen_bool(0.5) {
@@ -182,7 +187,10 @@ fn pooled_alpm_levels_match_pooled_trie() {
                 .and_then(|root| plane.match_in(root, bits))
                 .map(|(k, v)| (k.len, *v));
             assert_eq!(got, alpm.lookup(addr).map(|(l, v)| (l, *v)), "{addr}");
-            assert_eq!(got, map.lookup(addr).map(|(l, v)| (l, *v)), "{addr}");
+            let want = planes[usize::from(addr.is_ipv4())]
+                .lookup(bits)
+                .map(|(k, v)| (k.len, *v));
+            assert_eq!(got, want, "{addr}");
         }
     });
 }
@@ -421,4 +429,155 @@ fn digest_bulk_build_rejects_repeats() {
             assert_eq!(DigestExactTable::from_run(&run), Err(Error::Duplicate));
         }
     });
+}
+
+/// The flat logical routing table against a naive scan, step for step:
+/// seeded sequences of inserts, replaces and removes over four VNIs, both
+/// families and every prefix length (0–32 for v4, 0–128 for v6), then a
+/// drain of whatever is left. v4 and v6 prefixes are drawn from one
+/// 128-bit plane address, so a v4 prefix and the v6 prefix with the same
+/// leading bits are both resident: a table that let the family go out of
+/// its key or its length walk would answer one for the other. After every
+/// step `lookup` (on a resident prefix and on arbitrary v4 and v6
+/// addresses), `resolve`, `len`, `len_for_vni`, `family_counts` and
+/// `vnis` must agree; a VNI disappears with its last route.
+#[test]
+fn vxlan_routing_table_agrees_with_naive_scan() {
+    let vnis: Vec<Vni> = (1..=4).map(Vni::from_const).collect();
+    // A plane address: two leading bits from a small pool so short
+    // prefixes overlap, the rest random.
+    let plane = |rng: &mut StdRng| rng.gen_range(0..4u128) << 126 | rng.gen::<u128>() >> 2;
+    let as_addr = |bits: u128, v4: bool| -> IpAddr {
+        if v4 {
+            core::net::Ipv4Addr::from((bits >> 96) as u32).into()
+        } else {
+            core::net::Ipv6Addr::from(bits).into()
+        }
+    };
+    let naive_lookup = |naive: &[(VxlanRouteKey, RouteTarget)], vni: Vni, addr: IpAddr| {
+        naive
+            .iter()
+            .filter(|(k, _)| k.vni == vni && k.prefix.contains(addr))
+            .max_by_key(|(k, _)| k.prefix.len())
+            .map(|(_, t)| *t)
+    };
+    let naive_resolve = |naive: &[(VxlanRouteKey, RouteTarget)], vni: Vni, addr: IpAddr| {
+        let mut current = vni;
+        for hops in 0..=MAX_PEER_HOPS {
+            match naive_lookup(naive, current, addr) {
+                None => return Err(Error::NotFound),
+                Some(RouteTarget::Peer(next)) => current = next,
+                Some(target) => {
+                    return Ok(Resolution {
+                        final_vni: current,
+                        target,
+                        hops,
+                    })
+                }
+            }
+        }
+        Err(Error::RoutingLoop)
+    };
+    let mut lengths_seen = [[false; 129]; 2];
+    check::run("vxlan_routing_table_agrees_with_naive_scan", 64, |rng| {
+        // Most addresses come from a few per case, so prefixes of one
+        // address at many lengths nest and probes hit the long ones.
+        let pool: Vec<u128> = (0..6).map(|_| plane(rng)).collect();
+        let pick = |rng: &mut StdRng| match check::one_of(rng, 8) {
+            0 => plane(rng),
+            _ => pool[rng.gen_range(0..pool.len())],
+        };
+        let mut table = VxlanRoutingTable::new();
+        let mut naive: Vec<(VxlanRouteKey, RouteTarget)> = Vec::new();
+        let agree = |table: &VxlanRoutingTable,
+                     naive: &[(VxlanRouteKey, RouteTarget)],
+                     rng: &mut StdRng| {
+            assert_eq!(table.len(), naive.len());
+            assert_eq!(table.is_empty(), naive.is_empty());
+            let v4 = naive.iter().filter(|(k, _)| k.prefix.is_v4()).count();
+            assert_eq!(table.family_counts(), (v4, naive.len() - v4));
+            let mut present: Vec<Vni> = naive.iter().map(|(k, _)| k.vni).collect();
+            present.sort();
+            present.dedup();
+            assert_eq!(table.vnis(), present);
+            for &vni in &vnis {
+                let n = naive.iter().filter(|(k, _)| k.vni == vni).count();
+                assert_eq!(table.len_for_vni(vni), n, "{vni}");
+            }
+            let resident = naive
+                .get(rng.gen_range(0..naive.len().max(1)))
+                .map(|(k, _)| k.prefix.addr());
+            let bits = pick(rng);
+            for addr in resident
+                .into_iter()
+                .chain([as_addr(bits, true), as_addr(bits, false)])
+            {
+                for &vni in &vnis {
+                    assert_eq!(
+                        table.lookup(vni, addr),
+                        naive_lookup(naive, vni, addr),
+                        "{vni} {addr}"
+                    );
+                    assert_eq!(
+                        table.resolve(vni, addr),
+                        naive_resolve(naive, vni, addr),
+                        "{vni} {addr}"
+                    );
+                }
+            }
+        };
+        for i in 0..rng.gen_range(1..300u32) {
+            let key = match check::one_of(rng, 4) {
+                // Revisit a resident route: replace or remove it.
+                0 if !naive.is_empty() => naive[rng.gen_range(0..naive.len())].0,
+                _ => {
+                    let v4 = rng.gen_bool(0.5);
+                    let len = rng.gen_range(0..=if v4 { 32 } else { 128 });
+                    let addr = as_addr(pick(rng), v4);
+                    let vni = vnis[rng.gen_range(0..vnis.len())];
+                    VxlanRouteKey::new(vni, IpPrefix::new(addr, len).unwrap())
+                }
+            };
+            lengths_seen[usize::from(key.prefix.is_v4())][usize::from(key.prefix.len())] = true;
+            let resident = naive.iter().position(|(k, _)| *k == key);
+            match resident {
+                Some(r) if rng.gen_bool(0.5) => {
+                    let (_, old) = naive.swap_remove(r);
+                    assert_eq!(table.remove(&key), Some(old), "{key:?}");
+                    assert_eq!(table.remove(&key), None, "{key:?}");
+                }
+                resident => {
+                    // Peers among the four VNIs and one unknown one, so
+                    // chains, loops and dead ends all occur.
+                    let target = match check::one_of(rng, 3) {
+                        0 => RouteTarget::Peer(Vni::from_const(rng.gen_range(1..=5))),
+                        1 => RouteTarget::Local,
+                        _ => RouteTarget::Idc(IdcId(i)),
+                    };
+                    let old = match resident {
+                        Some(r) => Some(core::mem::replace(&mut naive[r].1, target)),
+                        None => {
+                            naive.push((key, target));
+                            None
+                        }
+                    };
+                    assert_eq!(table.insert(key, target), old, "{key:?}");
+                }
+            }
+            agree(&table, &naive, rng);
+        }
+        while !naive.is_empty() {
+            let (key, old) = naive.swap_remove(rng.gen_range(0..naive.len()));
+            assert_eq!(table.remove(&key), Some(old), "{key:?}");
+            agree(&table, &naive, rng);
+        }
+        assert!(table.vnis().is_empty());
+    });
+    for (family, max) in [(1, 32), (0, 128)] {
+        assert!(
+            lengths_seen[family][..=max].iter().all(|&seen| seen),
+            "a {} length never drawn",
+            if family == 1 { "v4" } else { "v6" }
+        );
+    }
 }

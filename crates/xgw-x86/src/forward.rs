@@ -72,7 +72,8 @@ pub enum Decision {
 /// a fleet points at one image.
 #[derive(Debug)]
 pub struct SoftwareTables {
-    /// VXLAN routing table (full copy; x86 has DRAM to spare).
+    /// VXLAN routing table: the full region's routes in one flat map,
+    /// keyed by VNI, family, prefix length and masked address.
     pub routes: VxlanRoutingTable,
     /// VM-NC mapping table.
     pub vm_nc: VmNcTable,

@@ -10,9 +10,10 @@
 //! - a **differential** — `HwRoutingTable::lookup`, walked level by
 //!   level the way the batch miss path warms it (`table` → `plane` →
 //!   `deepest_root` → `match_in`), against the logical
-//!   `VxlanRoutingTable` (one independent `Lpm128` per VNI and family), fed
-//!   the same routes, on every route's network address and on 50 000
-//!   seeded VM addresses.
+//!   `VxlanRoutingTable` (LPM by its definition over one flat
+//!   `(VNI, family, length, masked address)` map — nothing of ALPM's
+//!   carving), fed the same routes, on every route's network address and
+//!   on 50 000 seeded VM addresses.
 
 use std::sync::OnceLock;
 
