@@ -153,6 +153,12 @@ else
     echo "==> policy: OK"
 fi
 
+# 12. Size report: non-test lines per crate. Informational, never fails;
+#     run `ci/loc.sh DIR` on a checkout of the parent commit to compare.
+echo
+echo "==> loc: non-test lines in crates/*/src (report only)"
+ci/loc.sh || true
+
 echo
 if [ "${failures}" -ne 0 ]; then
     echo "ci/check.sh: ${failures} step(s) failed"

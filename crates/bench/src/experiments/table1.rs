@@ -4,7 +4,7 @@
 
 use sailfish::prelude::*;
 use sailfish_cluster::controller::ClusterCapacity;
-use sailfish_xgw_h::PuntReason;
+use sailfish_tables::types::{Reason, Verdict};
 
 use crate::record::ExperimentRecord;
 use crate::scale::Scale;
@@ -60,23 +60,16 @@ pub fn run(_scale: Scale) -> ExperimentRecord {
             kind: sailfish_sim::workload::FlowKind::IntraVpc,
         };
         let cluster = region.directory.cluster_for(vni).expect("vni routed");
-        let packet = GatewayPacketBuilder::new(vni, src_ip, dst)
-            .transport(IpProtocol::Tcp, 40000, 443)
-            .build();
         let hw = &region.hw[cluster];
         let device = hw.device_for(&flow.tuple).expect("devices online");
-        let decision = hw.devices[device]
-            .walk(vni, &flow.tuple, &mut ())
-            .into_decision(&packet);
-        let got = match &decision {
-            HwDecision::ToNc { .. } => "forward to NC".to_string(),
-            HwDecision::ToRegion { region, .. } => format!("cross-region ({region})"),
-            HwDecision::ToIdc { idc, .. } => format!("CEN to {idc}"),
-            HwDecision::PuntToX86 { reason, .. } => match reason {
-                PuntReason::SnatRequired => "punt to XGW-x86 (SNAT)".to_string(),
-                other => format!("punt to XGW-x86 ({other:?})"),
-            },
-            HwDecision::Drop(r) => format!("drop ({r:?})"),
+        let got = match hw.devices[device].walk(vni, &flow.tuple, &mut ()) {
+            Verdict::ToNc { .. } => "forward to NC".to_string(),
+            Verdict::ToRegion { region, .. } => format!("cross-region ({region})"),
+            Verdict::ToIdc { idc, .. } => format!("CEN to {idc}"),
+            Verdict::Punt(Reason::SnatRequired) => "punt to XGW-x86 (SNAT)".to_string(),
+            Verdict::Punt(other) => format!("punt to XGW-x86 ({other:?})"),
+            Verdict::ToInternet => "SNAT to the Internet".to_string(),
+            Verdict::Drop(r) => format!("drop ({r:?})"),
         };
         let ok = got.starts_with(want);
         rows.push(vec![route.to_string(), service.to_string(), got.clone()]);

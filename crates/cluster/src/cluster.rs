@@ -443,7 +443,7 @@ pub(crate) fn flow_rate(flow: &Flow, pps: f64) -> FlowRate {
 mod tests {
     use super::*;
     use sailfish_sim::TopologyConfig;
-    use sailfish_xgw_h::Walked;
+    use sailfish_tables::types::Verdict;
 
     /// A 4-device cluster pointing at the image of the topology's first
     /// VPC.
@@ -484,7 +484,7 @@ mod tests {
         let decision = walk(&c, device);
         assert_eq!(
             decision,
-            Walked::ToNc {
+            Verdict::ToNc {
                 nc: vm.nc,
                 vni: vm.vni
             }

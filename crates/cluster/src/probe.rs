@@ -10,12 +10,23 @@
 //! the serving cluster, and reports divergences from the expected
 //! decision — the go/no-go gate before admitting user traffic.
 
+use core::net::Ipv4Addr;
+
 use sailfish_net::packet::GatewayPacketBuilder;
 use sailfish_net::{GatewayPacket, IpProtocol};
 use sailfish_sim::topology::{Topology, PEERED_SUBNETS};
-use sailfish_xgw_h::{HwDecision, PuntReason};
+use sailfish_tables::types::{Reason, Verdict};
 
 use crate::region::Region;
+
+/// An Internet destination: a SNAT probe's target.
+const INTERNET_DST: Ipv4Addr = Ipv4Addr::new(93, 184, 216, 34);
+/// Inside the IDC prefix the topology routes over the CEN.
+const IDC_DST: Ipv4Addr = Ipv4Addr::new(172, 16, 200, 1);
+/// Inside the prefix the topology routes to another region.
+const XREGION_DST: Ipv4Addr = Ipv4Addr::new(100, 64, 200, 1);
+/// A documentation address no VPC routes: a negative probe's target.
+const UNKNOWN_DST: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 77);
 
 /// What a probe expects the gateway to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +118,7 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
         if snat < per_class && vpc.internet {
             probes.push(Probe {
                 label: format!("snat {}", vpc.vni),
-                packet: mk("93.184.216.34".parse().expect("valid IPv4 literal")),
+                packet: mk(INTERNET_DST.into()),
                 expect: Expectation::PuntSnat,
             });
             snat += 1;
@@ -115,7 +126,7 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
         if idc < per_class && vpc.idc.is_some() {
             probes.push(Probe {
                 label: format!("idc {}", vpc.vni),
-                packet: mk("172.16.200.1".parse().expect("valid IPv4 literal")),
+                packet: mk(IDC_DST.into()),
                 expect: Expectation::Idc,
             });
             idc += 1;
@@ -123,7 +134,7 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
         if xregion < per_class && vpc.cross_region.is_some() {
             probes.push(Probe {
                 label: format!("xregion {}", vpc.vni),
-                packet: mk("100.64.200.1".parse().expect("valid IPv4 literal")),
+                packet: mk(XREGION_DST.into()),
                 expect: Expectation::CrossRegion,
             });
             xregion += 1;
@@ -131,7 +142,7 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
         if negative < per_class && !vpc.internet {
             probes.push(Probe {
                 label: format!("negative {}", vpc.vni),
-                packet: mk("198.51.100.77".parse().expect("valid IPv4 literal")),
+                packet: mk(UNKNOWN_DST.into()),
                 expect: Expectation::PuntUnknown,
             });
             negative += 1;
@@ -141,41 +152,39 @@ pub fn generate(topology: &Topology, per_class: usize) -> Vec<Probe> {
 }
 
 /// The failure, if `device` of `cluster` does not take the decision
-/// `probe` expects.
+/// `probe` expects, or the region has no such device.
 fn check(region: &Region, probe: &Probe, cluster: usize, device: usize) -> Option<ProbeFailure> {
     let packet = &probe.packet;
-    let decision = region.hw[cluster].devices[device]
-        .walk(packet.vni, &packet.five_tuple(), &mut ())
-        .into_decision(packet);
-    (!matches_expectation(&decision, probe.expect)).then(|| ProbeFailure {
+    let got = match region.hw.get(cluster).and_then(|hw| hw.devices.get(device)) {
+        Some(tables) => {
+            let verdict = tables.walk(packet.vni, &packet.five_tuple(), &mut ());
+            if matches_expectation(verdict, probe.expect) {
+                return None;
+            }
+            format!("{verdict:?}")
+        }
+        None => NO_SUCH_DEVICE.into(),
+    };
+    Some(ProbeFailure {
         label: probe.label.clone(),
         cluster,
         device,
-        got: format!("{decision:?}"),
+        got,
     })
 }
 
-/// Whether a device decision satisfies a probe's expectation.
-fn matches_expectation(decision: &HwDecision, expect: Expectation) -> bool {
+/// What a failure reports for a cluster or device the region lacks.
+const NO_SUCH_DEVICE: &str = "no such device in the region";
+
+/// Whether a device's verdict satisfies a probe's expectation.
+fn matches_expectation(verdict: Verdict, expect: Expectation) -> bool {
     matches!(
-        (decision, expect),
-        (HwDecision::ToNc { .. }, Expectation::ForwardLocal)
-            | (HwDecision::ToRegion { .. }, Expectation::CrossRegion)
-            | (HwDecision::ToIdc { .. }, Expectation::Idc)
-            | (
-                HwDecision::PuntToX86 {
-                    reason: PuntReason::SnatRequired,
-                    ..
-                },
-                Expectation::PuntSnat
-            )
-            | (
-                HwDecision::PuntToX86 {
-                    reason: PuntReason::NoHwRoute,
-                    ..
-                },
-                Expectation::PuntUnknown
-            )
+        (verdict, expect),
+        (Verdict::ToNc { .. }, Expectation::ForwardLocal)
+            | (Verdict::ToRegion { .. }, Expectation::CrossRegion)
+            | (Verdict::ToIdc { .. }, Expectation::Idc)
+            | (Verdict::Punt(Reason::SnatRequired), Expectation::PuntSnat)
+            | (Verdict::Punt(Reason::NoRoute), Expectation::PuntUnknown)
     )
 }
 
@@ -192,7 +201,8 @@ pub fn run(region: &mut Region, probes: &[Probe]) -> Vec<ProbeFailure> {
             });
             continue;
         };
-        let devices = 0..region.hw[cluster].devices.len();
+        // A directory entry past the region's clusters fails on device 0.
+        let devices = 0..region.hw.get(cluster).map_or(1, |hw| hw.devices.len());
         failures.extend(devices.filter_map(|device| check(region, probe, cluster, device)));
     }
     failures
@@ -204,13 +214,26 @@ pub fn run(region: &mut Region, probes: &[Probe]) -> Vec<ProbeFailure> {
 /// not the live directory: a backup cluster (index ≥ primaries) is tested
 /// against its primary's assignment, and a cluster whose traffic is
 /// currently failed over elsewhere can still be validated before the
-/// directory cuts back over.
+/// directory cuts back over. A `cluster` or `device` the region does not
+/// have fails with one [`ProbeFailure`].
 pub fn run_device(
     region: &mut Region,
     probes: &[Probe],
     cluster: usize,
     device: usize,
 ) -> Vec<ProbeFailure> {
+    if region
+        .hw
+        .get(cluster)
+        .is_none_or(|hw| device >= hw.devices.len())
+    {
+        return vec![ProbeFailure {
+            label: format!("cluster {cluster} device {device}"),
+            cluster,
+            device,
+            got: NO_SUCH_DEVICE.into(),
+        }];
+    }
     let primaries = region.plan.clusters_needed();
     let plan_cluster = if cluster >= primaries {
         cluster - primaries
@@ -288,6 +311,20 @@ mod tests {
         region.hw[0].wipe_device(1);
         assert!(!run_device(&mut region, &probes, 0, 1).is_empty());
         assert!(run_device(&mut region, &probes, 0, 0).is_empty());
+    }
+
+    #[test]
+    fn run_device_reports_a_missing_device_instead_of_panicking() {
+        let (topology, mut region) = build();
+        let probes = generate(&topology, 5);
+        let clusters = region.hw.len();
+        let devices = region.hw[0].devices.len();
+        for (cluster, device) in [(clusters, 0), (0, devices), (usize::MAX, usize::MAX)] {
+            let failures = run_device(&mut region, &probes, cluster, device);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert_eq!((failures[0].cluster, failures[0].device), (cluster, device));
+            assert_eq!(failures[0].got, NO_SUCH_DEVICE);
+        }
     }
 
     #[test]

@@ -27,7 +27,8 @@ use sailfish_sim::topology::Topology;
 use sailfish_sim::workload::Flow;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::snat::SnatConfig;
-use sailfish_xgw_h::{Walked, XgwH};
+use sailfish_tables::types::Verdict;
+use sailfish_xgw_h::XgwH;
 use sailfish_xgw_x86::{FlowRate, XgwX86Config};
 
 use crate::cluster::{flow_rate, HwCluster, SwCluster, SwReport};
@@ -407,10 +408,7 @@ impl Region {
             return self.no_hw_path(flow);
         };
         match tables.walk(flow.vni, &flow.tuple, &mut ()) {
-            Walked::ToNc { .. } | Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
-                FlowPath::Hw { cluster, device }
-            }
-            Walked::Punt(_) => match self.sw.ecmp.pick(&flow.tuple) {
+            Verdict::Punt(_) => match self.sw.ecmp.pick(&flow.tuple) {
                 Ok(node) => FlowPath::Punt {
                     cluster,
                     device,
@@ -418,7 +416,8 @@ impl Region {
                 },
                 Err(_) => FlowPath::Unrouted,
             },
-            Walked::DropAcl | Walked::DropLoop => FlowPath::HwDrop,
+            Verdict::Drop(_) => FlowPath::HwDrop,
+            _ => FlowPath::Hw { cluster, device },
         }
     }
 
@@ -565,6 +564,7 @@ mod tests {
     use super::*;
     use sailfish_sim::topology::TopologyConfig;
     use sailfish_sim::workload::{generate_flows, WorkloadConfig};
+    use sailfish_tables::types::Reason;
 
     fn small_region() -> (Topology, Region) {
         let topology = Topology::generate(TopologyConfig::default());
@@ -707,7 +707,6 @@ mod tests {
     #[test]
     fn an_empty_snat_pool_exhausts_instead_of_panicking() {
         use sailfish_net::packet::GatewayPacketBuilder;
-        use sailfish_xgw_x86::{Decision, DropReason};
 
         let topology = Topology::generate(TopologyConfig::default());
         let config = RegionConfig {
@@ -734,7 +733,7 @@ mod tests {
         for node in &mut region.sw.nodes {
             assert_eq!(
                 node.forwarder.process(&packet, 0),
-                Decision::Drop(DropReason::SnatExhausted)
+                Verdict::Drop(Reason::SnatExhausted)
             );
         }
     }

@@ -13,11 +13,11 @@ use sailfish_cluster::chaos::{self, ChaosConfig};
 use sailfish_cluster::controller::ClusterCapacity;
 use sailfish_cluster::region::{Region, RegionConfig};
 use sailfish_dataplane::executor::software_forwarder;
-use sailfish_dataplane::oracle::PathDecision;
 use sailfish_dataplane::traffic;
 use sailfish_sim::faults::{FaultSchedule, FaultScheduleConfig};
 use sailfish_sim::topology::{Topology, TopologyConfig};
 use sailfish_sim::workload::{generate_flows, Flow, WorkloadConfig};
+use sailfish_tables::types::Verdict;
 use sailfish_xgw_h::tables::HardwareTables;
 use sailfish_xgw_x86::SoftwareForwarder;
 
@@ -53,18 +53,8 @@ fn build() -> (Topology, Vec<Flow>, Region) {
 
 /// What one device's table walk yields, without resolving punts (punt
 /// resolution is stateful; replica comparison wants pure table state).
-#[derive(Debug, PartialEq)]
-enum DeviceView {
-    Terminal(PathDecision),
-    Punt,
-}
-
-fn device_view(tables: &HardwareTables, flow: &Flow) -> DeviceView {
-    let walked = tables.walk(flow.vni, &flow.tuple, &mut ());
-    match PathDecision::from_walk(walked) {
-        Some(decided) => DeviceView::Terminal(decided),
-        None => DeviceView::Punt,
-    }
+fn device_view(tables: &HardwareTables, flow: &Flow) -> Verdict {
+    tables.walk(flow.vni, &flow.tuple, &mut ())
 }
 
 /// The region's end-to-end decision for one flow: directory → ECMP device
@@ -74,17 +64,17 @@ fn region_decision(
     flow: &Flow,
     fallback: &mut SoftwareForwarder,
     now_ns: u64,
-) -> PathDecision {
+) -> Verdict {
     let packet = traffic::packet_for_flow(flow);
     let Some(cluster) = region.directory.cluster_for(flow.vni) else {
-        return PathDecision::from_software(&fallback.process(&packet, now_ns));
+        return fallback.process(&packet, now_ns);
     };
     let Ok(device) = region.hw[cluster].device_for(&flow.tuple) else {
-        return PathDecision::from_software(&fallback.process(&packet, now_ns));
+        return fallback.process(&packet, now_ns);
     };
     match device_view(&region.hw[cluster].devices[device], flow) {
-        DeviceView::Terminal(d) => d,
-        DeviceView::Punt => PathDecision::from_software(&fallback.process(&packet, now_ns)),
+        verdict if verdict.is_final() => verdict,
+        _ => fallback.process(&packet, now_ns),
     }
 }
 
@@ -98,7 +88,7 @@ fn run_oracle(region: &Region, topology: &Topology, flows: &[Flow]) -> (u64, Opt
         let now_ns = (i as u64 + 1) * 1_000;
         let got = region_decision(region, flow, &mut fallback, now_ns);
         let packet = traffic::packet_for_flow(flow);
-        let want = PathDecision::from_software(&reference.process(&packet, now_ns));
+        let want = reference.process(&packet, now_ns);
         if got != want {
             mismatches += 1;
             if first.is_none() {
@@ -120,7 +110,7 @@ fn assert_replicas_agree(region: &Region, flows: &[Flow]) {
         let Some(cluster) = region.directory.cluster_for(flow.vni) else {
             continue;
         };
-        let views: Vec<DeviceView> = region.hw[cluster]
+        let views: Vec<Verdict> = region.hw[cluster]
             .devices
             .iter()
             .map(|d| device_view(d, flow))

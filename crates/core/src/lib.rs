@@ -92,7 +92,7 @@ pub mod prelude {
     pub use sailfish_sim::workload::{festival_profile, generate_flows, WorkloadConfig};
     pub use sailfish_tables::alpm::AlpmConfig;
     pub use sailfish_tables::snat::SnatConfig;
-    pub use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
+    pub use sailfish_tables::types::{NcAddr, Reason, RouteTarget, Verdict, VmKey, VxlanRouteKey};
     pub use sailfish_xgw_h::{HwDecision, XgwH};
     pub use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables, XgwX86Config};
 

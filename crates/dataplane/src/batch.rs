@@ -47,7 +47,7 @@
 //!    header region and takes the incremental-checksum patch, v6 copies
 //!    the whole frame and refills its UDP checksum — and hand everything
 //!    the hardware does not forward to the shared core, queueing punts
-//!    *by frame index*: the owned punt parse happens in
+//!    *by frame index*: the software tier serves them in
 //!    [`BatchExecutor::finish`], off the hot path.
 //!
 //! The epoch is pinned **once per batch**.
@@ -81,9 +81,8 @@ use sailfish_net::view::FrameView;
 use sailfish_net::{FrameError, Vni};
 use sailfish_tables::alpm::AlpmTable;
 use sailfish_tables::pooled::plane_addr;
-use sailfish_tables::types::RouteTarget;
+use sailfish_tables::types::{Reason, RouteTarget, Verdict};
 use sailfish_xgw_h::tables::HardwareTables;
-use sailfish_xgw_h::{PuntReason, Walked};
 use sailfish_xgw_x86::SoftwareForwarder;
 
 use crate::cache::{FlowCache, FlowOutcome};
@@ -91,7 +90,6 @@ use crate::engine::cost;
 use crate::epoch::EpochState;
 use crate::executor::{worker_for, Dataplane, RunReport};
 use crate::ladder::{self, snat_offloaded, Ladder};
-use crate::oracle::PathDecision;
 use crate::rewrite::{self, RewriteCtx};
 
 /// How many slots ahead the parse lane warms the next frames' header
@@ -144,8 +142,8 @@ impl SlotState {
 }
 
 /// Reusable per-worker state: the disposition core plus this driver's
-/// cache, lanes and arena. A queued punt is the global frame index; the
-/// owned parse happens at resolution time in `finish`.
+/// cache, lanes and arena. A queued punt is the global frame index,
+/// served at resolution time in `finish`.
 struct BatchWorker {
     cache: FlowCache,
     ladder: Ladder,
@@ -238,9 +236,8 @@ impl BatchExecutor {
     }
 
     /// Resolves queued punts through `fallback` (serially, after the
-    /// slowest pipeline — the owned punt parse happens here, outside the
-    /// measured hot path) and assembles the run report. Allocation is
-    /// permitted here.
+    /// slowest pipeline, outside the measured hot path) and assembles the
+    /// run report. Allocation is permitted here.
     pub fn finish(&mut self, frames: &[&[u8]], fallback: &mut SoftwareForwarder) -> RunReport {
         ladder::resolve(self.workers.iter().map(|w| &w.ladder), frames, fallback)
     }
@@ -376,7 +373,7 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
             let outcome = FlowOutcome {
                 action,
                 slot: steer.slot,
-                digest: PathDecision::from_walk(action).map_or(0, |d| d.digest()),
+                digest: action.digest(),
             };
             worker.cache.insert(view.flow_key(), outcome);
             // The offload check comes after the cache insert, so later
@@ -415,7 +412,7 @@ fn run_worker(dp: &Dataplane, worker: &mut BatchWorker, frames: &[&[u8]], indice
                 SlotState::Walked(outcome, ctx, _) => (*outcome, *ctx, false),
                 SlotState::DirectoryMiss => (
                     FlowOutcome {
-                        action: Walked::Punt(PuntReason::NoHwRoute),
+                        action: Verdict::Punt(Reason::NoRoute),
                         slot: FlowOutcome::NO_SLOT,
                         digest: 0,
                     },
@@ -509,7 +506,7 @@ fn apply_outcome(
     from_cache: bool,
 ) -> u64 {
     match outcome.action {
-        Walked::ToNc { nc, vni } => {
+        Verdict::ToNc { nc, vni } => {
             if let Err(e) = rewrite_into_arena(worker, frame, ctx, nc, vni) {
                 worker.ladder.counters.record_frame_error(e);
                 return 0;
@@ -518,7 +515,7 @@ fn apply_outcome(
             worker.ladder.counters.hw_forwarded += 1;
             outcome.digest
         }
-        Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
+        Verdict::ToRegion { .. } | Verdict::ToIdc { .. } => {
             worker.ladder.counters.hw_forwarded += 1;
             outcome.digest
         }
@@ -586,7 +583,7 @@ mod tests {
             .find(|p| {
                 matches!(
                     dp.decide_one(&p.emit().unwrap(), &mut fallback, 0),
-                    Some(PathDecision::ToNc { .. })
+                    Some(Verdict::ToNc { .. })
                 )
             })
             .expect("a flow forwards to an NC");

@@ -15,13 +15,13 @@
 use std::collections::VecDeque;
 
 use sailfish_net::view::FlowKey;
-use sailfish_xgw_h::Walked;
+use sailfish_tables::types::Verdict;
 
-/// The former name of the cached walk result, now [`Walked`] itself.
+/// The former name of the cached walk result, now [`Verdict`] itself.
 /// The alias survives because the stand-alone benchmark names
 /// `CachedAction::DropAcl`; dropping it waits for a change to that
 /// benchmark.
-pub type CachedAction = Walked;
+pub type CachedAction = Verdict;
 
 /// The replayable outcome the batch pipeline caches per flow: what the
 /// table walk decided plus everything needed to skip the walk entirely on
@@ -29,7 +29,7 @@ pub type CachedAction = Walked;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowOutcome {
     /// What the flow's table walk decided.
-    pub action: Walked,
+    pub action: Verdict,
     /// Flattened ECMP device slot (`cluster_idx * devices_per_cluster +
     /// device`), or [`FlowOutcome::NO_SLOT`] when the flow never reached
     /// device selection (directory miss).
@@ -336,7 +336,7 @@ impl FlowCache {
 mod tests {
     use super::*;
     use sailfish_net::{FiveTuple, IpProtocol, Vni};
-    use sailfish_xgw_h::PuntReason;
+    use sailfish_tables::types::Reason;
 
     fn tuple(i: u32) -> FiveTuple {
         FiveTuple::new(
@@ -354,7 +354,7 @@ mod tests {
 
     fn outcome(i: u32) -> FlowOutcome {
         FlowOutcome {
-            action: Walked::Punt(PuntReason::SnatRequired),
+            action: Verdict::Punt(Reason::SnatRequired),
             slot: i,
             digest: u64::from(i) * 17,
         }

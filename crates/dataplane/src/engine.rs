@@ -103,9 +103,10 @@ pub fn walk(
     packet: &GatewayPacket,
     counters: &mut TableCounters,
 ) -> HwDecision {
-    tables
-        .walk(packet.vni, &packet.five_tuple(), counters)
-        .into_decision(packet)
+    HwDecision::new(
+        tables.walk(packet.vni, &packet.five_tuple(), counters),
+        packet,
+    )
 }
 
 #[cfg(test)]
@@ -115,13 +116,12 @@ mod tests {
     use crate::ladder::Ladder;
     use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::{IpPrefix, Vni};
-    use sailfish_tables::types::{IdcId, NcAddr, RegionId, VxlanRouteKey};
+    use sailfish_tables::types::{IdcId, NcAddr, Reason, RegionId, Verdict, VxlanRouteKey};
     use sailfish_util::check;
     use sailfish_util::rand::rngs::Xoshiro256pp;
     use sailfish_util::rand::Rng;
-    use sailfish_xgw_h::program::HwDropReason;
     use sailfish_xgw_h::tables::MAX_PEER_HOPS;
-    use sailfish_xgw_h::{PuntReason, Walked, XgwH};
+    use sailfish_xgw_h::XgwH;
 
     /// The walk's virtual cost as a closed formula over one packet's
     /// counter lanes.
@@ -247,7 +247,7 @@ mod tests {
                 assert_eq!(silent, action, "a sink changed the decision");
                 assert_eq!(
                     walk(&g.tables, &p, &mut TableCounters::default()),
-                    silent.into_decision(&p)
+                    HwDecision::new(silent, &p)
                 );
 
                 let c = &priced.counters;
@@ -257,14 +257,14 @@ mod tests {
                 // punt — and none otherwise.
                 let local = matches!(
                     silent,
-                    Walked::ToNc { .. } | Walked::Punt(PuntReason::NoVmMapping)
+                    Verdict::ToNc { .. } | Verdict::Punt(Reason::NoVmMapping)
                 );
                 assert_eq!(
                     c.vm_hit_main + c.vm_hit_conflict + c.vm_miss,
                     u64::from(local),
                     "{silent:?}: {c:?}"
                 );
-                assert_eq!(c.punted(), u64::from(matches!(silent, Walked::Punt(_))));
+                assert_eq!(c.punted(), u64::from(!silent.is_final()));
                 assert_eq!(walk_ns, walk_cost_formula(c), "{silent:?}: {c:?}");
             }
         });
@@ -296,7 +296,7 @@ mod tests {
         let mut c = TableCounters::default();
         assert_eq!(
             walk(&g.tables, &p, &mut c),
-            HwDecision::Drop(HwDropReason::RoutingLoop)
+            HwDecision::Other(Verdict::Drop(Reason::RoutingLoop))
         );
         assert_eq!(c.loop_drops, 1);
         assert_eq!(c.route_lookups as usize, MAX_PEER_HOPS + 1);

@@ -27,6 +27,7 @@ use sailfish_net::wire::ethernet;
 use sailfish_net::GatewayPacket;
 use sailfish_sim::Topology;
 use sailfish_tables::snat::SnatConfig;
+use sailfish_tables::types::Verdict;
 use sailfish_xgw_x86::{SoftwareForwarder, SoftwareTables};
 
 use crate::batch::BatchExecutor;
@@ -34,7 +35,6 @@ use crate::breaker::{BreakerConfig, BreakerStats};
 use crate::counters::TableCounters;
 use crate::epoch::{EpochCell, EpochState};
 use crate::ladder::snat_offloaded;
-use crate::oracle::PathDecision;
 
 /// Dataplane configuration.
 #[derive(Debug, Clone)]
@@ -215,20 +215,30 @@ impl Dataplane {
         BatchExecutor::new(self, self.config.workers).run(self, frames, fallback)
     }
 
-    /// Decides one frame end-to-end without touching caches or the punt
-    /// breaker — the oracle's view of the executor against the currently
-    /// published epoch. Punts are resolved immediately through
-    /// `fallback`. Returns `None` when the frame does not parse.
+    /// Decides one frame end-to-end: [`Dataplane::decide`] on its parsed
+    /// packet. Returns `None` when the frame does not parse.
     pub fn decide_one(
         &self,
         frame: &[u8],
         fallback: &mut SoftwareForwarder,
         now_ns: u64,
-    ) -> Option<PathDecision> {
-        let state = self.cell.pin();
+    ) -> Option<Verdict> {
         let packet = GatewayPacket::parse(frame).ok()?;
+        Some(self.decide(&packet, fallback, now_ns))
+    }
+
+    /// Decides one parsed packet end-to-end without touching caches or
+    /// the punt breaker — the oracle's view of the executor against the
+    /// currently published epoch. Punts are resolved immediately through
+    /// `fallback`.
+    pub fn decide(
+        &self,
+        packet: &GatewayPacket,
+        fallback: &mut SoftwareForwarder,
+        now_ns: u64,
+    ) -> Verdict {
+        let state = self.cell.pin();
         let tuple = packet.five_tuple();
-        let mut software = || PathDecision::from_software(&fallback.process(&packet, now_ns));
         // The workers' own steering, so the oracle walks the very tables
         // the pipeline walked.
         let Some(steer) = state.steer(
@@ -238,17 +248,17 @@ impl Dataplane {
             self.config.devices_per_cluster,
             &mut TableCounters::default(),
         ) else {
-            return Some(software());
+            return fallback.forward(packet.vni, &tuple, now_ns);
         };
-        let action = steer.cluster.tables.walk(packet.vni, &tuple, &mut ());
-        Some(match PathDecision::from_walk(action) {
-            Some(decided) => decided,
+        let verdict = steer.cluster.tables.walk(packet.vni, &tuple, &mut ());
+        if verdict.is_final() {
+            verdict
+        } else if snat_offloaded(&state, verdict, packet.vni, || tuple) {
             // A promoted SNAT flow never reaches the fallback.
-            None if snat_offloaded(&state, action, packet.vni, || tuple) => {
-                PathDecision::ToInternet
-            }
-            None => software(),
-        })
+            Verdict::ToInternet
+        } else {
+            fallback.forward(packet.vni, &tuple, now_ns)
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! virtual clock, device attribution, decision digests and the
 //! degradation ladder itself — optional DPU middle tier, then x86, each
 //! rung behind its own [`PuntBreaker`] — and holds the only definitions
-//! of what happens to a packet once its flow's [`Walked`] result is known:
+//! of what happens to a packet once its flow's [`Verdict`] is known:
 //!
 //! - [`Ladder::walk`] turns a cache miss into an action (the counted
 //!   hardware walk) and prices it, for the driver to charge at the
@@ -20,13 +20,16 @@
 //!
 //! [`crate::batch`] is the driver over this core: it decides how frames
 //! are parsed, cached and rewritten, and queues a punt as its frame
-//! index, so the owned packet parse happens only at resolution.
+//! index. Resolution re-reads the frame through the borrowed
+//! [`FrameView`] for the VNI and 5-tuple the x86 walk is keyed by, so no
+//! owned packet model is built for a punt anywhere.
 
 use sailfish_net::rss::Toeplitz;
-use sailfish_net::{FiveTuple, GatewayPacket, Vni};
+use sailfish_net::{FiveTuple, FrameView, Vni};
 use sailfish_tables::meter::Meter;
+use sailfish_tables::types::{Reason, Verdict};
 use sailfish_xgw_h::tables::HardwareTables;
-use sailfish_xgw_h::{PuntReason, WalkEvent, WalkSink, Walked};
+use sailfish_xgw_h::{WalkEvent, WalkSink};
 use sailfish_xgw_x86::SoftwareForwarder;
 
 use crate::breaker::{Admission, PuntBreaker};
@@ -35,7 +38,6 @@ use crate::counters::TableCounters;
 use crate::engine::cost;
 use crate::epoch::{EpochState, Steer};
 use crate::executor::{DataplaneConfig, RunReport};
-use crate::oracle::{DropClass, PathDecision};
 use crate::tier::TierDecision;
 
 /// Whether the pinned epoch serves this SNAT punt on-chip: it carries a
@@ -45,11 +47,11 @@ use crate::tier::TierDecision;
 #[inline]
 pub(crate) fn snat_offloaded(
     state: &EpochState,
-    action: Walked,
+    action: Verdict,
     vni: Vni,
     tuple: impl FnOnce() -> FiveTuple,
 ) -> bool {
-    action == Walked::Punt(PuntReason::SnatRequired)
+    action == Verdict::Punt(Reason::SnatRequired)
         && state
             .snat
             .as_deref()
@@ -164,7 +166,7 @@ impl Ladder {
         tables: &HardwareTables,
         vni: Vni,
         tuple: &FiveTuple,
-    ) -> (Walked, u64) {
+    ) -> (Verdict, u64) {
         self.counters.cache_misses += 1;
         let mut priced = PricedWalk {
             counters: &mut self.counters,
@@ -183,14 +185,14 @@ impl Ladder {
     /// `punt_snat` stays a *classification* lane (the walk bumps it on a
     /// miss, a replay bumps it here), so `punt_snat - snat_translations`
     /// is the software-served SNAT load.
-    pub(crate) fn serve_snat_offload(&mut self, from_cache: bool) -> PathDecision {
+    pub(crate) fn serve_snat_offload(&mut self, from_cache: bool) -> Verdict {
         if from_cache {
             self.counters.punt_snat += 1;
         }
         self.counters.snat_translations += 1;
         self.counters.hw_forwarded += 1;
         self.clock_ns += cost::REWRITE_NS;
-        PathDecision::ToInternet
+        Verdict::ToInternet
     }
 
     /// Counts `action` and routes what the hardware does not forward.
@@ -207,28 +209,30 @@ impl Ladder {
     pub(crate) fn dispose(
         &mut self,
         state: &EpochState,
-        action: Walked,
+        action: Verdict,
         from_cache: bool,
         frame_len: usize,
         idx: u32,
         flow: impl FnOnce() -> Option<(Vni, FiveTuple)>,
-    ) -> Option<PathDecision> {
+    ) -> Option<Verdict> {
+        // The walk drops for two reasons and punts for three
+        // (`HardwareTables::walk`).
         let lane = match action {
-            Walked::ToNc { .. } | Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
+            Verdict::Drop(Reason::AclDeny) => &mut self.counters.acl_denied,
+            Verdict::Drop(_) => &mut self.counters.loop_drops,
+            Verdict::Punt(Reason::SnatRequired) => &mut self.counters.punt_snat,
+            Verdict::Punt(Reason::NoRoute) => &mut self.counters.punt_no_route,
+            Verdict::Punt(_) => &mut self.counters.punt_no_vm,
+            _ => {
                 self.counters.hw_forwarded += 1;
-                return PathDecision::from_walk(action);
+                return Some(action);
             }
-            Walked::DropAcl => &mut self.counters.acl_denied,
-            Walked::DropLoop => &mut self.counters.loop_drops,
-            Walked::Punt(PuntReason::SnatRequired) => &mut self.counters.punt_snat,
-            Walked::Punt(PuntReason::NoHwRoute) => &mut self.counters.punt_no_route,
-            Walked::Punt(PuntReason::NoVmMapping) => &mut self.counters.punt_no_vm,
         };
         if from_cache {
             *lane += 1;
         }
-        if let Some(dropped) = PathDecision::from_walk(action) {
-            return Some(dropped);
+        if action.is_final() {
+            return Some(action);
         }
         if self.try_spill_dpu(state, frame_len, idx, flow) {
             return None;
@@ -243,12 +247,12 @@ impl Ladder {
                 // The handoff was attempted and the meter refused.
                 self.clock_ns += cost::PUNT_HANDOFF_NS;
                 self.counters.punt_rate_limited += 1;
-                Some(PathDecision::Drop(DropClass::PuntRateLimited))
+                Some(Verdict::Drop(Reason::PuntRateLimited))
             }
             Admission::ShedOpen => {
                 // Open breaker: fail fast on-chip, no handoff cost.
                 self.counters.punt_breaker_open += 1;
-                Some(PathDecision::Drop(DropClass::PuntRateLimited))
+                Some(Verdict::Drop(Reason::PuntRateLimited))
             }
         }
     }
@@ -337,7 +341,8 @@ impl WalkSink for PricedWalk<'_> {
 /// run the full software table set), just at the owning DPU node's
 /// per-packet latency instead of the x86 cost — which is exactly why
 /// tier placement can never change a run's decision digest. A queued
-/// punt's owned packet is parsed here, from its index into `frames`.
+/// punt is served from its frame's borrowed view, by index into
+/// `frames`.
 pub(crate) fn resolve<'a>(
     workers: impl Iterator<Item = &'a Ladder> + Clone,
     frames: &[&[u8]],
@@ -368,9 +373,9 @@ pub(crate) fn resolve<'a>(
 
     for (idx, served_by) in workers.flat_map(|w| &w.punted) {
         // Only view-validated frames punt, so this parse cannot fail.
-        let Some(Ok(packet)) = frames
+        let Some(Ok(view)) = frames
             .get(*idx as usize)
-            .map(|frame| GatewayPacket::parse_classified(frame))
+            .map(|frame| FrameView::parse(frame))
         else {
             continue;
         };
@@ -390,13 +395,13 @@ pub(crate) fn resolve<'a>(
         };
         *served += 1;
         report.virtual_ns += process_ns;
-        let decision = PathDecision::from_software(&fallback.process(&packet, report.virtual_ns));
-        if matches!(decision, PathDecision::Drop(_)) {
+        let verdict = fallback.forward(view.vni, &view.five_tuple(), report.virtual_ns);
+        if matches!(verdict, Verdict::Drop(_)) {
             *dropped += 1;
         } else {
             *forwarded += 1;
         }
-        report.decision_digest = report.decision_digest.wrapping_add(decision.digest());
+        report.decision_digest = report.decision_digest.wrapping_add(verdict.digest());
     }
     report
 }

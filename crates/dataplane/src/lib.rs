@@ -14,6 +14,12 @@
 //!
 //! Each part of a packet's fate has exactly one definition:
 //!
+//! - **the vocabulary** — what any tier decides for a packet — is
+//!   [`Verdict`](sailfish_tables::types::Verdict), with one
+//!   [`Reason`](sailfish_tables::types::Reason) for its drops and
+//!   punts. The hardware walk, the x86 forwarder, the flow cache and the
+//!   oracle all speak it; [`sailfish_xgw_h::HwDecision::new`] is the only
+//!   conversion, for the one caller that wants the packet back;
 //! - **the hardware walk** — ACL, bounded peer-VPC route chain, VM-NC
 //!   digest probe — is [`sailfish_xgw_h::tables::HardwareTables::walk`],
 //!   generic over a [`sailfish_xgw_h::WalkSink`]; [`engine`] supplies the
@@ -21,10 +27,11 @@
 //!   interaction;
 //! - **steering** — VNI directory → dual-window owner pick → cluster →
 //!   epoch-tag check → ECMP device — is [`EpochState::steer`];
-//! - **disposition** — everything after a flow's [`sailfish_xgw_h::Walked`] result is
-//!   known: SNAT-offload intercept, the DPU → x86 punt ladder behind its
+//! - **disposition** — everything after a flow's verdict is known:
+//!   SNAT-offload intercept, the DPU → x86 punt ladder behind its
 //!   breakers, worker merge and punt resolution into a [`RunReport`] — is
-//!   the crate-private `ladder` module;
+//!   the crate-private `ladder` module, which serves a queued punt from
+//!   its frame's borrowed view;
 //! - **the driver** — how frames reach all of that: borrowed-view parse,
 //!   the evicting S3-FIFO [`FlowCache`], the miss pipeline, the arena
 //!   rewrite and the per-frame virtual clock — is
@@ -34,10 +41,13 @@
 //!   threads partitioned by outer-UDP flow entropy, exactly like an
 //!   underlay ECMP fabric) are cold runs of it. Its reports are
 //!   batch-size invariant (`tests/batch_equivalence.rs`);
-//! - **the independent oracle** is `xgw_x86::SoftwareForwarder`, which
-//!   shares none of the above: [`oracle::differential_run`] requires every
-//!   packet the pipeline serves to reach the same `(next-hop, rewrite)`
-//!   decision the software forwarder takes over the full table set.
+//! - **the independent oracle** is the x86 walk,
+//!   `xgw_x86::SoftwareTables::walk` (flat LPM with `resolve`, no ALPM,
+//!   no single-step recirculation), plus the SNAT step of
+//!   `xgw_x86::SoftwareForwarder::forward`. It shares only the
+//!   vocabulary with the above: [`oracle::differential_run`] requires
+//!   every packet the pipeline serves to reach the same verdict the
+//!   software forwarder reaches over the full table set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,5 +88,5 @@ pub use chaos::{ChaosConfig, ChaosReport, FaultOutcome, InvariantViolation, Slot
 pub use counters::TableCounters;
 pub use epoch::{EpochCell, EpochState, WorldView};
 pub use executor::{Dataplane, DataplaneConfig, RunReport};
-pub use oracle::{differential_run, OracleReport, PathDecision};
+pub use oracle::{differential_run, OracleReport};
 pub use tier::{TierConfig, TierDecision, TierMap};

@@ -23,9 +23,9 @@ use std::collections::HashMap;
 
 use sailfish_dataplane::cache::{FlowCache, FlowOutcome};
 use sailfish_net::view::FlowKey;
+use sailfish_tables::types::{Reason, Verdict};
 use sailfish_util::check;
 use sailfish_util::rand::Rng;
-use sailfish_xgw_h::{PuntReason, Walked};
 
 /// A synthetic flow key from a dense id (distinct ids → distinct keys).
 fn key(id: u64) -> FlowKey {
@@ -40,9 +40,9 @@ fn key(id: u64) -> FlowKey {
 fn outcome(id: u64) -> FlowOutcome {
     FlowOutcome {
         action: if id.is_multiple_of(2) {
-            Walked::Punt(PuntReason::SnatRequired)
+            Verdict::Punt(Reason::SnatRequired)
         } else {
-            Walked::DropAcl
+            Verdict::Drop(Reason::AclDeny)
         },
         slot: (id % 64) as u32,
         digest: id.wrapping_mul(0x9e37_79b9),

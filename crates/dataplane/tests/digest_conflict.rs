@@ -11,14 +11,14 @@ use core::net::{IpAddr, Ipv6Addr};
 
 use sailfish_dataplane::engine;
 use sailfish_dataplane::executor::{software_forwarder, Dataplane, DataplaneConfig};
-use sailfish_dataplane::oracle::{differential_run, PathDecision};
+use sailfish_dataplane::oracle::differential_run;
 use sailfish_dataplane::TableCounters;
 use sailfish_net::packet::GatewayPacketBuilder;
 use sailfish_net::{IpPrefix, IpProtocol, Vni};
 use sailfish_sim::topology::{VmRecord, Vpc};
 use sailfish_sim::{Topology, TopologyConfig};
 use sailfish_tables::digest::{digest32, DigestLookup};
-use sailfish_tables::types::{NcAddr, RouteTarget, VxlanRouteKey};
+use sailfish_tables::types::{NcAddr, RouteTarget, Verdict, VxlanRouteKey};
 use sailfish_util::check;
 use sailfish_util::rand::Rng;
 use sailfish_xgw_h::tables::HardwareTables;
@@ -187,7 +187,7 @@ fn executor_serves_colliding_vms_exactly() {
             .build();
         let frame = packet.emit().unwrap();
         match dp.decide_one(&frame, &mut fb2, 0).unwrap() {
-            PathDecision::ToNc { nc, .. } => assert_eq!(nc, want),
+            Verdict::ToNc { nc, .. } => assert_eq!(nc, want),
             other => panic!("expected ToNc, got {other:?}"),
         }
     }

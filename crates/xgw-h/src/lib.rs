@@ -28,5 +28,5 @@ pub mod layout;
 pub mod program;
 pub mod tables;
 
-pub use program::{HwDecision, PuntReason, WalkEvent, WalkSink, Walked, XgwH};
+pub use program::{HwDecision, WalkEvent, WalkSink, XgwH};
 pub use tables::HardwareTables;

@@ -20,35 +20,12 @@ use sailfish_tables::acl::AclAction;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::digest::DigestLookup;
 use sailfish_tables::meter::Meter;
-use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget};
+use sailfish_tables::types::{NcAddr, Reason, RouteTarget, Verdict};
 
 use crate::tables::{HardwareTables, MAX_PEER_HOPS};
 
-/// Why a packet leaves for the software gateway.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PuntReason {
-    /// The route is tagged as requiring stateful SNAT (special VNI tag in
-    /// the paper's Fig 11).
-    SnatRequired,
-    /// The hardware tables have no entry; the long tail lives on x86.
-    NoHwRoute,
-    /// Route present but the VM mapping is not on chip (volatile or
-    /// mid-migration entry kept on x86).
-    NoVmMapping,
-}
-
-/// Why the hardware dropped a packet outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HwDropReason {
-    /// ACL denied the flow.
-    AclDeny,
-    /// The peer-VPC chain exceeded the recirculation bound.
-    RoutingLoop,
-    /// The punt path's protective rate limiter rejected the packet.
-    PuntRateLimited,
-}
-
-/// The hardware forwarding decision.
+/// What the hardware does with a packet: a [`Verdict`] plus the packet
+/// where one leaves the switch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HwDecision {
     /// Forward to the NC hosting the destination VM.
@@ -58,85 +35,34 @@ pub enum HwDecision {
         /// Destination server.
         nc: NcAddr,
     },
-    /// Hand off to another region.
-    ToRegion {
-        /// Destination region.
-        region: RegionId,
-        /// VNI context.
-        vni: Vni,
-    },
-    /// Hand off to an IDC over the CEN.
-    ToIdc {
-        /// Destination IDC.
-        idc: IdcId,
-        /// VNI context.
-        vni: Vni,
-    },
-    /// Send to XGW-x86 (rate limit already charged).
+    /// Send to XGW-x86 (from [`XgwH::process`], past the punt meter).
     PuntToX86 {
         /// The unmodified packet.
         packet: GatewayPacket,
         /// Why it is punted.
-        reason: PuntReason,
+        reason: Reason,
     },
-    /// Dropped in hardware.
-    Drop(HwDropReason),
+    /// Every other verdict — a handoff to a region or IDC, or a drop —
+    /// which carries no packet.
+    Other(Verdict),
 }
 
-/// What one walk over the resident tables decides — the folded program
-/// up to, but not including, the punt meter. It has no variant for
-/// [`HwDropReason::PuntRateLimited`]: only [`XgwH::process`], which owns
-/// the meter, can produce that drop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Walked {
-    /// Forward to the NC hosting the destination VM.
-    ToNc {
-        /// Destination server.
-        nc: NcAddr,
-        /// VNI of the final (non-peer) route match.
-        vni: Vni,
-    },
-    /// Hand off to another region.
-    ToRegion {
-        /// Destination region.
-        region: RegionId,
-        /// VNI context.
-        vni: Vni,
-    },
-    /// Hand off to an IDC over the CEN.
-    ToIdc {
-        /// Destination IDC.
-        idc: IdcId,
-        /// VNI context.
-        vni: Vni,
-    },
-    /// The hardware cannot serve the packet; XGW-x86 must.
-    Punt(PuntReason),
-    /// ACL denied the flow.
-    DropAcl,
-    /// The peer-VPC chain exceeded the recirculation bound.
-    DropLoop,
-}
-
-impl Walked {
-    /// The hardware decision this walk amounts to for `packet`: forwards
-    /// carry the rewritten packet, punts the unmodified one.
-    pub fn into_decision(self, packet: &GatewayPacket) -> HwDecision {
-        match self {
-            Walked::ToNc { nc, vni } => {
+impl HwDecision {
+    /// What `verdict` amounts to for `packet`: a forward to an NC carries
+    /// the rewritten packet, a punt the unmodified one.
+    pub fn new(verdict: Verdict, packet: &GatewayPacket) -> HwDecision {
+        match verdict {
+            Verdict::ToNc { nc, vni } => {
                 let mut out = *packet;
                 out.outer.dst_ip = nc.ip;
                 out.vni = vni;
                 HwDecision::ToNc { packet: out, nc }
             }
-            Walked::ToRegion { region, vni } => HwDecision::ToRegion { region, vni },
-            Walked::ToIdc { idc, vni } => HwDecision::ToIdc { idc, vni },
-            Walked::Punt(reason) => HwDecision::PuntToX86 {
+            Verdict::Punt(reason) => HwDecision::PuntToX86 {
                 packet: *packet,
                 reason,
             },
-            Walked::DropAcl => HwDecision::Drop(HwDropReason::AclDeny),
-            Walked::DropLoop => HwDecision::Drop(HwDropReason::RoutingLoop),
+            other => HwDecision::Other(other),
         }
     }
 }
@@ -172,16 +98,18 @@ impl HardwareTables {
     /// Walks one packet through the resident tables in fold order — ACL,
     /// the bounded peer-VPC route chain, the VM-NC digest probe —
     /// reporting every table interaction to `sink`. Touches no runtime
-    /// statistics and no meter.
+    /// statistics and no meter, so it never yields a
+    /// [`Reason::PuntRateLimited`] drop: only [`XgwH::process`], which
+    /// owns the meter, can.
     ///
     /// The key is the VNI and the tenant 5-tuple — all the program reads
     /// of a packet — so a caller holding a borrowed
     /// [`sailfish_net::FrameView`] walks without building the owned model.
-    pub fn walk<S: WalkSink>(&self, mut vni: Vni, tuple: &FiveTuple, sink: &mut S) -> Walked {
-        let verdict = self.acl.evaluate(vni, tuple);
-        sink.on(WalkEvent::Acl(verdict));
-        if verdict == AclAction::Deny {
-            return Walked::DropAcl;
+    pub fn walk<S: WalkSink>(&self, mut vni: Vni, tuple: &FiveTuple, sink: &mut S) -> Verdict {
+        let acl = self.acl.evaluate(vni, tuple);
+        sink.on(WalkEvent::Acl(acl));
+        if acl == AclAction::Deny {
+            return Verdict::Drop(Reason::AclDeny);
         }
         let dst = tuple.dst_ip;
         // Each peer hop is a pipeline recirculation, so the chain is
@@ -190,23 +118,23 @@ impl HardwareTables {
             let matched = self.routes.lookup(vni, dst);
             sink.on(WalkEvent::Route(matched));
             match matched {
-                None => return Walked::Punt(PuntReason::NoHwRoute),
+                None => return Verdict::Punt(Reason::NoRoute),
                 Some(RouteTarget::Peer(next)) => vni = next,
                 Some(RouteTarget::Local) => {
                     let (nc, trace) = self.vm_nc.lookup_traced(vni, dst);
                     sink.on(WalkEvent::Vm(trace));
                     return match nc {
-                        Some(nc) => Walked::ToNc { nc, vni },
-                        None => Walked::Punt(PuntReason::NoVmMapping),
+                        Some(nc) => Verdict::ToNc { nc, vni },
+                        None => Verdict::Punt(Reason::NoVmMapping),
                     };
                 }
-                Some(RouteTarget::CrossRegion(region)) => return Walked::ToRegion { region, vni },
-                Some(RouteTarget::Idc(idc)) => return Walked::ToIdc { idc, vni },
-                Some(RouteTarget::InternetSnat) => return Walked::Punt(PuntReason::SnatRequired),
+                Some(RouteTarget::CrossRegion(region)) => return Verdict::ToRegion { region, vni },
+                Some(RouteTarget::Idc(idc)) => return Verdict::ToIdc { idc, vni },
+                Some(RouteTarget::InternetSnat) => return Verdict::Punt(Reason::SnatRequired),
             }
         }
         sink.on(WalkEvent::Loop);
-        Walked::DropLoop
+        Verdict::Drop(Reason::RoutingLoop)
     }
 }
 
@@ -317,21 +245,6 @@ impl XgwH {
         }
     }
 
-    fn punt(&mut self, packet: &GatewayPacket, reason: PuntReason, now_ns: u64) -> HwDecision {
-        let bytes = packet.wire_len();
-        if self.punt_meter.offer(now_ns, bytes) {
-            self.stats.punted_packets += 1;
-            self.stats.punted_bytes += bytes as u64;
-            HwDecision::PuntToX86 {
-                packet: *packet,
-                reason,
-            }
-        } else {
-            self.stats.punt_rate_limited += 1;
-            HwDecision::Drop(HwDropReason::PuntRateLimited)
-        }
-    }
-
     /// Processes one packet through the folded program, updating per-pipe
     /// counters and charging the punt rate limiter.
     pub fn process(&mut self, packet: &GatewayPacket, now_ns: u64) -> HwDecision {
@@ -340,26 +253,34 @@ impl XgwH {
         let outer = Self::outer_pipe_for(packet);
         self.stats.pipe_packets[outer] += 1;
         self.stats.pipe_bytes[outer] += bytes;
-        let walked = self.tables.walk(packet.vni, &packet.five_tuple(), &mut ());
+        let mut verdict = self.tables.walk(packet.vni, &packet.five_tuple(), &mut ());
 
         // Step 2 accounting: the loop pipe chosen by VNI parity carries
         // everything that got past the ACL.
-        if walked != Walked::DropAcl {
+        if verdict != Verdict::Drop(Reason::AclDeny) {
             let loop_pipe = Self::loop_pipe_for(packet.vni);
             self.stats.pipe_packets[loop_pipe] += 1;
             self.stats.pipe_bytes[loop_pipe] += bytes;
         }
 
-        match walked {
-            Walked::DropAcl => self.stats.acl_dropped += 1,
-            Walked::DropLoop => self.stats.loop_dropped += 1,
-            Walked::Punt(reason) => return self.punt(packet, reason, now_ns),
-            Walked::ToNc { .. } | Walked::ToRegion { .. } | Walked::ToIdc { .. } => {
+        match verdict {
+            Verdict::Drop(Reason::AclDeny) => self.stats.acl_dropped += 1,
+            // The walk's only other drop is the loop bound.
+            Verdict::Drop(_) => self.stats.loop_dropped += 1,
+            Verdict::Punt(_) if self.punt_meter.offer(now_ns, packet.wire_len()) => {
+                self.stats.punted_packets += 1;
+                self.stats.punted_bytes += bytes;
+            }
+            Verdict::Punt(_) => {
+                self.stats.punt_rate_limited += 1;
+                verdict = Verdict::Drop(Reason::PuntRateLimited);
+            }
+            _ => {
                 self.stats.forwarded_packets += 1;
                 self.stats.forwarded_bytes += bytes;
             }
         }
-        walked.into_decision(packet)
+        HwDecision::new(verdict, packet)
     }
 }
 
@@ -434,7 +355,7 @@ mod tests {
         let mut g = gateway();
         match g.process(&packet(100, "93.184.216.34"), 0) {
             HwDecision::PuntToX86 { reason, .. } => {
-                assert_eq!(reason, PuntReason::SnatRequired)
+                assert_eq!(reason, Reason::SnatRequired)
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -445,7 +366,7 @@ mod tests {
     fn unknown_vni_punts_to_x86() {
         let mut g = gateway();
         match g.process(&packet(999, "10.0.0.1"), 0) {
-            HwDecision::PuntToX86 { reason, .. } => assert_eq!(reason, PuntReason::NoHwRoute),
+            HwDecision::PuntToX86 { reason, .. } => assert_eq!(reason, Reason::NoRoute),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -455,7 +376,7 @@ mod tests {
         let mut g = gateway();
         match g.process(&packet(100, "192.168.10.77"), 0) {
             HwDecision::PuntToX86 { reason, .. } => {
-                assert_eq!(reason, PuntReason::NoVmMapping)
+                assert_eq!(reason, Reason::NoVmMapping)
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -471,7 +392,7 @@ mod tests {
         for _ in 0..50 {
             match g.process(&p, 0) {
                 HwDecision::PuntToX86 { .. } => punted += 1,
-                HwDecision::Drop(HwDropReason::PuntRateLimited) => dropped += 1,
+                HwDecision::Other(Verdict::Drop(Reason::PuntRateLimited)) => dropped += 1,
                 other => panic!("unexpected {other:?}"),
             }
         }
@@ -525,7 +446,7 @@ mod tests {
             .unwrap();
         assert_eq!(
             g.process(&packet(100, "192.168.10.3"), 0),
-            HwDecision::Drop(HwDropReason::AclDeny)
+            HwDecision::Other(Verdict::Drop(Reason::AclDeny))
         );
         assert_eq!(g.stats().acl_dropped, 1);
     }

@@ -295,8 +295,9 @@ impl Default for HardwareTables {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{WalkEvent, WalkSink, Walked};
+    use crate::program::{WalkEvent, WalkSink};
     use sailfish_net::packet::GatewayPacketBuilder;
+    use sailfish_tables::types::{Reason, Verdict};
 
     fn key(vni: u32, p: &str) -> VxlanRouteKey {
         VxlanRouteKey::new(Vni::from_const(vni), p.parse::<IpPrefix>().unwrap())
@@ -327,7 +328,7 @@ mod tests {
         tables: &HardwareTables,
         packet: &sailfish_net::GatewayPacket,
         sink: &mut RouteSteps,
-    ) -> Walked {
+    ) -> Verdict {
         tables.walk(packet.vni, &packet.five_tuple(), sink)
     }
 
@@ -360,7 +361,7 @@ mod tests {
         // One peer hop, then the final match in the peer's VNI.
         assert_eq!(
             walk(&tables, &packet(1, "192.168.3.4"), &mut steps),
-            Walked::ToNc {
+            Verdict::ToNc {
                 nc,
                 vni: Vni::from_const(2)
             }
@@ -385,7 +386,7 @@ mod tests {
         let mut steps = RouteSteps::default();
         assert_eq!(
             walk(&tables, &packet(1, "10.1.1.1"), &mut steps),
-            Walked::DropLoop
+            Verdict::Drop(Reason::RoutingLoop)
         );
         assert_eq!(steps.0.len(), MAX_PEER_HOPS + 1);
     }

@@ -9,63 +9,13 @@
 
 use std::sync::Arc;
 
-use sailfish_net::{GatewayPacket, Vni};
+use sailfish_net::{FiveTuple, GatewayPacket, Vni};
 use sailfish_tables::acl::{AclAction, AclTable};
-use sailfish_tables::snat::{Binding, SnatConfig, SnatTable};
-use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget};
+use sailfish_tables::snat::{SnatConfig, SnatTable};
+use sailfish_tables::types::{Reason, RouteTarget, Verdict};
 use sailfish_tables::vm_nc::VmNcTable;
 use sailfish_tables::vxlan_route::VxlanRoutingTable;
 use sailfish_tables::Error as TableError;
-
-/// Why a packet was dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// No VXLAN route for (VNI, inner destination).
-    NoRoute,
-    /// Peer-VPC chain exceeded the hop bound.
-    RoutingLoop,
-    /// The destination VM has no NC mapping.
-    NoVmMapping,
-    /// An ACL rule denied the flow.
-    AclDeny,
-    /// The SNAT port pool or session table is exhausted.
-    SnatExhausted,
-}
-
-/// The forwarding decision for one packet.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Decision {
-    /// Deliver to the NC hosting the destination VM: the outer destination
-    /// IP is rewritten and the VNI set to the destination VPC (Fig 2).
-    ToNc {
-        /// The rewritten packet as it leaves the gateway.
-        packet: GatewayPacket,
-        /// The destination server.
-        nc: NcAddr,
-    },
-    /// Hand off toward another region over the cross-region network.
-    ToRegion {
-        /// Destination region.
-        region: RegionId,
-        /// VNI context at the handoff.
-        vni: Vni,
-    },
-    /// Hand off toward an enterprise IDC over the CEN.
-    ToIdc {
-        /// Destination IDC.
-        idc: IdcId,
-        /// VNI context at the handoff.
-        vni: Vni,
-    },
-    /// SNAT applied; the decapsulated packet leaves toward the Internet
-    /// with the inner source rewritten to the public binding (Fig 11).
-    ToInternet {
-        /// The allocated or refreshed public binding.
-        binding: Binding,
-    },
-    /// Dropped.
-    Drop(DropReason),
-}
 
 /// The shared software table image: everything a node forwards by
 /// except its SNAT sessions. It is immutable once built, so every node of
@@ -92,6 +42,38 @@ impl Default for SoftwareTables {
     }
 }
 
+impl SoftwareTables {
+    /// Walks one packet through the full table set — ACL, VXLAN routing
+    /// with peer resolution, VM-NC mapping — keyed by the VNI and tenant
+    /// 5-tuple, which is all the walk reads of a packet. An
+    /// Internet-bound route yields [`Verdict::ToInternet`]: translating
+    /// it is the node's SNAT step after the walk
+    /// ([`SoftwareForwarder::forward`]). Never punts.
+    pub fn walk(&self, vni: Vni, tuple: &FiveTuple) -> Verdict {
+        if self.acl.evaluate(vni, tuple) == AclAction::Deny {
+            return Verdict::Drop(Reason::AclDeny);
+        }
+        let resolution = match self.routes.resolve(vni, tuple.dst_ip) {
+            Ok(r) => r,
+            Err(TableError::RoutingLoop) => return Verdict::Drop(Reason::RoutingLoop),
+            Err(_) => return Verdict::Drop(Reason::NoRoute),
+        };
+        let vni = resolution.final_vni;
+        match resolution.target {
+            RouteTarget::Local => match self.vm_nc.lookup(vni, tuple.dst_ip) {
+                Some(nc) => Verdict::ToNc { nc, vni },
+                None => Verdict::Drop(Reason::NoVmMapping),
+            },
+            RouteTarget::CrossRegion(region) => Verdict::ToRegion { region, vni },
+            RouteTarget::Idc(idc) => Verdict::ToIdc { idc, vni },
+            RouteTarget::InternetSnat => Verdict::ToInternet,
+            // `resolve` follows peer hops itself; a peer target left over
+            // is a chain it gave up on.
+            RouteTarget::Peer(_) => Verdict::Drop(Reason::RoutingLoop),
+        }
+    }
+}
+
 /// The run-to-completion software forwarder: a shared table image plus
 /// this node's own SNAT sessions. A clone shares the image and copies the
 /// sessions.
@@ -113,50 +95,23 @@ impl SoftwareForwarder {
         }
     }
 
-    /// Processes one packet and returns the forwarding decision.
-    pub fn process(&mut self, packet: &GatewayPacket, now_ns: u64) -> Decision {
-        let tuple = packet.five_tuple();
-        if self.tables.acl.evaluate(packet.vni, &tuple) == AclAction::Deny {
-            return Decision::Drop(DropReason::AclDeny);
-        }
-        let resolution = match self.tables.routes.resolve(packet.vni, packet.inner.dst_ip) {
-            Ok(r) => r,
-            Err(TableError::RoutingLoop) => return Decision::Drop(DropReason::RoutingLoop),
-            Err(_) => return Decision::Drop(DropReason::NoRoute),
-        };
-        match resolution.target {
-            RouteTarget::Local => {
-                match self
-                    .tables
-                    .vm_nc
-                    .lookup(resolution.final_vni, packet.inner.dst_ip)
-                {
-                    Some(nc) => {
-                        let mut out = *packet;
-                        out.outer.dst_ip = nc.ip;
-                        out.vni = resolution.final_vni;
-                        Decision::ToNc { packet: out, nc }
-                    }
-                    None => Decision::Drop(DropReason::NoVmMapping),
-                }
-            }
-            RouteTarget::CrossRegion(region) => Decision::ToRegion {
-                region,
-                vni: resolution.final_vni,
+    /// Decides one packet: [`SoftwareForwarder::forward`] keyed by the
+    /// packet's VNI and 5-tuple.
+    pub fn process(&mut self, packet: &GatewayPacket, now_ns: u64) -> Verdict {
+        self.forward(packet.vni, &packet.five_tuple(), now_ns)
+    }
+
+    /// Walks the shared image ([`SoftwareTables::walk`]), then runs the
+    /// SNAT step: an Internet-bound flow takes (or refreshes) a public
+    /// binding in this node's session table under its original VNI, or
+    /// drops when the pool is exhausted.
+    pub fn forward(&mut self, vni: Vni, tuple: &FiveTuple, now_ns: u64) -> Verdict {
+        match self.tables.walk(vni, tuple) {
+            Verdict::ToInternet => match self.snat.translate_outbound(vni, *tuple, now_ns) {
+                Ok(_) => Verdict::ToInternet,
+                Err(_) => Verdict::Drop(Reason::SnatExhausted),
             },
-            RouteTarget::Idc(idc) => Decision::ToIdc {
-                idc,
-                vni: resolution.final_vni,
-            },
-            RouteTarget::InternetSnat => {
-                match self.snat.translate_outbound(packet.vni, tuple, now_ns) {
-                    Ok(binding) => Decision::ToInternet { binding },
-                    Err(_) => Decision::Drop(DropReason::SnatExhausted),
-                }
-            }
-            // `resolve` follows peer hops itself; a peer target left over
-            // is a chain it gave up on.
-            RouteTarget::Peer(_) => Decision::Drop(DropReason::RoutingLoop),
+            verdict => verdict,
         }
     }
 }
@@ -167,7 +122,7 @@ mod tests {
     use sailfish_net::packet::GatewayPacketBuilder;
     use sailfish_net::IpPrefix;
     use sailfish_tables::acl::AclRule;
-    use sailfish_tables::types::VxlanRouteKey;
+    use sailfish_tables::types::{IdcId, NcAddr, RegionId, VxlanRouteKey};
 
     fn vni(v: u32) -> Vni {
         Vni::from_const(v)
@@ -235,42 +190,65 @@ mod tests {
     #[test]
     fn same_vpc_forwarding() {
         let mut f = forwarder();
-        match f.process(&packet("192.168.10.3"), 0) {
-            Decision::ToNc { packet, nc } => {
-                assert_eq!(nc.ip, "10.1.1.12".parse::<core::net::IpAddr>().unwrap());
-                assert_eq!(packet.outer.dst_ip, nc.ip);
-                assert_eq!(packet.vni, vni(100));
+        assert_eq!(
+            f.process(&packet("192.168.10.3"), 0),
+            Verdict::ToNc {
+                nc: NcAddr::new("10.1.1.12".parse().unwrap()),
+                vni: vni(100)
             }
-            other => panic!("unexpected {other:?}"),
-        }
+        );
     }
 
     #[test]
     fn cross_vpc_forwarding_rewrites_vni() {
         let mut f = forwarder();
-        match f.process(&packet("192.168.30.5"), 0) {
-            Decision::ToNc { packet, nc } => {
-                assert_eq!(nc.ip, "10.1.1.15".parse::<core::net::IpAddr>().unwrap());
-                assert_eq!(packet.vni, vni(200), "VNI must become the peer VPC");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            f.process(&packet("192.168.30.5"), 0),
+            Verdict::ToNc {
+                nc: NcAddr::new("10.1.1.15".parse().unwrap()),
+                vni: vni(200)
+            },
+            "VNI must become the peer VPC"
+        );
     }
 
     #[test]
     fn internet_route_applies_snat() {
         let mut f = forwarder();
-        match f.process(&packet("93.184.216.34"), 0) {
-            Decision::ToInternet { binding } => {
-                assert!(binding.public_port >= 1024);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // Same flow returns the same binding.
-        let d1 = f.process(&packet("93.184.216.34"), 1);
-        let d2 = f.process(&packet("93.184.216.34"), 2);
-        assert_eq!(d1, d2);
+        let p = packet("93.184.216.34");
+        assert_eq!(f.process(&p, 0), Verdict::ToInternet);
+        let binding = f.snat.translate_outbound(p.vni, p.five_tuple(), 0).unwrap();
+        assert!(binding.public_port >= 1024);
+        // Same flow keeps the same binding.
+        assert_eq!(f.process(&p, 1), Verdict::ToInternet);
+        assert_eq!(f.process(&p, 2), Verdict::ToInternet);
         assert_eq!(f.snat.len(), 1);
+        assert_eq!(
+            f.snat.translate_outbound(p.vni, p.five_tuple(), 3).unwrap(),
+            binding
+        );
+    }
+
+    /// Two flows take distinct bindings but reach the same verdict, with
+    /// the same digest: the binding is not part of the decision.
+    #[test]
+    fn internet_decisions_ignore_binding() {
+        let mut f = forwarder();
+        let p1 = packet("8.8.8.8");
+        let p2 = GatewayPacketBuilder::new(
+            vni(100),
+            "192.168.10.9".parse().unwrap(),
+            "8.8.8.8".parse().unwrap(),
+        )
+        .build();
+        let d1 = f.process(&p1, 0);
+        let d2 = f.process(&p2, 0);
+        assert_eq!(d1, Verdict::ToInternet);
+        assert_eq!(d1, d2);
+        assert_eq!(d1.digest(), d2.digest());
+        let b1 = f.snat.translate_outbound(p1.vni, p1.five_tuple(), 0);
+        let b2 = f.snat.translate_outbound(p2.vni, p2.five_tuple(), 0);
+        assert_ne!(b1.unwrap(), b2.unwrap());
     }
 
     #[test]
@@ -278,14 +256,14 @@ mod tests {
         let mut f = forwarder();
         assert_eq!(
             f.process(&packet("172.16.5.5"), 0),
-            Decision::ToIdc {
+            Verdict::ToIdc {
                 idc: IdcId(3),
                 vni: vni(100)
             }
         );
         assert_eq!(
             f.process(&packet("192.169.1.1"), 0),
-            Decision::ToRegion {
+            Verdict::ToRegion {
                 region: RegionId(2),
                 vni: vni(100)
             }
@@ -297,7 +275,7 @@ mod tests {
         let mut f = forwarder();
         assert_eq!(
             f.process(&packet("192.168.10.99"), 0),
-            Decision::Drop(DropReason::NoVmMapping)
+            Verdict::Drop(Reason::NoVmMapping)
         );
     }
 
@@ -310,7 +288,7 @@ mod tests {
             "10.0.0.2".parse().unwrap(),
         )
         .build();
-        assert_eq!(f.process(&p, 0), Decision::Drop(DropReason::NoRoute));
+        assert_eq!(f.process(&p, 0), Verdict::Drop(Reason::NoRoute));
     }
 
     #[test]
@@ -332,12 +310,12 @@ mod tests {
             .unwrap();
         assert_eq!(
             f.process(&packet("192.168.10.3"), 0),
-            Decision::Drop(DropReason::AclDeny)
+            Verdict::Drop(Reason::AclDeny)
         );
         // Other destinations unaffected.
         assert!(matches!(
             f.process(&packet("192.168.30.5"), 0),
-            Decision::ToNc { .. }
+            Verdict::ToNc { .. }
         ));
     }
 
@@ -355,7 +333,7 @@ mod tests {
         );
         assert_eq!(
             f.process(&packet("10.66.1.1"), 0),
-            Decision::Drop(DropReason::RoutingLoop)
+            Verdict::Drop(Reason::RoutingLoop)
         );
     }
 
@@ -373,10 +351,7 @@ mod tests {
                 ..SnatConfig::default()
             },
         );
-        assert!(matches!(
-            f.process(&packet("93.184.216.34"), 0),
-            Decision::ToInternet { .. }
-        ));
+        assert_eq!(f.process(&packet("93.184.216.34"), 0), Verdict::ToInternet);
         // A second distinct flow exhausts the single-port pool.
         let p2 = GatewayPacketBuilder::new(
             vni(100),
@@ -384,6 +359,6 @@ mod tests {
             "93.184.216.34".parse().unwrap(),
         )
         .build();
-        assert_eq!(f.process(&p2, 0), Decision::Drop(DropReason::SnatExhausted));
+        assert_eq!(f.process(&p2, 0), Verdict::Drop(Reason::SnatExhausted));
     }
 }

@@ -33,4 +33,4 @@ pub mod forward;
 
 pub use config::XgwX86Config;
 pub use cores::{CoreLoadReport, FlowRate, FluidEngine};
-pub use forward::{Decision, DropReason, SoftwareForwarder, SoftwareTables};
+pub use forward::{SoftwareForwarder, SoftwareTables};

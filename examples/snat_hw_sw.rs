@@ -6,8 +6,6 @@
 //! Run with: `cargo run --example snat_hw_sw`
 
 use sailfish::prelude::*;
-use sailfish_xgw_h::PuntReason;
-use sailfish_xgw_x86::Decision;
 
 fn main() {
     let vpc = Vni::from_const(77);
@@ -51,25 +49,24 @@ fn main() {
     let punted = match hw.process(&request, 0) {
         HwDecision::PuntToX86 { packet, reason } => {
             println!("XGW-H: punt to XGW-x86 ({reason:?})");
-            assert_eq!(reason, PuntReason::SnatRequired);
+            assert_eq!(reason, Reason::SnatRequired);
             packet
         }
         other => panic!("unexpected hw decision: {other:?}"),
     };
 
     // Step 2: XGW-x86 allocates the public binding.
-    let binding = match sw.process(&punted, 0) {
-        Decision::ToInternet { binding } => {
-            println!(
-                "XGW-x86: session {} translated to {}:{}",
-                punted.five_tuple(),
-                binding.public_ip,
-                binding.public_port
-            );
-            binding
-        }
-        other => panic!("unexpected sw decision: {other:?}"),
-    };
+    assert_eq!(sw.process(&punted, 0), Verdict::ToInternet);
+    let binding = sw
+        .snat
+        .translate_outbound(punted.vni, punted.five_tuple(), 0)
+        .expect("the session holds its binding");
+    println!(
+        "XGW-x86: session {} translated to {}:{}",
+        punted.five_tuple(),
+        binding.public_ip,
+        binding.public_port
+    );
 
     // Step 3: the Internet responds to the public binding (blue arrow);
     // XGW-x86 translates it back without touching XGW-H.
@@ -100,7 +97,7 @@ fn main() {
     for _ in 0..100 {
         match flood_hw.process(&request, 0) {
             HwDecision::PuntToX86 { .. } => punted_count += 1,
-            HwDecision::Drop(_) => limited += 1,
+            HwDecision::Other(Verdict::Drop(_)) => limited += 1,
             other => panic!("unexpected {other:?}"),
         }
     }

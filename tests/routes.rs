@@ -4,8 +4,6 @@
 
 use sailfish::prelude::*;
 use sailfish_cluster::controller::ClusterCapacity;
-use sailfish_xgw_h::PuntReason;
-use sailfish_xgw_x86::Decision;
 
 fn region() -> (Topology, Region) {
     let topology = Topology::generate(TopologyConfig::default());
@@ -35,9 +33,8 @@ fn process(
         .build();
     let hw = &region.hw[cluster];
     let device = hw.device_for(&packet.five_tuple()).expect("devices online");
-    hw.devices[device]
-        .walk(packet.vni, &packet.five_tuple(), &mut ())
-        .into_decision(&packet)
+    let verdict = hw.devices[device].walk(packet.vni, &packet.five_tuple(), &mut ());
+    HwDecision::new(verdict, &packet)
 }
 
 #[test]
@@ -112,17 +109,20 @@ fn vm_to_internet_via_snat_and_back() {
     let dst: std::net::IpAddr = "93.184.216.34".parse().unwrap();
     let punted = match process(&mut region, vpc.vni, src.ip, dst) {
         HwDecision::PuntToX86 { packet, reason } => {
-            assert_eq!(reason, PuntReason::SnatRequired);
+            assert_eq!(reason, Reason::SnatRequired);
             packet
         }
         other => panic!("unexpected {other:?}"),
     };
     // The software node allocated by ECMP performs the translation.
     let node = region.sw.ecmp.pick(&punted.five_tuple()).unwrap();
-    let binding = match region.sw.nodes[node].forwarder.process(&punted, 0) {
-        Decision::ToInternet { binding } => binding,
-        other => panic!("unexpected {other:?}"),
-    };
+    let forwarder = &mut region.sw.nodes[node].forwarder;
+    assert_eq!(forwarder.process(&punted, 0), Verdict::ToInternet);
+    // Its binding for the flow, read back from the node's session table.
+    let binding = forwarder
+        .snat
+        .translate_outbound(punted.vni, punted.five_tuple(), 0)
+        .unwrap();
     // And the response finds its way back.
     let back = region.sw.nodes[node]
         .forwarder
@@ -161,7 +161,7 @@ fn vm_to_idc_and_cross_region() {
         src.ip,
         "172.16.1.1".parse().unwrap(),
     ) {
-        HwDecision::ToIdc { idc, .. } => assert_eq!(Some(idc), idc_vpc.idc),
+        HwDecision::Other(Verdict::ToIdc { idc, .. }) => assert_eq!(Some(idc), idc_vpc.idc),
         other => panic!("unexpected {other:?}"),
     }
     let (xr_vpc, src) = topology
@@ -183,7 +183,9 @@ fn vm_to_idc_and_cross_region() {
         src.ip,
         "100.64.3.3".parse().unwrap(),
     ) {
-        HwDecision::ToRegion { region: r, .. } => assert_eq!(Some(r), xr_vpc.cross_region),
+        HwDecision::Other(Verdict::ToRegion { region: r, .. }) => {
+            assert_eq!(Some(r), xr_vpc.cross_region)
+        }
         other => panic!("unexpected {other:?}"),
     }
 }
@@ -201,7 +203,7 @@ fn unknown_destination_punts_not_blackholes() {
         "203.0.113.200".parse().unwrap(),
     ) {
         HwDecision::PuntToX86 { reason, .. } => {
-            assert_eq!(reason, PuntReason::NoHwRoute, "long tail goes to software");
+            assert_eq!(reason, Reason::NoRoute, "long tail goes to software");
         }
         other => panic!("unexpected {other:?}"),
     }
