@@ -159,6 +159,13 @@ echo
 echo "==> loc: non-test lines in crates/*/src (report only)"
 ci/loc.sh || true
 
+# 13. Panic census: `.expect(`/`.unwrap()`/`panic!`/`unreachable!`/
+#     `assert*!` sites in library code, per file. Informational, never
+#     fails; `ci/panics.sh DIR` on a parent checkout compares.
+echo
+echo "==> panics: panic sites in non-test crates/*/src, crates/bench aside (report only)"
+ci/panics.sh || true
+
 echo
 if [ "${failures}" -ne 0 ]; then
     echo "ci/check.sh: ${failures} step(s) failed"

@@ -15,14 +15,17 @@
 //! At region scale (25k VPCs, ≈229k routes, ≈459k VMs) every table
 //! image is stored at the bytes its entries need: each per-VNI ALPM
 //! plane as an exact-size copy of the scratch table it was filled in,
-//! and each VM-NC slot as the tag, the address bits and the value. An
-//! `EpochState` held 80.4 MiB and the x86 image 61.9 MiB while ALPM
-//! arrays kept the room they grew into and a slot held a second copy of
-//! the key; now they hold 52.2 and 54.0. The x86 image's routes then
-//! lived in a pair of hash maps per VNI (≈25k VNIs, 24.9 MiB in 131,866
-//! allocations); they now share one flat route map and a small record per
-//! VNI, and the image holds 38.9 MiB (seeds 2021 and 7 alike). The
-//! budgets are those plus about 2%.
+//! and each VM-NC slot as the tag, a 4-byte id into the topology's NC
+//! inventory and, for an IPv6 key, the index of its address bits in a
+//! side array — 16 bytes. An `EpochState` held 80.4 MiB and the x86
+//! image 61.9 MiB while ALPM arrays kept the room they grew into and a
+//! slot held a second copy of the key; with exact-size ALPM planes and
+//! 44-byte slots (the tag, all 128 address bits and the NC address) they
+//! held 52.2 and 54.0. The x86 image's routes then lived in a pair of
+//! hash maps per VNI (≈25k VNIs, 24.9 MiB in 131,866 allocations); one
+//! flat route map and a small record per VNI brought the image to 38.9
+//! MiB. With 16-byte slots the `EpochState` holds 36.2 MiB and the x86
+//! image 22.0. The budgets are those plus about 2%.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -34,8 +37,8 @@ use sailfish_sim::{Topology, TopologyConfig};
 
 const BUDGET_BYTES: u64 = 9_900 * 1024 * 1024 / 1000 / 3;
 const SW_BUDGET_BYTES: u64 = 23_537_568 / 4;
-const EPOCH_BUDGET_MIB: f64 = 53.2;
-const X86_IMAGE_BUDGET_MIB: f64 = 39.6;
+const EPOCH_BUDGET_MIB: f64 = 36.9;
+const X86_IMAGE_BUDGET_MIB: f64 = 22.5;
 
 struct CountingAllocator;
 

@@ -21,7 +21,7 @@ use sailfish_sim::Topology;
 use sailfish_tables::alpm::AlpmConfig;
 use sailfish_tables::pooled::PooledAlpm;
 use sailfish_tables::snat::SnatConfig;
-use sailfish_tables::types::{NcAddr, RouteTarget, VmKey};
+use sailfish_tables::types::{NcId, RouteTarget, VmKey};
 use sailfish_tables::vm_nc::VmNcTable;
 use sailfish_tables::vxlan_route::VxlanRoutingTable;
 use sailfish_tables::Result as TableResult;
@@ -127,7 +127,7 @@ pub struct ImageBuilder<'t> {
     vm_stride: usize,
     /// One run buffer for every image, with room for any of them
     /// (untouched room costs nothing).
-    vm_run: Vec<(VmKey, NcAddr)>,
+    vm_run: Vec<(VmKey, NcId)>,
     /// The one table every VNI's routes are filled in before its
     /// exact-size copy is stored; it keeps the room of the largest.
     alpm_scratch: PooledAlpm<RouteTarget>,
@@ -169,7 +169,7 @@ impl<'t> ImageBuilder<'t> {
         }
         // A refused run (a VM listed twice) leaves the plane empty: the
         // image's VM lookups miss and punt.
-        let _ = tables.load_vms(&self.vm_run);
+        let _ = tables.load_vms(Arc::clone(&self.topology.ncs), &self.vm_run);
         tables
     }
 }
@@ -306,7 +306,7 @@ pub fn software_image(topology: &Topology) -> TableResult<SoftwareTables> {
         .iter()
         .map(|vm| (VmKey::new(vm.vni, vm.ip), vm.nc))
         .collect();
-    tables.vm_nc = VmNcTable::from_run(&vms)?;
+    tables.vm_nc = VmNcTable::from_run(Arc::clone(&topology.ncs), &vms)?;
     Ok(tables)
 }
 
@@ -485,7 +485,7 @@ mod tests {
         assert_eq!(
             decision,
             Verdict::ToNc {
-                nc: vm.nc,
+                nc: topology.ncs[vm.nc.index()],
                 vni: vm.vni
             }
         );

@@ -45,10 +45,7 @@ use sailfish_net::Vni;
 use sailfish_sim::faults::{FaultEvent, FaultKind, FaultSchedule, InstallFault};
 use sailfish_sim::workload::{self, Flow, WorkloadConfig};
 use sailfish_sim::Topology;
-use sailfish_xgw_h::HwDecision;
 
-use crate::counters::TableCounters;
-use crate::engine;
 use crate::epoch::{EpochState, WorldView};
 use crate::executor::{software_forwarder, Dataplane, DataplaneConfig};
 use crate::oracle::differential_run;
@@ -442,12 +439,10 @@ pub fn run_schedule(
             let Some(served) = cluster.and_then(|c| healthy.clusters.get(c)) else {
                 return true;
             };
-            let packet = traffic::packet_for_flow(flow);
-            let mut scratch = TableCounters::default();
-            matches!(
-                engine::walk(&served.tables, &packet, &mut scratch),
-                HwDecision::PuntToX86 { .. }
-            )
+            !served
+                .tables
+                .walk(flow.vni, &flow.tuple, &mut ())
+                .is_final()
         })
         .collect();
     drop(healthy);

@@ -96,6 +96,14 @@ mod tests {
     }
 
     #[test]
+    fn packet_for_flow_carries_the_flows_vni_and_tuple() {
+        for flow in &flows() {
+            let packet = packet_for_flow(flow);
+            assert_eq!((packet.vni, packet.five_tuple()), (flow.vni, flow.tuple));
+        }
+    }
+
+    #[test]
     fn entropy_port_varies_by_flow() {
         let flows = flows();
         let mut ports = std::collections::HashSet::new();

@@ -18,7 +18,7 @@ use sailfish_net::{IpPrefix, IpProtocol, Vni};
 use sailfish_sim::topology::{VmRecord, Vpc};
 use sailfish_sim::{Topology, TopologyConfig};
 use sailfish_tables::digest::{digest32, DigestLookup};
-use sailfish_tables::types::{NcAddr, RouteTarget, Verdict, VxlanRouteKey};
+use sailfish_tables::types::{NcAddr, NcId, RouteTarget, Verdict, VxlanRouteKey};
 use sailfish_util::check;
 use sailfish_util::rand::Rng;
 use sailfish_xgw_h::tables::HardwareTables;
@@ -102,21 +102,23 @@ fn executor_serves_colliding_vms_exactly() {
     // withholds every `hw_vm_stride`-th mapping starting at 0, so the
     // colliding pair (indexes 1 and 2) is guaranteed on-chip.
     let nc = |i: u8| NcAddr::new(IpAddr::V4(core::net::Ipv4Addr::new(192, 0, 2, i)));
+    // NC `i` is 192.0.2.i.
+    let ncs = (0..10).map(nc).collect();
     let vms = vec![
         VmRecord {
             vni,
             ip: v6(base | 0xdead),
-            nc: nc(9),
+            nc: NcId(9),
         },
         VmRecord {
             vni,
             ip: v6(a),
-            nc: nc(1),
+            nc: NcId(1),
         },
         VmRecord {
             vni,
             ip: v6(b),
-            nc: nc(2),
+            nc: NcId(2),
         },
     ];
     let topology = Topology {
@@ -132,6 +134,7 @@ fn executor_serves_colliding_vms_exactly() {
         }],
         routes: vec![(VxlanRouteKey::new(vni, prefix), RouteTarget::Local)],
         vms,
+        ncs,
     };
 
     let dp = Dataplane::build(

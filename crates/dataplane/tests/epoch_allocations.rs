@@ -12,8 +12,9 @@
 //!   and 0.53 when each plane's roots grew by doubling, 0.68
 //!   route-by-route, 24 with the pointer-trie ALPM);
 //! - at most [`VM_PLANE_ALLOCATIONS_PER_CLUSTER`] for a cluster's whole
-//!   VM-NC plane — the slot array and the bulk build's three scratch
-//!   arrays, plus the builder's one run buffer — *however many VMs there
+//!   VM-NC plane — the slot array, the side array of IPv6 address bits
+//!   and the bulk build's two scratch arrays (measured 4; the NC
+//!   inventory is the topology's, shared) — *however many VMs there
 //!   are*: 5 000 or 459 000, the count is the same.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -87,7 +87,7 @@ fn region_epoch_layout_and_contents_are_pinned() {
         if i % config.hw_vm_stride == 0 {
             assert_eq!((nc, plane), (None, DigestLookup::Miss), "VM {i}");
         } else {
-            assert_eq!(nc, Some(vm.nc), "VM {i}");
+            assert_eq!(nc, Some(topology.ncs[vm.nc.index()]), "VM {i}");
             assert_ne!(plane, DigestLookup::Miss, "VM {i}");
         }
     }

@@ -9,13 +9,14 @@
 //! matter for ALPM partition fill).
 
 use core::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 
 use sailfish_util::rand::rngs::StdRng;
 use sailfish_util::rand::{Rng, SeedableRng};
 
 use sailfish_net::hash::{MixMap, MixState};
 use sailfish_net::{IpPrefix, Ipv4Prefix, Vni};
-use sailfish_tables::types::{IdcId, NcAddr, RegionId, RouteTarget, VxlanRouteKey};
+use sailfish_tables::types::{IdcId, NcAddr, NcId, RegionId, RouteTarget, VxlanRouteKey};
 
 use crate::zipf::zipf_weights;
 
@@ -132,8 +133,8 @@ pub struct VmRecord {
     pub vni: Vni,
     /// The VM's inner IP address.
     pub ip: IpAddr,
-    /// The physical server hosting it.
-    pub nc: NcAddr,
+    /// The physical server hosting it: its place in [`Topology::ncs`].
+    pub nc: NcId,
 }
 
 /// A generated region topology.
@@ -147,12 +148,16 @@ pub struct Topology {
     pub routes: Vec<(VxlanRouteKey, RouteTarget)>,
     /// The VM→NC mappings (contiguous per VPC).
     pub vms: Vec<VmRecord>,
+    /// The physical servers (NCs) hosting the VMs, indexed by
+    /// [`VmRecord::nc`]: the inventory every VM-NC table built from the
+    /// topology shares.
+    pub ncs: Arc<[NcAddr]>,
 }
 
 impl Topology {
     /// Generates a topology deterministically from its config.
     pub fn generate(config: TopologyConfig) -> Self {
-        assert!(config.vpcs > 0 && config.ncs > 0);
+        assert!(config.vpcs > 0 && config.ncs > 0 && u32::try_from(config.ncs).is_ok());
         let mut rng = StdRng::seed_from_u64(config.seed);
         let weights = zipf_weights(config.vpcs, config.vm_skew);
 
@@ -195,7 +200,7 @@ impl Topology {
                 vms.push(VmRecord {
                     vni,
                     ip,
-                    nc: NcAddr::new(nc_address(nc_idx)),
+                    nc: NcId(nc_idx as u32),
                 });
             }
 
@@ -261,11 +266,15 @@ impl Topology {
             }
         }
 
+        let ncs = (0..config.ncs)
+            .map(|i| NcAddr::new(nc_address(i)))
+            .collect();
         Topology {
             config,
             vpcs,
             routes,
             vms,
+            ncs,
         }
     }
 

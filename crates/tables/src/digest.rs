@@ -20,70 +20,77 @@
 //! # What hardware stores, what the model stores
 //!
 //! A hardware main-table entry is the **tag** — family label, VNI and 32
-//! address bits, one SRAM word — and the value. The model's slot carries
-//! the tag, the value, and the address bits the tag lacks (all 128 of
-//! them, as 4-byte words), so that it can audit what hardware gets by
-//! construction: the tag and the address bits together are the key, and
-//! a lookup whose tag matches a slot holding other address bits reports
-//! a miss (hardware would return that slot's value), which is sound
-//! because every key that shares a resident tag was displaced into the
-//! conflict table when it was inserted. [`DigestStats`] counts entries
-//! per plane; the memory model prices a main entry at one word whatever
-//! the slot holds here.
+//! address bits, one SRAM word — and the value. The model's slot is the
+//! tag, the value and, for an IPv6 key, the index of its 128 address bits
+//! in a side array (an IPv4 tag already is the whole key), so that it can
+//! audit what hardware gets by construction: a lookup whose tag matches a
+//! slot holding other address bits reports a miss (hardware would return
+//! that slot's value), which is sound because every key that shares a
+//! resident tag was displaced into the conflict table when it was
+//! inserted. [`DigestStats`] counts entries per plane; the memory model
+//! prices a main entry at one word whatever the slot holds here.
 //!
 //! # Layout
 //!
-//! The main plane is one open-addressed array of slots — 44 bytes for
-//! the VM-NC table's values, an empty slot being a niche of the entry —
-//! at a load of at most 2/3. A tag's *home* is its fixed-key hash
+//! The main plane is one open-addressed array of slots — 16 bytes for
+//! the VM-NC table's 4-byte [`NcId`](crate::types::NcId) values, an empty
+//! slot being a niche of the entry — at a load of at most 2/3, beside the
+//! side array of IPv6 address bits, 16 bytes per IPv6 key in the plane.
+//! A tag's *home* is its fixed-key hash
 //! ([`sailfish_net::hash::MixState`]; the controller provisions every
 //! key, and the scheme being modelled is itself an unkeyed hash backed by
 //! a conflict table) scaled to the array length, so homes rise with the
 //! hash at every length. Entries sit at or after their home, in hash
 //! order along each run of occupied slots (the array is circular: a run
-//! reaching the end continues at slot 0). That order makes the array a
+//! reaching the end continues at slot 0). That order makes the slots a
 //! function of the resident key set and the array length alone — two
-//! tables holding the same keys at the same length are slot-for-slot
-//! equal however they were filled — and lets a probe stop at the first
-//! resident that sorts after its tag instead of at the next empty slot.
+//! tables holding the same keys at the same length hold the same entry in
+//! every slot however they were filled (where the side array keeps an
+//! IPv6 key's bits follows the fill order) — and lets a probe stop at the
+//! first resident that sorts after its tag instead of at the next empty
+//! slot.
 //!
 //! The load is a trade between the lookup and memory, settled by memory.
 //! A miss-path probe is one of many independent lookups the core
 //! overlaps, and what breaks the overlap is a walk of unpredictable
 //! length: at 2/3 a key sits one slot from home on average and 400k
-//! independent region-scale lookups take 72–85 ns each, at 3/5 66–70, at
+//! independent region-scale lookups took 72–85 ns each, at 3/5 66–70, at
 //! 1/2 (half a slot on average, two keys in three at home) 48–57 — what
-//! the hash map this array replaced took. But at 2/3 the region's four
-//! planes are the 36 MiB the hash maps held, and at 1/2 they are 47: on
-//! the `churn` benchmark, which keeps several epochs live, that read as
-//! 10% more resident memory (4% at 4/7, 3% at 3/5, under 1% at 2/3)
-//! against a 5% bound, for a probe that is one step of a ≈ 500 ns walk.
-//! Neither a side lane of one-byte fingerprints scanned eight at a time
-//! (the hash map's own trick: 65–80 ns at 2/3) nor comparing the first
-//! three slots without branching (92–100) bought the difference back.
+//! the hash map this array replaced took. But with the 56-byte slots of
+//! the time the region's four planes were the 36 MiB the hash maps held
+//! at 2/3 and 47 at 1/2: on the `churn` benchmark, which keeps several
+//! epochs live, that read as 10% more resident memory (4% at 4/7, 3% at
+//! 3/5, under 1% at 2/3) against a 5% bound, for a probe that is one
+//! step of a ≈ 500 ns walk. Neither a side lane of one-byte fingerprints
+//! scanned eight at a time (the hash map's own trick: 65–80 ns at 2/3)
+//! nor comparing the first three slots without branching (92–100) bought
+//! the difference back. At 16 bytes a slot the four planes are 12.3 MiB
+//! at 2/3, side arrays included, and would be 15.8 at 1/2.
 //!
 //! # Bulk and incremental
 //!
 //! [`DigestExactTable::from_run`] builds a table from a run of entries
-//! in one go: every key is hashed once, the run is counting-sorted by
-//! home (stably) and the slots are streamed out front to back, each
-//! written once. [`DigestExactTable::insert`] places one entry into the
-//! array as it stands, shifting the rest of its run up by one;
-//! [`DigestExactTable::remove`] shifts it back. When an insert would
-//! pass the load limit the array is re-laid with twice the room. All of
-//! them go through the same placement step, so they cannot disagree
-//! about where an entry belongs.
+//! in one go: the run is counting-sorted by home (stably, each entry
+//! carrying its tag) and the slots are streamed out front to back, each
+//! written once, with every IPv6 key's address bits appended to a side
+//! array sized for them up front. [`DigestExactTable::insert`] places one
+//! entry into the array as it stands, shifting the rest of its run up by
+//! one. When an insert would pass the load limit the array is re-laid
+//! with twice the room; the side array is untouched, since slots name
+//! their address bits by index. Both go through the same placement step,
+//! so they cannot disagree about where an entry belongs. Entries are
+//! never removed: an install replaces a whole table.
 //!
 //! # First come, first kept
 //!
 //! Of the keys sharing one tag, the first to arrive takes the main slot
 //! and every later one goes to the conflict table — in `insert` by
 //! arrival, in `from_run` by position in the run (the sort is stable and
-//! equal tags share a home). Removing the main entry does not promote a
-//! displaced one; the next key to arrive with that tag takes the slot.
+//! equal tags share a home).
 
 use core::hash::BuildHasher;
 use core::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use core::num::NonZeroU64;
 
 use sailfish_net::hash::{MixMap, MixState};
 use sailfish_net::Vni;
@@ -97,6 +104,10 @@ use crate::types::VmKey;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Tag(u64);
 
+/// Bit 63, set in every stored tag: no tag uses it (the VNI ends at bit
+/// 56), so a stored tag is never 0 and an empty slot is a niche.
+const STORED: NonZeroU64 = NonZeroU64::MIN.saturating_add((1 << 63) - 1);
+
 impl Tag {
     fn of(key: &VmKey) -> Tag {
         let (vni, addr) = key.canonical_bits();
@@ -107,15 +118,10 @@ impl Tag {
         Tag(v6 | u64::from(addr32) << 1 | u64::from(vni) << 33)
     }
 
-    /// The key this tag and the address bits `addr` spell.
-    fn key(self, addr: u128) -> VmKey {
-        let [_, hi, mid, lo] = ((self.0 >> 33) as u32).to_be_bytes();
-        let ip = if self.0 & 1 == 0 {
-            IpAddr::V4(Ipv4Addr::from(addr as u32))
-        } else {
-            IpAddr::V6(Ipv6Addr::from(addr))
-        };
-        VmKey::new(Vni::from_be_bytes([hi, mid, lo]), ip)
+    /// Whether the tag's family label is IPv6: its address bits are a
+    /// digest, and the key's own 128 live in the side array.
+    fn is_v6(self) -> bool {
+        self.0 & 1 == 1
     }
 
     /// The hash entries are ordered by. One multiply-mix round and an
@@ -138,44 +144,29 @@ fn capacity_for(entries: usize) -> usize {
     entries + entries.div_ceil(2)
 }
 
-/// One main-plane slot: the tag, the address bits it lacks, and the
-/// value. The tag is stored as two 4-byte words and the address as
-/// bytes, so a slot is aligned to 4 bytes and packs to 44 with the VM-NC
-/// table's 17-byte value.
-#[derive(Debug, Clone, PartialEq)]
+/// One main-plane slot: the tag, the value and, for an IPv6 key, where
+/// its address bits sit in [`DigestExactTable::wide`]. With a 4-byte
+/// value a slot is 16 bytes.
+#[derive(Debug, Clone)]
 struct Slot<V> {
-    /// The tag, low word first.
-    tag: [u32; 2],
-    /// The key's 128 address bits, little-endian, kept so the model can
-    /// confirm a tag match (hardware stores only the tag).
-    addr: [u8; 16],
+    /// The tag, with [`STORED`] set.
+    word: NonZeroU64,
     value: V,
+    /// An IPv6 key's index in the side array; 0 for an IPv4 key.
+    wide: u32,
 }
 
 impl<V> Slot<V> {
-    fn new(tag: Tag, key: &VmKey, value: V) -> Self {
+    fn new(tag: Tag, value: V, wide: u32) -> Self {
         Slot {
-            tag: [tag.0 as u32, (tag.0 >> 32) as u32],
-            addr: key.canonical_bits().1.to_le_bytes(),
+            word: STORED | tag.0,
             value,
+            wide,
         }
     }
 
     fn tag(&self) -> Tag {
-        let [lo, hi] = self.tag;
-        Tag(u64::from(lo) | u64::from(hi) << 32)
-    }
-
-    /// The key this slot holds, rebuilt from the tag and address bits.
-    fn key(&self) -> VmKey {
-        self.tag().key(u128::from_le_bytes(self.addr))
-    }
-
-    /// Whether this slot, found by `key`'s tag, holds `key`: the tags
-    /// agree, so the address bits decide.
-    #[inline(always)]
-    fn holds(&self, key: &VmKey) -> bool {
-        u128::from_le_bytes(self.addr) == key.canonical_bits().1
+        Tag(self.word.get() & !STORED.get())
     }
 }
 
@@ -213,14 +204,14 @@ pub enum DigestLookup {
 }
 
 /// An exact-match table with 128→32-bit key compression.
-///
-/// Two tables are equal when their main planes are slot-for-slot equal
-/// and their conflict tables hold the same entries.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DigestExactTable<V> {
     /// Compressed main table: `cap` slots once built, fewer only while a
     /// bulk build or a re-lay is streaming them out.
     slots: Vec<Option<Slot<V>>>,
+    /// The 128 address bits of each IPv6 key in the main table, whose tag
+    /// holds only their digest; its slot names them by index.
+    wide: Vec<Ipv6Addr>,
     /// The array length homes are computed for.
     cap: usize,
     /// Occupied main slots.
@@ -232,6 +223,25 @@ pub struct DigestExactTable<V> {
 impl<V> Default for DigestExactTable<V> {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Two tables are equal when every main slot holds the same entry — tag,
+/// key and value — and their conflict tables hold the same entries. Where
+/// the side array keeps an IPv6 key's address bits depends on the order
+/// the keys came in, and is not compared.
+impl<V: PartialEq> PartialEq for DigestExactTable<V> {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |a: &Slot<V>, b: &Slot<V>| {
+            a.word == b.word && a.value == b.value && self.key_of(a) == other.key_of(b)
+        };
+        self.cap == other.cap
+            && self.slots.len() == other.slots.len()
+            && self.slots.iter().zip(&other.slots).all(|pair| match pair {
+                (Some(a), Some(b)) => same(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            })
+            && self.conflict == other.conflict
     }
 }
 
@@ -270,6 +280,7 @@ impl<V> DigestExactTable<V> {
     fn laid_out_for(cap: usize) -> Self {
         DigestExactTable {
             slots: Vec::with_capacity(cap),
+            wide: Vec::new(),
             cap,
             occupied: 0,
             conflict: MixMap::default(),
@@ -283,16 +294,22 @@ impl<V> DigestExactTable<V> {
     where
         V: Clone,
     {
+        // Run positions are kept as 4-byte indices.
+        if u32::try_from(run.len()).is_err() {
+            return Err(Error::CapacityExceeded);
+        }
         let cap = capacity_for(run.len());
-        let tags: Vec<Tag> = run.iter().map(|(key, _)| Tag::of(key)).collect();
-        let home_of = |tag: &Tag| home(tag.spread(), cap);
 
-        // Stable counting sort of the run's indices by home slot.
-        let mut next = vec![0usize; cap];
-        for tag in &tags {
-            if let Some(n) = next.get_mut(home_of(tag)) {
+        // Stable counting sort of the run by home slot. Each entry's tag
+        // is worked out once to count it and once to file it, so no
+        // array of tags outlives the count.
+        let mut next = vec![0u32; cap];
+        let mut v6 = 0;
+        for (key, _) in run {
+            if let Some(n) = next.get_mut(home(Tag::of(key).spread(), cap)) {
                 *n += 1;
             }
+            v6 += usize::from(key.ip.is_ipv6());
         }
         let mut seen = 0;
         for n in &mut next {
@@ -300,21 +317,24 @@ impl<V> DigestExactTable<V> {
             *n = seen;
             seen += here;
         }
-        let mut by_home = vec![0usize; run.len()];
-        for (i, tag) in tags.iter().enumerate() {
-            if let Some(n) = next.get_mut(home_of(tag)) {
-                if let Some(place) = by_home.get_mut(*n) {
-                    *place = i;
+        let mut by_home = vec![(Tag(0), 0u32); run.len()];
+        for (i, (key, _)) in (0u32..).zip(run) {
+            let tag = Tag::of(key);
+            if let Some(n) = next.get_mut(home(tag.spread(), cap)) {
+                if let Some(place) = by_home.get_mut(*n as usize) {
+                    *place = (tag, i);
                 }
                 *n += 1;
             }
         }
+        drop(next);
 
         // Rising homes make every placement land at or just behind the
         // array's growing end: the slots go out front to back.
         let mut table = Self::laid_out_for(cap);
-        for i in by_home {
-            if let (Some((key, value)), Some(&tag)) = (run.get(i), tags.get(i)) {
+        table.wide.reserve_exact(v6);
+        for (tag, i) in by_home {
+            if let Some((key, value)) = run.get(i as usize) {
                 table.admit(key, tag, value.clone())?;
             }
         }
@@ -377,7 +397,7 @@ impl<V> DigestExactTable<V> {
             return (Some(v), DigestLookup::HitConflict);
         }
         match self.resident(Tag::of(key)) {
-            Some(slot) if slot.holds(key) => (Some(&slot.value), DigestLookup::HitMain),
+            Some(slot) if self.holds(slot, key) => (Some(&slot.value), DigestLookup::HitMain),
             // A hardware digest table would return a colliding slot's
             // value; the model reports the miss instead, which is sound
             // because insertion displaced every colliding key into the
@@ -387,52 +407,23 @@ impl<V> DigestExactTable<V> {
         }
     }
 
-    /// Removes a key, returning its value.
-    pub fn remove(&mut self, key: &VmKey) -> Option<V> {
-        if let Some(v) = self.conflict.remove(key) {
-            return Some(v);
-        }
-        let Place::Held(at) = self.locate(Tag::of(key)) else {
-            return None;
-        };
-        let cell = self.slots.get_mut(at)?;
-        if !cell.as_ref()?.holds(key) {
-            return None;
-        }
-        let removed = cell.take()?;
-        self.occupied -= 1;
-        // Close the gap: every entry behind it that is away from its
-        // home moves one slot back, up to the end of the run.
-        let mut gap = at;
-        loop {
-            let behind = self.after(gap);
-            match self.slots.get(behind) {
-                Some(Some(slot)) if home(slot.tag().spread(), self.cap) != behind => {
-                    self.slots.swap(gap, behind);
-                    gap = behind;
-                }
-                _ => break,
-            }
-        }
-        Some(removed.value)
-    }
-
     /// Iterates over all entries. A main-plane key is rebuilt from its
     /// slot, so keys come out owned.
     pub fn iter(&self) -> impl Iterator<Item = (VmKey, &V)> {
         self.slots
             .iter()
             .flatten()
-            .map(|slot| (slot.key(), &slot.value))
+            .filter_map(|slot| Some((self.key_of(slot)?, &slot.value)))
             .chain(self.conflict.iter().map(|(key, value)| (*key, value)))
     }
 
     /// Checks the layout; returns a description of the first violation.
     /// Used by the property tests: the main plane is full-length and at
-    /// most 2/3 full, every entry's tag and address bits are those of the
-    /// key they rebuild, every entry is reachable from its home without
-    /// crossing an empty slot, every run is in hash order (so no tag is
-    /// resident twice), no key is in both planes, and
+    /// most 2/3 full, every entry's tag is that of the key it rebuilds,
+    /// every IPv6 entry names address bits of its own and every address
+    /// in the side array is named, every entry is reachable from its home
+    /// without crossing an empty slot, every run is in hash order (so no
+    /// tag is resident twice), no key is in both planes, and
     /// [`DigestExactTable::len`] is the occupied slots plus the conflict
     /// entries.
     pub fn audit(&self) -> core::result::Result<(), String> {
@@ -449,6 +440,7 @@ impl<V> DigestExactTable<V> {
         if capacity_for(occupied) > self.cap {
             return Err(format!("load {occupied}/{} above 2/3", self.cap));
         }
+        let mut named = vec![false; self.wide.len()];
         // Distance from home and hash of the previous slot's entry.
         let mut before = self
             .slots
@@ -459,9 +451,17 @@ impl<V> DigestExactTable<V> {
                 before = None;
                 continue;
             };
-            let key = slot.key();
-            if slot.tag() != Tag::of(&key) || !slot.holds(&key) {
+            let Some(key) = self.key_of(slot) else {
+                return Err(format!("slot {at}: address bits past the side array"));
+            };
+            if slot.tag() != Tag::of(&key) {
                 return Err(format!("slot {at}: tag and address bits are not {key}'s"));
+            }
+            if slot.tag().is_v6() {
+                match named.get_mut(slot.wide as usize) {
+                    Some(seen) if !*seen => *seen = true,
+                    _ => return Err(format!("slot {at}: {key}'s address bits are shared")),
+                }
             }
             let (away, spread) = self.standing(at, slot);
             // Reachable: one step further from home than the slot before
@@ -475,12 +475,42 @@ impl<V> DigestExactTable<V> {
             }
             before = Some((away, spread));
         }
+        if let Some(unnamed) = named.iter().position(|seen| !seen) {
+            return Err(format!("side-array address {unnamed} is no slot's"));
+        }
         for key in self.conflict.keys() {
-            if self.resident(Tag::of(key)).is_some_and(|s| s.holds(key)) {
+            if self
+                .resident(Tag::of(key))
+                .is_some_and(|s| self.holds(s, key))
+            {
                 return Err(format!("{key} is in both planes"));
             }
         }
         Ok(())
+    }
+
+    /// The key `slot` holds: an IPv4 tag spells it whole, an IPv6 one
+    /// with the address bits the slot names. `None` only if the slot
+    /// names bits past the side array, which the audit rules out.
+    fn key_of(&self, slot: &Slot<V>) -> Option<VmKey> {
+        let tag = slot.tag();
+        let [_, hi, mid, lo] = ((tag.0 >> 33) as u32).to_be_bytes();
+        let ip = if tag.is_v6() {
+            IpAddr::V6(*self.wide.get(slot.wide as usize)?)
+        } else {
+            IpAddr::V4(Ipv4Addr::from((tag.0 >> 1) as u32))
+        };
+        Some(VmKey::new(Vni::from_be_bytes([hi, mid, lo]), ip))
+    }
+
+    /// Whether `slot`, found by `key`'s tag, holds `key`: the tags agree,
+    /// which settles an IPv4 key; an IPv6 key's address bits decide.
+    #[inline(always)]
+    fn holds(&self, slot: &Slot<V>, key: &VmKey) -> bool {
+        match key.ip {
+            IpAddr::V4(_) => true,
+            IpAddr::V6(addr) => self.wide.get(slot.wide as usize) == Some(&addr),
+        }
     }
 
     /// How far the entry in slot `at` is from its home, and its hash.
@@ -521,10 +551,11 @@ impl<V> DigestExactTable<V> {
     #[inline(always)]
     fn locate(&self, tag: Tag) -> Place {
         let spread = tag.spread();
+        let word = STORED | tag.0;
         let mut at = home(spread, self.cap);
         let mut away = 0usize;
         while let Some(Some(slot)) = self.slots.get(at) {
-            if slot.tag() == tag {
+            if slot.word == word {
                 return Place::Held(at);
             }
             let (their_away, theirs) = self.standing(at, slot);
@@ -556,30 +587,39 @@ impl<V> DigestExactTable<V> {
     }
 
     /// Insert, for one entry or one of a run: refuse a key already held,
-    /// displace one whose tag (`Tag::of(key)`) is, place the rest.
+    /// displace one whose tag (`Tag::of(key)`) is, place the rest — an
+    /// IPv6 key with its address bits appended to the side array.
     fn admit(&mut self, key: &VmKey, tag: Tag, value: V) -> Result<()> {
         if self.conflict.contains_key(key) {
             return Err(Error::Duplicate);
         }
-        match self.locate(tag) {
+        let at = match self.locate(tag) {
             Place::Held(at) => {
                 let held = self.slots.get(at).and_then(Option::as_ref);
-                if held.is_some_and(|h| h.holds(key)) {
+                if held.is_some_and(|h| self.holds(h, key)) {
                     return Err(Error::Duplicate);
                 }
                 // Digest collision between distinct keys: the newcomer
                 // goes to the conflict table.
                 self.conflict.insert(*key, value);
+                return Ok(());
             }
-            Place::Vacant(at) if capacity_for(self.occupied + 1) <= self.cap => {
-                self.place(at, Slot::new(tag, key, value))
-            }
+            Place::Vacant(at) if capacity_for(self.occupied + 1) <= self.cap => at,
             Place::Vacant(_) => {
                 self.relay(capacity_for(2 * (self.occupied + 1)));
                 let (Place::Held(at) | Place::Vacant(at)) = self.locate(tag);
-                self.place(at, Slot::new(tag, key, value));
+                at
             }
-        }
+        };
+        let wide = match key.ip {
+            IpAddr::V4(_) => 0,
+            IpAddr::V6(addr) => {
+                let index = u32::try_from(self.wide.len()).map_err(|_| Error::CapacityExceeded)?;
+                self.wide.push(addr);
+                index
+            }
+        };
+        self.place(at, Slot::new(tag, value, wide));
         Ok(())
     }
 
@@ -624,16 +664,16 @@ mod tests {
     }
 
     #[test]
-    fn basic_insert_get_remove() {
+    fn basic_insert_get() {
         let mut t = DigestExactTable::new();
         t.insert(v4key(1, "10.0.0.1"), "a").unwrap();
         t.insert(v6key(1, 0xdead), "b").unwrap();
         assert_eq!(t.get(&v4key(1, "10.0.0.1")), Some(&"a"));
         assert_eq!(t.get(&v6key(1, 0xdead)), Some(&"b"));
         assert_eq!(t.get(&v6key(1, 0xbeef)), None);
-        assert_eq!(t.remove(&v4key(1, "10.0.0.1")), Some("a"));
-        assert_eq!(t.remove(&v4key(1, "10.0.0.1")), None);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&v4key(2, "10.0.0.1")), None);
+        assert_eq!(t.len(), 2);
+        t.audit().unwrap();
     }
 
     #[test]
@@ -688,9 +728,7 @@ mod tests {
         // Both resolve correctly despite sharing a digest.
         assert_eq!(t.get(&v6key(1, a)), Some(&"first"));
         assert_eq!(t.get(&v6key(1, b)), Some(&"second"));
-        // Removing the main entry keeps the conflicting one reachable.
-        assert_eq!(t.remove(&v6key(1, a)), Some("first"));
-        assert_eq!(t.get(&v6key(1, b)), Some(&"second"));
+        t.audit().unwrap();
     }
 
     #[test]
@@ -810,9 +848,9 @@ mod tests {
     }
 
     #[test]
-    fn vm_nc_slot_is_44_bytes() {
-        use crate::types::NcAddr;
-        assert_eq!(core::mem::size_of::<Option<Slot<NcAddr>>>(), 44);
+    fn vm_nc_slot_is_16_bytes() {
+        use crate::types::NcId;
+        assert_eq!(core::mem::size_of::<Option<Slot<NcId>>>(), 16);
     }
 
     /// A run of mixed keys in the region's shape, `n` long.
@@ -860,30 +898,25 @@ mod tests {
     }
 
     #[test]
-    fn growth_and_removal_keep_the_layout_canonical() {
+    fn growth_keeps_the_layout_canonical() {
         let run = mixed_run(3_000);
         let mut t = DigestExactTable::new();
         for (key, value) in &run {
             t.insert(*key, *value).unwrap();
         }
         t.audit().unwrap();
-        // Remove two thirds, in an order unrelated to the layout.
-        for (key, value) in run.iter().filter(|(_, v)| v % 3 != 0) {
-            assert_eq!(t.remove(key), Some(*value));
-        }
-        t.audit().unwrap();
-        let kept: Vec<(VmKey, u32)> = run.iter().filter(|(_, v)| v % 3 == 0).copied().collect();
-        assert_eq!(t.len(), kept.len());
-        for (key, value) in &kept {
+        for (key, value) in &run {
             assert_eq!(t.get(key), Some(value));
         }
-        // What is left is laid out as if nothing else had ever been
-        // there, at the length the array grew to.
+        // The array re-laid itself several times on the way; what it
+        // holds is laid out as if it had been that long from the start,
+        // whatever order the keys come in.
         let mut fresh = DigestExactTable::new();
         fresh.relay(t.cap);
-        for (key, value) in &kept {
+        for (key, value) in run.iter().rev() {
             fresh.insert(*key, *value).unwrap();
         }
+        fresh.audit().unwrap();
         assert_eq!(t, fresh);
     }
 

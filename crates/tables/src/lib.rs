@@ -53,4 +53,4 @@ pub mod vm_nc;
 pub mod vxlan_route;
 
 pub use error::{Error, Result};
-pub use types::{NcAddr, Reason, RouteTarget, Verdict, VmKey, VxlanRouteKey};
+pub use types::{NcAddr, NcId, Reason, RouteTarget, Verdict, VmKey, VxlanRouteKey};

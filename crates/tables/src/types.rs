@@ -138,6 +138,18 @@ impl fmt::Display for NcAddr {
     }
 }
 
+/// An NC's place in an NC inventory: the list of a region's servers that
+/// a VM-NC table's entries index instead of each holding an address.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NcId(pub u32);
+
+impl NcId {
+    /// The inventory index this id names.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Why a packet is not forwarded by the tier deciding it: what a
 /// [`Verdict::Drop`] drops for or a [`Verdict::Punt`] punts for. One
 /// vocabulary for the hardware walk, the x86 forwarder and the punt

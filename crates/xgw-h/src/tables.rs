@@ -6,6 +6,7 @@
 //! tables (ACL, meters).
 
 use core::net::IpAddr;
+use std::sync::Arc;
 
 use sailfish_net::hash::MixMap;
 use sailfish_net::{IpPrefix, Vni};
@@ -13,7 +14,7 @@ use sailfish_tables::acl::{AclAction, AclTable};
 use sailfish_tables::alpm::{AlpmConfig, AlpmStats};
 use sailfish_tables::error::Result;
 use sailfish_tables::pooled::PooledAlpm;
-use sailfish_tables::types::{NcAddr, RouteTarget, VmKey, VxlanRouteKey};
+use sailfish_tables::types::{NcAddr, NcId, RouteTarget, VmKey, VxlanRouteKey};
 use sailfish_tables::vm_nc::VmNcTable;
 
 /// Maximum peer-VPC hops in hardware; mirrors the software bound. Each
@@ -272,10 +273,10 @@ impl HardwareTables {
     }
 
     /// Replaces the VM-NC table with one built from a cluster's whole run
-    /// of mappings (see [`VmNcTable::from_run`]). On error the table is
-    /// left as it was.
-    pub fn load_vms(&mut self, run: &[(VmKey, NcAddr)]) -> Result<()> {
-        self.vm_nc = VmNcTable::from_run(run)?;
+    /// of mappings, naming NCs by their place in `ncs` (see
+    /// [`VmNcTable::from_run`]). On error the table is left as it was.
+    pub fn load_vms(&mut self, ncs: Arc<[NcAddr]>, run: &[(VmKey, NcId)]) -> Result<()> {
+        self.vm_nc = VmNcTable::from_run(ncs, run)?;
         Ok(())
     }
 

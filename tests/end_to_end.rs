@@ -23,8 +23,9 @@ fn hardware_and_software_forwarders_agree() {
         sw_tables.routes.insert(*key, *target);
     }
     for vm in &topology.vms {
-        hw.tables.add_vm(vm.vni, vm.ip, vm.nc).unwrap();
-        sw_tables.vm_nc.insert(vm.vni, vm.ip, vm.nc).unwrap();
+        let nc = topology.ncs[vm.nc.index()];
+        hw.tables.add_vm(vm.vni, vm.ip, nc).unwrap();
+        sw_tables.vm_nc.insert(vm.vni, vm.ip, nc).unwrap();
     }
     let mut sw = SoftwareForwarder::new(sw_tables.into(), SnatConfig::default());
     hw.tables.routes.audit().unwrap();

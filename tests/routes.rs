@@ -55,7 +55,7 @@ fn vm_to_vm_same_vpc() {
         .collect();
     match process(&mut region, vpc.vni, v4[0].ip, v4[1].ip) {
         HwDecision::ToNc { packet, nc } => {
-            assert_eq!(nc, v4[1].nc);
+            assert_eq!(nc, topology.ncs[v4[1].nc.index()]);
             assert_eq!(packet.vni, vpc.vni);
             assert_eq!(packet.outer.dst_ip, nc.ip);
             // The rewritten packet is emittable and parses back.
@@ -84,7 +84,7 @@ fn vm_to_vm_across_vpcs() {
         };
         match process(&mut region, vpc.vni, src.ip, dst.ip) {
             HwDecision::ToNc { packet, nc } => {
-                assert_eq!(nc, dst.nc);
+                assert_eq!(nc, topology.ncs[dst.nc.index()]);
                 assert_eq!(packet.vni, peer_vni, "VNI must be rewritten to the peer");
             }
             other => panic!("{} -> {}: unexpected {other:?}", vpc.vni, dst.ip),
